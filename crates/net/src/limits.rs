@@ -30,6 +30,8 @@ pub struct ConnectionLimits {
     /// Once a frame has started arriving, every subsequent read must
     /// make progress within this window or the connection is dropped —
     /// the slow-loris guard. Idle time *between* frames is unlimited.
+    /// It is also the socket write timeout: a peer that stops reading
+    /// is dropped once a response write makes no progress for this long.
     pub read_timeout: Duration,
     /// How many connections the daemon serves at once; further accepts
     /// are answered with an error frame and closed.

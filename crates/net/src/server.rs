@@ -10,6 +10,16 @@
 //! drained, and ordinary TCP flow control pushes back on the peer — the
 //! frames-in-flight budget *is* the backpressure mechanism.
 //!
+//! Both halves are buffered with a fixed [`IO_BUFFER_BYTES`] capacity,
+//! so a pipelined burst costs a few large socket calls instead of two
+//! reads and two writes per frame. The data a connection holds in
+//! flight is therefore bounded by `max_frames_in_flight` frames plus
+//! one read buffer. The processor coalesces responses while frames are
+//! queued and flushes whenever the channel is empty, before it blocks
+//! waiting for the next frame: every response is on the wire before the
+//! processor waits, so buffering never holds an answer back from a peer
+//! that is waiting for it.
+//!
 //! ## State
 //!
 //! All connections share one [`Backend`] (volatile
@@ -31,8 +41,8 @@
 //! never dropped on the floor (`wal.dropped_buffered_records` counts
 //! exactly the drops this flush prevents).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
@@ -55,6 +65,10 @@ use crate::{ConnectionLimits, NetError};
 /// How often blocked reads wake to check the shutdown flag.
 const IDLE_TICK: Duration = Duration::from_millis(100);
 
+/// Capacity of each connection's read buffer and of its response
+/// buffer. A frame or response at least this large bypasses the buffer.
+const IO_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Everything needed to stand up a daemon.
 #[derive(Debug)]
 pub struct DaemonConfig {
@@ -75,7 +89,8 @@ pub struct DaemonConfig {
     pub durable_options: DurableOptions,
     /// `true` forces the owned decode path (materialize every upload);
     /// `false` (default) ingests through the zero-copy borrowed views.
-    /// Exists so the loopback bench can price the difference.
+    /// Exists so the loopback bench can price the difference. Durable
+    /// tag-5 frames always take the zero-copy path.
     pub owned_ingest: bool,
     /// Observability handle shared by the listener and all connections.
     pub obs: Obs,
@@ -299,10 +314,11 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         mpsc::sync_channel::<Result<Vec<u8>, NetError>>(shared.limits.max_frames_in_flight.max(1));
     let processor = {
         let shared = Arc::clone(shared);
-        std::thread::spawn(move || process_frames(&rx, write_half, &shared))
+        let out = BufWriter::with_capacity(IO_BUFFER_BYTES, write_half);
+        std::thread::spawn(move || process_frames(&rx, out, &shared))
     };
 
-    let mut reader = stream;
+    let mut reader = BufReader::with_capacity(IO_BUFFER_BYTES, stream);
     let mut bucket = shared.limits.max_bytes_per_sec.map(TokenBucket::new);
     loop {
         match read_frame_budgeted(&mut reader, shared) {
@@ -340,9 +356,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 /// shutdown is flagged while the connection is idle. Idle time between
 /// frames is unlimited; once the first prefix byte arrives, every
 /// subsequent read must progress within `read_timeout` (the slow-loris
-/// guard), including the payload.
+/// guard), including the payload. Bytes already buffered count as
+/// progress, so only a stall on the socket itself can time out.
 fn read_frame_budgeted(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     shared: &Shared,
 ) -> Result<Option<Vec<u8>>, NetError> {
     let mut prefix = [0u8; 4];
@@ -374,7 +391,7 @@ fn read_frame_budgeted(
 /// Returns `Ok(false)` for a clean stop before the first byte (EOF or
 /// shutdown) — only possible when `idle_ok`.
 fn read_exact_budgeted(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     shared: &Shared,
     idle_ok: bool,
@@ -417,27 +434,56 @@ fn read_exact_budgeted(
 /// *payload* (bad inner tag, bad upload) gets an error response and the
 /// connection lives on — the framing layer is still in sync. A framing
 /// error is terminal: best-effort error frame, then teardown.
+///
+/// Responses collect in `out` while more frames are queued and are
+/// flushed whenever the channel is empty, before blocking on it.
+///
+/// A failed write is never retried: each attempt against a peer that
+/// has stopped reading blocks for the whole write timeout. The
+/// processor instead discards what is still buffered and shuts the
+/// socket down, which also wakes a reader that is idle on it, so the
+/// connection ends at its first failed write.
 fn process_frames(
     rx: &mpsc::Receiver<Result<Vec<u8>, NetError>>,
-    mut out: TcpStream,
+    mut out: BufWriter<TcpStream>,
     shared: &Arc<Shared>,
 ) {
-    for item in rx {
+    let written = loop {
+        let item = match rx.try_recv() {
+            Ok(item) => item,
+            Err(mpsc::TryRecvError::Empty) => {
+                if out.flush().is_err() {
+                    break false;
+                }
+                match rx.recv() {
+                    Ok(item) => item,
+                    Err(mpsc::RecvError) => break true,
+                }
+            }
+            Err(mpsc::TryRecvError::Disconnected) => break true,
+        };
         match item {
             Ok(frame) => {
                 let response = handle_frame(&frame, shared);
                 shared.obs.add("net.bytes.out", response.len() as u64 + 4);
                 if wire::write_frame(&mut out, &response).is_err() {
-                    break;
+                    break false;
                 }
             }
             Err(e) => {
-                let _ = wire::write_frame(&mut out, &wire::encode_error_response(&e.to_string()));
-                break;
+                let error = wire::encode_error_response(&e.to_string());
+                break wire::write_frame(&mut out, &error).is_ok();
             }
         }
+    };
+    let written = written && out.flush().is_ok();
+    // `into_parts` hands back the socket without the flush that
+    // dropping a `BufWriter` would retry.
+    let (stream, _unwritten) = out.into_parts();
+    if !written {
+        shared.obs.inc("net.write.err");
+        let _ = stream.shutdown(Shutdown::Both);
     }
-    let _ = out.flush();
 }
 
 /// Dispatches one well-framed payload and builds its response.
@@ -561,13 +607,7 @@ fn ingest(
                 "durable mode requires sequenced uploads (tags 5 or 6)",
             ));
         }
-        (Backend::Durable(d), 5) => {
-            // The WAL logs sequenced frames whole; the owned/borrowed
-            // split only exists downstream of the log.
-            vec![d
-                .receive_sequenced(SequencedUpload::decode(payload).map_err(sim_err)?)
-                .map_err(sim_err)?]
-        }
+        (Backend::Durable(d), 5) => vec![d.receive_sequenced_wire(payload).map_err(sim_err)?],
         (Backend::Durable(d), _) => {
             if owned {
                 d.receive_batch(BatchUpload::decode(payload).map_err(sim_err)?)

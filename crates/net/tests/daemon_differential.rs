@@ -5,12 +5,15 @@
 use std::path::PathBuf;
 
 use vcps_core::{RsuId, Scheme};
-use vcps_net::wire::estimate_bits;
-use vcps_net::workload::{city_replay_frames, reference_order};
-use vcps_net::{ConnectionLimits, Daemon, DaemonConfig, NetClient, WireMatrix};
+use vcps_net::wire::{estimate_bits, read_frame, write_frame, Response};
+use vcps_net::workload::{city_replay_frames, city_uploads, reference_order};
+use vcps_net::{AckSummary, ConnectionLimits, Daemon, DaemonConfig, NetClient, WireMatrix};
 use vcps_obs::Obs;
 use vcps_sim::synthetic::SyntheticCity;
-use vcps_sim::{DurableOptions, DurableServer, FlushPolicy, OdMatrix, ShardedServer};
+use vcps_sim::{
+    DurableOptions, DurableServer, FlushPolicy, OdMatrix, SequencedUpload, SequencedUploadRef,
+    ShardedServer,
+};
 
 fn scheme() -> Scheme {
     Scheme::variable(2, 3.0, 41).unwrap()
@@ -202,6 +205,77 @@ fn durable_daemon_flushes_on_shutdown_and_recovers() {
     assert_eq!(
         report.checkpoint_records + report.replayed_records,
         frames_sent as u64
+    );
+    assert_eq!(
+        recovered.server().checkpoint(0),
+        reference.checkpoint(0),
+        "recovered state must be bit-identical to the in-process reference"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Tag-5 frames pipelined into a durable daemon take the zero-copy wire
+/// path: every ack equals the in-process verdict, and the WAL the
+/// daemon leaves behind recovers to the same state bit for bit.
+#[test]
+fn durable_daemon_sequenced_frames_ack_and_recover_bit_identically() {
+    let dir = temp_dir("durable-sequenced");
+    let uploads = city_uploads(&scheme(), &city());
+    let sequenced = |seq: u64, j: usize| {
+        SequencedUpload {
+            seq,
+            upload: uploads[j].clone(),
+        }
+        .encode()
+        .to_vec()
+    };
+    let mut frames: Vec<Vec<u8>> = (0..uploads.len()).map(|j| sequenced(0, j)).collect();
+    frames.push(sequenced(0, 0)); // duplicate
+    frames.push(sequenced(1, 1)); // fresh at a newer seq
+    frames.push(sequenced(0, 1)); // stale re-send
+
+    let mut config = DaemonConfig::new(scheme());
+    config.wal_dir = Some(dir.clone());
+    config.durable_options = DurableOptions::log_only().with_flush(FlushPolicy::EveryRecords(4));
+    let daemon = Daemon::bind("127.0.0.1:0", config).unwrap();
+    let addr = daemon.local_addr();
+    let handle = daemon.spawn();
+
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = raw.try_clone().unwrap();
+    let pipelined = frames.clone();
+    let sender = std::thread::spawn(move || {
+        for frame in &pipelined {
+            write_frame(&mut writer, frame).unwrap();
+        }
+    });
+    let mut reference = ShardedServer::new(scheme(), 1.0, 4).unwrap();
+    let mut total = AckSummary::default();
+    for (i, frame) in frames.iter().enumerate() {
+        let view = SequencedUploadRef::decode_ref(frame).unwrap();
+        let expected = AckSummary::from_outcomes(&[reference.receive_sequenced_ref(&view)]);
+        let response = Response::decode(&read_frame(&mut raw, 1 << 20).unwrap()).unwrap();
+        assert_eq!(response, Response::Ack(expected), "ack {i}");
+        total.merge(&expected);
+    }
+    sender.join().unwrap();
+    assert_eq!((total.duplicate, total.stale), (1, 1), "verdict mix");
+    NetClient::connect(addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+
+    let (recovered, report) = DurableServer::recover(
+        scheme(),
+        1.0,
+        4,
+        &dir,
+        DurableOptions::log_only(),
+        &Obs::disabled(),
+    )
+    .unwrap();
+    assert_eq!(report.tail_error, None);
+    assert_eq!(
+        report.checkpoint_records + report.replayed_records,
+        frames.len() as u64
     );
     assert_eq!(
         recovered.server().checkpoint(0),

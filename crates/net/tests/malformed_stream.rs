@@ -7,10 +7,13 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use vcps_core::Scheme;
-use vcps_net::wire::{read_frame, Response};
-use vcps_net::{ConnectionLimits, Daemon, DaemonConfig, DaemonHandle, NetClient};
-use vcps_sim::{PeriodUpload, SequencedUpload};
+use vcps_core::{RsuId, Scheme};
+use vcps_net::wire::{
+    encode_od_query, encode_pair_query, estimate_bits, read_frame, write_frame, Response,
+};
+use vcps_net::{AckSummary, ConnectionLimits, Daemon, DaemonConfig, DaemonHandle, NetClient};
+use vcps_obs::{Level, Obs};
+use vcps_sim::{PeriodUpload, SequencedUpload, SequencedUploadRef, ShardedServer};
 
 fn scheme() -> Scheme {
     Scheme::variable(2, 3.0, 23).unwrap()
@@ -76,6 +79,210 @@ fn oversized_length_prefix_is_refused_before_allocation() {
     let mut buf = [0u8; 1];
     assert_eq!(raw.read(&mut buf).unwrap_or(0), 0, "connection must close");
     assert_alive(addr);
+    shutdown(addr, handle);
+}
+
+/// Length-prefixes each payload into one contiguous byte stream, so a
+/// single `write_all` lands several frames in the daemon's read buffer
+/// at once.
+fn framed(payloads: &[&[u8]]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for payload in payloads {
+        write_frame(&mut bytes, payload).unwrap();
+    }
+    bytes
+}
+
+fn expect_ack(raw: &mut TcpStream) -> AckSummary {
+    match Response::decode(&read_frame(raw, 1 << 20).unwrap()).unwrap() {
+        Response::Ack(ack) => ack,
+        other => panic!("expected ack, got {other:?}"),
+    }
+}
+
+#[test]
+fn oversized_prefix_buffered_behind_a_valid_frame_is_refused() {
+    let (addr, handle) = spawn_daemon(tight_limits());
+    let mut raw = TcpStream::connect(addr).unwrap();
+    // A valid upload and a 4 GiB - 1 claim arrive in one segment: the
+    // claim sits in the read buffer behind the upload and must still be
+    // refused on its prefix alone.
+    let mut bytes = framed(&[&upload_frame(1, 0)]);
+    bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+    raw.write_all(&bytes).unwrap();
+    assert_eq!(expect_ack(&mut raw).fresh, 1);
+    match Response::decode(&read_frame(&mut raw, 1 << 20).unwrap()).unwrap() {
+        Response::Error(msg) => assert!(msg.contains("exceeds"), "unexpected reason: {msg}"),
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    let mut buf = [0u8; 1];
+    assert_eq!(raw.read(&mut buf).unwrap_or(0), 0, "connection must close");
+    assert_alive(addr);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn stall_after_a_buffered_partial_prefix_acks_first_then_drops() {
+    let read_timeout = Duration::from_millis(1_000);
+    let (addr, handle) = spawn_daemon(ConnectionLimits {
+        read_timeout,
+        ..tight_limits()
+    });
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // A whole frame plus two bytes of the next prefix, then silence.
+    let mut bytes = framed(&[&upload_frame(1, 0)]);
+    bytes.extend_from_slice(&[0u8, 0]);
+    let started = Instant::now();
+    raw.write_all(&bytes).unwrap();
+    // The ack must not wait behind the stalled frame: it is flushed
+    // as soon as the processor runs out of queued frames.
+    assert_eq!(expect_ack(&mut raw).fresh, 1);
+    assert!(
+        started.elapsed() < read_timeout,
+        "ack was held back until the stall timed out"
+    );
+    let mut remainder = Vec::new();
+    let _ = raw.read_to_end(&mut remainder);
+    let closed_after = started.elapsed();
+    assert!(
+        closed_after >= read_timeout && closed_after < Duration::from_secs(8),
+        "stalled connection must be dropped by the read timeout (after {closed_after:?})"
+    );
+    if !remainder.is_empty() {
+        let payload = read_frame(&mut remainder.as_slice(), 1 << 20).unwrap();
+        match Response::decode(&payload).unwrap() {
+            Response::Error(msg) => assert!(msg.contains("progress"), "got: {msg}"),
+            other => panic!("expected timeout error frame, got {other:?}"),
+        }
+    }
+    assert_alive(addr);
+    shutdown(addr, handle);
+}
+
+/// A daemon whose counters the test can watch.
+fn spawn_observed(limits: ConnectionLimits) -> (SocketAddr, DaemonHandle, Obs) {
+    let obs = Obs::enabled(Level::Info);
+    let mut config = DaemonConfig::new(scheme());
+    config.limits = limits;
+    config.obs = obs.clone();
+    let daemon = Daemon::bind("127.0.0.1:0", config).unwrap();
+    let addr = daemon.local_addr();
+    (addr, daemon.spawn(), obs)
+}
+
+/// Waits until the daemon's counter `name` reaches `at_least` and
+/// returns when it did.
+fn counter_reached(obs: &Obs, name: &str, at_least: u64) -> Instant {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        if obs
+            .snapshot()
+            .counters
+            .get(name)
+            .is_some_and(|&v| v >= at_least)
+        {
+            return Instant::now();
+        }
+        assert!(Instant::now() < deadline, "{name} never reached {at_least}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn peer_that_never_reads_is_dropped_at_the_first_failed_write() {
+    let read_timeout = Duration::from_millis(1_000);
+    let (addr, handle, obs) = spawn_observed(ConnectionLimits {
+        read_timeout,
+        ..tight_limits()
+    });
+    // Pipeline duplicate uploads and never read: the acks fill the
+    // socket buffers until the daemon's writes block, its channel and
+    // receive window fill, and a write here makes no progress at all.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_write_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let upload = upload_frame(1, 0);
+    let burst = framed(&vec![upload.as_slice(); 1024]);
+    let mut offset = 0;
+    while let Ok(n) = raw.write(&burst[offset..]) {
+        offset = (offset + n) % burst.len();
+    }
+    // The first failed write must end the connection at once; retrying
+    // the buffered acks would hold it for another timeout per attempt.
+    let failed_at = counter_reached(&obs, "net.write.err", 1);
+    let closed_at = counter_reached(&obs, "net.conn.closed", 1);
+    let held = closed_at.saturating_duration_since(failed_at);
+    assert!(
+        held < read_timeout / 2,
+        "connection outlived its failed write by {held:?}"
+    );
+    drop(raw);
+    assert_alive(addr);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn peer_that_stops_reading_and_writing_frees_its_slot() {
+    let read_timeout = Duration::from_millis(1_000);
+    // 128 RSUs make every O–D answer about 0.5 MB, so the answers to a
+    // full channel's worth of queries overflow any socket buffering.
+    let limits = ConnectionLimits {
+        read_timeout,
+        max_frames_in_flight: 256,
+        ..tight_limits()
+    };
+    let in_flight = limits.max_frames_in_flight;
+    let (addr, handle, obs) = spawn_observed(limits);
+    let mut client = NetClient::connect(addr).unwrap();
+    client
+        .ingest_pipelined((1..=128u64).map(|rsu| upload_frame(rsu, 0)))
+        .unwrap();
+    drop(client);
+    counter_reached(&obs, "net.conn.closed", 1);
+    // No more queries than the channel holds plus the one being
+    // answered: the reader hands every one over and then waits, idle,
+    // on a socket that will never deliver another byte.
+    let query = encode_od_query(0);
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(&framed(&vec![query.as_slice(); in_flight + 1]))
+        .unwrap();
+    let failed_at = counter_reached(&obs, "net.write.err", 1);
+    let closed_at = counter_reached(&obs, "net.conn.closed", 2);
+    let held = closed_at.saturating_duration_since(failed_at);
+    assert!(
+        held < read_timeout / 2,
+        "idle reader outlived the failed write by {held:?}"
+    );
+    drop(raw);
+    assert_alive(addr);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn pipelined_uploads_then_a_query_answer_in_order() {
+    let (addr, handle) = spawn_daemon(tight_limits());
+    let mut reference = ShardedServer::new(scheme(), 1.0, 4).unwrap();
+    // Every RSU's upload twice in a row, so the ack stream alternates
+    // fresh / duplicate and any reordering shows.
+    let uploads: Vec<Vec<u8>> = (1..=24u64)
+        .flat_map(|rsu| [upload_frame(rsu, 0), upload_frame(rsu, 0)])
+        .collect();
+    let query = encode_pair_query(1, 2);
+    let mut payloads: Vec<&[u8]> = uploads.iter().map(Vec::as_slice).collect();
+    payloads.push(&query);
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(&framed(&payloads)).unwrap();
+    for (i, upload) in uploads.iter().enumerate() {
+        let view = SequencedUploadRef::decode_ref(upload).unwrap();
+        let expected = AckSummary::from_outcomes(&[reference.receive_sequenced_ref(&view)]);
+        assert_eq!(expect_ack(&mut raw), expected, "ack {i} out of order");
+    }
+    let expected = reference.estimate_or_degraded(RsuId(1), RsuId(2)).unwrap();
+    match Response::decode(&read_frame(&mut raw, 1 << 20).unwrap()).unwrap() {
+        Response::Estimate(e) => assert_eq!(estimate_bits(&e), estimate_bits(&expected)),
+        other => panic!("expected the estimate after every ack, got {other:?}"),
+    }
     shutdown(addr, handle);
 }
 

@@ -40,7 +40,9 @@ use vcps_core::CoreError;
 use vcps_durable::{read_wal, CheckpointStore, DurabilityError, FlushPolicy, WalWriter};
 use vcps_obs::{Level, Obs, Phase, Value};
 
-use crate::protocol::{BatchUpload, BatchUploadRef, CheckpointSet, SequencedUpload};
+use crate::protocol::{
+    BatchUpload, BatchUploadRef, CheckpointSet, SequencedUpload, SequencedUploadRef,
+};
 use crate::{ReceiveOutcome, ShardedServer, SimError};
 
 /// File name of the frame log inside a durability directory.
@@ -308,7 +310,7 @@ impl DurableServer {
     fn replay_frame(inner: &mut ShardedServer, frame: &[u8]) -> Result<(), SimError> {
         match frame.first() {
             Some(5) => {
-                let view = crate::protocol::SequencedUploadRef::decode_ref(frame)?;
+                let view = SequencedUploadRef::decode_ref(frame)?;
                 let _ = inner.receive_sequenced_ref(&view);
             }
             Some(6) => {
@@ -400,6 +402,26 @@ impl DurableServer {
     ) -> Result<ReceiveOutcome, SimError> {
         self.log_frame(&sequenced.encode())?;
         let outcome = self.inner.receive_sequenced(sequenced);
+        self.maybe_checkpoint()?;
+        Ok(outcome)
+    }
+
+    /// [`ShardedServer::receive_sequenced_ref`], write-ahead logged: the
+    /// tag-5 twin of [`receive_batch_wire`](Self::receive_batch_wire).
+    /// The raw wire bytes are validated once (zero-copy), logged
+    /// verbatim as one WAL record, and applied straight from the buffer
+    /// — no owned decode, no re-encode.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::MalformedMessage`] for a frame
+    /// [`SequencedUpload::decode`] would reject (nothing is logged or
+    /// applied), otherwise as
+    /// [`receive_sequenced`](Self::receive_sequenced).
+    pub fn receive_sequenced_wire(&mut self, wire: &[u8]) -> Result<ReceiveOutcome, SimError> {
+        let view = SequencedUploadRef::decode_ref(wire)?;
+        self.log_frame(wire)?;
+        let outcome = self.inner.receive_sequenced_ref(&view);
         self.maybe_checkpoint()?;
         Ok(outcome)
     }
@@ -896,6 +918,72 @@ mod tests {
             DurableServer::recover(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
                 .unwrap();
         assert_eq!(report.replayed_records, 1);
+        assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The tag-5 wire path logs each frame's wire bytes verbatim,
+    /// rejects malformed frames before logging, answers exactly as the
+    /// owned path does, and replays to the same state.
+    #[test]
+    fn sequenced_wire_logs_raw_bytes_and_replays() {
+        let dir = temp_dir("sequenced-wire");
+        let obs = Obs::disabled();
+        let mut durable =
+            DurableServer::create(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
+                .unwrap();
+        let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
+        let dense: Vec<usize> = (0..256).step_by(3).collect();
+        let frames = [
+            sequenced(1, 0, &[3, 77]),
+            sequenced(2, 0, &dense),
+            sequenced(1, 0, &[3, 77]), // duplicate
+            sequenced(2, 0, &[9, 10]), // conflicting
+            sequenced(3, 2, &[0]),
+            sequenced(3, 1, &[200]), // stale
+        ];
+        let wires: Vec<Vec<u8>> = frames.iter().map(|f| f.encode().to_vec()).collect();
+        for (f, wire) in frames.iter().zip(&wires) {
+            let expected = reference.receive_sequenced(f.clone());
+            assert_eq!(durable.receive_sequenced_wire(wire).unwrap(), expected);
+        }
+        assert_eq!(durable.records_logged(), frames.len() as u64);
+
+        // Malformed frames are rejected without logging anything: a
+        // truncation, a wrong tag, and a sparse index list that is not
+        // strictly increasing ([5][seq][4][rsu][counter][len][ones]
+        // puts the two indices at bytes 42..58; swap them).
+        let sparse = &wires[0];
+        let mut wrong_tag = sparse.clone();
+        wrong_tag[0] = 6;
+        let mut unsorted = sparse.clone();
+        unsorted[42..58].copy_from_slice(&[&sparse[50..58], &sparse[42..50]].concat());
+        for (bad, why) in [
+            (
+                &sparse[..sparse.len() - 1],
+                "sparse upload index count mismatch",
+            ),
+            (&wrong_tag[..], "bad sequenced upload frame"),
+            (
+                &unsorted[..],
+                "sparse upload indices not strictly increasing",
+            ),
+        ] {
+            assert!(matches!(
+                durable.receive_sequenced_wire(bad),
+                Err(SimError::MalformedMessage { reason }) if reason == why
+            ));
+        }
+        assert_eq!(durable.records_logged(), frames.len() as u64);
+
+        // The log holds the wire bytes verbatim.
+        let logged = read_wal(durable.wal_path()).unwrap();
+        assert_eq!(logged.records, wires);
+        drop(durable);
+        let (recovered, report) =
+            DurableServer::recover(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
+                .unwrap();
+        assert_eq!(report.replayed_records, frames.len() as u64);
         assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
         std::fs::remove_dir_all(&dir).unwrap();
     }

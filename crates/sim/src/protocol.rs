@@ -221,17 +221,19 @@ impl PeriodUpload {
     /// [`PeriodUpload::decode`] accepts both forms transparently.
     #[must_use]
     pub fn encode_compact(&self) -> Bytes {
-        let ones: Vec<usize> = self.bits.ones().collect();
-        if ones.len() >= self.bits.as_words().len() {
+        // The cached popcount picks the form; set-bit indices are only
+        // walked when the sparse form wins.
+        let ones = self.bits.count_ones();
+        if ones >= self.bits.as_words().len() {
             return self.encode();
         }
-        let mut buf = BytesMut::with_capacity(1 + 8 * 4 + 8 * ones.len());
+        let mut buf = BytesMut::with_capacity(1 + 8 * 4 + 8 * ones);
         buf.put_u8(TAG_UPLOAD_SPARSE);
         buf.put_u64(self.rsu.0);
         buf.put_u64(self.counter);
         buf.put_u64(self.bits.len() as u64);
-        buf.put_u64(ones.len() as u64);
-        for i in ones {
+        buf.put_u64(ones as u64);
+        for i in self.bits.ones() {
             buf.put_u64(i as u64);
         }
         buf.freeze()
