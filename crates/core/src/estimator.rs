@@ -341,49 +341,84 @@ fn estimate_from_counts_inner(
     s: usize,
     clamp: bool,
 ) -> Result<Estimate, CoreError> {
-    let &PairCounts {
-        m_x,
-        m_y,
-        u_x,
-        u_y,
-        u_c,
-        n_x,
-        n_y,
-    } = counts;
+    validate_decode_domain(counts.m_x, counts.m_y, s)?;
+    let x = ZeroTerm::new(counts.u_x, counts.m_x, clamp)
+        .ok_or(CoreError::Saturated { which: "B_x" })?;
+    let y = ZeroTerm::new(counts.u_y, counts.m_y, clamp)
+        .ok_or(CoreError::Saturated { which: "B_y" })?;
+    estimate_from_terms(counts, x, y, denominator(counts.m_y, s), clamp)
+}
 
-    validate_decode_domain(m_x, m_y, s)?;
+/// One array's zero term in Eq. 5: the zero fraction `V = u / m` and
+/// its logarithm.
+///
+/// `V_x` and `V_y` depend on one RSU alone, so a batch decoder computes
+/// each RSU's term once and hands it to every pair the RSU takes part in
+/// through [`estimate_from_terms`]. [`estimate_from_counts`] builds its
+/// terms with this same function, so both paths return the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ZeroTerm {
+    /// The zero fraction `V` (half a zero bit over `m` when clamped).
+    pub v: f64,
+    /// `ln V`.
+    pub ln_v: f64,
+    /// `true` if the zero count was 0 and got clamped.
+    pub clamped: bool,
+}
 
-    let mut clamped = false;
-    let mut fraction = |u: usize, m: usize, which: &'static str| -> Result<f64, CoreError> {
-        if u == 0 {
-            if clamp {
-                clamped = true;
-                // Half a zero bit: the usual continuity correction that
-                // keeps ln finite while staying below 1/m.
-                Ok(0.5 / m as f64)
-            } else {
-                Err(CoreError::Saturated { which })
-            }
-        } else {
-            Ok(u as f64 / m as f64)
-        }
-    };
+impl ZeroTerm {
+    /// The term of an array of `m` bits with `u` zeros. A saturated array
+    /// (`u == 0`) gets half a zero bit when `clamp` is set — the usual
+    /// continuity correction that keeps `ln` finite while staying below
+    /// `1/m` — and no term otherwise.
+    #[must_use]
+    pub fn new(u: usize, m: usize, clamp: bool) -> Option<Self> {
+        let (v, clamped) = match u {
+            0 if clamp => (0.5 / m as f64, true),
+            0 => return None,
+            _ => (u as f64 / m as f64, false),
+        };
+        Some(Self {
+            v,
+            ln_v: v.ln(),
+            clamped,
+        })
+    }
+}
 
-    let v_x = fraction(u_x, m_x, "B_x")?;
-    let v_y = fraction(u_y, m_y, "B_y")?;
-    let v_c = fraction(u_c, m_y, "B_c")?;
-
-    let n_c = (v_c.ln() - v_x.ln() - v_y.ln()) / denominator(m_y, s);
+/// Applies Eq. 5 to precomputed per-array terms: `x` and `y` are the
+/// zero terms of `B_x` and `B_y`, `denominator` is
+/// [`denominator`]`(counts.m_y, s)`, and the combined array's term is
+/// derived here from `counts.u_c`. Only `m_x`, `m_y`, `u_c`, `n_x` and
+/// `n_y` of `counts` are read.
+///
+/// [`estimate_from_counts`] is this function after validating the
+/// domain and building both terms, so for the same inputs the two return
+/// the same bits.
+///
+/// # Errors
+///
+/// [`CoreError::Saturated`] for `B_c` if `u_c == 0` and `clamp` is not
+/// set.
+pub fn estimate_from_terms(
+    counts: &PairCounts,
+    x: ZeroTerm,
+    y: ZeroTerm,
+    denominator: f64,
+    clamp: bool,
+) -> Result<Estimate, CoreError> {
+    let c = ZeroTerm::new(counts.u_c, counts.m_y, clamp)
+        .ok_or(CoreError::Saturated { which: "B_c" })?;
     Ok(Estimate {
-        n_c,
-        v_x,
-        v_y,
-        v_c,
-        m_x,
-        m_y,
-        n_x,
-        n_y,
-        clamped,
+        n_c: (c.ln_v - x.ln_v - y.ln_v) / denominator,
+        v_x: x.v,
+        v_y: y.v,
+        v_c: c.v,
+        m_x: counts.m_x,
+        m_y: counts.m_y,
+        n_x: counts.n_x,
+        n_y: counts.n_y,
+        clamped: x.clamped || y.clamped || c.clamped,
     })
 }
 

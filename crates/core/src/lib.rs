@@ -79,8 +79,8 @@ mod sketch;
 pub use deployment::Deployment;
 pub use error::CoreError;
 pub use estimator::{
-    estimate_from_counts, estimate_from_counts_or_clamp, estimate_pair, first_plays_x,
-    try_denominator, DegradedEstimate, Estimate, PairCounts, PairEstimate,
+    estimate_from_counts, estimate_from_counts_or_clamp, estimate_from_terms, estimate_pair,
+    first_plays_x, try_denominator, DegradedEstimate, Estimate, PairCounts, PairEstimate, ZeroTerm,
 };
 pub use scheme::{Scheme, SchemeKind};
 pub use sizing::{Sizing, VolumeHistory};

@@ -2,8 +2,94 @@
 
 use proptest::prelude::*;
 
-use vcps_core::estimator::{denominator, estimate_pair, estimate_pair_or_clamp};
-use vcps_core::{RsuId, RsuSketch, Scheme, Sizing, VehicleIdentity};
+use vcps_core::estimator::{
+    denominator, estimate_from_counts, estimate_from_counts_or_clamp, estimate_from_terms,
+    estimate_pair, estimate_pair_or_clamp, Estimate, PairCounts, ZeroTerm,
+};
+use vcps_core::{CoreError, RsuId, RsuSketch, Scheme, Sizing, VehicleIdentity};
+
+/// A frozen copy of Eq. 5 as `estimate_from_counts` computed it inline,
+/// before the per-array zero terms were split out: the split must keep
+/// every bit and every error of this formula.
+fn frozen_eq5(counts: &PairCounts, s: usize, clamp: bool) -> Result<Estimate, CoreError> {
+    let &PairCounts {
+        m_x,
+        m_y,
+        u_x,
+        u_y,
+        u_c,
+        n_x,
+        n_y,
+    } = counts;
+    let invalid = |parameter, reason| Err(CoreError::InvalidParams { parameter, reason });
+    if m_x < 1 {
+        return invalid("m_x", format!("must be at least 1 (got {m_x})"));
+    }
+    if m_y < 2 {
+        return invalid("m_y", format!("must be at least 2 (got {m_y})"));
+    }
+    if s < 1 {
+        return invalid("s", format!("must be at least 1 (got {s})"));
+    }
+    let mut clamped = false;
+    let mut fraction = |u: usize, m: usize, which: &'static str| -> Result<f64, CoreError> {
+        if u == 0 {
+            if clamp {
+                clamped = true;
+                Ok(0.5 / m as f64)
+            } else {
+                Err(CoreError::Saturated { which })
+            }
+        } else {
+            Ok(u as f64 / m as f64)
+        }
+    };
+    let v_x = fraction(u_x, m_x, "B_x")?;
+    let v_y = fraction(u_y, m_y, "B_y")?;
+    let v_c = fraction(u_c, m_y, "B_c")?;
+    let m = m_y as f64;
+    let t = (s as f64 - 1.0) / s as f64;
+    let denominator = (-t / m).ln_1p() - (-1.0 / m).ln_1p();
+    Ok(Estimate {
+        n_c: (v_c.ln() - v_x.ln() - v_y.ln()) / denominator,
+        v_x,
+        v_y,
+        v_c,
+        m_x,
+        m_y,
+        n_x,
+        n_y,
+        clamped,
+    })
+}
+
+/// Every field of a decode outcome as raw bits (errors compared whole),
+/// so `-0.0` vs `0.0` or a NaN payload drift counts as a difference.
+fn outcome_bits(r: &Result<Estimate, CoreError>) -> Result<[u64; 9], CoreError> {
+    r.clone().map(|e| {
+        [
+            e.n_c.to_bits(),
+            e.v_x.to_bits(),
+            e.v_y.to_bits(),
+            e.v_c.to_bits(),
+            e.m_x as u64,
+            e.m_y as u64,
+            e.n_x,
+            e.n_y,
+            u64::from(e.clamped),
+        ]
+    })
+}
+
+/// A zero count in `0..=m`: `pick` 0 forces a saturated array, 1 an
+/// empty one, anything else draws from `raw`.
+fn zeros(pick: u8, raw: usize, m: usize) -> usize {
+    match pick {
+        0 => 0,
+        1 => m,
+        _ => raw % (m + 1),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -121,5 +207,57 @@ proptest! {
             scheme.report_index(&v, RsuId(rsu), 1 << 10, 1 << 14),
             clone.report_index(&v, RsuId(rsu), 1 << 10, 1 << 14)
         );
+    }
+
+    #[test]
+    fn split_eq5_keeps_every_bit_and_error_of_the_inline_formula(
+        m_x in 0usize..=40,
+        shape in 0u8..4,
+        shift in 0u32..5,
+        odd_m_y in 0usize..=80,
+        s in 0usize..8,
+        picks in (0u8..4, 0u8..4, 0u8..4),
+        raws in (any::<usize>(), any::<usize>(), any::<usize>()),
+        n_x in any::<u64>(),
+        n_y in any::<u64>(),
+    ) {
+        // Equal sizes, nested powers of the smaller one, and arbitrary
+        // (also non-nested or out-of-domain) larger sizes; `m_x = 0`,
+        // `m_y < 2` and `s = 0` fall outside the estimator's domain.
+        let m_y = match shape {
+            0 => m_x,
+            1 => m_x << shift,
+            _ => odd_m_y,
+        };
+        let counts = PairCounts {
+            m_x,
+            m_y,
+            u_x: zeros(picks.0, raws.0, m_x),
+            u_y: zeros(picks.1, raws.1, m_y),
+            u_c: zeros(picks.2, raws.2, m_y),
+            n_x,
+            n_y,
+        };
+        for clamp in [false, true] {
+            let frozen = frozen_eq5(&counts, s, clamp);
+            let composed = if clamp {
+                estimate_from_counts_or_clamp(&counts, s)
+            } else {
+                estimate_from_counts(&counts, s)
+            };
+            prop_assert_eq!(outcome_bits(&composed), outcome_bits(&frozen));
+            // The batch path: per-array terms and the per-size
+            // denominator computed apart, then composed per pair.
+            if counts.m_x >= 1 && counts.m_y >= 2 && s >= 1 {
+                let term = |u, m| ZeroTerm::new(u, m, clamp);
+                let terms = term(counts.u_x, counts.m_x).zip(term(counts.u_y, counts.m_y));
+                if let Some((x, y)) = terms {
+                    let batch = estimate_from_terms(&counts, x, y, denominator(counts.m_y, s), clamp);
+                    prop_assert_eq!(outcome_bits(&batch), outcome_bits(&frozen));
+                } else {
+                    prop_assert!(!clamp && frozen.is_err());
+                }
+            }
+        }
     }
 }

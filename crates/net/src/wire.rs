@@ -19,7 +19,7 @@
 
 use std::io::{Read, Write};
 
-use vcps_core::{DegradedEstimate, Estimate, PairEstimate};
+use vcps_core::{DegradedEstimate, Estimate, PairEstimate, RsuId};
 use vcps_sim::ReceiveOutcome;
 
 use crate::NetError;
@@ -120,8 +120,20 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_be_bytes(head.try_into().expect("eight bytes")))
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, NetError> {
-        Ok(f64::from_bits(self.u64()?))
+    /// The next `N` bytes as a fixed-size array: one bounds check for a
+    /// whole fixed-width record.
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<&'a [u8; N], NetError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(NetError::Malformed("truncated payload"))?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len()
     }
 
     pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], NetError> {
@@ -251,6 +263,21 @@ const KIND_MEASURED: u8 = 0;
 const KIND_DEGRADED: u8 = 1;
 const KIND_ABSENT: u8 = 2;
 
+/// Bytes after the kind byte of a measured entry: four `f64`s, four
+/// `u64`s and the clamped flag.
+const MEASURED_BODY: usize = 4 * 8 + 4 * 8 + 1;
+/// Bytes after the kind byte of a degraded entry: five `f64`s and the
+/// two missing flags.
+const DEGRADED_BODY: usize = 5 * 8 + 2;
+
+/// Encoded size of one pair entry, kind byte included.
+fn pair_estimate_len(e: &PairEstimate) -> usize {
+    1 + match e {
+        PairEstimate::Measured(_) => MEASURED_BODY,
+        PairEstimate::Degraded(_) => DEGRADED_BODY,
+    }
+}
+
 fn put_pair_estimate(buf: &mut Vec<u8>, e: &PairEstimate) {
     match e {
         PairEstimate::Measured(m) => {
@@ -274,41 +301,43 @@ fn put_pair_estimate(buf: &mut Vec<u8>, e: &PairEstimate) {
     }
 }
 
+/// Big-endian `u64` number `k` of a fixed-width record.
+fn word(body: &[u8], k: usize) -> u64 {
+    u64::from_be_bytes(body[8 * k..8 * k + 8].try_into().expect("eight bytes"))
+}
+
 fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<Option<PairEstimate>, NetError> {
     match cur.u8()? {
         KIND_MEASURED => {
-            let (n_c, v_x, v_y, v_c) = (cur.f64()?, cur.f64()?, cur.f64()?, cur.f64()?);
-            let m_x = usize::try_from(cur.u64()?)
-                .map_err(|_| NetError::Malformed("array size overflows usize"))?;
-            let m_y = usize::try_from(cur.u64()?)
-                .map_err(|_| NetError::Malformed("array size overflows usize"))?;
-            let (n_x, n_y) = (cur.u64()?, cur.u64()?);
-            let clamped = cur.u8()? != 0;
+            let body = cur.array::<MEASURED_BODY>()?;
+            let f = |k| f64::from_bits(word(body, k));
+            let size = |k| {
+                usize::try_from(word(body, k))
+                    .map_err(|_| NetError::Malformed("array size overflows usize"))
+            };
             Ok(Some(PairEstimate::Measured(Estimate {
-                n_c,
-                v_x,
-                v_y,
-                v_c,
-                m_x,
-                m_y,
-                n_x,
-                n_y,
-                clamped,
+                n_c: f(0),
+                v_x: f(1),
+                v_y: f(2),
+                v_c: f(3),
+                m_x: size(4)?,
+                m_y: size(5)?,
+                n_x: word(body, 6),
+                n_y: word(body, 7),
+                clamped: body[64] != 0,
             })))
         }
         KIND_DEGRADED => {
-            let (n_c, lower, upper) = (cur.f64()?, cur.f64()?, cur.f64()?);
-            let (volume_x, volume_y) = (cur.f64()?, cur.f64()?);
-            let missing_x = cur.u8()? != 0;
-            let missing_y = cur.u8()? != 0;
+            let body = cur.array::<DEGRADED_BODY>()?;
+            let f = |k| f64::from_bits(word(body, k));
             Ok(Some(PairEstimate::Degraded(DegradedEstimate {
-                n_c,
-                lower,
-                upper,
-                volume_x,
-                volume_y,
-                missing_x,
-                missing_y,
+                n_c: f(0),
+                lower: f(1),
+                upper: f(2),
+                volume_x: f(3),
+                volume_y: f(4),
+                missing_x: body[40] != 0,
+                missing_y: body[41] != 0,
             })))
         }
         KIND_ABSENT => Ok(None),
@@ -357,18 +386,57 @@ impl WireMatrix {
 #[must_use]
 pub fn encode_matrix_response(matrix: &vcps_sim::OdMatrix) -> Vec<u8> {
     let n = matrix.len();
-    let mut buf = vec![RESP_MATRIX];
-    buf.extend_from_slice(&(n as u64).to_be_bytes());
-    for rsu in matrix.rsus() {
-        buf.extend_from_slice(&rsu.0.to_be_bytes());
-    }
-    for i in 0..n {
-        for j in i + 1..n {
-            match matrix.at(i, j) {
-                Some(e) => put_pair_estimate(&mut buf, e),
-                None => buf.push(KIND_ABSENT),
-            }
+    let entries = (0..n).flat_map(|i| (i + 1..n).map(move |j| matrix.at(i, j)));
+    let body: usize = entries
+        .clone()
+        .map(|e| e.map_or(1, pair_estimate_len))
+        .sum();
+    let mut buf = matrix_header(matrix.rsus(), body);
+    for e in entries {
+        match e {
+            Some(e) => put_pair_estimate(&mut buf, e),
+            None => buf.push(KIND_ABSENT),
         }
+    }
+    buf
+}
+
+/// Encodes one streamed chunk of O–D pair answers as tag-34 entries,
+/// into a buffer of exactly their size. This is the sink the daemon
+/// passes to
+/// [`ShardedServer::od_chunks_threads`](vcps_sim::ShardedServer::od_chunks_threads),
+/// so each chunk is encoded on the worker that decoded it.
+#[must_use]
+pub fn encode_matrix_entries(chunk: &[PairEstimate]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(chunk.iter().map(pair_estimate_len).sum());
+    for e in chunk {
+        put_pair_estimate(&mut buf, e);
+    }
+    buf
+}
+
+/// Assembles an O–D matrix response (tag 34) from the RSU axes and the
+/// chunks of [`encode_matrix_entries`], in pair order, at its exact
+/// size. For the same server state the bytes equal
+/// [`encode_matrix_response`] of the server's
+/// [`od_matrix_threads`](vcps_sim::ShardedServer::od_matrix_threads).
+#[must_use]
+pub fn matrix_response_from_chunks(rsus: &[RsuId], chunks: &[Vec<u8>]) -> Vec<u8> {
+    let mut buf = matrix_header(rsus, chunks.iter().map(Vec::len).sum());
+    for chunk in chunks {
+        buf.extend_from_slice(chunk);
+    }
+    buf
+}
+
+/// The tag, `n` and RSU ids of a tag-34 response, in a buffer with room
+/// for `body` more bytes of entries.
+fn matrix_header(rsus: &[RsuId], body: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + 8 + 8 * rsus.len() + body);
+    buf.push(RESP_MATRIX);
+    buf.extend_from_slice(&(rsus.len() as u64).to_be_bytes());
+    for rsu in rsus {
+        buf.extend_from_slice(&rsu.0.to_be_bytes());
     }
     buf
 }
@@ -433,15 +501,20 @@ impl Response {
             RESP_MATRIX => {
                 let n = usize::try_from(cur.u64()?)
                     .map_err(|_| NetError::Malformed("matrix size overflows usize"))?;
-                // n is bounded by the frame length: every RSU id costs 8
-                // bytes, so an over-claimed n fails the reads below
-                // rather than a giant reservation here.
-                let mut rsus = Vec::new();
+                let pairs = n
+                    .checked_mul(n.saturating_sub(1))
+                    .ok_or(NetError::Malformed("matrix size overflows usize"))?
+                    / 2;
+                // Reserve up front, but never beyond what the frame can
+                // hold — every RSU id costs 8 bytes and every entry at
+                // least its kind byte — so an over-claimed n fails the
+                // reads below rather than costing a giant reservation.
+                let mut rsus = Vec::with_capacity(n.min(cur.remaining() / 8));
                 for _ in 0..n {
                     rsus.push(cur.u64()?);
                 }
-                let mut entries = Vec::new();
-                for _ in 0..n * (n.saturating_sub(1)) / 2 {
+                let mut entries = Vec::with_capacity(pairs.min(cur.remaining()));
+                for _ in 0..pairs {
                     entries.push(get_pair_estimate(&mut cur)?);
                 }
                 Response::Matrix(WireMatrix { rsus, entries })
@@ -589,6 +662,99 @@ mod tests {
     fn trailing_bytes_are_malformed() {
         let mut payload = vec![RESP_OK];
         payload.push(0);
+        assert!(matches!(
+            Response::decode(&payload),
+            Err(NetError::Malformed("trailing bytes in payload"))
+        ));
+    }
+
+    /// A well-formed 3-RSU matrix response: a measured, a degraded and
+    /// an absent entry.
+    fn three_rsu_matrix() -> Vec<u8> {
+        let measured = PairEstimate::Measured(Estimate {
+            n_c: 7.5,
+            v_x: 0.5,
+            v_y: 0.25,
+            v_c: 0.1,
+            m_x: 8,
+            m_y: 16,
+            n_x: 3,
+            n_y: 9,
+            clamped: true,
+        });
+        let degraded =
+            PairEstimate::Degraded(DegradedEstimate::from_volumes(4.0, 6.0, false, true));
+        let ids = [RsuId(1), RsuId(5), RsuId(9)];
+        let mut entries = encode_matrix_entries(&[measured, degraded]);
+        entries.push(KIND_ABSENT);
+        matrix_response_from_chunks(&ids, &[entries])
+    }
+
+    fn assert_malformed(payload: &[u8]) {
+        match Response::decode(payload) {
+            Err(NetError::Malformed(_)) => {}
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn matrix_roundtrip_is_bit_exact() {
+        let Response::Matrix(m) = Response::decode(&three_rsu_matrix()).unwrap() else {
+            panic!("not a matrix");
+        };
+        assert_eq!(m.rsus, vec![1, 5, 9]);
+        assert_eq!(m.entries.len(), 3);
+        assert!(matches!(m.at(0, 1), Some(PairEstimate::Measured(e)) if e.clamped && e.m_y == 16));
+        assert_eq!(
+            m.at(2, 0),
+            Some(PairEstimate::Degraded(DegradedEstimate::from_volumes(
+                6.0, 4.0, true, false
+            )))
+        );
+        assert_eq!(m.at(1, 2), None);
+    }
+
+    #[test]
+    fn over_claimed_matrix_size_is_malformed_not_a_giant_reservation() {
+        // n names 2^40 RSUs over a body of three ids.
+        let mut payload = vec![RESP_MATRIX];
+        payload.extend_from_slice(&(1u64 << 40).to_be_bytes());
+        payload.extend_from_slice(&[0; 24]);
+        assert_malformed(&payload);
+        // n so large that n (n - 1) / 2 overflows: rejected before any
+        // id is read.
+        let mut payload = vec![RESP_MATRIX];
+        payload.extend_from_slice(&u64::MAX.to_be_bytes());
+        assert!(matches!(
+            Response::decode(&payload),
+            Err(NetError::Malformed("matrix size overflows usize"))
+        ));
+    }
+
+    #[test]
+    fn truncated_matrix_triangle_is_malformed() {
+        let full = three_rsu_matrix();
+        // Every proper prefix past the tag: cut in the header, the ids,
+        // or mid-entry.
+        for cut in 1..full.len() {
+            assert_malformed(&full[..cut]);
+        }
+    }
+
+    #[test]
+    fn unknown_kind_in_last_matrix_entry_is_malformed() {
+        let mut payload = three_rsu_matrix();
+        *payload.last_mut().unwrap() = 3;
+        assert!(matches!(
+            Response::decode(&payload),
+            Err(NetError::Malformed("unknown estimate kind"))
+        ));
+    }
+
+    #[test]
+    fn trailing_bytes_after_matrix_are_malformed() {
+        let mut payload = three_rsu_matrix();
+        payload.push(KIND_ABSENT);
         assert!(matches!(
             Response::decode(&payload),
             Err(NetError::Malformed("trailing bytes in payload"))

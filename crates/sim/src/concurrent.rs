@@ -19,7 +19,8 @@
 //!
 //! All the parallel drivers here — [`ingest_parallel`],
 //! [`try_ingest_parallel`], [`for_each_slot_mut_threads`],
-//! [`parallel_map_threads`] — fan out over the process-wide persistent
+//! [`parallel_map_threads`], and the O–D pair driver through the same
+//! chunk runner as the map — fan out over the process-wide persistent
 //! worker pool ([`vcps_pool`]) instead of spawning scoped threads per
 //! call. Workers are created once and parked between calls, so
 //! steady-state dispatch costs a mutex handshake rather than a thread
@@ -31,6 +32,7 @@
 //! Every driver keeps a pool-free inline path when one executor suffices.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -530,13 +532,12 @@ where
     parallel_map_threads(items, default_threads(), f)
 }
 
-/// Order-preserving parallel map with an explicit worker count — the
-/// workspace's one shared parallel runner (the experiment harness
-/// re-exports it, the engine and [`crate::PairRunner`] drive their
-/// per-vehicle work through it).
+/// Order-preserving parallel map with an explicit worker count — a thin
+/// wrapper over `map_chunks`, the workspace's one parallel runner (the
+/// experiment harness re-exports it, the engine and
+/// [`crate::PairRunner`] drive their per-vehicle work through it).
 ///
-/// Work-stealing over chunks: workers repeatedly claim the next
-/// unprocessed chunk from a shared atomic cursor, so uneven per-item
+/// Items are split into several chunks per worker, so uneven per-item
 /// costs (e.g. Monte-Carlo trials whose array sizes differ by orders of
 /// magnitude) don't leave threads idle the way static pre-partitioning
 /// does. Results are returned in input order regardless of which worker
@@ -553,41 +554,71 @@ where
 {
     assert!(threads > 0, "need at least one thread");
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     // Several chunks per worker so stragglers can be stolen around, but
-    // chunks stay large enough to amortize the shared cursor.
-    let chunk = n.div_ceil(threads * 4).max(1);
-    // One executor needs no pool dispatch, no cursor, and — crucially
-    // for short jobs like a small O–D triangle — no cross-thread
-    // handshake. Exactly one sequential return point for every way of
-    // landing on one executor (threads == 1, single item, capped by
-    // the machine): with two literal `map(f).collect()` sites the
-    // compiler treats the later one as cold and emits a slower map
-    // (measured ~20 µs on a 24-RSU triangle), which would make
-    // `threads > 1` lose to `threads == 1` on a saturated box.
-    let executors = if threads == 1 || n == 1 {
+    // chunks stay large enough to amortize the shared cursor. One worker
+    // takes the whole input as one chunk, so its result is returned
+    // without a copy.
+    let chunk = if threads == 1 {
+        n
+    } else {
+        n.div_ceil(threads * 4)
+    };
+    let mut pieces = map_chunks(n, chunk, threads, |range| {
+        items[range].iter().map(&f).collect::<Vec<U>>()
+    });
+    if pieces.len() == 1 {
+        return pieces.pop().expect("one piece");
+    }
+    let mut results = Vec::with_capacity(n);
+    for mut piece in pieces {
+        results.append(&mut piece);
+    }
+    results
+}
+
+/// The workspace's one parallel runner: splits `0..n` into consecutive
+/// index ranges of `chunk` (the last may be shorter) and returns `f` of
+/// every range, in range order.
+///
+/// Work-stealing over chunks: pool executors repeatedly claim the next
+/// range off a shared atomic cursor, so no worker idles while another
+/// still has a backlog. One executor needs no pool dispatch, no cursor
+/// and — crucially for short jobs like a small O–D triangle — no
+/// cross-thread handshake: the ranges then run inline on the caller, in
+/// order, and every way of landing on one executor (`threads == 1`, a
+/// single range, capped by the machine) takes that same path.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or a worker thread panics.
+pub(crate) fn map_chunks<U, F>(n: usize, chunk: usize, threads: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(Range<usize>) -> U + Sync,
+{
+    assert!(threads > 0, "need at least one thread");
+    let chunk = chunk.max(1);
+    let chunks = n.div_ceil(chunk);
+    let range = |k: usize| k * chunk..((k + 1) * chunk).min(n);
+    let executors = if threads == 1 {
         1
     } else {
-        capped_executors(threads).min(n.div_ceil(chunk))
+        capped_executors(threads).min(chunks)
     };
     if executors <= 1 {
-        return items.iter().map(f).collect();
+        return (0..chunks).map(|k| f(range(k))).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let pieces: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::new());
-    let items = &items;
+    let pieces: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(chunks));
     let f = &f;
     vcps_pool::run(executors - 1, &|_| {
-        let mut mine: Vec<(usize, Vec<U>)> = Vec::new();
+        let mut mine: Vec<(usize, U)> = Vec::new();
         loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= chunks {
                 break;
             }
-            let end = (start + chunk).min(n);
-            mine.push((start, items[start..end].iter().map(f).collect()));
+            mine.push((k, f(range(k))));
         }
         if !mine.is_empty() {
             pieces
@@ -597,12 +628,8 @@ where
         }
     });
     let mut pieces = pieces.into_inner().unwrap_or_else(PoisonError::into_inner);
-    pieces.sort_unstable_by_key(|(start, _)| *start);
-    let mut results = Vec::with_capacity(n);
-    for (_, mut piece) in pieces {
-        results.append(&mut piece);
-    }
-    results
+    pieces.sort_unstable_by_key(|(k, _)| *k);
+    pieces.into_iter().map(|(_, piece)| piece).collect()
 }
 
 #[cfg(test)]

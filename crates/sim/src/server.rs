@@ -9,7 +9,8 @@ use vcps_bitarray::{
     sparse_is_profitable, DecodeScratch, PairKernel,
 };
 use vcps_core::estimator::{
-    estimate_from_counts, estimate_from_counts_or_clamp, first_plays_x, Estimate, PairCounts,
+    estimate_from_counts, estimate_from_counts_or_clamp, estimate_from_terms, first_plays_x,
+    try_denominator, Estimate, PairCounts, ZeroTerm,
 };
 use vcps_core::{CoreError, DegradedEstimate, PairEstimate, RsuId, Scheme, VolumeHistory};
 use vcps_obs::{Level, Obs, Phase, Value};
@@ -125,8 +126,9 @@ fn check_decodable(upload: Option<&PeriodUpload>, rsu: RsuId) -> Result<&PeriodU
 
 /// Decodes one pair's sufficient statistics from already-resolved upload
 /// references and sparse lists: orient, pick the cheapest kernel, count.
-/// Both [`CentralServer::pair_counts_across`] (which resolves the maps
-/// per call) and the prefetched all-pairs loop funnel through this one
+/// Returns whether `a` plays `B_x` alongside the counts. Both
+/// [`CentralServer::pair_counts_across`] (which resolves the maps per
+/// call) and the prefetched all-pairs driver funnel through this one
 /// function, so the two paths are bit-identical by construction.
 fn pair_counts_oriented(
     ua: &PeriodUpload,
@@ -135,7 +137,7 @@ fn pair_counts_oriented(
     ones_b: Option<&[u64]>,
     scratch: &mut DecodeScratch,
     obs: &Obs,
-) -> Result<PairCounts, SimError> {
+) -> Result<(bool, PairCounts), SimError> {
     let _timer = obs.phase(Phase::Decode);
     let a_first = first_plays_x(
         ua.bits.len(),
@@ -155,28 +157,204 @@ fn pair_counts_oriented(
     }
     let u_c = combined_zero_count_adaptive(&x.bits, ones_x, &y.bits, ones_y, scratch)
         .map_err(CoreError::from)?;
-    Ok(PairCounts {
-        m_x: x.bits.len(),
-        m_y: y.bits.len(),
-        u_x: x.bits.count_zeros(),
-        u_y: y.bits.count_zeros(),
-        u_c,
-        n_x: x.counter,
-        n_y: y.counter,
-    })
+    Ok((
+        a_first,
+        PairCounts {
+            m_x: x.bits.len(),
+            m_y: y.bits.len(),
+            u_x: x.bits.count_zeros(),
+            u_y: y.bits.count_zeros(),
+            u_c,
+            n_x: x.counter,
+            n_y: y.counter,
+        },
+    ))
 }
 
-/// [`pair_counts_oriented`] over two prefetched per-RSU refs, applying
-/// the same decodability gate the map-resolving path applies.
-pub(crate) fn pair_counts_prefetched(
+/// The degradation ladder behind every pair answer, single-pair and
+/// all-pairs alike: `measure` decodes the pair when both uploads are
+/// decodable ([`PairEstimate::Measured`]); otherwise a history-backed
+/// fallback ([`PairEstimate::Degraded`]) brackets the overlap with the
+/// feasible interval `[0, min(n̄_x, n̄_y)]`. Each side's history comes
+/// from its own holder.
+fn degradation_ladder(
     a: &RsuDecodeRef<'_>,
     b: &RsuDecodeRef<'_>,
-    scratch: &mut DecodeScratch,
+    measure: impl FnOnce(&PeriodUpload, &PeriodUpload) -> Result<Estimate, SimError>,
+) -> Result<PairEstimate, SimError> {
+    match (
+        check_decodable(a.upload, a.rsu),
+        check_decodable(b.upload, b.rsu),
+    ) {
+        (Ok(x), Ok(y)) => match measure(x, y) {
+            Ok(e) => Ok(PairEstimate::Measured(e)),
+            // Uploads present but not comparable (e.g. a corrupted
+            // size that slipped through): counters still bound the
+            // overlap, so degrade rather than fail.
+            Err(_) => Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
+                x.counter as f64,
+                y.counter as f64,
+                false,
+                false,
+            ))),
+        },
+        (ra, rb) => {
+            let missing_a = ra.is_err();
+            let missing_b = rb.is_err();
+            let volume_of = |d: &RsuDecodeRef<'_>, r: Result<&PeriodUpload, SimError>| match r {
+                Ok(u) => Ok(u.counter as f64),
+                Err(_) => d
+                    .holder
+                    .history
+                    .average(d.rsu)
+                    .ok_or(SimError::MissingUpload { rsu: d.rsu }),
+            };
+            let va = volume_of(a, ra)?;
+            let vb = volume_of(b, rb)?;
+            Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
+                va, vb, missing_a, missing_b,
+            )))
+        }
+    }
+}
+
+/// Upper bound on the pairs in one claimed chunk of the O–D triangle.
+/// It bounds the working set of a chunk — its estimates plus whatever
+/// its sink makes of them, ~150 KB with the wire encoding — also on the
+/// inline path, which walks the triangle in chunks of this size.
+const OD_CHUNK_PAIRS: usize = 1024;
+
+/// The pair index at which row `i` of an `n`-RSU upper triangle starts:
+/// rows `0..i` hold `n − 1 + n − 2 + … + n − i` pairs.
+fn row_start(n: usize, i: usize) -> usize {
+    i * (2 * n - i - 1) / 2
+}
+
+/// The `(i, j)`, `i < j`, of pair index `p` in the row-major upper
+/// triangle of an `n`-RSU matrix.
+fn pair_at(n: usize, p: usize) -> (usize, usize) {
+    // The last row whose start is at or before `p`.
+    let (mut lo, mut hi) = (0, n - 1);
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if row_start(n, mid) <= p {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, lo + 1 + p - row_start(n, lo))
+}
+
+/// One decodable RSU's half of Eq. 5, computed once per all-pairs call:
+/// its zero term, and the denominator its size contributes when it
+/// plays `B_y`.
+#[derive(Clone, Copy)]
+struct RsuTerms {
+    zero: ZeroTerm,
+    denominator: f64,
+}
+
+impl RsuTerms {
+    /// `None` for an RSU without a decodable upload (its pairs never
+    /// reach Eq. 5) or a scheme outside the estimator's domain (its
+    /// pairs take the full per-pair path, which reports the error).
+    fn of(d: &RsuDecodeRef<'_>, s: usize) -> Option<Self> {
+        let bits = &check_decodable(d.upload, d.rsu).ok()?.bits;
+        Some(Self {
+            zero: ZeroTerm::new(bits.count_zeros(), bits.len(), true)?,
+            denominator: try_denominator(bits.len(), s).ok()?,
+        })
+    }
+}
+
+/// The one all-pairs driver behind `od_chunks_threads` and
+/// `od_matrix_threads` of both [`CentralServer`] and
+/// [`crate::ShardedServer`], over a prefetched [`RsuDecodeRef`] table in
+/// ascending RSU order.
+///
+/// Executors claim chunks of the upper triangle by pair index
+/// ([`map_chunks`]); each walks its chunk in pair order through the
+/// degradation ladder — the per-pair decode reads each RSU's
+/// [`RsuTerms`], computed once here, and reuses one decode scratch per
+/// worker — and hands the chunk's estimates to `sink` on the same
+/// worker. Returns the sinks' results in pair order, or the first error
+/// in pair order. `shards`, on the sharded server, names each RSU's
+/// owning shard, so the pairs are tallied as shard-local or cross-shard
+/// once per chunk.
+///
+/// [`map_chunks`]: crate::concurrent::map_chunks
+pub(crate) fn od_chunks<U, F>(
+    pre: &[RsuDecodeRef<'_>],
+    shards: Option<&[usize]>,
+    s: usize,
     obs: &Obs,
-) -> Result<PairCounts, SimError> {
-    let ua = check_decodable(a.upload, a.rsu)?;
-    let ub = check_decodable(b.upload, b.rsu)?;
-    pair_counts_oriented(ua, a.ones, ub, b.ones, scratch, obs)
+    threads: usize,
+    sink: F,
+) -> Result<Vec<U>, SimError>
+where
+    U: Send,
+    F: Fn(&[PairEstimate]) -> U + Sync,
+{
+    assert!(threads > 0, "need at least one thread");
+    let n = pre.len();
+    let pair_count = n * n.saturating_sub(1) / 2;
+    obs.add("od_matrix.pairs", pair_count as u64);
+    let terms: Vec<Option<RsuTerms>> = pre.iter().map(|d| RsuTerms::of(d, s)).collect();
+    let threads = od_effective_threads(threads, pre, pair_count);
+    // Several chunks per worker, as in `parallel_map_threads`, but never
+    // more than `OD_CHUNK_PAIRS` pairs in one.
+    let chunk = if threads == 1 {
+        OD_CHUNK_PAIRS
+    } else {
+        pair_count.div_ceil(threads * 4).min(OD_CHUNK_PAIRS)
+    };
+    let pieces = crate::concurrent::map_chunks(pair_count, chunk, threads, |range| {
+        let mut estimates = Vec::with_capacity(range.len());
+        let (mut i, mut j) = pair_at(n, range.start);
+        let (mut local, mut cross) = (0u64, 0u64);
+        let walked = with_thread_scratch(|scratch| {
+            for _ in range {
+                let (a, b) = (&pre[i], &pre[j]);
+                estimates.push(degradation_ladder(a, b, |ua, ub| {
+                    if let Some(shards) = shards {
+                        if shards[i] == shards[j] {
+                            local += 1;
+                        } else {
+                            cross += 1;
+                        }
+                    }
+                    let (a_first, counts) =
+                        pair_counts_oriented(ua, a.ones, ub, b.ones, scratch, obs)?;
+                    let (x, y) = if a_first {
+                        (terms[i], terms[j])
+                    } else {
+                        (terms[j], terms[i])
+                    };
+                    Ok(match (x, y) {
+                        (Some(x), Some(y)) => {
+                            estimate_from_terms(&counts, x.zero, y.zero, y.denominator, true)?
+                        }
+                        _ => estimate_from_counts_or_clamp(&counts, s)?,
+                    })
+                })?);
+                j += 1;
+                if j == n {
+                    i += 1;
+                    j = i + 1;
+                }
+            }
+            Ok(())
+        });
+        if local > 0 {
+            obs.add("shard.local_pair", local);
+        }
+        if cross > 0 {
+            obs.add("shard.cross_pair", cross);
+        }
+        walked.map(|()| sink(&estimates))
+    });
+    pieces.into_iter().collect()
 }
 
 /// Pair count below which the all-pairs decoder estimates the triangle's
@@ -393,23 +571,23 @@ pub struct OdMatrix {
 }
 
 impl OdMatrix {
-    /// Assembles a matrix from the upper-triangle estimates computed by
-    /// a decode fan-out (monolithic or sharded): each `(i, j)` estimate
-    /// fills its entry and its transposed mirror, exactly as
-    /// [`CentralServer::od_matrix_threads`] has always laid them out.
-    pub(crate) fn from_pair_estimates(
-        rsus: Vec<RsuId>,
-        pairs: &[(usize, usize)],
-        computed: Vec<Result<PairEstimate, SimError>>,
-    ) -> Result<Self, SimError> {
+    /// Assembles a matrix from the upper triangle in row-major pair
+    /// order, split into chunks as the all-pairs driver streams it: each
+    /// `(i, j)` estimate fills its entry and its transposed mirror.
+    pub(crate) fn from_chunks(rsus: Vec<RsuId>, chunks: &[Vec<PairEstimate>]) -> Self {
         let n = rsus.len();
         let mut entries = vec![None; n * n];
-        for (&(i, j), result) in pairs.iter().zip(computed) {
-            let estimate = result?;
+        let (mut i, mut j) = (0, 1);
+        for estimate in chunks.iter().flatten() {
             entries[j * n + i] = Some(estimate.transposed());
-            entries[i * n + j] = Some(estimate);
+            entries[i * n + j] = Some(*estimate);
+            j += 1;
+            if j == n {
+                i += 1;
+                j = i + 1;
+            }
         }
-        Ok(Self { rsus, entries })
+        Self { rsus, entries }
     }
 
     /// The RSUs covered, in ascending id order (the matrix axes).
@@ -818,7 +996,7 @@ impl CentralServer {
         let ub = other.decodable_upload(b)?;
         let ones_a = self.caches.sparse_ones.get(&a).map(Vec::as_slice);
         let ones_b = other.caches.sparse_ones.get(&b).map(Vec::as_slice);
-        pair_counts_oriented(ua, ones_a, ub, ones_b, scratch, obs)
+        Ok(pair_counts_oriented(ua, ones_a, ub, ones_b, scratch, obs)?.1)
     }
 
     /// [`pair_counts_uncached`](Self::pair_counts_uncached) behind the
@@ -894,14 +1072,14 @@ impl CentralServer {
         self.estimate_or_degraded_across(self, a, b, || self.pair_counts(a, b))
     }
 
-    /// The shared degradation ladder behind
-    /// [`estimate_or_degraded`](Self::estimate_or_degraded) and
-    /// [`od_matrix`](Self::od_matrix), parameterized over how the pair's
-    /// counts are produced (memoized vs matrix-local scratch) and over
-    /// where `b`'s state lives: `self` holds side `a`, `other` holds
-    /// side `b` (`other == self` on the monolithic path; the two owning
-    /// shards on the sharded one, which keeps each RSU's upload and
-    /// history in exactly one place).
+    /// The single-pair degradation ladder behind
+    /// [`estimate_or_degraded`](Self::estimate_or_degraded), the same
+    /// ladder the all-pairs driver runs, parameterized over how the
+    /// pair's counts are produced (this server's memo or the sharded
+    /// composite's) and over where `b`'s state lives: `self` holds side
+    /// `a`, `other` holds side `b` (`other == self` on the monolithic
+    /// path; the two owning shards on the sharded one, which keeps each
+    /// RSU's upload and history in exactly one place).
     pub(crate) fn estimate_or_degraded_across(
         &self,
         other: &CentralServer,
@@ -909,60 +1087,11 @@ impl CentralServer {
         b: RsuId,
         counts: impl FnOnce() -> Result<PairCounts, SimError>,
     ) -> Result<PairEstimate, SimError> {
-        self.estimate_or_degraded_prefetched(
+        degradation_ladder(
             &self.prefetch_decode_ref(a),
             &other.prefetch_decode_ref(b),
-            counts,
+            |_, _| Ok(estimate_from_counts_or_clamp(&counts()?, self.scheme.s())?),
         )
-    }
-
-    /// The ladder over prefetched per-RSU refs — what the all-pairs loop
-    /// calls directly so no map is re-walked per pair. `self` supplies
-    /// the scheme (every shard carries the same one); each side's
-    /// history comes from its own holder.
-    pub(crate) fn estimate_or_degraded_prefetched(
-        &self,
-        a: &RsuDecodeRef<'_>,
-        b: &RsuDecodeRef<'_>,
-        counts: impl FnOnce() -> Result<PairCounts, SimError>,
-    ) -> Result<PairEstimate, SimError> {
-        match (
-            check_decodable(a.upload, a.rsu),
-            check_decodable(b.upload, b.rsu),
-        ) {
-            (Ok(x), Ok(y)) => {
-                match counts().and_then(|c| Ok(estimate_from_counts_or_clamp(&c, self.scheme.s())?))
-                {
-                    Ok(e) => Ok(PairEstimate::Measured(e)),
-                    // Uploads present but not comparable (e.g. a corrupted
-                    // size that slipped through): counters still bound the
-                    // overlap, so degrade rather than fail.
-                    Err(_) => Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
-                        x.counter as f64,
-                        y.counter as f64,
-                        false,
-                        false,
-                    ))),
-                }
-            }
-            (ra, rb) => {
-                let missing_a = ra.is_err();
-                let missing_b = rb.is_err();
-                let volume_of = |d: &RsuDecodeRef<'_>, r: Result<&PeriodUpload, SimError>| match r {
-                    Ok(u) => Ok(u.counter as f64),
-                    Err(_) => d
-                        .holder
-                        .history
-                        .average(d.rsu)
-                        .ok_or(SimError::MissingUpload { rsu: d.rsu }),
-                };
-                let va = volume_of(a, ra)?;
-                let vb = volume_of(b, rb)?;
-                Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
-                    va, vb, missing_a, missing_b,
-                )))
-            }
-        }
     }
 
     /// Computes the full origin–destination matrix for every RSU the
@@ -977,36 +1106,66 @@ impl CentralServer {
         self.od_matrix_threads(crate::concurrent::default_threads())
     }
 
-    /// [`od_matrix`](Self::od_matrix) with an explicit worker count.
-    ///
-    /// The pair triangle fans out through
-    /// [`parallel_map_threads`](crate::concurrent::parallel_map_threads)
-    /// — persistent-pool workers claiming index ranges of the triangle
-    /// in cache-friendly chunks (consecutive pairs share their `i`-side
-    /// upload). Each RSU's upload reference and sparse index list are
-    /// prefetched *once* into a [`RsuDecodeRef`] table before the fan-
-    /// out, so the per-pair work is pure kernel time with no map
-    /// lookups; each worker reuses one decode scratch across all its
-    /// pairs. When the estimated triangle work ([`od_effective_threads`])
-    /// is too small to repay a pool dispatch, the whole triangle runs
-    /// inline on the caller — small matrices can never lose to the
-    /// 1-thread path. Entries are exactly what
-    /// [`estimate_or_degraded`](Self::estimate_or_degraded) returns for
-    /// the pair — measured where both uploads are decodable, degraded
-    /// where history must fill in. The batch path deliberately bypasses
-    /// the single-pair memo: it never re-reads a pair, and N²/2 lock
-    /// round-trips would serialize the workers.
+    /// [`od_matrix`](Self::od_matrix) with an explicit worker count:
+    /// [`od_chunks_threads`](Self::od_chunks_threads) with each chunk
+    /// copied out, scattered into the dense matrix.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MissingUpload`] if some covered pair has a
-    /// side with neither an upload nor history (cannot happen for RSUs
-    /// discovered from those two sources — defensive only).
+    /// As [`od_chunks_threads`](Self::od_chunks_threads).
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0` or a worker thread panics.
     pub fn od_matrix_threads(&self, threads: usize) -> Result<OdMatrix, SimError> {
+        let (rsus, chunks) = self.od_chunks_threads(threads, <[PairEstimate]>::to_vec)?;
+        Ok(OdMatrix::from_chunks(rsus, &chunks))
+    }
+
+    /// Streams the origin–destination triangle for every RSU the server
+    /// knows about — current uploads and volume history alike — through
+    /// `sink`, with at most `threads` workers.
+    ///
+    /// Returns the RSUs in ascending id order (the matrix axes) and the
+    /// sink's result for each chunk, in pair order: the chunks'
+    /// estimates, concatenated, are every pair `(i, j)`, `i < j`, in
+    /// row-major order, each exactly what
+    /// [`estimate_or_degraded`](Self::estimate_or_degraded) returns for
+    /// `(rsus[i], rsus[j])` — measured where both uploads are decodable,
+    /// degraded where history must fill in.
+    ///
+    /// Persistent-pool workers claim chunks of the triangle by pair
+    /// index (consecutive pairs share their `i`-side upload) and run
+    /// `sink` on the chunk they decoded, so no whole-matrix intermediate
+    /// exists unless the sink builds one. Each RSU's upload reference,
+    /// sparse index list and Eq. 5 terms are resolved *once* before the
+    /// fan-out, so the per-pair work is kernel time plus the combined
+    /// array's term; each worker reuses one decode scratch. When the
+    /// estimated triangle work is too small to repay a pool dispatch,
+    /// the chunks run inline on the caller — small matrices can never
+    /// lose to the 1-thread path. The driver bypasses the single-pair
+    /// memo: it never re-reads a pair, and N²/2 lock round-trips would
+    /// serialize the workers.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error in pair order: [`SimError::MissingUpload`]
+    /// if some covered pair has a side with neither an upload nor
+    /// history (cannot happen for RSUs discovered from those two
+    /// sources — defensive only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0` or a worker thread panics.
+    pub fn od_chunks_threads<U, F>(
+        &self,
+        threads: usize,
+        sink: F,
+    ) -> Result<(Vec<RsuId>, Vec<U>), SimError>
+    where
+        U: Send,
+        F: Fn(&[PairEstimate]) -> U + Sync,
+    {
         let _timer = self.obs.0.phase(Phase::OdMatrix);
         let rsus: Vec<RsuId> = self
             .uploads
@@ -1016,24 +1175,12 @@ impl CentralServer {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let n = rsus.len();
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-            .collect();
-        self.obs.0.add("od_matrix.pairs", pairs.len() as u64);
         let pre: Vec<RsuDecodeRef<'_>> = rsus
             .iter()
             .map(|&rsu| self.prefetch_decode_ref(rsu))
             .collect();
-        let threads = od_effective_threads(threads, &pre, pairs.len());
-        let computed =
-            crate::concurrent::parallel_map_threads(pairs.clone(), threads, |&(i, j)| {
-                let (a, b) = (&pre[i], &pre[j]);
-                self.estimate_or_degraded_prefetched(a, b, || {
-                    with_thread_scratch(|s| pair_counts_prefetched(a, b, s, &self.obs.0))
-                })
-            });
-        OdMatrix::from_pair_estimates(rsus, &pairs, computed)
+        let chunks = od_chunks(&pre, None, self.scheme.s(), &self.obs.0, threads, sink)?;
+        Ok((rsus, chunks))
     }
 
     /// Ends the period: folds every upload's counter into the volume

@@ -36,10 +36,7 @@ use vcps_obs::{Obs, Phase};
 use crate::protocol::{
     BatchUpload, BatchUploadRef, CheckpointSet, PeriodUpload, SequencedUpload, SequencedUploadRef,
 };
-use crate::server::{
-    od_effective_threads, pair_counts_prefetched, receive_counter_name, with_thread_scratch,
-    RsuDecodeRef,
-};
+use crate::server::{od_chunks, receive_counter_name, with_thread_scratch, RsuDecodeRef};
 use crate::{CentralServer, OdMatrix, ReceiveOutcome, SimError};
 
 /// Stable shard assignment: which of `shard_count` shards owns `rsu`.
@@ -497,20 +494,43 @@ impl ShardedServer {
         self.od_matrix_threads(crate::concurrent::default_threads())
     }
 
-    /// [`od_matrix`](Self::od_matrix) with an explicit worker count —
-    /// the same fan-out as [`CentralServer::od_matrix_threads`] (same
-    /// RSU discovery, same pair triangle, same per-RSU prefetch, same
-    /// sequential-fallback threshold, same memo bypass), with each
-    /// pair's prefetched state drawn from its owning shard.
+    /// [`od_matrix`](Self::od_matrix) with an explicit worker count,
+    /// assembled like [`CentralServer::od_matrix_threads`].
     ///
     /// # Errors
     ///
-    /// As [`CentralServer::od_matrix_threads`].
+    /// As [`CentralServer::od_chunks_threads`].
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0` or a worker thread panics.
     pub fn od_matrix_threads(&self, threads: usize) -> Result<OdMatrix, SimError> {
+        let (rsus, chunks) = self.od_chunks_threads(threads, <[PairEstimate]>::to_vec)?;
+        Ok(OdMatrix::from_chunks(rsus, &chunks))
+    }
+
+    /// The streamed O–D triangle of [`CentralServer::od_chunks_threads`]
+    /// over every RSU any shard knows about — the same driver (same RSU
+    /// discovery, same chunked triangle, same per-RSU prefetch and
+    /// terms, same sequential-fallback threshold, same memo bypass),
+    /// with each RSU's prefetched state drawn from its owning shard.
+    ///
+    /// # Errors
+    ///
+    /// As [`CentralServer::od_chunks_threads`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0` or a worker thread panics.
+    pub fn od_chunks_threads<U, F>(
+        &self,
+        threads: usize,
+        sink: F,
+    ) -> Result<(Vec<RsuId>, Vec<U>), SimError>
+    where
+        U: Send,
+        F: Fn(&[PairEstimate]) -> U + Sync,
+    {
         let _timer = self.obs.phase(Phase::OdMatrix);
         let rsus: Vec<RsuId> = self
             .shards
@@ -523,31 +543,21 @@ impl ShardedServer {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let n = rsus.len();
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-            .collect();
-        self.obs.add("od_matrix.pairs", pairs.len() as u64);
         let shard_idx: Vec<usize> = rsus.iter().map(|&rsu| self.shard_of(rsu)).collect();
         let pre: Vec<RsuDecodeRef<'_>> = rsus
             .iter()
             .zip(&shard_idx)
             .map(|(&rsu, &s)| self.shards[s].prefetch_decode_ref(rsu))
             .collect();
-        let threads = od_effective_threads(threads, &pre, pairs.len());
-        let computed =
-            crate::concurrent::parallel_map_threads(pairs.clone(), threads, |&(i, j)| {
-                let (a, b) = (&pre[i], &pre[j]);
-                a.holder.estimate_or_degraded_prefetched(a, b, || {
-                    self.obs.inc(if shard_idx[i] == shard_idx[j] {
-                        "shard.local_pair"
-                    } else {
-                        "shard.cross_pair"
-                    });
-                    with_thread_scratch(|s| pair_counts_prefetched(a, b, s, &self.obs))
-                })
-            });
-        OdMatrix::from_pair_estimates(rsus, &pairs, computed)
+        let chunks = od_chunks(
+            &pre,
+            Some(&shard_idx),
+            self.scheme.s(),
+            &self.obs,
+            threads,
+            sink,
+        )?;
+        Ok((rsus, chunks))
     }
 
     /// Ends the period on every shard and merges the (disjoint) per-RSU
@@ -791,5 +801,41 @@ mod tests {
         let mut counters = obs_shard.snapshot().counters;
         counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));
         assert_eq!(counters, obs_mono.snapshot().counters);
+    }
+
+    #[test]
+    fn od_pair_tallies_count_each_measured_pair_once_per_chunked_walk() {
+        // 60 uploads make 1770 pairs — several chunks even inline — and
+        // the history-only RSUs add pairs that never reach the decode, so
+        // they count as neither local nor cross.
+        for shards in [1, 3] {
+            for threads in [1, 2, 4] {
+                let obs = Obs::enabled(vcps_obs::Level::Info);
+                let (mut mono, sharded) = servers(shards);
+                let mut sharded = sharded.with_obs(obs.clone());
+                feed_both(&mut mono, &mut sharded, 60);
+                for r in 100..104 {
+                    sharded.seed_history(RsuId(r), 10.0);
+                }
+                let _ = sharded.od_matrix_threads(threads).unwrap();
+                let (mut local, mut cross) = (0, 0);
+                for a in 0..60 {
+                    for b in a + 1..60 {
+                        if shard_for(RsuId(a), shards) == shard_for(RsuId(b), shards) {
+                            local += 1;
+                        } else {
+                            cross += 1;
+                        }
+                    }
+                }
+                let counters = obs.snapshot().counters;
+                let tally = |name: &str| counters.get(name).copied();
+                assert_eq!(tally("shard.local_pair"), Some(local));
+                // A tally of zero registers no counter, as one increment
+                // per pair never did.
+                assert_eq!(tally("shard.cross_pair"), (cross > 0).then_some(cross));
+                assert_eq!(tally("od_matrix.pairs"), Some(64 * 63 / 2));
+            }
+        }
     }
 }
