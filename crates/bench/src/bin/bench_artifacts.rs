@@ -59,8 +59,8 @@ use vcps_sim::concurrent::{
 use vcps_sim::engine::PeriodSettings;
 use vcps_sim::pki::TrustedAuthority;
 use vcps_sim::{
-    build_metro, run_metro_sharded_threads, BatchUpload, BatchUploadRef, CentralServer,
-    MetroConfig, PeriodUpload, ShardedServer,
+    build_metro, run_periods, BatchUpload, BatchUploadRef, CentralServer, MetroConfig,
+    PeriodUpload, RunConfig, Sharded, ShardedServer,
 };
 
 const ARRAY_BITS: usize = 1 << 20;
@@ -792,21 +792,20 @@ fn bench_metro(samples: usize) -> String {
         seed: METRO_SEED,
         ..PeriodSettings::default()
     };
-    let obs = vcps_obs::Obs::disabled();
     let threads = default_threads();
 
     let run = |shards: usize, threads: usize| {
-        run_metro_sharded_threads(
+        run_periods(
             &scheme,
-            &workload.net,
-            &link_times,
+            (&workload.net, &link_times),
             &workload.periods,
             &workload.initial_history,
             &settings,
-            shards,
             METRO_PERIODS, // window: hold every period for per-period scoring
-            threads,
-            &obs,
+            &RunConfig {
+                threads,
+                ..RunConfig::new(Sharded(shards))
+            },
         )
         .expect("metro run")
     };

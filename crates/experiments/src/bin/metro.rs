@@ -35,12 +35,10 @@ use vcps_experiments::{
     arg_flag, arg_value, choose_novel_load_factor, default_threads, obs_from_args, text_table,
     write_obs_json, PRIVACY_TARGET,
 };
-use vcps_sim::engine::PeriodSettings;
-use vcps_sim::metro::{MetroRun, SlidingWindow};
 use vcps_sim::{
-    build_metro, run_metro_faulty_monolith_threads, run_metro_faulty_sharded_threads,
-    run_metro_monolith_threads, run_metro_sharded_threads, FaultMetrics, FaultPlan, LinkFaults,
-    MetroConfig, MetroLayout, MetroWorkload, RetryPolicy,
+    build_metro, run_periods, FaultMetrics, FaultPlan, LinkFaults, MetroConfig, MetroLayout,
+    MetroRun, MetroWorkload, Monolith, PeriodSettings, RetryPolicy, RunConfig, Sharded,
+    SlidingWindow,
 };
 
 struct Outcome {
@@ -119,68 +117,36 @@ fn run(
     let plan = FaultPlan::new(seed ^ 0xFA_17)
         .with_report_link(LinkFaults::none().with_drop(0.1).with_bit_flip(0.02))
         .with_upload_link(LinkFaults::none().with_drop(0.3).with_duplicate(0.1));
-    let policy = RetryPolicy::default();
-
-    let sharded = if faults {
-        run_metro_faulty_sharded_threads(
-            scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            settings,
-            &plan,
-            &policy,
-            shards,
-            window,
+    let faults = faults.then(|| (plan, RetryPolicy::default()));
+    let sharded = run_periods(
+        scheme,
+        (&workload.net, &link_times),
+        &workload.periods,
+        &workload.initial_history,
+        settings,
+        window,
+        &RunConfig {
             threads,
-            obs,
-        )
-        .expect("sharded faulty metro run")
-    } else {
-        run_metro_sharded_threads(
-            scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            settings,
-            shards,
-            window,
+            obs: obs.clone(),
+            faults: faults.clone(),
+            backend: Sharded(shards),
+        },
+    )
+    .expect("sharded metro run");
+    let mono = run_periods(
+        scheme,
+        (&workload.net, &link_times),
+        &workload.periods,
+        &workload.initial_history,
+        settings,
+        window,
+        &RunConfig {
             threads,
-            obs,
-        )
-        .expect("sharded metro run")
-    };
-    let mono = if faults {
-        run_metro_faulty_monolith_threads(
-            scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            settings,
-            &plan,
-            &policy,
-            window,
-            threads,
-            &vcps_obs::Obs::disabled(),
-        )
-        .expect("monolithic faulty metro run")
-    } else {
-        run_metro_monolith_threads(
-            scheme,
-            &workload.net,
-            &link_times,
-            &workload.periods,
-            &workload.initial_history,
-            settings,
-            window,
-            threads,
-            &vcps_obs::Obs::disabled(),
-        )
-        .expect("monolithic metro run")
-    };
+            faults,
+            ..RunConfig::new(Monolith)
+        },
+    )
+    .expect("monolithic metro run");
     let sharded_equal = runs_agree(&sharded, &mono);
 
     let nodes = workload.net.node_count();

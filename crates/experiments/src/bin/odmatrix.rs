@@ -38,12 +38,10 @@ use vcps_core::{PairEstimate, Scheme};
 use vcps_experiments::{
     arg_flag, arg_value, choose_novel_load_factor, default_threads, text_table, PRIVACY_TARGET,
 };
-use vcps_obs::Obs;
 use vcps_roadnet::assignment::all_or_nothing;
 use vcps_roadnet::assignment::point_volumes;
 use vcps_roadnet::{expand_vehicle_trips, sioux_falls};
-use vcps_sim::engine::{run_network_period_sharded_threads_obs, run_network_period_threads};
-use vcps_sim::OdMatrix;
+use vcps_sim::{run_period, Monolith, OdMatrix, RunConfig, Sharded};
 
 fn parse_list<T: std::str::FromStr>(raw: &str) -> Vec<T> {
     raw.split(',')
@@ -178,15 +176,17 @@ fn run_sioux_falls(subsample: f64, seed: u64, shards: Option<usize>) -> (OdMatri
     let s = 2usize;
     let f_bar = choose_novel_load_factor(s, PRIVACY_TARGET);
     let scheme = Scheme::variable(s, f_bar, seed).expect("valid scheme");
-    let run = run_network_period_threads(
+    let run = run_period(
         &scheme,
-        &net,
-        &net.free_flow_times(),
+        (&net, &net.free_flow_times()),
         &vehicles,
         &history,
         3_600.0,
         seed,
-        default_threads(),
+        &RunConfig {
+            threads: default_threads(),
+            ..RunConfig::new(Monolith)
+        },
     )
     .expect("network period failed");
     let matrix = run.server.od_matrix().expect("all-pairs decode failed");
@@ -196,17 +196,17 @@ fn run_sioux_falls(subsample: f64, seed: u64, shards: Option<usize>) -> (OdMatri
     // for bit equal — the DESIGN.md §15 conformance contract, checked by
     // the shard-smoke CI job on real road-network traffic.
     let sharded_equal = shards.map(|k| {
-        let sharded = run_network_period_sharded_threads_obs(
+        let sharded = run_period(
             &scheme,
-            &net,
-            &net.free_flow_times(),
+            (&net, &net.free_flow_times()),
             &vehicles,
             &history,
             3_600.0,
             seed,
-            k,
-            default_threads(),
-            &Obs::disabled(),
+            &RunConfig {
+                threads: default_threads(),
+                ..RunConfig::new(Sharded(k))
+            },
         )
         .expect("sharded network period failed");
         let sharded_matrix = sharded

@@ -36,23 +36,19 @@
 //!                         fault counters, phase timings) and write the
 //!                         registry snapshot as JSON to PATH
 
-use std::path::Path;
 use vcps_core::estimator::Estimate;
 use vcps_core::{PairEstimate, RsuId, Scheme};
 use vcps_experiments::{
     arg_flag, arg_value, choose_novel_load_factor, default_threads, obs_from_args, text_table,
     write_obs_json, PRIVACY_TARGET,
 };
-use vcps_obs::Obs;
 use vcps_roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps_roadnet::{expand_vehicle_trips, sioux_falls, RoadNetwork, VehicleTrip};
 
-use vcps_sim::engine::{
-    run_network_period_durable_faulty_sharded_threads_obs,
-    run_network_period_faulty_sharded_threads_obs, run_network_period_faulty_threads_obs,
-    DurableFaultyShardedNetworkRun, FaultyNetworkRun, FaultyShardedNetworkRun,
+use vcps_sim::{
+    run_period, Backend, CentralServer, Durable, DurableOptions, FaultMetrics, FaultPlan,
+    LinkFaults, Monolith, PeriodRun, RetryPolicy, RunConfig, Sharded, ShardedServer, SimError,
 };
-use vcps_sim::{DurableOptions, FaultMetrics, FaultPlan, LinkFaults, RetryPolicy, SimError};
 
 /// The Table-I `R_x` node labels, measured against `R_y` = node 10.
 const PAIR_LABELS: [usize; 8] = [15, 12, 7, 24, 6, 18, 2, 3];
@@ -83,113 +79,58 @@ fn parse_rates(raw: &str) -> Vec<f64> {
         .collect()
 }
 
-/// One fault-injected period, behind either server shape. The sweeps
-/// below only need estimates and fault metrics, which the sharding
-/// layer's conformance contract guarantees are bit-identical — so the
-/// two variants share this thin facade instead of duplicating sweeps.
-enum PointRun {
-    Mono(FaultyNetworkRun),
-    Sharded(FaultyShardedNetworkRun),
-    Durable(DurableFaultyShardedNetworkRun),
+/// What the sweeps read from one fault-injected period. The sharding
+/// layer's conformance contract makes estimates and fault metrics
+/// bit-identical across server shapes, so either shape answers through
+/// this one view instead of duplicating the sweeps.
+trait Answers {
+    fn faults(&self) -> &FaultMetrics;
+    fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError>;
+    fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError>;
 }
 
-impl PointRun {
+impl Answers for PeriodRun<CentralServer> {
     fn faults(&self) -> &FaultMetrics {
-        match self {
-            PointRun::Mono(run) => &run.faults,
-            PointRun::Sharded(run) => &run.faults,
-            PointRun::Durable(run) => &run.faults,
-        }
+        &self.faults
     }
 
     fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        match self {
-            PointRun::Mono(run) => run.server.estimate_or_clamp(a, b),
-            PointRun::Sharded(run) => run.server.estimate_or_clamp(a, b),
-            PointRun::Durable(run) => run.server.estimate_or_clamp(a, b),
-        }
+        self.server.estimate_or_clamp(a, b)
     }
 
     fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
-        match self {
-            PointRun::Mono(run) => run.server.estimate_or_degraded(a, b),
-            PointRun::Sharded(run) => run.server.estimate_or_degraded(a, b),
-            PointRun::Durable(run) => run.server.estimate_or_degraded(a, b),
-        }
+        self.server.estimate_or_degraded(a, b)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_point(
+impl Answers for PeriodRun<ShardedServer> {
+    fn faults(&self) -> &FaultMetrics {
+        &self.faults
+    }
+
+    fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
+        self.server.estimate_or_clamp(a, b)
+    }
+
+    fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
+        self.server.estimate_or_degraded(a, b)
+    }
+}
+
+fn run_point<B: Backend>(
     scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
+    roads: (&RoadNetwork, &[f64]),
     vehicles: &[VehicleTrip],
     history: &[f64],
     seed: u64,
-    plan: &FaultPlan,
-    threads: usize,
-    shards: Option<usize>,
-    wal_dir: Option<&Path>,
-    obs: &Obs,
-) -> PointRun {
-    if let Some(dir) = wal_dir {
-        return PointRun::Durable(
-            run_network_period_durable_faulty_sharded_threads_obs(
-                scheme,
-                net,
-                link_times,
-                vehicles,
-                history,
-                3_600.0,
-                seed,
-                plan,
-                &RetryPolicy::default(),
-                shards.unwrap_or(1),
-                dir,
-                DurableOptions::log_only(),
-                None,
-                threads,
-                obs,
-            )
-            .expect("durable fault-injected period failed"),
-        );
-    }
-    match shards {
-        None => PointRun::Mono(
-            run_network_period_faulty_threads_obs(
-                scheme,
-                net,
-                link_times,
-                vehicles,
-                history,
-                3_600.0,
-                seed,
-                plan,
-                &RetryPolicy::default(),
-                threads,
-                obs,
-            )
-            .expect("fault-injected period failed"),
-        ),
-        Some(k) => PointRun::Sharded(
-            run_network_period_faulty_sharded_threads_obs(
-                scheme,
-                net,
-                link_times,
-                vehicles,
-                history,
-                3_600.0,
-                seed,
-                plan,
-                &RetryPolicy::default(),
-                k,
-                threads,
-                obs,
-            )
-            .expect("sharded fault-injected period failed"),
-        ),
-    }
+    config: &RunConfig<B>,
+) -> Box<dyn Answers>
+where
+    PeriodRun<B::Server>: Answers + 'static,
+{
+    let run = run_period(scheme, roads, vehicles, history, 3_600.0, seed, config)
+        .expect("fault-injected period failed");
+    Box::new(run)
 }
 
 fn main() {
@@ -255,24 +196,54 @@ fn main() {
         println!("pairs: eight Table-I R_x nodes vs node {Y_LABEL}\n");
     }
 
+    // One fault-injected period through the configured server shape.
+    let point = |plan: FaultPlan| -> Box<dyn Answers> {
+        let roads = (&net, link_times.as_slice());
+        let faults = Some((plan, RetryPolicy::default()));
+        let obs = obs.clone();
+        match (&wal_dir, shards) {
+            (Some(dir), _) => {
+                let backend = Durable {
+                    shards: shards.unwrap_or(1),
+                    dir: dir.clone(),
+                    options: DurableOptions::log_only(),
+                    crash: None,
+                };
+                let config = RunConfig {
+                    threads,
+                    obs,
+                    faults,
+                    backend,
+                };
+                run_point(&scheme, roads, &vehicles, &history, seed, &config)
+            }
+            (None, Some(k)) => {
+                let config = RunConfig {
+                    threads,
+                    obs,
+                    faults,
+                    backend: Sharded(k),
+                };
+                run_point(&scheme, roads, &vehicles, &history, seed, &config)
+            }
+            (None, None) => {
+                let config = RunConfig {
+                    threads,
+                    obs,
+                    faults,
+                    backend: Monolith,
+                };
+                run_point(&scheme, roads, &vehicles, &history, seed, &config)
+            }
+        }
+    };
+
     // ---- Sweep 1: report loss ------------------------------------------
     let report_points: Vec<ReportLossPoint> = report_rates
         .iter()
         .map(|&p| {
             let plan = FaultPlan::new(seed).with_report_link(LinkFaults::none().with_drop(p));
-            let run = run_point(
-                &scheme,
-                &net,
-                &link_times,
-                &vehicles,
-                &history,
-                seed,
-                &plan,
-                threads,
-                shards,
-                wal_dir.as_deref(),
-                &obs,
-            );
+            let run = point(plan);
             let mut bias_sum = 0.0;
             let mut abs_sum = 0.0;
             for &(x, truth) in &pairs {
@@ -298,19 +269,7 @@ fn main() {
         .iter()
         .map(|&p| {
             let plan = FaultPlan::new(seed).with_upload_link(LinkFaults::none().with_drop(p));
-            let run = run_point(
-                &scheme,
-                &net,
-                &link_times,
-                &vehicles,
-                &history,
-                seed,
-                &plan,
-                threads,
-                shards,
-                wal_dir.as_deref(),
-                &obs,
-            );
+            let run = point(plan);
             let mut degraded = 0usize;
             let mut answered = 0usize;
             let mut abs_sum = 0.0;

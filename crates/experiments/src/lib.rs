@@ -187,41 +187,10 @@ pub fn write_obs_json(path: &str, obs: &Obs) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Number of worker threads the experiment binaries use by default: one
-/// per available core (see [`vcps_sim::concurrent::default_threads`]).
-#[must_use]
-pub fn default_threads() -> usize {
-    vcps_sim::concurrent::default_threads()
-}
-
-/// Maps `f` over `items` in parallel with one worker per available core,
-/// preserving input order. Used by the sweep-heavy binaries (Table I,
-/// Figs. 4–5, the `s` sweep, analysis validation).
-pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send + Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parallel_map_threads(items, default_threads(), f)
-}
-
-/// [`parallel_map`] with an explicit worker count — a re-export of the
-/// workspace's shared work-stealing runner
-/// ([`vcps_sim::concurrent::parallel_map_threads`]), which documents the
-/// chunk-stealing strategy.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or a worker thread panics.
-pub fn parallel_map_threads<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
-where
-    T: Send + Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    vcps_sim::concurrent::parallel_map_threads(items, threads, f)
-}
+/// The experiment binaries' parallel runner: one worker per available
+/// core by default, order-preserving maps (Table I, Figs. 4–5, the `s`
+/// sweep, analysis validation).
+pub use vcps_sim::concurrent::{default_threads, parallel_map, parallel_map_threads};
 
 /// A logarithmically spaced grid over `[lo, hi]`.
 #[must_use]

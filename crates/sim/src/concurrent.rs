@@ -320,12 +320,6 @@ pub fn ingest_parallel(rsu: &SharedRsu, reports: &[BitReport], threads: usize) -
     rejected.into_inner()
 }
 
-/// [`ingest_parallel`] with one worker per available core.
-#[must_use]
-pub fn ingest_parallel_auto(rsu: &SharedRsu, reports: &[BitReport]) -> usize {
-    ingest_parallel(rsu, reports, default_threads())
-}
-
 /// [`ingest_parallel`] wrapped in observability: the whole batch runs
 /// under a [`vcps_obs::Phase::Receive`] timer and the accepted/rejected
 /// totals land in the `ingest.reports` / `ingest.rejected` counters.
@@ -406,34 +400,18 @@ pub fn try_ingest_parallel(
     }
 }
 
-/// Fans `inputs` out over disjoint mutable `slots` and returns the
-/// per-slot results in slot order.
+/// Fans `inputs` out over disjoint mutable `slots` with at most
+/// `threads` workers (the effective count is `threads.min(slots.len())`)
+/// and returns the per-slot results in slot order.
 ///
 /// This is the write-side analogue of [`parallel_map_threads`] for state
 /// that is *partitioned* rather than shared: each worker gets exclusive
 /// `&mut` access to a contiguous group of slots (e.g. server shards)
 /// plus the inputs routed to them, so no locking is needed and the
-/// per-slot work is exactly the sequential code. The worker count is
-/// capped at [`default_threads`] — more slots than cores shares workers
-/// over slot groups instead of oversubscribing — and with a single
-/// group no thread is spawned at all, mirroring the spawn-free
+/// per-slot work is exactly the sequential code. More slots than workers
+/// share workers over slot groups instead of oversubscribing, and with a
+/// single group no thread is spawned at all, mirroring the spawn-free
 /// `threads == 1` path of the map.
-///
-/// # Panics
-///
-/// Panics if `slots` and `inputs` differ in length or a worker panics.
-pub fn for_each_slot_mut<T, I, R, F>(slots: &mut [T], inputs: Vec<I>, f: F) -> Vec<R>
-where
-    T: Send,
-    I: Send,
-    R: Send,
-    F: Fn(&mut T, I) -> R + Sync,
-{
-    for_each_slot_mut_threads(slots, inputs, default_threads(), f)
-}
-
-/// [`for_each_slot_mut`] with an explicit worker cap (the effective
-/// worker count is `threads.min(slots.len())`).
 ///
 /// # Panics
 ///
@@ -800,17 +778,18 @@ mod tests {
     fn for_each_slot_mut_runs_each_input_on_its_own_slot() {
         let mut slots = vec![0u64; 4];
         let inputs: Vec<Vec<u64>> = (0..4u64).map(|i| vec![i, i + 10]).collect();
-        let sums = for_each_slot_mut(&mut slots, inputs, |slot, input| {
-            for v in input {
-                *slot += v;
-            }
-            *slot
-        });
+        let sums =
+            for_each_slot_mut_threads(&mut slots, inputs, default_threads(), |slot, input| {
+                for v in input {
+                    *slot += v;
+                }
+                *slot
+            });
         assert_eq!(slots, vec![10, 12, 14, 16]);
         assert_eq!(sums, slots);
         // A single slot runs inline, spawn-free.
         let mut one = vec![7u64];
-        let r = for_each_slot_mut(&mut one, vec![3u64], |s, i| {
+        let r = for_each_slot_mut_threads(&mut one, vec![3u64], default_threads(), |s, i| {
             *s += i;
             *s
         });
@@ -821,7 +800,7 @@ mod tests {
     #[should_panic(expected = "one input bundle per slot")]
     fn for_each_slot_mut_rejects_mismatched_lengths() {
         let mut slots = vec![0u64; 2];
-        let _ = for_each_slot_mut(&mut slots, vec![1u64], |s, i| *s + i);
+        let _ = for_each_slot_mut_threads(&mut slots, vec![1u64], default_threads(), |s, i| *s + i);
     }
 
     #[test]

@@ -1,15 +1,31 @@
-//! A discrete-event engine driving vehicles along road-network routes.
+//! A discrete-event engine driving vehicles along road-network routes,
+//! and the one run driver built on it.
 //!
 //! Table I's workload is "traffic generated according to the known
 //! vehicle trip table under the Sioux Falls network". This module turns
 //! per-vehicle routes ([`vcps_roadnet::VehicleTrip`]) into a time-ordered
 //! stream of RSU arrivals (each arrival triggers one query/answer
-//! exchange) and runs a complete measurement period over a whole
-//! network: every node hosts an RSU, every arrival records one passage,
-//! every RSU uploads to the [`CentralServer`] at period end.
+//! exchange) and runs measurement periods over a whole network: every
+//! node hosts an RSU, every arrival records one passage, every RSU
+//! uploads to the server at period end.
+//!
+//! Every period is the same private step (paper §IV-B/C): RSUs
+//! broadcast their array sizes, vehicles answer with one bit index, RSUs
+//! upload, and the server folds the counters into the history that
+//! sizes the next period. Two entry points expose it: [`run_period`]
+//! runs one period sized from a given history, and [`run_periods`] runs
+//! the continuous loop with EWMA re-sizing and a sliding O–D window. One
+//! [`RunConfig`] says how: worker threads, observability, optional fault
+//! injection, and the server [`Backend`] — [`Monolith`], [`Sharded`] or
+//! [`Durable`]. The backend only decides how uploads land; the
+//! authority, sizes, departures, identities, frames, sequence numbers,
+//! and channel keys are derived once for all of them, so their answers
+//! are bit-identical by construction.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::path::PathBuf;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -19,15 +35,17 @@ use vcps_hash::splitmix64;
 use vcps_obs::{Obs, Phase};
 use vcps_roadnet::{RoadNetwork, VehicleTrip};
 
-use std::path::Path;
-
 use crate::concurrent::{self, SharedRsu};
 use crate::durable::{DurableOptions, DurableServer, DurableSink, RecoveryReport};
 use crate::faults::{self, Channel, FaultPlan, RetryPolicy, ServerCrash};
 use crate::metrics::FaultMetrics;
+use crate::metro::SlidingWindow;
 use crate::pki::TrustedAuthority;
 use crate::protocol::{BatchUpload, BitReport, PeriodUpload, Query, SequencedUpload};
-use crate::{CentralServer, ShardedServer, SimError, SimVehicle};
+use crate::{CentralServer, OdMatrix, ShardedServer, SimError, SimVehicle};
+
+pub use backend::Backend;
+use backend::{Live, Periods};
 
 /// One vehicle reaching one RSU site.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,8 +113,7 @@ pub fn simulate_arrivals(
     // (from, to) -> travel time lookup.
     let mut time_of: HashMap<(usize, usize), f64> = HashMap::with_capacity(net.link_count());
     for (i, link) in net.links().iter().enumerate() {
-        time_of.insert((link.from, link.to), link_times[i]);
-        // Keep the first (cheapest-index) entry on parallel links.
+        // Keep the first (lowest-index) entry on parallel links.
         time_of.entry((link.from, link.to)).or_insert(link_times[i]);
     }
 
@@ -139,1207 +156,101 @@ pub fn simulate_arrivals(
     arrivals
 }
 
-/// The outcome of a full-network measurement period.
+/// How a run is carried out: the workers that drive the exchanges, the
+/// observability handle, optional fault injection, and the server
+/// backend the uploads land in ([`Monolith`], [`Sharded`] or
+/// [`Durable`]).
+///
+/// ```
+/// use vcps_sim::engine::{RunConfig, Sharded};
+///
+/// let config = RunConfig {
+///     threads: 4,
+///     ..RunConfig::new(Sharded(2))
+/// };
+/// assert!(config.faults.is_none());
+/// ```
 #[derive(Debug, Clone)]
-pub struct NetworkRun {
-    /// The central server holding every RSU's upload — query it with
-    /// [`CentralServer::estimate`].
-    pub server: CentralServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
+pub struct RunConfig<B> {
+    /// Workers driving the exchanges (and [`run_periods`]' O–D
+    /// decodes). The outcome does not depend on it.
+    pub threads: usize,
+    /// Observability handle. The exchange phase is profiled as
+    /// [`Phase::Encode`] and ideal-channel ingest as [`Phase::Receive`];
+    /// the `engine.*`, `faults.*` and `metro.*` counters are recorded
+    /// through it, and the returned server carries it. Recording never
+    /// influences control flow, so every counter is deterministic and
+    /// independent of `threads`.
+    pub obs: Obs,
+    /// Seeded fault injection with the upload retry policy; `None` runs
+    /// over ideal channels.
+    pub faults: Option<(FaultPlan, RetryPolicy)>,
+    /// Where the uploads land.
+    pub backend: B,
 }
 
-/// Runs one measurement period over an entire road network: an RSU at
-/// every node (node `i` ↔ `RsuId(i)`), arrays sized from `history`
-/// volumes, every trip driven through the discrete-event engine.
-///
-/// `period` is the departure window: vehicles depart uniformly at random
-/// within `[0, period)` (seeded; reproducible).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-pub fn run_network_period(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-) -> Result<NetworkRun, SimError> {
-    run_network_period_threads(scheme, net, link_times, trips, history, period, seed, 1)
-}
-
-/// [`run_network_period`] with `threads` workers driving the exchanges.
-///
-/// Bit-identical to the single-threaded run: vehicles are partitioned
-/// across workers with each vehicle's arrivals handled in time order (so
-/// its one-time-MAC stream is unchanged), and the RSUs are lock-free
-/// [`SharedRsu`]s whose bit-set/count updates commute (see
-/// [`crate::concurrent`]).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    threads: usize,
-) -> Result<NetworkRun, SimError> {
-    run_network_period_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        threads,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_threads`] with an observability handle: the
-/// exchange phase is profiled as [`Phase::Encode`], server ingestion as
-/// [`Phase::Receive`], and the returned server carries `obs` so later
-/// decodes record [`Phase::Decode`] / kernel-choice counters.
-///
-/// With [`Obs::disabled`] this is the exact code path of the plain
-/// variant; with observability enabled the estimates are still
-/// bit-identical — recording never influences control flow.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    threads: usize,
-    obs: &Obs,
-) -> Result<NetworkRun, SimError> {
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let exchanges = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-        )?
-    };
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = CentralServer::new(scheme.clone(), 1.0)?.with_obs(obs.clone());
-    {
-        let _receive = obs.phase(Phase::Receive);
-        for rsu in &rsus {
-            let wire = rsu.upload().encode();
-            server.receive(PeriodUpload::decode(&wire)?);
+impl<B> RunConfig<B> {
+    /// One worker, observability off, ideal channels.
+    #[must_use]
+    pub fn new(backend: B) -> Self {
+        Self {
+            threads: 1,
+            obs: Obs::disabled(),
+            faults: None,
+            backend,
         }
     }
-    Ok(NetworkRun { server, exchanges })
 }
 
-/// Runs every query/answer exchange of one period: vehicles are split
-/// across `threads` workers, each worker walking its vehicles' arrivals
-/// in time order and folding the reports straight into the lock-free
-/// RSUs. Returns the exchange count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_arrivals<F>(
-    scheme: &Scheme,
-    authority: &TrustedAuthority,
-    rsus: &[SharedRsu],
-    queries: &[Query],
-    trips: &[VehicleTrip],
-    arrivals: &[Arrival],
-    make_vehicle: F,
-    m_o: usize,
-    threads: usize,
-) -> Result<usize, SimError>
-where
-    F: Fn(&VehicleTrip) -> SimVehicle + Sync,
-{
-    // Arrivals are globally time-ordered, so each vehicle's subsequence
-    // is in that vehicle's own time order — exactly the order the
-    // sequential engine advances its MAC generator.
-    let mut stops: Vec<Vec<usize>> = vec![Vec::new(); trips.len()];
-    for arrival in arrivals {
-        stops[arrival.vehicle].push(arrival.node);
-    }
-    let outcomes = concurrent::parallel_map_threads(
-        (0..trips.len()).collect(),
-        threads,
-        |&v| -> Result<usize, SimError> {
-            let mut vehicle = make_vehicle(&trips[v]);
-            for &node in &stops[v] {
-                let report = vehicle.answer(&queries[node], scheme, authority, m_o)?;
-                rsus[node].receive(&report)?;
-            }
-            Ok(stops[v].len())
-        },
-    );
-    let mut exchanges = 0usize;
-    for outcome in outcomes {
-        exchanges += outcome?;
-    }
-    Ok(exchanges)
-}
+/// One [`CentralServer`]; over ideal channels each RSU's upload arrives
+/// as its own dense wire frame.
+#[derive(Debug, Clone, Copy)]
+pub struct Monolith;
 
-/// The outcome of a measurement period run under fault injection.
+/// A [`ShardedServer`] with this many hash-partitioned shards; over
+/// ideal channels a period's uploads travel as one [`BatchUpload`] wire
+/// frame into the zero-copy batch ingest.
+#[derive(Debug, Clone, Copy)]
+pub struct Sharded(pub usize);
+
+/// A [`Sharded`] server whose ingest is write-ahead logged in `dir`
+/// ([`DurableServer`]), optionally crashed and recovered mid-period.
 #[derive(Debug, Clone)]
-pub struct FaultyNetworkRun {
-    /// The central server holding whatever uploads survived — query it
-    /// with [`CentralServer::estimate_or_degraded`] to get an answer even
-    /// for RSUs whose upload was abandoned.
-    pub server: CentralServer,
+pub struct Durable {
+    /// Receiver shards.
+    pub shards: usize,
+    /// The WAL and checkpoint directory (a fresh log is started there).
+    pub dir: PathBuf,
+    /// Checkpoint and flush tuning.
+    pub options: DurableOptions,
+    /// An injected server-process crash: every in-memory state is
+    /// dropped at the first upload-session boundary at or after
+    /// [`ServerCrash::at_record`] logged records (or at period end if
+    /// the log never grows that far) and rebuilt from `dir`. An ideal
+    /// period's single batch frame is one session.
+    pub crash: Option<ServerCrash>,
+}
+
+/// The outcome of [`run_period`].
+#[derive(Debug, Clone)]
+pub struct PeriodRun<S> {
+    /// The server holding the period's uploads — query it with
+    /// `estimate`, `estimate_or_degraded` or `od_matrix_threads`.
+    /// Every backend answers bit-identically.
+    pub server: S,
     /// Total query/answer exchanges performed (loss happens after the
     /// exchange, in flight).
     pub exchanges: usize,
-    /// What the channels, crashes, and the retry loop did.
+    /// What the channels, crashes, and the retry loop did (all zero over
+    /// ideal channels).
     pub faults: FaultMetrics,
     /// RSUs whose upload exhausted the retry budget and never reached
-    /// the server.
+    /// the server (empty over ideal channels).
     pub undelivered: Vec<RsuId>,
-}
-
-/// [`run_network_period`] with fault injection: reports cross a lossy
-/// vehicle → RSU channel, crashes destroy RSU state windows, and uploads
-/// go through [`faults::upload_with_retry`] on a lossy RSU → server
-/// channel against an acking, deduplicating server.
-///
-/// The run is deterministic for a fixed `(seed, plan)` — independent of
-/// thread count — and with [`FaultPlan::none`] it produces bit-identical
-/// uploads and estimates to [`run_network_period`]. The server is seeded
-/// with `history` so [`CentralServer::estimate_or_degraded`] can answer
-/// pairs whose upload never arrived.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, and invalid fault plans.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<FaultyNetworkRun, SimError> {
-    run_network_period_faulty_threads(
-        scheme, net, link_times, trips, history, period, seed, plan, policy, 1,
-    )
-}
-
-/// [`run_network_period_faulty`] with `threads` workers.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, and invalid fault plans.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    threads: usize,
-) -> Result<FaultyNetworkRun, SimError> {
-    run_network_period_faulty_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        plan,
-        policy,
-        threads,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_faulty_threads`] with an observability handle:
-/// the exchange phase is profiled as [`Phase::Encode`], the retry loop
-/// as [`Phase::Retry`] (through the server's handle inside
-/// [`faults::upload_with_retry`]), and the merged [`FaultMetrics`] are
-/// bridged into the registry as `faults.*` counters at period end.
-///
-/// Every registry counter recorded through this path is deterministic
-/// for a fixed `(seed, plan)` — independent of thread count — because
-/// the per-worker fault counters are merged before being bridged and
-/// all other recording happens on the single-threaded control path.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, and invalid fault plans.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    threads: usize,
-    obs: &Obs,
-) -> Result<FaultyNetworkRun, SimError> {
-    plan.validate()?;
-    policy.validate()?;
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    // Setup is identical to the ideal run (same authority, sizes, and
-    // departure stream) so that faults are the only difference.
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let report_channel = plan.report_channel(0);
-    let lost_windows = plan.lost_windows(net.node_count());
-    let (exchanges, mut faults) = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals_faulty(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-            &report_channel,
-            &lost_windows,
-        )?
-    };
-    faults.crashes = plan.crashes.len() as u64;
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = CentralServer::new(scheme.clone(), 1.0)?.with_obs(obs.clone());
-    for (node, &avg) in history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let upload_channel = plan.upload_channel(0);
-    let mut undelivered = Vec::new();
-    for rsu in &rsus {
-        let upload = rsu.upload();
-        let delivery = faults::upload_with_retry(
-            &upload,
-            0,
-            &upload_channel,
-            &mut server,
-            policy,
-            &mut faults,
-        );
-        if !delivery.delivered {
-            undelivered.push(upload.rsu);
-        }
-    }
-    faults.record_into(obs);
-    obs.add("engine.undelivered", undelivered.len() as u64);
-    Ok(FaultyNetworkRun {
-        server,
-        exchanges,
-        faults,
-        undelivered,
-    })
-}
-
-/// [`drive_arrivals`] with every report crossing a lossy channel and a
-/// crash-window filter in front of each RSU. Returns the exchange count
-/// and the merged per-worker fault counters.
-///
-/// Fault decisions are keyed per (vehicle, stop), so the outcome is
-/// independent of worker scheduling; counter merging is commutative.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_arrivals_faulty<F>(
-    scheme: &Scheme,
-    authority: &TrustedAuthority,
-    rsus: &[SharedRsu],
-    queries: &[Query],
-    trips: &[VehicleTrip],
-    arrivals: &[Arrival],
-    make_vehicle: F,
-    m_o: usize,
-    threads: usize,
-    channel: &Channel,
-    lost_windows: &[Vec<(f64, f64)>],
-) -> Result<(usize, FaultMetrics), SimError>
-where
-    F: Fn(&VehicleTrip) -> SimVehicle + Sync,
-{
-    let mut stops: Vec<Vec<(usize, f64)>> = vec![Vec::new(); trips.len()];
-    for arrival in arrivals {
-        stops[arrival.vehicle].push((arrival.node, arrival.time));
-    }
-    let outcomes = concurrent::parallel_map_threads(
-        (0..trips.len()).collect(),
-        threads,
-        |&v| -> Result<(usize, FaultMetrics), SimError> {
-            let mut vehicle = make_vehicle(&trips[v]);
-            let mut local = FaultMetrics::new();
-            for (i, &(node, time)) in stops[v].iter().enumerate() {
-                let report = vehicle.answer(&queries[node], scheme, authority, m_o)?;
-                let key = splitmix64(trips[v].id).wrapping_add(i as u64);
-                let tx = channel.transmit(&report.encode(), key);
-                tx.record(&mut local.report_link);
-                for copy in &tx.delivered {
-                    let Ok(decoded) = BitReport::decode(copy) else {
-                        local.reports_undecodable += 1;
-                        continue;
-                    };
-                    let crashed = lost_windows[node]
-                        .iter()
-                        .any(|&(w0, w1)| time >= w0 && time < w1);
-                    if crashed {
-                        // The RSU ingested this report but lost it with
-                        // the state window destroyed by the crash.
-                        local.reports_lost_to_crash += 1;
-                    } else if rsus[node].receive(&decoded).is_err() {
-                        local.reports_rejected += 1;
-                    }
-                }
-            }
-            Ok((stops[v].len(), local))
-        },
-    );
-    let mut exchanges = 0usize;
-    let mut faults = FaultMetrics::new();
-    for outcome in outcomes {
-        let (n, local) = outcome?;
-        exchanges += n;
-        faults.merge(&local);
-    }
-    Ok((exchanges, faults))
-}
-
-/// The outcome of a full-network measurement period ingested by a
-/// sharded server (see [`run_network_period_sharded`]).
-#[derive(Debug, Clone)]
-pub struct ShardedNetworkRun {
-    /// The sharded server holding every RSU's upload — query it with
-    /// [`ShardedServer::estimate`]; answers are bit-identical to the
-    /// monolithic [`NetworkRun`]'s.
-    pub server: ShardedServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
-}
-
-/// [`run_network_period`] ingested by a [`ShardedServer`]: the period's
-/// uploads travel as one [`BatchUpload`] wire frame (encoded and decoded
-/// end to end) instead of one frame per RSU, and land on `shards`
-/// hash-partitioned receiver shards.
-///
-/// Estimates from the returned server are bit-identical to the
-/// monolithic run's at every shard count — the exchange phase is the
-/// same code, the batch frame carries byte-identical uploads, and the
-/// sharded decode path borrows the same kernels.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures (including a zero
-/// `shards`).
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_sharded(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    shards: usize,
-) -> Result<ShardedNetworkRun, SimError> {
-    run_network_period_sharded_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        shards,
-        1,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_sharded`] with `threads` exchange workers and an
-/// observability handle (see [`run_network_period_threads_obs`] for the
-/// phase/counter layout — the sharded run fires the same registry names,
-/// plus the `shard.*` / `batch.*` series).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures (including a zero `shards`).
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_sharded_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    shards: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<ShardedNetworkRun, SimError> {
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    // Setup is byte-identical to the monolithic run: same authority,
-    // array sizes, departures, and exchange phase — only the ingestion
-    // framing and receiver topology differ.
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let exchanges = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-        )?
-    };
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = ShardedServer::new(scheme.clone(), 1.0, shards)?.with_obs(obs.clone());
-    {
-        let _receive = obs.phase(Phase::Receive);
-        let frames: Vec<SequencedUpload> = rsus
-            .iter()
-            .map(|rsu| SequencedUpload {
-                seq: 0,
-                upload: rsu.upload(),
-            })
-            .collect();
-        // One wire frame for the whole period, ingested through the
-        // zero-copy wire path so the batch layout is exercised end to
-        // end.
-        let wire = BatchUpload::new(frames)?.encode();
-        let _ = server.receive_batch_wire(&wire)?;
-    }
-    Ok(ShardedNetworkRun { server, exchanges })
-}
-
-/// The outcome of a measurement period run under fault injection with a
-/// sharded server (see [`run_network_period_faulty_sharded`]).
-#[derive(Debug, Clone)]
-pub struct FaultyShardedNetworkRun {
-    /// The sharded server holding whatever uploads survived — query it
-    /// with [`ShardedServer::estimate_or_degraded`].
-    pub server: ShardedServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
-    /// What the channels, crashes, and the retry loop did — identical
-    /// to the monolithic [`FaultyNetworkRun`]'s for the same inputs.
-    pub faults: FaultMetrics,
-    /// RSUs whose upload exhausted the retry budget.
-    pub undelivered: Vec<RsuId>,
-}
-
-/// [`run_network_period_faulty`] delivering into a [`ShardedServer`].
-///
-/// The upload path deliberately sends the *same* per-RSU
-/// [`SequencedUpload`] frames with the same channel keys as the
-/// monolithic faulty run (through the generic
-/// [`faults::upload_with_retry`] sink), so every drop, corruption, and
-/// lost-ack decision is replayed identically and the surviving state —
-/// uploads, fault metrics, undelivered set — matches the monolith
-/// byte for byte. Batch-framed uploads over a faulty channel are
-/// exercised separately by [`faults::batch_upload_with_retry`].
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, invalid fault plans, and a
-/// zero `shards`.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty_sharded(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-) -> Result<FaultyShardedNetworkRun, SimError> {
-    run_network_period_faulty_sharded_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        plan,
-        policy,
-        shards,
-        1,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_faulty_sharded`] with `threads` workers and an
-/// observability handle (the sharded analogue of
-/// [`run_network_period_faulty_threads_obs`], firing the same registry
-/// names plus the `shard.*` series).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, invalid fault plans, and a
-/// zero `shards`.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_faulty_sharded_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<FaultyShardedNetworkRun, SimError> {
-    plan.validate()?;
-    policy.validate()?;
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let report_channel = plan.report_channel(0);
-    let lost_windows = plan.lost_windows(net.node_count());
-    let (exchanges, mut faults) = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals_faulty(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-            &report_channel,
-            &lost_windows,
-        )?
-    };
-    faults.crashes = plan.crashes.len() as u64;
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = ShardedServer::new(scheme.clone(), 1.0, shards)?.with_obs(obs.clone());
-    for (node, &avg) in history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let upload_channel = plan.upload_channel(0);
-    let mut undelivered = Vec::new();
-    for rsu in &rsus {
-        let upload = rsu.upload();
-        let delivery = faults::upload_with_retry(
-            &upload,
-            0,
-            &upload_channel,
-            &mut server,
-            policy,
-            &mut faults,
-        );
-        if !delivery.delivered {
-            undelivered.push(upload.rsu);
-        }
-    }
-    faults.record_into(obs);
-    obs.add("engine.undelivered", undelivered.len() as u64);
-    Ok(FaultyShardedNetworkRun {
-        server,
-        exchanges,
-        faults,
-        undelivered,
-    })
-}
-
-/// The outcome of a durably-ingested measurement period (see
-/// [`run_network_period_durable_sharded`]).
-#[derive(Debug)]
-pub struct DurableShardedNetworkRun {
-    /// The recovered (or never-crashed) server — estimates and O–D
-    /// matrices are bit-identical to the non-durable
-    /// [`ShardedNetworkRun`]'s.
-    pub server: ShardedServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
-    /// WAL records appended over the period.
+    /// WAL records appended over the period (0 unless [`Durable`]).
     pub wal_records: u64,
-    /// What recovery found, when a [`ServerCrash`] was injected.
+    /// What recovery found, when a [`Durable`] run injected a crash.
     pub recovery: Option<RecoveryReport>,
-}
-
-/// [`run_network_period_sharded`] with write-ahead-logged ingestion and
-/// an optional injected server-process crash: all in-memory server
-/// state is dropped at the crash point and rebuilt from `wal_dir`
-/// (checkpoint + WAL-tail replay), after which the run continues.
-/// Estimates from the returned server are bit-identical to the
-/// non-durable sharded run's, crash or no crash.
-///
-/// # Errors
-///
-/// Propagates sizing, protocol, and durability failures (including a
-/// zero `shards` and an invalid checkpoint interval).
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_durable_sharded(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    shards: usize,
-    wal_dir: &Path,
-    options: DurableOptions,
-    crash: Option<ServerCrash>,
-) -> Result<DurableShardedNetworkRun, SimError> {
-    run_network_period_durable_sharded_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        shards,
-        wal_dir,
-        options,
-        crash,
-        1,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_durable_sharded`] with `threads` exchange
-/// workers and an observability handle. Fires the sharded run's
-/// registry names plus the `wal.*` series (append/fsync/replay/
-/// checkpoint counters and the `wal_append`/`wal_recover` phase
-/// timers); everything else matches the non-durable sharded run.
-///
-/// # Errors
-///
-/// As [`run_network_period_durable_sharded`].
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_durable_sharded_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    shards: usize,
-    wal_dir: &Path,
-    options: DurableOptions,
-    crash: Option<ServerCrash>,
-    threads: usize,
-    obs: &Obs,
-) -> Result<DurableShardedNetworkRun, SimError> {
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let exchanges = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-        )?
-    };
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = DurableServer::create(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-    let mut recovery = None;
-    {
-        let _receive = obs.phase(Phase::Receive);
-        // The whole period travels as one batch frame, so there is one
-        // WAL record and two crash points: before it (empty-log
-        // recovery) or after it (full-log recovery).
-        if crash.is_some_and(|c| c.at_record == 0) {
-            drop(server);
-            let (recovered, report) =
-                DurableServer::recover(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-            server = recovered;
-            recovery = Some(report);
-        }
-        let frames: Vec<SequencedUpload> = rsus
-            .iter()
-            .map(|rsu| SequencedUpload {
-                seq: 0,
-                upload: rsu.upload(),
-            })
-            .collect();
-        let wire = BatchUpload::new(frames)?.encode();
-        let _ = server.receive_batch_wire(&wire)?;
-        if crash.is_some() && recovery.is_none() {
-            drop(server);
-            let (recovered, report) =
-                DurableServer::recover(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-            server = recovered;
-            recovery = Some(report);
-        }
-    }
-    let wal_records = server.records_logged();
-    Ok(DurableShardedNetworkRun {
-        server: server.into_server(),
-        exchanges,
-        wal_records,
-        recovery,
-    })
-}
-
-/// The outcome of a durably-ingested period under fault injection (see
-/// [`run_network_period_durable_faulty_sharded`]).
-#[derive(Debug)]
-pub struct DurableFaultyShardedNetworkRun {
-    /// The recovered (or never-crashed) server.
-    pub server: ShardedServer,
-    /// Total query/answer exchanges performed.
-    pub exchanges: usize,
-    /// What the channels and the retry loop did — identical to the
-    /// non-durable [`FaultyShardedNetworkRun`]'s for the same inputs.
-    pub faults: FaultMetrics,
-    /// RSUs whose upload exhausted the retry budget.
-    pub undelivered: Vec<RsuId>,
-    /// WAL records appended over the period.
-    pub wal_records: u64,
-    /// What recovery found, when a [`ServerCrash`] was injected.
-    pub recovery: Option<RecoveryReport>,
-}
-
-/// [`run_network_period_faulty_sharded`] with write-ahead-logged
-/// ingestion and an optional injected server-process crash.
-///
-/// The crash fires at the first RSU upload-session boundary at or
-/// after [`ServerCrash::at_record`] appended WAL records (or at period
-/// end if the log never grows that far): the whole server is dropped —
-/// every shard's uploads, dedup state, and history — and rebuilt from
-/// `wal_dir`. History seeds are engine configuration, not logged state,
-/// so the engine re-applies them after recovery. Surviving state, fault
-/// metrics, and the undelivered set match the non-durable faulty
-/// sharded run byte for byte.
-///
-/// # Errors
-///
-/// Propagates sizing, protocol, fault-plan, and durability failures.
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_durable_faulty_sharded(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-    wal_dir: &Path,
-    options: DurableOptions,
-    crash: Option<ServerCrash>,
-) -> Result<DurableFaultyShardedNetworkRun, SimError> {
-    run_network_period_durable_faulty_sharded_threads_obs(
-        scheme,
-        net,
-        link_times,
-        trips,
-        history,
-        period,
-        seed,
-        plan,
-        policy,
-        shards,
-        wal_dir,
-        options,
-        crash,
-        1,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_network_period_durable_faulty_sharded`] with `threads` workers
-/// and an observability handle (fires the faulty sharded run's registry
-/// names plus the `wal.*` series).
-///
-/// # Errors
-///
-/// As [`run_network_period_durable_faulty_sharded`].
-///
-/// # Panics
-///
-/// Panics if `history.len() != net.node_count()` or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_network_period_durable_faulty_sharded_threads_obs(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    trips: &[VehicleTrip],
-    history: &[f64],
-    period: f64,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-    wal_dir: &Path,
-    options: DurableOptions,
-    crash: Option<ServerCrash>,
-    threads: usize,
-    obs: &Obs,
-) -> Result<DurableFaultyShardedNetworkRun, SimError> {
-    plan.validate()?;
-    policy.validate()?;
-    assert_eq!(
-        history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5);
-    let mut rsus = Vec::with_capacity(net.node_count());
-    let mut m_o = 0usize;
-    for (node, &avg) in history.iter().enumerate() {
-        let m = scheme.array_size_for(avg)?;
-        m_o = m_o.max(m);
-        rsus.push(SharedRsu::new(RsuId(node as u64), m, &authority)?);
-    }
-    let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let departures: Vec<f64> = trips
-        .iter()
-        .map(|_| rng.random_range(0.0..period.max(f64::MIN_POSITIVE)))
-        .collect();
-    let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-    if let Some(last) = arrivals.last() {
-        obs.set_sim_time(last.time);
-    }
-
-    let report_channel = plan.report_channel(0);
-    let lost_windows = plan.lost_windows(net.node_count());
-    let (exchanges, mut faults) = {
-        let _encode = obs.phase(Phase::Encode);
-        drive_arrivals_faulty(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E),
-                )
-            },
-            m_o,
-            threads,
-            &report_channel,
-            &lost_windows,
-        )?
-    };
-    faults.crashes = plan.crashes.len() as u64;
-    obs.add("engine.exchanges", exchanges as u64);
-
-    let mut server = DurableServer::create(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-    for (node, &avg) in history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let upload_channel = plan.upload_channel(0);
-    let mut undelivered = Vec::new();
-    let mut recovery = None;
-    for rsu in &rsus {
-        if let Some(c) = crash {
-            if recovery.is_none() && server.records_logged() >= c.at_record {
-                drop(server);
-                let (recovered, report) =
-                    DurableServer::recover(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-                server = recovered;
-                for (node, &avg) in history.iter().enumerate() {
-                    server.seed_history(RsuId(node as u64), avg);
-                }
-                recovery = Some(report);
-            }
-        }
-        let upload = rsu.upload();
-        let mut sink = DurableSink::new(&mut server);
-        let delivery =
-            faults::upload_with_retry(&upload, 0, &upload_channel, &mut sink, policy, &mut faults);
-        if let Some(e) = sink.take_error() {
-            return Err(e);
-        }
-        if !delivery.delivered {
-            undelivered.push(upload.rsu);
-        }
-    }
-    // A crash point past the final record fires at period end — the
-    // differential suite leans on this to prove end-state recovery.
-    if crash.is_some() && recovery.is_none() {
-        drop(server);
-        let (recovered, report) =
-            DurableServer::recover(scheme.clone(), 1.0, shards, wal_dir, options, obs)?;
-        server = recovered;
-        for (node, &avg) in history.iter().enumerate() {
-            server.seed_history(RsuId(node as u64), avg);
-        }
-        recovery = Some(report);
-    }
-    faults.record_into(obs);
-    obs.add("engine.undelivered", undelivered.len() as u64);
-    let wal_records = server.records_logged();
-    Ok(DurableFaultyShardedNetworkRun {
-        server: server.into_server(),
-        exchanges,
-        faults,
-        undelivered,
-        wal_records,
-        recovery,
-    })
-}
-
-/// The outcome of a multi-period simulation (see [`run_periods`]).
-#[derive(Debug, Clone)]
-pub struct MultiPeriodRun {
-    /// The central server after the last period (history updated, ready
-    /// to size the next period).
-    pub server: CentralServer,
-    /// Array sizes in force during each period, per RSU (node index →
-    /// size), in period order.
-    pub sizes_per_period: Vec<Vec<usize>>,
-    /// Query/answer exchanges per period.
-    pub exchanges_per_period: Vec<usize>,
 }
 
 /// Settings for a multi-period run (see [`run_periods`]).
@@ -1364,271 +275,724 @@ impl Default for PeriodSettings {
     }
 }
 
-/// Runs several consecutive measurement periods over a road network,
-/// closing the §IV-C loop: each period's counters update the server's
-/// EWMA history, which re-sizes every RSU's array for the next period.
-///
-/// `periods[p]` is the trip list driven in period `p`. Array sizes for
-/// period 0 come from `initial_history`; later periods from the server.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `initial_history.len() != net.node_count()` or `periods`
-/// is empty.
-pub fn run_periods(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-) -> Result<MultiPeriodRun, SimError> {
-    run_periods_threads(
-        scheme,
-        net,
-        link_times,
-        periods,
-        initial_history,
-        settings,
-        1,
-    )
-}
-
-/// [`run_periods`] with `threads` workers driving each period's
-/// exchanges (see [`run_network_period_threads`] for why the result is
-/// bit-identical to the single-threaded run).
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `initial_history.len() != net.node_count()`, `periods` is
-/// empty, or `threads == 0`.
-pub fn run_periods_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-    threads: usize,
-) -> Result<MultiPeriodRun, SimError> {
-    let PeriodSettings {
-        history_alpha,
-        period_length,
-        seed,
-    } = *settings;
-    assert!(!periods.is_empty(), "need at least one period");
-    assert_eq!(
-        initial_history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let mut server = CentralServer::new(scheme.clone(), history_alpha)?;
-    for (node, &avg) in initial_history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
-    }
-    let mut sizes = server.finish_period()?;
-    let mut sizes_per_period = Vec::with_capacity(periods.len());
-    let mut exchanges_per_period = Vec::with_capacity(periods.len());
-
-    for (p, trips) in periods.iter().enumerate() {
-        let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5 ^ p as u64);
-        let mut rsus = Vec::with_capacity(net.node_count());
-        let mut m_o = 0usize;
-        for node in 0..net.node_count() {
-            let id = RsuId(node as u64);
-            let m = sizes.get(&id).copied().unwrap_or(2).max(2);
-            m_o = m_o.max(m);
-            rsus.push(SharedRsu::new(id, m, &authority)?);
-        }
-        let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-        let mut rng = StdRng::seed_from_u64(seed ^ (p as u64) << 32);
-        let departures: Vec<f64> = trips
-            .iter()
-            .map(|_| rng.random_range(0.0..period_length.max(f64::MIN_POSITIVE)))
-            .collect();
-        let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-        let exchanges = drive_arrivals(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E ^ p as u64),
-                )
-            },
-            m_o,
-            threads,
-        )?;
-        sizes_per_period.push(queries.iter().map(|q| q.array_size as usize).collect());
-        exchanges_per_period.push(exchanges);
-        for rsu in &rsus {
-            server.receive(PeriodUpload::decode(&rsu.upload().encode_compact())?);
-        }
-        sizes = server.finish_period()?;
-    }
-    Ok(MultiPeriodRun {
-        server,
-        sizes_per_period,
-        exchanges_per_period,
-    })
-}
-
-/// The outcome of a multi-period simulation under fault injection.
+/// The outcome of [`run_periods`].
 #[derive(Debug, Clone)]
-pub struct FaultyMultiPeriodRun {
-    /// The central server after the last period.
-    pub server: CentralServer,
-    /// Array sizes in force during each period, per RSU.
+pub struct MetroRun<S> {
+    /// The server after the final period's
+    /// [`finish_period`](CentralServer::finish_period).
+    pub server: S,
+    /// The sliding window over the last `W` periods' O–D matrices.
+    pub window: SlidingWindow,
+    /// Array sizes in force during each period, per node.
     pub sizes_per_period: Vec<Vec<usize>>,
     /// Query/answer exchanges per period.
     pub exchanges_per_period: Vec<usize>,
-    /// Fault counters per period.
+    /// Fault counters per period (empty for ideal-channel runs).
     pub faults_per_period: Vec<FaultMetrics>,
-    /// RSUs whose upload was abandoned, per period. Their history entry
-    /// simply keeps its previous EWMA value — the sizing loop degrades
-    /// gracefully instead of halting.
+    /// RSUs whose upload was abandoned, per period (empty for ideal
+    /// runs). Their history entry keeps its previous EWMA value — the
+    /// sizing loop degrades gracefully instead of halting.
     pub undelivered_per_period: Vec<Vec<RsuId>>,
+    /// Upload frames delivered to the server across all periods.
+    pub uploads_delivered: usize,
+    /// Wall-clock nanoseconds spent ingesting uploads (all periods).
+    pub ingest_ns: u128,
+    /// Wall-clock nanoseconds spent computing O–D matrices (all
+    /// periods).
+    pub od_ns: u128,
 }
 
-/// [`run_periods_threads`] with fault injection (see
-/// [`run_network_period_faulty_threads`]).
+/// Runs one measurement period over an entire road network: an RSU at
+/// every node (node `i` ↔ `RsuId(i)`), arrays sized from `history`
+/// volumes ([`Scheme::array_size_for`]), every trip driven through the
+/// discrete-event engine, every upload delivered into the configured
+/// backend.
 ///
-/// Each period re-rolls its channel faults (the period index salts the
-/// channels) and uses the period index as the upload sequence number, so
-/// stragglers retransmitted from a closed period are recognized as stale
-/// by the server. Crash times in the plan are relative to each period's
-/// start and recur every period.
+/// `roads` is the network with its per-link travel times (indexed like
+/// `net.links()`). Vehicles depart uniformly at random within
+/// `[0, period)`; `seed` keys the departures, certificates, and vehicle
+/// keys, so the run is reproducible and independent of the thread count.
+///
+/// The server uses EWMA smoothing 1.0 and keeps the period's uploads.
+/// Under fault injection it is seeded with `history`, so
+/// [`CentralServer::estimate_or_degraded`] can answer pairs whose upload
+/// never arrived; uploads then go through [`faults::upload_with_retry`]
+/// with sequence number 0. With [`FaultPlan::none`] the uploads and
+/// estimates are bit-identical to the ideal run's, and every backend —
+/// a [`Durable`] one crashed and recovered included — returns the same
+/// uploads, estimates, fault metrics, and undelivered set.
 ///
 /// # Errors
 ///
-/// Propagates sizing and protocol failures, and invalid fault plans.
+/// Propagates sizing, protocol, and durability failures, invalid fault
+/// plans and retry policies, and a zero shard count.
+///
+/// # Panics
+///
+/// Panics if `history.len() != net.node_count()` or `threads == 0`.
+pub fn run_period<B: Backend>(
+    scheme: &Scheme,
+    roads: (&RoadNetwork, &[f64]),
+    trips: &[VehicleTrip],
+    history: &[f64],
+    period: f64,
+    seed: u64,
+    config: &RunConfig<B>,
+) -> Result<PeriodRun<B::Server>, SimError> {
+    let drive = Drive::new(scheme, roads, history, period, seed, config)?;
+    let sizes = history
+        .iter()
+        .map(|&avg| scheme.array_size_for(avg))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut server = config.backend.open(scheme, 1.0, &config.obs)?;
+    if config.faults.is_some() {
+        for (node, &avg) in history.iter().enumerate() {
+            server.seed(RsuId(node as u64), avg);
+        }
+    }
+    let step = drive.period(&mut server, 0, trips, &sizes)?;
+    let (server, wal_records, recovery) = server.into_parts();
+    Ok(PeriodRun {
+        server,
+        exchanges: step.exchanges,
+        faults: step.faults,
+        undelivered: step.undelivered,
+        wal_records,
+        recovery,
+    })
+}
+
+/// Runs consecutive measurement periods over a road network, closing the
+/// §IV-C loop: each period's counters update the server's EWMA history
+/// ([`PeriodSettings::history_alpha`]), which re-sizes every RSU's array
+/// for the next period. `periods[p]` is the trip list driven in period
+/// `p`; `initial_history` seeds the history that sizes period 0.
+///
+/// After each period the server's O–D matrix joins a [`SlidingWindow`]
+/// over the last `window` periods. Period `p` salts its certificates,
+/// departures, vehicle keys, and fault channels with `p` and uses `p` as
+/// the upload sequence number, so stragglers retransmitted from a closed
+/// period are recognized as stale; crash times in a fault plan are
+/// relative to each period's start and recur every period. Period 0 is
+/// exactly [`run_period`] over `periods[0]` and `initial_history`.
+///
+/// Takes [`Monolith`] or [`Sharded`]; the two are bit-identical.
+///
+/// # Errors
+///
+/// Propagates sizing and protocol failures, invalid fault plans and
+/// retry policies, and a zero shard count.
 ///
 /// # Panics
 ///
 /// Panics if `initial_history.len() != net.node_count()`, `periods` is
-/// empty, or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_periods_faulty_threads(
+/// empty, `window == 0`, or `threads == 0`.
+pub fn run_periods<B: Backend>(
     scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
+    roads: (&RoadNetwork, &[f64]),
     periods: &[Vec<VehicleTrip>],
     initial_history: &[f64],
     settings: &PeriodSettings,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    threads: usize,
-) -> Result<FaultyMultiPeriodRun, SimError> {
-    let PeriodSettings {
-        history_alpha,
-        period_length,
-        seed,
-    } = *settings;
-    plan.validate()?;
-    policy.validate()?;
+    window: usize,
+    config: &RunConfig<B>,
+) -> Result<MetroRun<B::Server>, SimError>
+where
+    B::Live: Periods,
+{
     assert!(!periods.is_empty(), "need at least one period");
-    assert_eq!(
-        initial_history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    let mut server = CentralServer::new(scheme.clone(), history_alpha)?;
+    let drive = Drive::new(
+        scheme,
+        roads,
+        initial_history,
+        settings.period_length,
+        settings.seed,
+        config,
+    )?;
+    let obs = &config.obs;
+    let mut server = config.backend.open(scheme, settings.history_alpha, obs)?;
     for (node, &avg) in initial_history.iter().enumerate() {
-        server.seed_history(RsuId(node as u64), avg);
+        server.seed(RsuId(node as u64), avg);
     }
-    let mut sizes = server.finish_period()?;
-    let lost_windows = plan.lost_windows(net.node_count());
+    let mut next_sizes = server.finish()?;
+    let mut window = SlidingWindow::new(window);
     let mut sizes_per_period = Vec::with_capacity(periods.len());
     let mut exchanges_per_period = Vec::with_capacity(periods.len());
-    let mut faults_per_period = Vec::with_capacity(periods.len());
-    let mut undelivered_per_period = Vec::with_capacity(periods.len());
-
+    let mut faults_per_period = Vec::new();
+    let mut undelivered_per_period = Vec::new();
+    let (mut uploads_delivered, mut ingest_ns, mut od_ns) = (0usize, 0u128, 0u128);
     for (p, trips) in periods.iter().enumerate() {
-        let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5 ^ p as u64);
-        let mut rsus = Vec::with_capacity(net.node_count());
-        let mut m_o = 0usize;
-        for node in 0..net.node_count() {
-            let id = RsuId(node as u64);
-            let m = sizes.get(&id).copied().unwrap_or(2).max(2);
-            m_o = m_o.max(m);
-            rsus.push(SharedRsu::new(id, m, &authority)?);
-        }
-        let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-        let mut rng = StdRng::seed_from_u64(seed ^ (p as u64) << 32);
-        let departures: Vec<f64> = trips
-            .iter()
-            .map(|_| rng.random_range(0.0..period_length.max(f64::MIN_POSITIVE)))
+        let sizes: Vec<usize> = (0..initial_history.len())
+            .map(|node| {
+                let m = next_sizes.get(&RsuId(node as u64)).copied();
+                m.unwrap_or(2).max(2)
+            })
             .collect();
-        let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-        let report_channel = plan.report_channel(p as u64);
-        let (exchanges, mut faults) = drive_arrivals_faulty(
-            scheme,
-            &authority,
-            &rsus,
-            &queries,
-            trips,
-            &arrivals,
-            |t| {
-                SimVehicle::new(
-                    VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                    splitmix64(t.id ^ 0xACE0_FBA5E ^ p as u64),
-                )
-            },
-            m_o,
-            threads,
-            &report_channel,
-            &lost_windows,
-        )?;
-        faults.crashes = plan.crashes.len() as u64;
-        sizes_per_period.push(queries.iter().map(|q| q.array_size as usize).collect());
-        exchanges_per_period.push(exchanges);
-
-        let upload_channel = plan.upload_channel(p as u64);
-        let mut undelivered = Vec::new();
-        for rsu in &rsus {
-            let upload = rsu.upload();
-            let delivery = faults::upload_with_retry(
-                &upload,
-                p as u64,
-                &upload_channel,
-                &mut server,
-                policy,
-                &mut faults,
-            );
-            if !delivery.delivered {
-                undelivered.push(upload.rsu);
-            }
+        let step = drive.period(&mut server, p as u64, trips, &sizes)?;
+        sizes_per_period.push(sizes);
+        exchanges_per_period.push(step.exchanges);
+        if config.faults.is_some() {
+            faults_per_period.push(step.faults);
+            undelivered_per_period.push(step.undelivered);
         }
-        faults_per_period.push(faults);
-        undelivered_per_period.push(undelivered);
-        sizes = server.finish_period()?;
+        uploads_delivered += step.delivered;
+        ingest_ns += step.ingest_ns;
+
+        let od_started = Instant::now();
+        let matrix = server.od(config.threads)?;
+        od_ns += od_started.elapsed().as_nanos();
+        window.push(matrix);
+        obs.inc("metro.periods");
+        obs.add("metro.window.held", window.len() as u64);
+
+        next_sizes = server.finish()?;
     }
-    Ok(FaultyMultiPeriodRun {
-        server,
+    obs.add("metro.uploads.delivered", uploads_delivered as u64);
+    Ok(MetroRun {
+        server: server.into_parts().0,
+        window,
         sizes_per_period,
         exchanges_per_period,
         faults_per_period,
         undelivered_per_period,
+        uploads_delivered,
+        ingest_ns,
+        od_ns,
     })
+}
+
+/// What every period of one run shares.
+struct Drive<'a, B> {
+    scheme: &'a Scheme,
+    net: &'a RoadNetwork,
+    link_times: &'a [f64],
+    period_length: f64,
+    seed: u64,
+    config: &'a RunConfig<B>,
+}
+
+/// What one period produced.
+struct Step {
+    exchanges: usize,
+    faults: FaultMetrics,
+    undelivered: Vec<RsuId>,
+    delivered: usize,
+    ingest_ns: u128,
+}
+
+impl<'a, B: Backend> Drive<'a, B> {
+    /// Validates a run's inputs.
+    fn new(
+        scheme: &'a Scheme,
+        (net, link_times): (&'a RoadNetwork, &'a [f64]),
+        history: &[f64],
+        period_length: f64,
+        seed: u64,
+        config: &'a RunConfig<B>,
+    ) -> Result<Self, SimError> {
+        assert_eq!(
+            history.len(),
+            net.node_count(),
+            "one history volume per node"
+        );
+        if let Some((plan, policy)) = &config.faults {
+            plan.validate()?;
+            policy.validate()?;
+        }
+        Ok(Self {
+            scheme,
+            net,
+            link_times,
+            period_length,
+            seed,
+            config,
+        })
+    }
+
+    /// The one period step (paper §IV-B/C): period `p`'s RSUs broadcast
+    /// arrays of `sizes` bits (node order), every trip's vehicle answers
+    /// at each RSU it reaches, and every RSU uploads into `server`.
+    ///
+    /// Over ideal channels the uploads go through the backend's native
+    /// ingest. Under fault injection, reports cross a lossy vehicle →
+    /// RSU channel, crash windows destroy RSU state, and each upload goes
+    /// through [`faults::upload_with_retry`] with sequence number `p`.
+    fn period(
+        &self,
+        server: &mut B::Live,
+        p: u64,
+        trips: &[VehicleTrip],
+        sizes: &[usize],
+    ) -> Result<Step, SimError> {
+        let RunConfig {
+            threads,
+            ref obs,
+            ref faults,
+            ..
+        } = *self.config;
+        let (scheme, seed) = (self.scheme, self.seed);
+        let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5 ^ p);
+        let rsus = sizes
+            .iter()
+            .enumerate()
+            .map(|(node, &m)| SharedRsu::new(RsuId(node as u64), m, &authority))
+            .collect::<Result<Vec<_>, _>>()?;
+        let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
+        let m_o = sizes.iter().copied().max().unwrap_or(0);
+
+        let mut rng = StdRng::seed_from_u64(seed ^ (p << 32));
+        let departures: Vec<f64> = trips
+            .iter()
+            .map(|_| rng.random_range(0.0..self.period_length.max(f64::MIN_POSITIVE)))
+            .collect();
+        let arrivals = simulate_arrivals(self.net, self.link_times, trips, &departures);
+        if let Some(last) = arrivals.last() {
+            obs.set_sim_time(last.time);
+        }
+        let make_vehicle = |t: &VehicleTrip| {
+            SimVehicle::new(
+                VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
+                splitmix64(t.id ^ 0xACE0_FBA5E ^ p),
+            )
+        };
+        let answer = |vehicle: &mut SimVehicle, node: usize| {
+            vehicle.answer(&queries[node], scheme, &authority, m_o)
+        };
+
+        let (exchanges, mut metrics) = match faults {
+            None => {
+                let _encode = obs.phase(Phase::Encode);
+                drive_arrivals(
+                    trips,
+                    &arrivals,
+                    threads,
+                    make_vehicle,
+                    |v, node, _, _, _| rsus[node].receive(&answer(v, node)?),
+                )?
+            }
+            Some((plan, _)) => {
+                let channel = plan.report_channel(p);
+                let lost_windows = plan.lost_windows(self.net.node_count());
+                let _encode = obs.phase(Phase::Encode);
+                drive_arrivals(
+                    trips,
+                    &arrivals,
+                    threads,
+                    make_vehicle,
+                    |v, node, time, key, local| {
+                        let tx = channel.transmit(&answer(v, node)?.encode(), key);
+                        tx.record(&mut local.report_link);
+                        for copy in &tx.delivered {
+                            let Ok(report) = BitReport::decode(copy) else {
+                                local.reports_undecodable += 1;
+                                continue;
+                            };
+                            let crashed = lost_windows[node]
+                                .iter()
+                                .any(|&(w0, w1)| time >= w0 && time < w1);
+                            if crashed {
+                                // The RSU ingested this report but lost it
+                                // with the state window destroyed by the
+                                // crash.
+                                local.reports_lost_to_crash += 1;
+                            } else if rsus[node].receive(&report).is_err() {
+                                local.reports_rejected += 1;
+                            }
+                        }
+                        Ok(())
+                    },
+                )?
+            }
+        };
+        obs.add("engine.exchanges", exchanges as u64);
+
+        let ingest_started = Instant::now();
+        let mut undelivered = Vec::new();
+        match faults {
+            None => {
+                let _receive = obs.phase(Phase::Receive);
+                let frames = rsus
+                    .iter()
+                    .map(|rsu| SequencedUpload {
+                        seq: p,
+                        upload: rsu.upload(),
+                    })
+                    .collect();
+                server.ingest(frames)?;
+            }
+            Some((plan, policy)) => {
+                metrics.crashes = plan.crashes.len() as u64;
+                let channel = plan.upload_channel(p);
+                for rsu in &rsus {
+                    let upload = rsu.upload();
+                    if !server.deliver(&upload, p, &channel, policy, &mut metrics)? {
+                        undelivered.push(upload.rsu);
+                    }
+                }
+                metrics.record_into(obs);
+                obs.add("engine.undelivered", undelivered.len() as u64);
+            }
+        }
+        server.close()?;
+        Ok(Step {
+            exchanges,
+            faults: metrics,
+            delivered: rsus.len() - undelivered.len(),
+            undelivered,
+            ingest_ns: ingest_started.elapsed().as_nanos(),
+        })
+    }
+}
+
+/// Runs every query/answer exchange of one period: vehicles are split
+/// across `threads` workers, each walking its own arrivals in time order
+/// — exactly the order the sequential engine advances the vehicle's MAC
+/// generator — and handing each stop's `(node, time, key)` to `visit`.
+/// `key` names the (vehicle, stop) pair, so fault decisions keyed on it
+/// do not depend on the schedule; per-worker fault counters merge
+/// commutatively. Returns the exchange count and the merged counters.
+fn drive_arrivals<M, V>(
+    trips: &[VehicleTrip],
+    arrivals: &[Arrival],
+    threads: usize,
+    make_vehicle: M,
+    visit: V,
+) -> Result<(usize, FaultMetrics), SimError>
+where
+    M: Fn(&VehicleTrip) -> SimVehicle + Sync,
+    V: Fn(&mut SimVehicle, usize, f64, u64, &mut FaultMetrics) -> Result<(), SimError> + Sync,
+{
+    let mut stops: Vec<Vec<(usize, f64)>> = vec![Vec::new(); trips.len()];
+    for arrival in arrivals {
+        stops[arrival.vehicle].push((arrival.node, arrival.time));
+    }
+    // Several chunks per worker so stragglers can be stolen around.
+    let chunk = if threads == 1 {
+        trips.len()
+    } else {
+        trips.len().div_ceil(threads * 4)
+    };
+    let outcomes = concurrent::map_chunks(trips.len(), chunk, threads, |vehicles| {
+        let mut exchanges = 0usize;
+        let mut local = FaultMetrics::new();
+        for v in vehicles {
+            let mut vehicle = make_vehicle(&trips[v]);
+            let key = splitmix64(trips[v].id);
+            for (i, &(node, time)) in stops[v].iter().enumerate() {
+                visit(
+                    &mut vehicle,
+                    node,
+                    time,
+                    key.wrapping_add(i as u64),
+                    &mut local,
+                )?;
+            }
+            exchanges += stops[v].len();
+        }
+        Ok::<_, SimError>((exchanges, local))
+    });
+    let mut exchanges = 0usize;
+    let mut faults = FaultMetrics::new();
+    for outcome in outcomes {
+        let (n, local) = outcome?;
+        exchanges += n;
+        faults.merge(&local);
+    }
+    Ok((exchanges, faults))
+}
+
+/// The backend seam: how the period step reaches each server shape.
+mod backend {
+    use super::*;
+
+    /// A server backend a run delivers into: [`Monolith`], [`Sharded`]
+    /// or [`Durable`].
+    pub trait Backend {
+        /// The server a finished run hands back.
+        type Server;
+        /// The server while the run delivers into it.
+        type Live: Live<Server = Self::Server>;
+        /// A fresh server for `scheme` with EWMA smoothing
+        /// `history_alpha`, recording through `obs`.
+        fn open(
+            &self,
+            scheme: &Scheme,
+            history_alpha: f64,
+            obs: &Obs,
+        ) -> Result<Self::Live, SimError>;
+    }
+
+    /// What the period step needs from a live server.
+    pub trait Live {
+        type Server;
+        fn seed(&mut self, rsu: RsuId, average: f64);
+        /// Ideal-channel delivery: the backend's native ingest of one
+        /// period's frames.
+        fn ingest(&mut self, frames: Vec<SequencedUpload>) -> Result<(), SimError>;
+        /// One retrying upload session over a faulty channel; `true`
+        /// once the upload was acknowledged.
+        fn deliver(
+            &mut self,
+            upload: &PeriodUpload,
+            seq: u64,
+            channel: &Channel,
+            policy: &RetryPolicy,
+            metrics: &mut FaultMetrics,
+        ) -> Result<bool, SimError>;
+        /// Period end, after the last session.
+        fn close(&mut self) -> Result<(), SimError> {
+            Ok(())
+        }
+        /// The server, the WAL records it logged, and what recovery
+        /// found.
+        fn into_parts(self) -> (Self::Server, u64, Option<RecoveryReport>);
+    }
+
+    /// What [`run_periods`] additionally needs between periods.
+    pub trait Periods {
+        fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError>;
+        fn od(&self, threads: usize) -> Result<OdMatrix, SimError>;
+    }
+
+    impl Backend for Monolith {
+        type Server = CentralServer;
+        type Live = CentralServer;
+
+        fn open(
+            &self,
+            scheme: &Scheme,
+            history_alpha: f64,
+            obs: &Obs,
+        ) -> Result<Self::Live, SimError> {
+            Ok(CentralServer::new(scheme.clone(), history_alpha)?.with_obs(obs.clone()))
+        }
+    }
+
+    impl Backend for Sharded {
+        type Server = ShardedServer;
+        type Live = ShardedServer;
+
+        fn open(
+            &self,
+            scheme: &Scheme,
+            history_alpha: f64,
+            obs: &Obs,
+        ) -> Result<Self::Live, SimError> {
+            Ok(ShardedServer::new(scheme.clone(), history_alpha, self.0)?.with_obs(obs.clone()))
+        }
+    }
+
+    impl Backend for Durable {
+        type Server = ShardedServer;
+        type Live = DurableRun;
+
+        fn open(
+            &self,
+            scheme: &Scheme,
+            history_alpha: f64,
+            obs: &Obs,
+        ) -> Result<Self::Live, SimError> {
+            let server = DurableServer::create(
+                scheme.clone(),
+                history_alpha,
+                self.shards,
+                &self.dir,
+                self.options,
+                obs,
+            )?;
+            Ok(DurableRun {
+                server: Some(server),
+                backend: self.clone(),
+                scheme: scheme.clone(),
+                history_alpha,
+                obs: obs.clone(),
+                seeds: Vec::new(),
+                recovery: None,
+            })
+        }
+    }
+
+    impl Live for CentralServer {
+        type Server = Self;
+
+        fn seed(&mut self, rsu: RsuId, average: f64) {
+            self.seed_history(rsu, average);
+        }
+
+        fn ingest(&mut self, frames: Vec<SequencedUpload>) -> Result<(), SimError> {
+            for frame in frames {
+                self.receive(PeriodUpload::decode(&frame.upload.encode())?);
+            }
+            Ok(())
+        }
+
+        fn deliver(
+            &mut self,
+            upload: &PeriodUpload,
+            seq: u64,
+            channel: &Channel,
+            policy: &RetryPolicy,
+            metrics: &mut FaultMetrics,
+        ) -> Result<bool, SimError> {
+            Ok(faults::upload_with_retry(upload, seq, channel, self, policy, metrics).delivered)
+        }
+
+        fn into_parts(self) -> (Self, u64, Option<RecoveryReport>) {
+            (self, 0, None)
+        }
+    }
+
+    impl Live for ShardedServer {
+        type Server = Self;
+
+        fn seed(&mut self, rsu: RsuId, average: f64) {
+            self.seed_history(rsu, average);
+        }
+
+        fn ingest(&mut self, frames: Vec<SequencedUpload>) -> Result<(), SimError> {
+            self.receive_batch_wire(&BatchUpload::new(frames)?.encode())?;
+            Ok(())
+        }
+
+        fn deliver(
+            &mut self,
+            upload: &PeriodUpload,
+            seq: u64,
+            channel: &Channel,
+            policy: &RetryPolicy,
+            metrics: &mut FaultMetrics,
+        ) -> Result<bool, SimError> {
+            Ok(faults::upload_with_retry(upload, seq, channel, self, policy, metrics).delivered)
+        }
+
+        fn into_parts(self) -> (Self, u64, Option<RecoveryReport>) {
+            (self, 0, None)
+        }
+    }
+
+    impl Periods for CentralServer {
+        fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
+            self.finish_period()
+        }
+
+        fn od(&self, threads: usize) -> Result<OdMatrix, SimError> {
+            self.od_matrix_threads(threads)
+        }
+    }
+
+    impl Periods for ShardedServer {
+        fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
+            self.finish_period()
+        }
+
+        fn od(&self, threads: usize) -> Result<OdMatrix, SimError> {
+            self.od_matrix_threads(threads)
+        }
+    }
+
+    /// A [`Durable`] run's live server, with what it takes to crash and
+    /// recover it.
+    pub struct DurableRun {
+        /// `None` only while a crash is being recovered.
+        server: Option<DurableServer>,
+        backend: Durable,
+        scheme: Scheme,
+        history_alpha: f64,
+        obs: Obs,
+        /// History seeds are run configuration, not logged state, so they
+        /// are re-applied after recovery.
+        seeds: Vec<(RsuId, f64)>,
+        recovery: Option<RecoveryReport>,
+    }
+
+    impl DurableRun {
+        fn live(&mut self) -> &mut DurableServer {
+            self.server
+                .as_mut()
+                .expect("recovery always restores a server")
+        }
+
+        /// Fires the configured crash once it is due: drops the whole server
+        /// — every shard's uploads, dedup state, and history — and rebuilds
+        /// it from the directory.
+        fn crash_if_due(&mut self, period_end: bool) -> Result<(), SimError> {
+            let Some(crash) = self.backend.crash else {
+                return Ok(());
+            };
+            if self.recovery.is_some()
+                || !(period_end || self.live().records_logged() >= crash.at_record)
+            {
+                return Ok(());
+            }
+            drop(self.server.take());
+            let (mut server, report) = DurableServer::recover(
+                self.scheme.clone(),
+                self.history_alpha,
+                self.backend.shards,
+                &self.backend.dir,
+                self.backend.options,
+                &self.obs,
+            )?;
+            for &(rsu, average) in &self.seeds {
+                server.seed_history(rsu, average);
+            }
+            self.server = Some(server);
+            self.recovery = Some(report);
+            Ok(())
+        }
+    }
+
+    impl Live for DurableRun {
+        type Server = ShardedServer;
+
+        fn seed(&mut self, rsu: RsuId, average: f64) {
+            self.live().seed_history(rsu, average);
+            self.seeds.push((rsu, average));
+        }
+
+        fn ingest(&mut self, frames: Vec<SequencedUpload>) -> Result<(), SimError> {
+            self.crash_if_due(false)?;
+            self.live()
+                .receive_batch_wire(&BatchUpload::new(frames)?.encode())?;
+            Ok(())
+        }
+
+        fn deliver(
+            &mut self,
+            upload: &PeriodUpload,
+            seq: u64,
+            channel: &Channel,
+            policy: &RetryPolicy,
+            metrics: &mut FaultMetrics,
+        ) -> Result<bool, SimError> {
+            self.crash_if_due(false)?;
+            let mut sink = DurableSink::new(self.live());
+            let delivery =
+                faults::upload_with_retry(upload, seq, channel, &mut sink, policy, metrics);
+            match sink.take_error() {
+                Some(e) => Err(e),
+                None => Ok(delivery.delivered),
+            }
+        }
+
+        fn close(&mut self) -> Result<(), SimError> {
+            self.crash_if_due(true)
+        }
+
+        fn into_parts(mut self) -> (ShardedServer, u64, Option<RecoveryReport>) {
+            let server = self
+                .server
+                .take()
+                .expect("recovery always restores a server");
+            let wal_records = server.records_logged();
+            (server.into_server(), wal_records, self.recovery)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{CrashMode, LinkFaults, RsuCrash};
     use vcps_roadnet::{Link, RoadNetwork};
 
     fn line_net() -> RoadNetwork {
@@ -1645,6 +1009,72 @@ mod tests {
             origin: *route.first().unwrap(),
             dest: *route.last().unwrap(),
             route,
+        }
+    }
+
+    /// `n` vehicles driving the whole line.
+    fn full_line(n: u64) -> Vec<VehicleTrip> {
+        (0..n).map(|i| trip(i, vec![0, 1, 2])).collect()
+    }
+
+    /// One period over the line (departure window 60, seed 4).
+    fn period<B: Backend>(
+        trips: &[VehicleTrip],
+        history: &[f64],
+        config: &RunConfig<B>,
+    ) -> PeriodRun<B::Server> {
+        let net = line_net();
+        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let roads = (&net, net.free_flow_times());
+        run_period(
+            &scheme,
+            (roads.0, &roads.1),
+            trips,
+            history,
+            60.0,
+            4,
+            config,
+        )
+        .unwrap()
+    }
+
+    /// Consecutive periods over the line, `counts[p]` vehicles in period
+    /// `p`, every array sized for `initial` at first.
+    fn periods(
+        counts: &[u64],
+        initial: f64,
+        settings: &PeriodSettings,
+        config: &RunConfig<Monolith>,
+    ) -> MetroRun<CentralServer> {
+        let net = line_net();
+        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips: Vec<Vec<VehicleTrip>> = counts.iter().map(|&n| full_line(n)).collect();
+        let history = [initial; 3];
+        let roads = (&net, net.free_flow_times());
+        run_periods(
+            &scheme,
+            (roads.0, &roads.1),
+            &trips,
+            &history,
+            settings,
+            1,
+            config,
+        )
+        .unwrap()
+    }
+
+    fn faulty<B>(plan: FaultPlan, backend: B) -> RunConfig<B> {
+        RunConfig {
+            faults: Some((plan, RetryPolicy::default())),
+            ..RunConfig::new(backend)
+        }
+    }
+
+    fn observed<B>(threads: usize, obs: &Obs, backend: B) -> RunConfig<B> {
+        RunConfig {
+            threads,
+            obs: obs.clone(),
+            ..RunConfig::new(backend)
         }
     }
 
@@ -1675,20 +1105,21 @@ mod tests {
     }
 
     #[test]
-    fn full_network_period_counts_every_arrival() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
-        let run = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &[200.0, 200.0, 200.0],
-            60.0,
-            4,
+    fn parallel_links_take_the_first_link_time() {
+        // Two 0 → 1 links: the first (index 0) takes 5.0, the second 1.0.
+        let net = RoadNetwork::new(
+            2,
+            vec![Link::new(0, 1, 10.0, 5.0), Link::new(0, 1, 10.0, 1.0)],
         )
         .unwrap();
+        let trips = vec![trip(0, vec![0, 1])];
+        let arrivals = simulate_arrivals(&net, &net.free_flow_times(), &trips, &[0.0]);
+        assert_eq!(arrivals.last().unwrap().time, 5.0);
+    }
+
+    #[test]
+    fn full_network_period_counts_every_arrival() {
+        let run = period(&full_line(200), &[200.0; 3], &RunConfig::new(Monolith));
         assert_eq!(run.exchanges, 600);
         assert_eq!(run.server.upload_count(), 3);
         // All 200 vehicles pass every pair of nodes.
@@ -1703,25 +1134,17 @@ mod tests {
     fn multi_period_run_adapts_sizes_to_traffic() {
         // Traffic doubles each period; with alpha = 1 the history tracks
         // the last period exactly, so the arrays must grow.
-        let net = line_net();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
-        let periods: Vec<Vec<VehicleTrip>> = [100u64, 200, 400]
-            .iter()
-            .map(|&n| (0..n).map(|i| trip(i, vec![0, 1, 2])).collect())
-            .collect();
-        let run = run_periods(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &periods,
-            &[100.0, 100.0, 100.0],
-            &PeriodSettings {
-                history_alpha: 1.0,
-                period_length: 60.0,
-                seed: 5,
-            },
-        )
-        .unwrap();
+        let settings = PeriodSettings {
+            history_alpha: 1.0,
+            period_length: 60.0,
+            seed: 5,
+        };
+        let run = periods(
+            &[100, 200, 400],
+            100.0,
+            &settings,
+            &RunConfig::new(Monolith),
+        );
         assert_eq!(run.exchanges_per_period, vec![300, 600, 1200]);
         assert_eq!(run.sizes_per_period.len(), 3);
         // Period 0 sized for 100 vehicles (512 bits at f̄ = 3); period 2
@@ -1735,33 +1158,16 @@ mod tests {
 
     #[test]
     fn threaded_network_period_is_bit_identical_to_sequential() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..300).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(300);
         let history = [300.0, 300.0, 300.0];
-        let seq = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-        )
-        .unwrap();
+        let seq = period(&trips, &history, &RunConfig::new(Monolith));
         let seq_est = seq.server.estimate(RsuId(0), RsuId(2)).unwrap();
         for threads in [2, 4, crate::concurrent::default_threads()] {
-            let par = run_network_period_threads(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
+            let par = period(
                 &trips,
                 &history,
-                60.0,
-                4,
-                threads,
-            )
-            .unwrap();
+                &observed(threads, &Obs::disabled(), Monolith),
+            );
             assert_eq!(par.exchanges, seq.exchanges, "threads = {threads}");
             let par_est = par.server.estimate(RsuId(0), RsuId(2)).unwrap();
             assert_eq!(par_est, seq_est, "threads = {threads}");
@@ -1770,36 +1176,18 @@ mod tests {
 
     #[test]
     fn threaded_multi_period_matches_sequential() {
-        let net = line_net();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
-        let periods: Vec<Vec<VehicleTrip>> = [150u64, 250]
-            .iter()
-            .map(|&n| (0..n).map(|i| trip(i, vec![0, 1, 2])).collect())
-            .collect();
         let settings = PeriodSettings {
             history_alpha: 0.5,
             period_length: 60.0,
             seed: 7,
         };
-        let seq = run_periods(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &periods,
-            &[150.0, 150.0, 150.0],
+        let seq = periods(&[150, 250], 150.0, &settings, &RunConfig::new(Monolith));
+        let par = periods(
+            &[150, 250],
+            150.0,
             &settings,
-        )
-        .unwrap();
-        let par = run_periods_threads(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &periods,
-            &[150.0, 150.0, 150.0],
-            &settings,
-            4,
-        )
-        .unwrap();
+            &observed(4, &Obs::disabled(), Monolith),
+        );
         assert_eq!(par.exchanges_per_period, seq.exchanges_per_period);
         assert_eq!(par.sizes_per_period, seq.sizes_per_period);
         // finish_period consumes the uploads, so compare the surviving
@@ -1821,32 +1209,10 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_is_bit_identical_to_the_ideal_path() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(200);
         let history = [200.0, 200.0, 200.0];
-        let ideal = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-        )
-        .unwrap();
-        let faulty = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-            &FaultPlan::none(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let ideal = period(&trips, &history, &RunConfig::new(Monolith));
+        let faulty = period(&trips, &history, &faulty(FaultPlan::none(), Monolith));
         assert_eq!(faulty.exchanges, ideal.exchanges);
         assert!(faulty.undelivered.is_empty());
         assert_eq!(
@@ -1867,42 +1233,29 @@ mod tests {
 
     #[test]
     fn fault_injection_is_deterministic_and_thread_independent() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..300).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(300);
         let history = [300.0, 300.0, 300.0];
         let plan = FaultPlan::new(33)
             .with_report_link(
-                crate::faults::LinkFaults::none()
+                LinkFaults::none()
                     .with_drop(0.2)
                     .with_duplicate(0.1)
                     .with_truncate(0.05)
                     .with_bit_flip(0.05),
             )
-            .with_upload_link(crate::faults::LinkFaults::none().with_drop(0.3))
-            .with_crash(crate::faults::RsuCrash {
+            .with_upload_link(LinkFaults::none().with_drop(0.3))
+            .with_crash(RsuCrash {
                 node: 1,
                 at: 30.0,
-                mode: crate::faults::CrashMode::Checkpoint { interval: 20.0 },
+                mode: CrashMode::Checkpoint { interval: 20.0 },
             });
-        let policy = RetryPolicy::default();
         let mut runs = Vec::new();
         for threads in [1usize, 1, 4] {
-            runs.push(
-                run_network_period_faulty_threads(
-                    &scheme,
-                    &net,
-                    &net.free_flow_times(),
-                    &trips,
-                    &history,
-                    60.0,
-                    4,
-                    &plan,
-                    &policy,
-                    threads,
-                )
-                .unwrap(),
-            );
+            let config = RunConfig {
+                threads,
+                ..faulty(plan.clone(), Monolith)
+            };
+            runs.push(period(&trips, &history, &config));
         }
         let base = &runs[0];
         assert!(base.faults.report_link.dropped > 0, "plan actually injects");
@@ -1926,26 +1279,12 @@ mod tests {
 
     #[test]
     fn heavy_upload_loss_still_answers_every_pair() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(200);
         let history = [200.0, 200.0, 200.0];
         // 50% upload loss with the default retry budget: everything
         // should still land, measured.
-        let plan =
-            FaultPlan::new(5).with_upload_link(crate::faults::LinkFaults::none().with_drop(0.5));
-        let run = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-            &plan,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let plan = FaultPlan::new(5).with_upload_link(LinkFaults::none().with_drop(0.5));
+        let run = period(&trips, &history, &faulty(plan, Monolith));
         assert!(run.faults.upload_retries > 0, "loss forced retries");
         for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
             let est = run.server.estimate_or_degraded(RsuId(a), RsuId(b)).unwrap();
@@ -1953,20 +1292,8 @@ mod tests {
         }
         // A dead link: every upload abandoned, every pair still answered
         // — degraded, from the seeded history.
-        let dead =
-            FaultPlan::new(5).with_upload_link(crate::faults::LinkFaults::none().with_drop(1.0));
-        let run = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-            &dead,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let dead = FaultPlan::new(5).with_upload_link(LinkFaults::none().with_drop(1.0));
+        let run = period(&trips, &history, &faulty(dead, Monolith));
         assert_eq!(run.undelivered.len(), 3);
         assert_eq!(run.faults.uploads_abandoned, 3);
         for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
@@ -1978,24 +1305,10 @@ mod tests {
 
     #[test]
     fn report_loss_biases_counters_down_and_crashes_lose_state() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..400).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(400);
         let history = [400.0, 400.0, 400.0];
-        let lossy =
-            FaultPlan::new(17).with_report_link(crate::faults::LinkFaults::none().with_drop(0.3));
-        let run = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-            &lossy,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let lossy = FaultPlan::new(17).with_report_link(LinkFaults::none().with_drop(0.3));
+        let run = period(&trips, &history, &faulty(lossy, Monolith));
         let n0 = run.server.upload(RsuId(0)).unwrap().counter;
         assert!(
             n0 < 400 && n0 > 200,
@@ -2003,23 +1316,12 @@ mod tests {
         );
         // A mid-period crash with no checkpointing wipes everything the
         // crashed RSU had seen before the crash.
-        let crashing = FaultPlan::new(17).with_crash(crate::faults::RsuCrash {
+        let crashing = FaultPlan::new(17).with_crash(RsuCrash {
             node: 1,
             at: 30.0,
-            mode: crate::faults::CrashMode::LoseState,
+            mode: CrashMode::LoseState,
         });
-        let run = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-            &crashing,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let run = period(&trips, &history, &faulty(crashing, Monolith));
         assert!(run.faults.reports_lost_to_crash > 0);
         let n1 = run.server.upload(RsuId(1)).unwrap().counter;
         assert!(n1 < 400, "crash must cost node 1 reports, got {n1}");
@@ -2032,45 +1334,25 @@ mod tests {
 
     #[test]
     fn faulty_multi_period_run_is_deterministic_and_survives_loss() {
-        let net = line_net();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
-        let periods: Vec<Vec<VehicleTrip>> = [150u64, 250]
-            .iter()
-            .map(|&n| (0..n).map(|i| trip(i, vec![0, 1, 2])).collect())
-            .collect();
         let settings = PeriodSettings {
             history_alpha: 0.5,
             period_length: 60.0,
             seed: 7,
         };
         let plan = FaultPlan::new(9)
-            .with_report_link(crate::faults::LinkFaults::none().with_drop(0.2))
-            .with_upload_link(crate::faults::LinkFaults::none().with_drop(0.4));
-        let policy = RetryPolicy::default();
-        let a = run_periods_faulty_threads(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &periods,
-            &[150.0, 150.0, 150.0],
+            .with_report_link(LinkFaults::none().with_drop(0.2))
+            .with_upload_link(LinkFaults::none().with_drop(0.4));
+        let config = faulty(plan, Monolith);
+        let a = periods(&[150, 250], 150.0, &settings, &config);
+        let b = periods(
+            &[150, 250],
+            150.0,
             &settings,
-            &plan,
-            &policy,
-            1,
-        )
-        .unwrap();
-        let b = run_periods_faulty_threads(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &periods,
-            &[150.0, 150.0, 150.0],
-            &settings,
-            &plan,
-            &policy,
-            4,
-        )
-        .unwrap();
+            &RunConfig {
+                threads: 4,
+                ..config
+            },
+        );
         assert_eq!(a.exchanges_per_period, b.exchanges_per_period);
         assert_eq!(a.faults_per_period, b.faults_per_period);
         assert_eq!(a.undelivered_per_period, b.undelivered_per_period);
@@ -2097,34 +1379,12 @@ mod tests {
 
     #[test]
     fn observed_engine_run_is_bit_identical_to_plain() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(200);
         let history = [200.0, 200.0, 200.0];
-        let plain = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-        )
-        .unwrap();
+        let plain = period(&trips, &history, &RunConfig::new(Monolith));
         for threads in [1usize, 2, 4] {
             let obs = Obs::enabled(vcps_obs::Level::Trace);
-            let observed = run_network_period_threads_obs(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
-                &history,
-                60.0,
-                4,
-                threads,
-                &obs,
-            )
-            .unwrap();
+            let observed = period(&trips, &history, &observed(threads, &obs, Monolith));
             assert_eq!(observed.exchanges, plain.exchanges, "threads = {threads}");
             for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
                 assert_eq!(
@@ -2141,36 +1401,24 @@ mod tests {
 
     #[test]
     fn fault_run_registry_counters_are_thread_count_independent() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..300).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(300);
         let history = [300.0, 300.0, 300.0];
         let plan = FaultPlan::new(33)
             .with_report_link(
-                crate::faults::LinkFaults::none()
+                LinkFaults::none()
                     .with_drop(0.2)
                     .with_duplicate(0.1)
                     .with_bit_flip(0.05),
             )
-            .with_upload_link(crate::faults::LinkFaults::none().with_drop(0.3));
-        let policy = RetryPolicy::default();
+            .with_upload_link(LinkFaults::none().with_drop(0.3));
         let mut snapshots = Vec::new();
         for threads in [1usize, 2, 4] {
             let obs = Obs::enabled(vcps_obs::Level::Info);
-            let run = run_network_period_faulty_threads_obs(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
-                &history,
-                60.0,
-                4,
-                &plan,
-                &policy,
-                threads,
-                &obs,
-            )
-            .unwrap();
+            let config = RunConfig {
+                faults: Some((plan.clone(), RetryPolicy::default())),
+                ..observed(threads, &obs, Monolith)
+            };
+            let run = period(&trips, &history, &config);
             assert!(run.faults.report_link.dropped > 0, "plan actually injects");
             snapshots.push(obs.snapshot());
         }
@@ -2187,32 +1435,11 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_monolithic_at_every_shard_count() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(200);
         let history = [200.0, 200.0, 200.0];
-        let mono = run_network_period(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-        )
-        .unwrap();
+        let mono = period(&trips, &history, &RunConfig::new(Monolith));
         for shards in [1usize, 2, 4, 8] {
-            let sharded = run_network_period_sharded(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
-                &history,
-                60.0,
-                4,
-                shards,
-            )
-            .unwrap();
+            let sharded = period(&trips, &history, &RunConfig::new(Sharded(shards)));
             assert_eq!(sharded.exchanges, mono.exchanges, "shards = {shards}");
             assert_eq!(sharded.server.upload_count(), 3);
             for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
@@ -2232,46 +1459,20 @@ mod tests {
 
     #[test]
     fn faulty_sharded_run_replays_the_monolithic_fault_sequence() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..300).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(300);
         let history = [300.0, 300.0, 300.0];
         let plan = FaultPlan::new(33)
             .with_report_link(
-                crate::faults::LinkFaults::none()
+                LinkFaults::none()
                     .with_drop(0.2)
                     .with_duplicate(0.1)
                     .with_bit_flip(0.05),
             )
-            .with_upload_link(crate::faults::LinkFaults::none().with_drop(0.4));
-        let policy = RetryPolicy::default();
-        let mono = run_network_period_faulty(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-            &plan,
-            &policy,
-        )
-        .unwrap();
+            .with_upload_link(LinkFaults::none().with_drop(0.4));
+        let mono = period(&trips, &history, &faulty(plan.clone(), Monolith));
         assert!(mono.faults.report_link.dropped > 0, "plan actually injects");
         for shards in [1usize, 2, 4, 8] {
-            let sharded = run_network_period_faulty_sharded(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
-                &history,
-                60.0,
-                4,
-                &plan,
-                &policy,
-                shards,
-            )
-            .unwrap();
+            let sharded = period(&trips, &history, &faulty(plan.clone(), Sharded(shards)));
             assert_eq!(sharded.exchanges, mono.exchanges);
             assert_eq!(sharded.faults, mono.faults, "shards = {shards}");
             assert_eq!(sharded.undelivered, mono.undelivered);
@@ -2294,39 +1495,14 @@ mod tests {
 
     #[test]
     fn sharded_registry_counters_match_monolith_modulo_shard_series() {
-        let net = line_net();
-        let trips: Vec<VehicleTrip> = (0..200).map(|i| trip(i, vec![0, 1, 2])).collect();
-        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let trips = full_line(200);
         let history = [200.0, 200.0, 200.0];
         let mono_obs = Obs::enabled(vcps_obs::Level::Info);
-        let mono = run_network_period_threads_obs(
-            &scheme,
-            &net,
-            &net.free_flow_times(),
-            &trips,
-            &history,
-            60.0,
-            4,
-            2,
-            &mono_obs,
-        )
-        .unwrap();
+        let mono = period(&trips, &history, &observed(2, &mono_obs, Monolith));
         let _ = mono.server.od_matrix_threads(2).unwrap();
         for shards in [1usize, 4] {
             let obs = Obs::enabled(vcps_obs::Level::Info);
-            let sharded = run_network_period_sharded_threads_obs(
-                &scheme,
-                &net,
-                &net.free_flow_times(),
-                &trips,
-                &history,
-                60.0,
-                4,
-                shards,
-                2,
-                &obs,
-            )
-            .unwrap();
+            let sharded = period(&trips, &history, &observed(2, &obs, Sharded(shards)));
             let _ = sharded.server.od_matrix_threads(2).unwrap();
             let mut counters = obs.snapshot().counters;
             counters.retain(|name, _| !name.starts_with("shard.") && !name.starts_with("batch."));

@@ -21,7 +21,8 @@
 //! * [`protocol`] — typed messages with a compact wire encoding
 //!   (`bytes`), standing in for DSRC frames.
 //! * [`engine`] — a discrete-event simulation that drives vehicles along
-//!   road-network routes with per-link travel times.
+//!   road-network routes with per-link travel times, and the one run
+//!   driver ([`run_period`] / [`run_periods`] over a [`RunConfig`]).
 //! * [`adversary`] — an instrumented run that measures *empirical*
 //!   preserved privacy, cross-validating the paper's Eq. 43.
 //! * [`synthetic`] — seeded generators for `(n_x, n_y, n_c)`-controlled
@@ -69,6 +70,10 @@ pub mod synthetic;
 mod vehicle;
 
 pub use durable::{DurableOptions, DurableServer, DurableSink, RecoveryReport};
+pub use engine::{
+    run_period, run_periods, Backend, Durable, MetroRun, Monolith, PeriodRun, PeriodSettings,
+    RunConfig, Sharded,
+};
 pub use error::SimError;
 pub use faults::{
     batch_upload_with_retry, upload_with_retry, Channel, CrashMode, FaultPlan, LinkFaults,
@@ -77,9 +82,8 @@ pub use faults::{
 pub use mac::MacAddress;
 pub use metrics::{CommunicationMetrics, FaultMetrics, LinkMetrics};
 pub use metro::{
-    build_metro, pair_truth, point_truth, run_metro_faulty_monolith_threads,
-    run_metro_faulty_sharded_threads, run_metro_monolith_threads, run_metro_sharded_threads,
-    MetroConfig, MetroLayout, MetroRun, MetroWorkload, SlidingWindow, WindowEstimate,
+    build_metro, pair_truth, point_truth, MetroConfig, MetroLayout, MetroWorkload, SlidingWindow,
+    WindowEstimate,
 };
 pub use protocol::{
     BatchUpload, BatchUploadRef, BitReport, CheckpointSet, PeriodUpload, PeriodUploadRef, Query,

@@ -15,41 +15,30 @@
 //!   profile ([`vcps_roadnet::diurnal_profile`]), MSA equilibrium
 //!   assignment, and per-vehicle route expansion — plus exact ground
 //!   truth ([`pair_truth`]) for accuracy reporting.
-//! * [`run_metro_sharded_threads`] / [`run_metro_monolith_threads`]
-//!   (and their `faulty` variants) drive the continuous multi-period
-//!   loop through either server shape. Both backends run the *same*
-//!   generic driver — same authority, departures, identities, frames,
-//!   sequence numbers, and channel keys — so a sharded metro run is
-//!   bit-identical to the monolithic one by construction, and
-//!   `tests/metro_differential.rs` pins it.
+//! * [`crate::engine::run_periods`] drives the continuous multi-period
+//!   loop through either server shape ([`crate::engine::Monolith`] or
+//!   [`crate::engine::Sharded`]). Both run the *same* period step —
+//!   same authority, departures, identities, frames, sequence numbers,
+//!   and channel keys — so a sharded metro run is bit-identical to the
+//!   monolithic one by construction, and `tests/metro_differential.rs`
+//!   pins it.
 //! * [`SlidingWindow`] aggregates the last `W` periods' O–D matrices.
-//!   Per-period entries keep the [`CentralServer::estimate_or_degraded`]
+//!   Per-period entries keep the
+//!   [`CentralServer::estimate_or_degraded`](crate::CentralServer::estimate_or_degraded)
 //!   semantics — a period in which an RSU crashed contributes its
 //!   history-backed degraded estimate, never a hole — and an empty
 //!   window is a typed [`SimError::EmptyWindow`], never a NaN.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
+use std::collections::VecDeque;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
-use vcps_core::{PairEstimate, RsuId, Scheme, VehicleIdentity};
-use vcps_hash::splitmix64;
-use vcps_obs::{Obs, Phase};
+use vcps_core::{PairEstimate, RsuId};
 use vcps_roadnet::assignment::{all_or_nothing, msa_equilibrium};
 use vcps_roadnet::{
     diurnal_profile, expand_vehicle_trips, gravity_demand, grid_network, metro_marginals,
     ring_radial_network, GridSpec, RingRadialSpec, RoadNetwork, VehicleTrip,
 };
 
-use crate::concurrent::SharedRsu;
-use crate::engine::{drive_arrivals, drive_arrivals_faulty, simulate_arrivals, PeriodSettings};
-use crate::faults::{self, FaultPlan, RetryPolicy, SequencedSink};
-use crate::metrics::FaultMetrics;
-use crate::pki::TrustedAuthority;
-use crate::protocol::{BatchUpload, Query, SequencedUpload};
-use crate::{CentralServer, OdMatrix, ShardedServer, SimError, SimVehicle};
+use crate::{OdMatrix, SimError};
 
 /// How the synthesized metropolis lays out its road network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,7 +259,8 @@ pub struct WindowEstimate {
 /// control, congestion pricing).
 ///
 /// Window entries are exactly the per-period
-/// [`CentralServer::estimate_or_degraded`] answers: a period in which
+/// [`CentralServer::estimate_or_degraded`](crate::CentralServer::estimate_or_degraded)
+/// answers: a period in which
 /// an RSU crashed contributes its degraded history-backed estimate
 /// (flagged via [`WindowEstimate::degraded_periods`]) rather than
 /// disappearing, so the aggregate degrades exactly as gracefully as
@@ -382,448 +372,12 @@ impl SlidingWindow {
     }
 }
 
-/// The outcome of a continuous multi-period metro run through one
-/// server backend (monolithic [`CentralServer`] or sharded
-/// [`ShardedServer`] — the driver is the same generic code, so the two
-/// shapes are bit-identical for identical inputs).
-#[derive(Debug, Clone)]
-pub struct MetroRun<S> {
-    /// The server after the final period's
-    /// [`finish_period`](CentralServer::finish_period).
-    pub server: S,
-    /// The sliding window over the last `W` periods' O–D matrices.
-    pub window: SlidingWindow,
-    /// Array sizes in force during each period, per node.
-    pub sizes_per_period: Vec<Vec<usize>>,
-    /// Query/answer exchanges per period.
-    pub exchanges_per_period: Vec<usize>,
-    /// Fault counters per period (empty for ideal-channel runs).
-    pub faults_per_period: Vec<FaultMetrics>,
-    /// RSUs whose upload was abandoned, per period (empty for ideal
-    /// runs).
-    pub undelivered_per_period: Vec<Vec<RsuId>>,
-    /// Upload frames delivered to the server across all periods.
-    pub uploads_delivered: usize,
-    /// Wall-clock nanoseconds spent ingesting uploads (all periods).
-    pub ingest_ns: u128,
-    /// Wall-clock nanoseconds spent computing O–D matrices (all
-    /// periods).
-    pub od_ns: u128,
-}
-
-/// What the generic metro driver needs from a server backend beyond
-/// the [`SequencedSink`] the faulty upload path already shares. Both
-/// shapes route ideal-channel periods through their native bulk path:
-/// the monolith frame by frame, the sharded server as one
-/// [`BatchUpload`] wire frame through the zero-copy
-/// [`ShardedServer::receive_batch_wire`] ingest.
-trait MetroBackend: SequencedSink {
-    fn seed(&mut self, rsu: RsuId, average: f64);
-    fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError>;
-    fn od(&self, threads: usize) -> Result<OdMatrix, SimError>;
-    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError>;
-}
-
-impl MetroBackend for CentralServer {
-    fn seed(&mut self, rsu: RsuId, average: f64) {
-        self.seed_history(rsu, average);
-    }
-
-    fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
-        self.finish_period()
-    }
-
-    fn od(&self, threads: usize) -> Result<OdMatrix, SimError> {
-        self.od_matrix_threads(threads)
-    }
-
-    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError> {
-        let count = frames.len();
-        for frame in frames {
-            self.receive_sequenced(frame);
-        }
-        Ok(count)
-    }
-}
-
-impl MetroBackend for ShardedServer {
-    fn seed(&mut self, rsu: RsuId, average: f64) {
-        self.seed_history(rsu, average);
-    }
-
-    fn finish(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
-        self.finish_period()
-    }
-
-    fn od(&self, threads: usize) -> Result<OdMatrix, SimError> {
-        self.od_matrix_threads(threads)
-    }
-
-    fn ingest_ideal(&mut self, frames: Vec<SequencedUpload>) -> Result<usize, SimError> {
-        let count = frames.len();
-        let wire = BatchUpload::new(frames)?.encode();
-        self.receive_batch_wire(&wire)?;
-        Ok(count)
-    }
-}
-
-/// The continuous loop both backends share. Everything that feeds the
-/// servers — authority, array sizes, departures, vehicle identities,
-/// upload frames, sequence numbers (the period index), channel keys —
-/// is derived identically to [`crate::engine::run_periods_threads`] /
-/// [`run_periods_faulty_threads`](crate::engine::run_periods_faulty_threads),
-/// so the two shapes cannot diverge and multi-period EWMA sizing
-/// matches the engine's.
-#[allow(clippy::too_many_arguments)]
-fn run_metro_with<S: MetroBackend>(
-    mut server: S,
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-    faulting: Option<(&FaultPlan, &RetryPolicy)>,
-    window: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<MetroRun<S>, SimError> {
-    let PeriodSettings {
-        period_length,
-        seed,
-        ..
-    } = *settings;
-    assert!(!periods.is_empty(), "need at least one period");
-    assert_eq!(
-        initial_history.len(),
-        net.node_count(),
-        "one history volume per node"
-    );
-    if let Some((plan, policy)) = faulting {
-        plan.validate()?;
-        policy.validate()?;
-    }
-    let lost_windows = faulting.map(|(plan, _)| plan.lost_windows(net.node_count()));
-
-    for (node, &avg) in initial_history.iter().enumerate() {
-        server.seed(RsuId(node as u64), avg);
-    }
-    let mut sizes = server.finish()?;
-    let mut window = SlidingWindow::new(window);
-    let mut sizes_per_period = Vec::with_capacity(periods.len());
-    let mut exchanges_per_period = Vec::with_capacity(periods.len());
-    let mut faults_per_period = Vec::new();
-    let mut undelivered_per_period = Vec::new();
-    let mut uploads_delivered = 0usize;
-    let mut ingest_ns = 0u128;
-    let mut od_ns = 0u128;
-
-    for (p, trips) in periods.iter().enumerate() {
-        let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5 ^ p as u64);
-        let mut rsus = Vec::with_capacity(net.node_count());
-        let mut m_o = 0usize;
-        for node in 0..net.node_count() {
-            let id = RsuId(node as u64);
-            let m = sizes.get(&id).copied().unwrap_or(2).max(2);
-            m_o = m_o.max(m);
-            rsus.push(SharedRsu::new(id, m, &authority)?);
-        }
-        let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
-
-        let mut rng = StdRng::seed_from_u64(seed ^ (p as u64) << 32);
-        let departures: Vec<f64> = trips
-            .iter()
-            .map(|_| rng.random_range(0.0..period_length.max(f64::MIN_POSITIVE)))
-            .collect();
-        let arrivals = simulate_arrivals(net, link_times, trips, &departures);
-        if let Some(last) = arrivals.last() {
-            obs.set_sim_time(last.time);
-        }
-        let make_vehicle = |t: &VehicleTrip| {
-            SimVehicle::new(
-                VehicleIdentity::from_raw(t.id, splitmix64(seed ^ t.id)),
-                splitmix64(t.id ^ 0xACE0_FBA5E ^ p as u64),
-            )
-        };
-
-        let exchanges = match (faulting, &lost_windows) {
-            (Some((plan, _)), Some(lost)) => {
-                let report_channel = plan.report_channel(p as u64);
-                let (exchanges, mut faults) = {
-                    let _encode = obs.phase(Phase::Encode);
-                    drive_arrivals_faulty(
-                        scheme,
-                        &authority,
-                        &rsus,
-                        &queries,
-                        trips,
-                        &arrivals,
-                        make_vehicle,
-                        m_o,
-                        threads,
-                        &report_channel,
-                        lost,
-                    )?
-                };
-                faults.crashes = plan.crashes.len() as u64;
-                faults_per_period.push(faults);
-                exchanges
-            }
-            _ => {
-                let _encode = obs.phase(Phase::Encode);
-                drive_arrivals(
-                    scheme,
-                    &authority,
-                    &rsus,
-                    &queries,
-                    trips,
-                    &arrivals,
-                    make_vehicle,
-                    m_o,
-                    threads,
-                )?
-            }
-        };
-        obs.add("engine.exchanges", exchanges as u64);
-        sizes_per_period.push(queries.iter().map(|q| q.array_size as usize).collect());
-        exchanges_per_period.push(exchanges);
-
-        let ingest_started = Instant::now();
-        match faulting {
-            Some((plan, policy)) => {
-                let upload_channel = plan.upload_channel(p as u64);
-                let faults = faults_per_period.last_mut().expect("pushed above");
-                let mut undelivered = Vec::new();
-                for rsu in &rsus {
-                    let upload = rsu.upload();
-                    let delivery = faults::upload_with_retry(
-                        &upload,
-                        p as u64,
-                        &upload_channel,
-                        &mut server,
-                        policy,
-                        faults,
-                    );
-                    if delivery.delivered {
-                        uploads_delivered += 1;
-                    } else {
-                        undelivered.push(upload.rsu);
-                    }
-                }
-                faults.record_into(obs);
-                obs.add("engine.undelivered", undelivered.len() as u64);
-                undelivered_per_period.push(undelivered);
-            }
-            None => {
-                let frames: Vec<SequencedUpload> = rsus
-                    .iter()
-                    .map(|rsu| SequencedUpload {
-                        seq: p as u64,
-                        upload: rsu.upload(),
-                    })
-                    .collect();
-                let _receive = obs.phase(Phase::Receive);
-                uploads_delivered += server.ingest_ideal(frames)?;
-            }
-        }
-        ingest_ns += ingest_started.elapsed().as_nanos();
-
-        let od_started = Instant::now();
-        let matrix = server.od(threads)?;
-        od_ns += od_started.elapsed().as_nanos();
-        window.push(matrix);
-        obs.inc("metro.periods");
-        obs.add("metro.window.held", window.len() as u64);
-
-        sizes = server.finish()?;
-    }
-    obs.add("metro.uploads.delivered", uploads_delivered as u64);
-    Ok(MetroRun {
-        server,
-        window,
-        sizes_per_period,
-        exchanges_per_period,
-        faults_per_period,
-        undelivered_per_period,
-        uploads_delivered,
-        ingest_ns,
-        od_ns,
-    })
-}
-
-/// Runs the continuous metro loop through a monolithic
-/// [`CentralServer`] — the reference shape the sharded run must match
-/// bit for bit.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures.
-///
-/// # Panics
-///
-/// Panics if `initial_history.len() != net.node_count()`, `periods` is
-/// empty, `window == 0`, or `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_metro_monolith_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-    window: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<MetroRun<CentralServer>, SimError> {
-    let server = CentralServer::new(scheme.clone(), settings.history_alpha)?.with_obs(obs.clone());
-    run_metro_with(
-        server,
-        scheme,
-        net,
-        link_times,
-        periods,
-        initial_history,
-        settings,
-        None,
-        window,
-        threads,
-        obs,
-    )
-}
-
-/// Runs the continuous metro loop through a [`ShardedServer`]: each
-/// period's uploads travel as one [`BatchUpload`] wire frame into the
-/// zero-copy batch ingest, hash-partitioned over `shards` receiver
-/// shards.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures (including a zero
-/// `shards`).
-///
-/// # Panics
-///
-/// As [`run_metro_monolith_threads`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_metro_sharded_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-    shards: usize,
-    window: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<MetroRun<ShardedServer>, SimError> {
-    let server =
-        ShardedServer::new(scheme.clone(), settings.history_alpha, shards)?.with_obs(obs.clone());
-    run_metro_with(
-        server,
-        scheme,
-        net,
-        link_times,
-        periods,
-        initial_history,
-        settings,
-        None,
-        window,
-        threads,
-        obs,
-    )
-}
-
-/// [`run_metro_monolith_threads`] under seeded fault injection: each
-/// period re-rolls its channels (the period index salts them), uploads
-/// retry through [`faults::upload_with_retry`] with the period index as
-/// sequence number, and crash windows recur every period.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, and invalid fault plans.
-///
-/// # Panics
-///
-/// As [`run_metro_monolith_threads`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_metro_faulty_monolith_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    window: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<MetroRun<CentralServer>, SimError> {
-    let server = CentralServer::new(scheme.clone(), settings.history_alpha)?.with_obs(obs.clone());
-    run_metro_with(
-        server,
-        scheme,
-        net,
-        link_times,
-        periods,
-        initial_history,
-        settings,
-        Some((plan, policy)),
-        window,
-        threads,
-        obs,
-    )
-}
-
-/// [`run_metro_sharded_threads`] under seeded fault injection — the
-/// same frames, channel keys, and retry decisions as the faulty
-/// monolith run, delivered into the sharded sink.
-///
-/// # Errors
-///
-/// Propagates sizing and protocol failures, invalid fault plans, and a
-/// zero `shards`.
-///
-/// # Panics
-///
-/// As [`run_metro_monolith_threads`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_metro_faulty_sharded_threads(
-    scheme: &Scheme,
-    net: &RoadNetwork,
-    link_times: &[f64],
-    periods: &[Vec<VehicleTrip>],
-    initial_history: &[f64],
-    settings: &PeriodSettings,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    shards: usize,
-    window: usize,
-    threads: usize,
-    obs: &Obs,
-) -> Result<MetroRun<ShardedServer>, SimError> {
-    let server =
-        ShardedServer::new(scheme.clone(), settings.history_alpha, shards)?.with_obs(obs.clone());
-    run_metro_with(
-        server,
-        scheme,
-        net,
-        link_times,
-        periods,
-        initial_history,
-        settings,
-        Some((plan, policy)),
-        window,
-        threads,
-        obs,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::LinkFaults;
+    use crate::engine::{run_periods, MetroRun, Monolith, PeriodSettings, RunConfig};
+    use crate::{CentralServer, FaultPlan, LinkFaults, RetryPolicy};
+    use vcps_core::Scheme;
 
     fn tiny_config() -> MetroConfig {
         MetroConfig {
@@ -843,16 +397,14 @@ mod tests {
             seed: 11,
             ..PeriodSettings::default()
         };
-        run_metro_monolith_threads(
+        run_periods(
             &scheme,
-            &workload.net,
-            &workload.net.free_flow_times(),
+            (&workload.net, &workload.net.free_flow_times()),
             &workload.periods,
             &workload.initial_history,
             &settings,
             window,
-            1,
-            &Obs::disabled(),
+            &RunConfig::new(Monolith),
         )
         .expect("metro run")
     }
@@ -993,18 +545,17 @@ mod tests {
             max_attempts: 2,
             ..RetryPolicy::default()
         };
-        let run = run_metro_faulty_monolith_threads(
+        let run = run_periods(
             &scheme,
-            &workload.net,
-            &workload.net.free_flow_times(),
+            (&workload.net, &workload.net.free_flow_times()),
             &workload.periods,
             &workload.initial_history,
             &settings,
-            &plan,
-            &policy,
             3,
-            1,
-            &Obs::disabled(),
+            &RunConfig {
+                faults: Some((plan, policy)),
+                ..RunConfig::new(Monolith)
+            },
         )
         .expect("faulty metro run");
         let lost: usize = run.undelivered_per_period.iter().map(Vec::len).sum();

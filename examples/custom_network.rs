@@ -7,7 +7,7 @@
 
 use vcps::roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps::roadnet::{expand_vehicle_trips, tntp};
-use vcps::sim::engine::run_network_period;
+use vcps::sim::{run_period, Monolith, RunConfig};
 use vcps::{RsuId, Scheme};
 
 /// A small fictional town: two arterials around a river crossing.
@@ -61,14 +61,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every node gets an RSU; one measurement period.
     let vehicles = expand_vehicle_trips(&assignment, &trips, 1.0);
     let scheme = Scheme::variable(2, 10.0, 77)?;
-    let run = run_network_period(
+    let run = run_period(
         &scheme,
-        &net,
-        &net.free_flow_times(),
+        (&net, &net.free_flow_times()),
         &vehicles,
         &volumes,
         3_600.0,
         77,
+        &RunConfig::new(Monolith),
     )?;
     println!("simulated {} vehicles\n", vehicles.len());
 

@@ -10,7 +10,7 @@
 use vcps::roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes, turning_movements};
 use vcps::roadnet::expand_vehicle_trips;
 use vcps::roadnet::generate::{gravity_trips, grid_network, GridSpec};
-use vcps::sim::engine::run_network_period;
+use vcps::sim::{run_period, Monolith, RunConfig};
 use vcps::{RsuId, Scheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,14 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vehicles = expand_vehicle_trips(&assignment, &trips, subsample);
     let scheme = Scheme::variable(2, 8.0, seed)?;
     let history: Vec<f64> = volumes.iter().map(|v| v / subsample).collect();
-    let run = run_network_period(
+    let run = run_period(
         &scheme,
-        &net,
-        &net.free_flow_times(),
+        (&net, &net.free_flow_times()),
         &vehicles,
         &history,
         1_800.0,
         seed,
+        &RunConfig::new(Monolith),
     )?;
     println!(
         "simulated {} vehicles, {} exchanges",

@@ -9,7 +9,7 @@
 
 use vcps::roadnet::assignment::{all_or_nothing, msa_equilibrium, pair_volumes, point_volumes};
 use vcps::roadnet::{expand_vehicle_trips, sioux_falls};
-use vcps::sim::engine::run_network_period;
+use vcps::sim::{run_period, Monolith, RunConfig};
 use vcps::{RsuId, Scheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,14 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let scheme = Scheme::variable(2, 8.0, 2026)?;
     let history: Vec<f64> = truth_points.iter().map(|v| v / subsample).collect();
-    let run = run_network_period(
+    let run = run_period(
         &scheme,
-        &net,
-        &eq.link_times,
+        (&net, &eq.link_times),
         &vehicles,
         &history,
         3_600.0,
         7,
+        &RunConfig::new(Monolith),
     )?;
     println!("query/answer exchanges: {}", run.exchanges);
 

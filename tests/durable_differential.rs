@@ -20,15 +20,10 @@ use proptest::prelude::*;
 use vcps::hash::splitmix64;
 use vcps::obs::{Level, Obs};
 use vcps::roadnet::{Link, RoadNetwork, VehicleTrip};
-use vcps::sim::engine::{
-    run_network_period_durable_faulty_sharded_threads_obs,
-    run_network_period_durable_sharded_threads_obs, run_network_period_faulty_sharded_threads_obs,
-    run_network_period_sharded_threads_obs,
-};
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
-    DurableOptions, DurableServer, FaultPlan, FlushPolicy, LinkFaults, RetryPolicy, ServerCrash,
-    ShardedServer,
+    run_period, Durable, DurableOptions, DurableServer, FaultPlan, FlushPolicy, LinkFaults,
+    RetryPolicy, RunConfig, ServerCrash, Sharded, ShardedServer,
 };
 use vcps::{BitArray, RsuId, Scheme};
 
@@ -155,17 +150,17 @@ fn ideal_crash_and_recover_is_bit_identical() {
     let history = vec![120.0; 4];
 
     let ref_obs = Obs::enabled(Level::Info);
-    let reference = run_network_period_sharded_threads_obs(
+    let reference = run_period(
         &scheme,
-        &net,
-        &net.free_flow_times(),
+        (&net, &net.free_flow_times()),
         &trips,
         &history,
         60.0,
         seed,
-        2,
-        1,
-        &ref_obs,
+        &RunConfig {
+            obs: ref_obs.clone(),
+            ..RunConfig::new(Sharded(2))
+        },
     )
     .expect("reference run");
     let ref_counters = strip_own_series(ref_obs.snapshot().counters);
@@ -189,20 +184,24 @@ fn ideal_crash_and_recover_is_bit_identical() {
                 ] {
                     let dir = scratch("ideal");
                     let obs = Obs::enabled(Level::Info);
-                    let run = run_network_period_durable_sharded_threads_obs(
+                    let run = run_period(
                         &scheme,
-                        &net,
-                        &net.free_flow_times(),
+                        (&net, &net.free_flow_times()),
                         &trips,
                         &history,
                         60.0,
                         seed,
-                        shards,
-                        &dir,
-                        options,
-                        crash,
-                        threads,
-                        &obs,
+                        &RunConfig {
+                            threads,
+                            obs: obs.clone(),
+                            faults: None,
+                            backend: Durable {
+                                shards,
+                                dir: dir.clone(),
+                                options,
+                                crash,
+                            },
+                        },
                     )
                     .expect("durable run");
                     let label = format!(
@@ -267,19 +266,18 @@ fn faulty_crash_and_recover_is_bit_identical() {
     let policy = RetryPolicy::default();
 
     let ref_obs = Obs::enabled(Level::Info);
-    let reference = run_network_period_faulty_sharded_threads_obs(
+    let reference = run_period(
         &scheme,
-        &net,
-        &net.free_flow_times(),
+        (&net, &net.free_flow_times()),
         &trips,
         &history,
         60.0,
         seed,
-        &plan,
-        &policy,
-        2,
-        1,
-        &ref_obs,
+        &RunConfig {
+            obs: ref_obs.clone(),
+            faults: Some((plan.clone(), policy)),
+            ..RunConfig::new(Sharded(2))
+        },
     )
     .expect("reference faulty run");
     let ref_counters = strip_own_series(ref_obs.snapshot().counters);
@@ -297,22 +295,24 @@ fn faulty_crash_and_recover_is_bit_identical() {
                 for at_record in [0, 2, 1 << 40] {
                     let dir = scratch("faulty");
                     let obs = Obs::enabled(Level::Info);
-                    let run = run_network_period_durable_faulty_sharded_threads_obs(
+                    let run = run_period(
                         &scheme,
-                        &net,
-                        &net.free_flow_times(),
+                        (&net, &net.free_flow_times()),
                         &trips,
                         &history,
                         60.0,
                         seed,
-                        &plan,
-                        &policy,
-                        shards,
-                        &dir,
-                        options,
-                        Some(ServerCrash { at_record }),
-                        threads,
-                        &obs,
+                        &RunConfig {
+                            threads,
+                            obs: obs.clone(),
+                            faults: Some((plan.clone(), policy)),
+                            backend: Durable {
+                                shards,
+                                dir: dir.clone(),
+                                options,
+                                crash: Some(ServerCrash { at_record }),
+                            },
+                        },
                     )
                     .expect("durable faulty run");
                     let label = format!(

@@ -25,9 +25,8 @@ use vcps::obs::{Level, Obs};
 use vcps::sim::engine::PeriodSettings;
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
-    build_metro, run_metro_faulty_monolith_threads, run_metro_faulty_sharded_threads,
-    run_metro_monolith_threads, run_metro_sharded_threads, CentralServer, FaultPlan, LinkFaults,
-    MetroConfig, MetroWorkload, RetryPolicy, SimError, SlidingWindow,
+    build_metro, run_periods, CentralServer, FaultPlan, LinkFaults, MetroConfig, MetroWorkload,
+    Monolith, RetryPolicy, RunConfig, Sharded, SimError, SlidingWindow,
 };
 use vcps::{BitArray, RsuId, Scheme};
 
@@ -80,16 +79,17 @@ fn metro_sharded_run_is_bit_identical_to_monolith() {
     let (workload, scheme, settings) = metro_fixture();
     let nodes = workload.net.node_count() as u64;
     let mono_obs = Obs::enabled(Level::Info);
-    let mono = run_metro_monolith_threads(
+    let mono = run_periods(
         &scheme,
-        &workload.net,
-        &workload.net.free_flow_times(),
+        (&workload.net, &workload.net.free_flow_times()),
         &workload.periods,
         &workload.initial_history,
         &settings,
         2,
-        1,
-        &mono_obs,
+        &RunConfig {
+            obs: mono_obs.clone(),
+            ..RunConfig::new(Monolith)
+        },
     )
     .expect("monolithic metro run");
     let mono_counters = mono_obs.snapshot().counters;
@@ -98,17 +98,18 @@ fn metro_sharded_run_is_bit_identical_to_monolith() {
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
             let obs = Obs::enabled(Level::Info);
-            let run = run_metro_sharded_threads(
+            let run = run_periods(
                 &scheme,
-                &workload.net,
-                &workload.net.free_flow_times(),
+                (&workload.net, &workload.net.free_flow_times()),
                 &workload.periods,
                 &workload.initial_history,
                 &settings,
-                shards,
                 2,
-                threads,
-                &obs,
+                &RunConfig {
+                    threads,
+                    obs: obs.clone(),
+                    ..RunConfig::new(Sharded(shards))
+                },
             )
             .expect("sharded metro run");
             assert_eq!(
@@ -150,18 +151,18 @@ fn metro_faulty_sharded_run_is_bit_identical_to_monolith() {
         .with_upload_link(LinkFaults::none().with_drop(0.35).with_duplicate(0.1));
     let policy = RetryPolicy::default();
     let mono_obs = Obs::enabled(Level::Info);
-    let mono = run_metro_faulty_monolith_threads(
+    let mono = run_periods(
         &scheme,
-        &workload.net,
-        &workload.net.free_flow_times(),
+        (&workload.net, &workload.net.free_flow_times()),
         &workload.periods,
         &workload.initial_history,
         &settings,
-        &plan,
-        &policy,
         2,
-        1,
-        &mono_obs,
+        &RunConfig {
+            obs: mono_obs.clone(),
+            faults: Some((plan.clone(), policy)),
+            ..RunConfig::new(Monolith)
+        },
     )
     .expect("monolithic faulty metro run");
     let mono_counters = mono_obs.snapshot().counters;
@@ -170,19 +171,19 @@ fn metro_faulty_sharded_run_is_bit_identical_to_monolith() {
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
             let obs = Obs::enabled(Level::Info);
-            let run = run_metro_faulty_sharded_threads(
+            let run = run_periods(
                 &scheme,
-                &workload.net,
-                &workload.net.free_flow_times(),
+                (&workload.net, &workload.net.free_flow_times()),
                 &workload.periods,
                 &workload.initial_history,
                 &settings,
-                &plan,
-                &policy,
-                shards,
                 2,
-                threads,
-                &obs,
+                &RunConfig {
+                    threads,
+                    obs: obs.clone(),
+                    faults: Some((plan.clone(), policy)),
+                    backend: Sharded(shards),
+                },
             )
             .expect("sharded faulty metro run");
             assert_eq!(

@@ -3,10 +3,10 @@
 
 use vcps::roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps::roadnet::{expand_vehicle_trips, sioux_falls};
-use vcps::sim::engine::run_network_period;
 use vcps::sim::pki::TrustedAuthority;
 use vcps::sim::protocol::{BitReport, PeriodUpload, Query};
 use vcps::sim::MacAddress;
+use vcps::sim::{run_period, Monolith, RunConfig};
 use vcps::{RsuId, Scheme, SimError, SimRsu, SimVehicle, VehicleIdentity};
 
 #[test]
@@ -101,14 +101,14 @@ fn sioux_falls_period_estimates_track_assignment_ground_truth() {
     let history: Vec<f64> = truth_points.iter().map(|v| v / subsample).collect();
 
     let scheme = Scheme::variable(2, 8.0, 17).unwrap();
-    let run = run_network_period(
+    let run = run_period(
         &scheme,
-        &net,
-        &net.free_flow_times(),
+        (&net, &net.free_flow_times()),
         &vehicles,
         &history,
         600.0,
         3,
+        &RunConfig::new(Monolith),
     )
     .unwrap();
     assert_eq!(run.server.upload_count(), net.node_count());

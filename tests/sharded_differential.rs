@@ -16,12 +16,11 @@ use proptest::prelude::*;
 use vcps::hash::splitmix64;
 use vcps::obs::{Level, Obs};
 use vcps::roadnet::{Link, RoadNetwork, VehicleTrip};
-use vcps::sim::engine::{
-    run_network_period_faulty_sharded_threads_obs, run_network_period_faulty_threads_obs,
-    run_network_period_sharded_threads_obs, run_network_period_threads_obs,
-};
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
-use vcps::sim::{CentralServer, FaultPlan, LinkFaults, RetryPolicy, ShardedServer};
+use vcps::sim::{
+    run_period, CentralServer, FaultPlan, LinkFaults, Monolith, RetryPolicy, RunConfig, Sharded,
+    ShardedServer,
+};
 use vcps::{BitArray, RsuId, Scheme};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -219,17 +218,18 @@ proptest! {
         let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
         let history = vec![trip_count as f64; 4];
         let mono_obs = Obs::enabled(Level::Info);
-        let mono = run_network_period_threads_obs(
-            &scheme, &net, &net.free_flow_times(), &trips, &history, 60.0, seed, 1, &mono_obs,
+        let mono = run_period(
+            &scheme, (&net, &net.free_flow_times()), &trips, &history, 60.0, seed,
+            &RunConfig { obs: mono_obs.clone(), ..RunConfig::new(Monolith) },
         ).expect("monolithic run");
         let mono_pairs = all_pair_estimates(4, |a, b| mono.server.estimate_or_degraded(a, b));
 
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
                 let obs = Obs::enabled(Level::Info);
-                let run = run_network_period_sharded_threads_obs(
-                    &scheme, &net, &net.free_flow_times(), &trips, &history, 60.0, seed,
-                    shards, threads, &obs,
+                let run = run_period(
+                    &scheme, (&net, &net.free_flow_times()), &trips, &history, 60.0, seed,
+                    &RunConfig { threads, obs: obs.clone(), ..RunConfig::new(Sharded(shards)) },
                 ).expect("sharded run");
                 prop_assert_eq!(run.exchanges, mono.exchanges);
                 for node in 0..4u64 {
@@ -284,18 +284,27 @@ proptest! {
             );
         let policy = RetryPolicy::default();
         let mono_obs = Obs::enabled(Level::Info);
-        let mono = run_network_period_faulty_threads_obs(
-            &scheme, &net, &net.free_flow_times(), &trips, &history, 60.0, seed,
-            &plan, &policy, 1, &mono_obs,
+        let mono = run_period(
+            &scheme, (&net, &net.free_flow_times()), &trips, &history, 60.0, seed,
+            &RunConfig {
+                obs: mono_obs.clone(),
+                faults: Some((plan.clone(), policy)),
+                ..RunConfig::new(Monolith)
+            },
         ).expect("monolithic faulty run");
         let mono_pairs = all_pair_estimates(4, |a, b| mono.server.estimate_or_degraded(a, b));
 
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
                 let obs = Obs::enabled(Level::Info);
-                let run = run_network_period_faulty_sharded_threads_obs(
-                    &scheme, &net, &net.free_flow_times(), &trips, &history, 60.0, seed,
-                    &plan, &policy, shards, threads, &obs,
+                let run = run_period(
+                    &scheme, (&net, &net.free_flow_times()), &trips, &history, 60.0, seed,
+                    &RunConfig {
+                        threads,
+                        obs: obs.clone(),
+                        faults: Some((plan.clone(), policy)),
+                        backend: Sharded(shards),
+                    },
                 ).expect("sharded faulty run");
                 prop_assert_eq!(run.exchanges, mono.exchanges);
                 prop_assert_eq!(
