@@ -115,10 +115,10 @@ impl FlushPolicy {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the same hand-rolled checksum the
-/// batch wire format uses (`vcps-sim` keeps its own private copy; the
-/// constants are the algorithm, so the two cannot drift). It catches
-/// disk and channel corruption, not adversaries.
+/// FNV-1a 64 over a byte slice — the hand-rolled checksum of every WAL
+/// record and checkpoint here, and of every record in `vcps-sim`'s batch
+/// wire format, which calls this function. It catches disk and channel
+/// corruption, not adversaries.
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;

@@ -28,10 +28,10 @@
 //! ```
 //!
 //! * bench mode (`--bench`): spawn an in-process daemon per
-//!   configuration — connections 1/2/4 crossed with the owned vs
-//!   zero-copy borrowed ingest path — and write the rows to
-//!   `--out` (default BENCH_net.json). Every row carries its own
-//!   bit-identity verdict; the CI gate refuses a file with any `false`.
+//!   connection count (1/2/4), each ingesting through the zero-copy
+//!   borrowed path, and write the rows to `--out` (default
+//!   BENCH_net.json). Every row carries its own bit-identity verdict;
+//!   the CI gate refuses a file with any `false`.
 
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -242,29 +242,30 @@ fn bench(args: &[String]) {
     for connections in [1usize, 2, 4] {
         let frames = workload.frames(connections);
         let reference = workload.reference(&frames);
-        for owned in [false, true] {
-            let path = if owned { "owned" } else { "borrowed" };
-            let mut config = DaemonConfig::new(workload.scheme.clone());
-            config.owned_ingest = owned;
-            let daemon = Daemon::bind("127.0.0.1:0", config).expect("bind bench daemon");
-            let addr = daemon.local_addr();
-            let handle = daemon.spawn();
+        let config = DaemonConfig::new(workload.scheme.clone());
+        let daemon = Daemon::bind("127.0.0.1:0", config).expect("bind bench daemon");
+        let addr = daemon.local_addr();
+        let handle = daemon.spawn();
 
-            let stats = replay(addr, frames.clone());
-            let bit_identical = check_bit_identical(addr, &reference);
+        let stats = replay(addr, frames);
+        let bit_identical = check_bit_identical(addr, &reference);
 
-            let mut client = NetClient::connect(addr).expect("connect for shutdown");
-            client.shutdown().expect("shutdown bench daemon");
-            handle.join().expect("bench daemon exit");
+        let mut client = NetClient::connect(addr).expect("connect for shutdown");
+        client.shutdown().expect("shutdown bench daemon");
+        handle.join().expect("bench daemon exit");
 
-            eprintln!(
-                "net_loopback_replay connections={connections} path={path} \
-                 uploads/s={:.1} MiB/s={:.2} bit_identical={bit_identical}",
-                stats.uploads_per_sec(),
-                stats.mib_per_sec(),
-            );
-            rows.push(row_json(connections, path, &stats, Some(bit_identical)));
-        }
+        eprintln!(
+            "net_loopback_replay connections={connections} path=borrowed \
+             uploads/s={:.1} MiB/s={:.2} bit_identical={bit_identical}",
+            stats.uploads_per_sec(),
+            stats.mib_per_sec(),
+        );
+        rows.push(row_json(
+            connections,
+            "borrowed",
+            &stats,
+            Some(bit_identical),
+        ));
     }
     let json = format!(
         concat!(

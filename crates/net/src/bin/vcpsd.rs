@@ -22,8 +22,6 @@
 //!   [--checkpoint-every N]    (durable) checkpoint interval in frames
 //!   [--flush-every N]         (durable) group-commit every N records
 //!                             (default: fsync per record)
-//!   [--owned-ingest]          force the owned decode path (bench foil;
-//!                             default is zero-copy borrowed)
 //!   [--max-frame-bytes N]     frame cap, checked before allocation
 //!   [--max-frames-in-flight N] per-connection pipeline depth
 //!   [--max-bytes-per-sec N]   per-connection ingest budget
@@ -74,7 +72,6 @@ fn main() {
     config.history_alpha = parsed(&args, "--alpha", 1.0);
     config.shards = parsed(&args, "--shards", 4);
     config.od_threads = parsed(&args, "--od-threads", 4);
-    config.owned_ingest = arg_flag(&args, "--owned-ingest");
     config.obs = obs.clone();
     config.limits = ConnectionLimits {
         max_frame_bytes: parsed(&args, "--max-frame-bytes", 64 << 20),

@@ -8,7 +8,7 @@
 //!   length-delimited framing with the prefix capped *before*
 //!   allocation, per-connection DoS budgets ([`ConnectionLimits`]), and
 //!   dispatch into the existing [`ShardedServer`]
-//!   (zero-copy `receive_batch_wire` by default) or a WAL-backed
+//!   (through the zero-copy `receive_batch_wire`) or a WAL-backed
 //!   [`DurableServer`];
 //! * [`NetClient`] — a blocking request/response client with a
 //!   pipelined ingest path;

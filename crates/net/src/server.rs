@@ -51,8 +51,7 @@ use std::time::{Duration, Instant};
 use vcps_core::Scheme;
 use vcps_obs::Obs;
 use vcps_sim::{
-    BatchUpload, DurableOptions, DurableServer, PeriodUpload, SequencedUpload, SequencedUploadRef,
-    ShardedServer, SimError,
+    DurableOptions, DurableServer, PeriodUpload, SequencedUploadRef, ShardedServer, SimError,
 };
 
 use crate::limits::TokenBucket;
@@ -87,18 +86,13 @@ pub struct DaemonConfig {
     pub wal_dir: Option<PathBuf>,
     /// Durability knobs used when `wal_dir` is set.
     pub durable_options: DurableOptions,
-    /// `true` forces the owned decode path (materialize every upload);
-    /// `false` (default) ingests through the zero-copy borrowed views.
-    /// Exists so the loopback bench can price the difference. Durable
-    /// tag-5 frames always take the zero-copy path.
-    pub owned_ingest: bool,
     /// Observability handle shared by the listener and all connections.
     pub obs: Obs,
 }
 
 impl DaemonConfig {
     /// A config with library defaults: 4 shards, default limits,
-    /// volatile state, zero-copy ingest.
+    /// volatile state.
     #[must_use]
     pub fn new(scheme: Scheme) -> Self {
         Self {
@@ -109,7 +103,6 @@ impl DaemonConfig {
             limits: ConnectionLimits::default(),
             wal_dir: None,
             durable_options: DurableOptions::log_only(),
-            owned_ingest: false,
             obs: Obs::disabled(),
         }
     }
@@ -136,7 +129,6 @@ struct Shared {
     backend: RwLock<Backend>,
     limits: ConnectionLimits,
     od_threads: usize,
-    owned_ingest: bool,
     obs: Obs,
     shutdown: AtomicBool,
     live_conns: AtomicUsize,
@@ -220,7 +212,6 @@ impl Daemon {
                 } else {
                     config.od_threads
                 },
-                owned_ingest: config.owned_ingest,
                 obs: config.obs,
                 shutdown: AtomicBool::new(false),
                 live_conns: AtomicUsize::new(0),
@@ -505,7 +496,7 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
         3..=6 => {
             let outcomes = {
                 let mut backend = shared.backend.write().expect("backend poisoned");
-                ingest(&mut backend, tag, payload, shared.owned_ingest)?
+                ingest(&mut backend, tag, payload)?
             };
             Ok(AckSummary::from_outcomes(&outcomes).encode())
         }
@@ -573,13 +564,12 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
     }
 }
 
-/// Routes an upload frame (tags 3–6) into the backend, honoring the
-/// owned-vs-borrowed path selection.
+/// Routes an upload frame (tags 3–6) into the backend. Sequenced and
+/// batch frames go in as wire bytes, through the zero-copy views.
 fn ingest(
     backend: &mut Backend,
     tag: u8,
     payload: &[u8],
-    owned: bool,
 ) -> Result<Vec<vcps_sim::ReceiveOutcome>, NetError> {
     let outcomes = match (backend, tag) {
         (Backend::Volatile(s), 3 | 4) => {
@@ -588,34 +578,17 @@ fn ingest(
             vec![s.receive(PeriodUpload::decode(payload).map_err(sim_err)?)]
         }
         (Backend::Volatile(s), 5) => {
-            if owned {
-                vec![s.receive_sequenced(SequencedUpload::decode(payload).map_err(sim_err)?)]
-            } else {
-                let view = SequencedUploadRef::decode_ref(payload).map_err(sim_err)?;
-                vec![s.receive_sequenced_ref(&view)]
-            }
+            let view = SequencedUploadRef::decode_ref(payload).map_err(sim_err)?;
+            vec![s.receive_sequenced_ref(&view)]
         }
-        (Backend::Volatile(s), _) => {
-            if owned {
-                s.receive_batch(BatchUpload::decode(payload).map_err(sim_err)?)
-            } else {
-                s.receive_batch_wire(payload).map_err(sim_err)?
-            }
-        }
+        (Backend::Volatile(s), _) => s.receive_batch_wire(payload).map_err(sim_err)?,
         (Backend::Durable(_), 3 | 4) => {
             return Err(NetError::Malformed(
                 "durable mode requires sequenced uploads (tags 5 or 6)",
             ));
         }
         (Backend::Durable(d), 5) => vec![d.receive_sequenced_wire(payload).map_err(sim_err)?],
-        (Backend::Durable(d), _) => {
-            if owned {
-                d.receive_batch(BatchUpload::decode(payload).map_err(sim_err)?)
-                    .map_err(sim_err)?
-            } else {
-                d.receive_batch_wire(payload).map_err(sim_err)?
-            }
-        }
+        (Backend::Durable(d), _) => d.receive_batch_wire(payload).map_err(sim_err)?,
     };
     Ok(outcomes)
 }

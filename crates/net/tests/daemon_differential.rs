@@ -110,34 +110,6 @@ fn loopback_replay_is_bit_identical_to_in_process() {
 }
 
 #[test]
-fn owned_and_borrowed_ingest_paths_agree() {
-    let frames = city_replay_frames(&scheme(), &city(), 1, 2);
-    let mut matrices = Vec::new();
-    for owned in [false, true] {
-        let mut config = DaemonConfig::new(scheme());
-        config.owned_ingest = owned;
-        let daemon = Daemon::bind("127.0.0.1:0", config).unwrap();
-        let addr = daemon.local_addr();
-        let handle = daemon.spawn();
-        replay(addr, frames.clone());
-        let mut client = NetClient::connect(addr).unwrap();
-        matrices.push(client.od_query(1).unwrap());
-        client.shutdown().unwrap();
-        handle.join().unwrap();
-    }
-    let n = matrices[0].rsus.len();
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                let a = matrices[0].at(i, j).expect("pair decoded");
-                let b = matrices[1].at(i, j).expect("pair decoded");
-                assert_eq!(estimate_bits(&a), estimate_bits(&b), "pair ({i}, {j})");
-            }
-        }
-    }
-}
-
-#[test]
 fn finish_period_matches_in_process_sizes() {
     let frames = city_replay_frames(&scheme(), &city(), 1, 1);
     let mut reference = reference_server(&frames, 4);

@@ -10,9 +10,10 @@
 //! under a group-commit [`FlushPolicy`] — see DESIGN.md §18) — any
 //! outcome, not just `Fresh`:
 //! replaying the full arrival stream through the very same
-//! [`ShardedServer::receive_sequenced`] / [`receive_batch`] paths
-//! reproduces dedup and sequencing decisions *by construction*, instead
-//! of re-implementing them in a recovery routine that could drift.
+//! [`ShardedServer::receive_sequenced_ref`] /
+//! [`ShardedServer::receive_batch_wire`] paths reproduces dedup and
+//! sequencing decisions *by construction*, instead of re-implementing
+//! them in a recovery routine that could drift.
 //! Recovery is therefore:
 //!
 //! 1. load the newest checkpoint that validates **and** is covered by
@@ -40,9 +41,7 @@ use vcps_core::CoreError;
 use vcps_durable::{read_wal, CheckpointStore, DurabilityError, FlushPolicy, WalWriter};
 use vcps_obs::{Level, Obs, Phase, Value};
 
-use crate::protocol::{
-    BatchUpload, BatchUploadRef, CheckpointSet, SequencedUpload, SequencedUploadRef,
-};
+use crate::protocol::{BatchUploadRef, CheckpointSet, SequencedUpload, SequencedUploadRef};
 use crate::{ReceiveOutcome, ShardedServer, SimError};
 
 /// File name of the frame log inside a durability directory.
@@ -304,9 +303,8 @@ impl DurableServer {
     }
 
     /// Applies one logged wire frame through the normal receive paths,
-    /// dispatching on its tag byte. Replay runs the zero-copy decode —
-    /// the same validation the owned decoders perform, without the
-    /// per-frame materialization.
+    /// dispatching on its tag byte. Replay runs the zero-copy decode, so
+    /// only a fresh or conflicting upload is materialized.
     fn replay_frame(inner: &mut ShardedServer, frame: &[u8]) -> Result<(), SimError> {
         match frame.first() {
             Some(5) => {
@@ -389,7 +387,7 @@ impl DurableServer {
     }
 
     /// [`ShardedServer::receive_sequenced`], write-ahead logged (one
-    /// WAL record per frame).
+    /// WAL record per upload: its [`SequencedUpload::encode`] bytes).
     ///
     /// # Errors
     ///
@@ -415,7 +413,7 @@ impl DurableServer {
     /// # Errors
     ///
     /// Returns [`SimError::MalformedMessage`] for a frame
-    /// [`SequencedUpload::decode`] would reject (nothing is logged or
+    /// [`SequencedUploadRef::decode_ref`] rejects (nothing is logged or
     /// applied), otherwise as
     /// [`receive_sequenced`](Self::receive_sequenced).
     pub fn receive_sequenced_wire(&mut self, wire: &[u8]) -> Result<ReceiveOutcome, SimError> {
@@ -426,29 +424,16 @@ impl DurableServer {
         Ok(outcome)
     }
 
-    /// [`ShardedServer::receive_batch`], write-ahead logged as a
-    /// *single* WAL record carrying the whole batch frame — replay
-    /// re-ingests it through the same batch path.
-    ///
-    /// # Errors
-    ///
-    /// As [`receive_sequenced`](Self::receive_sequenced).
-    pub fn receive_batch(&mut self, batch: BatchUpload) -> Result<Vec<ReceiveOutcome>, SimError> {
-        self.log_frame(&batch.encode())?;
-        let outcomes = self.inner.receive_batch(batch);
-        self.maybe_checkpoint()?;
-        Ok(outcomes)
-    }
-
     /// [`ShardedServer::receive_batch_wire`], write-ahead logged: the
     /// raw wire bytes are validated once (zero-copy), logged verbatim
     /// as a single WAL record — no re-encode, the log *is* the wire —
-    /// and applied straight from the buffer.
+    /// and applied straight from the buffer; replay re-ingests it
+    /// through the same batch path.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MalformedMessage`] for a frame
-    /// [`BatchUpload::decode`] would reject (nothing is logged or
+    /// [`BatchUploadRef::decode_ref`] rejects (nothing is logged or
     /// applied), otherwise as
     /// [`receive_sequenced`](Self::receive_sequenced).
     pub fn receive_batch_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
@@ -457,31 +442,6 @@ impl DurableServer {
         let batch = BatchUploadRef::decode_ref(wire)?;
         self.log_frame(wire)?;
         let outcomes = self.inner.receive_batch_ref(&batch);
-        self.maybe_checkpoint()?;
-        Ok(outcomes)
-    }
-
-    /// [`ShardedServer::receive_parallel_threads`], write-ahead logged:
-    /// every frame is appended (in input order — the log's order is
-    /// deterministic at every thread count) and fsynced once before the
-    /// parallel apply, so the log never trails the in-memory state.
-    ///
-    /// # Errors
-    ///
-    /// As [`receive_sequenced`](Self::receive_sequenced).
-    ///
-    /// # Panics
-    ///
-    /// As the wrapped method (`threads == 0`, worker panic).
-    pub fn receive_parallel_threads(
-        &mut self,
-        uploads: Vec<SequencedUpload>,
-        threads: usize,
-    ) -> Result<Vec<ReceiveOutcome>, SimError> {
-        for sequenced in &uploads {
-            self.log_frame(&sequenced.encode())?;
-        }
-        let outcomes = self.inner.receive_parallel_threads(uploads, threads);
         self.maybe_checkpoint()?;
         Ok(outcomes)
     }
@@ -552,75 +512,12 @@ impl DurableServer {
     }
 }
 
-/// Adapts a [`DurableServer`] to the infallible
-/// [`crate::faults::SequencedSink`] trait so the retrying upload path
-/// ([`crate::faults::upload_with_retry`]) can deliver into it: the
-/// trait returns plain outcomes, so a WAL failure is *stashed* instead
-/// of propagated — the sink stops applying frames (returning a
-/// placeholder [`ReceiveOutcome::Stale`]) and the driver must check
-/// [`take_error`](DurableSink::take_error) after each delivery session
-/// and abort the run on `Some`.
-#[derive(Debug)]
-pub struct DurableSink<'a> {
-    server: &'a mut DurableServer,
-    error: Option<SimError>,
-}
-
-impl<'a> DurableSink<'a> {
-    /// Wraps a durable server for one delivery session.
-    pub fn new(server: &'a mut DurableServer) -> Self {
-        Self {
-            server,
-            error: None,
-        }
-    }
-
-    /// The first durability failure since construction (or the last
-    /// [`take_error`](Self::take_error)), if any. Once set, subsequent
-    /// frames were not logged or applied.
-    pub fn take_error(&mut self) -> Option<SimError> {
-        self.error.take()
-    }
-}
-
-impl crate::faults::SequencedSink for DurableSink<'_> {
-    fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        if self.error.is_some() {
-            return ReceiveOutcome::Stale;
-        }
-        match self.server.receive_sequenced(sequenced) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.error = Some(e);
-                ReceiveOutcome::Stale
-            }
-        }
-    }
-
-    fn ingest_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        if self.error.is_some() {
-            return Vec::new();
-        }
-        match self.server.receive_batch(batch) {
-            Ok(outcomes) => outcomes,
-            Err(e) => {
-                self.error = Some(e);
-                Vec::new()
-            }
-        }
-    }
-
-    fn sink_obs(&self) -> &Obs {
-        self.server.obs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vcps_core::{BitArray, RsuId, Scheme};
 
-    use crate::protocol::PeriodUpload;
+    use crate::protocol::{BatchUpload, PeriodUpload};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -842,57 +739,9 @@ mod tests {
         std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
     }
 
-    #[test]
-    fn batch_frames_log_as_one_record_and_replay() {
-        let dir = temp_dir("batch");
-        let obs = Obs::disabled();
-        let mut durable =
-            DurableServer::create(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
-                .unwrap();
-        let mut reference = ShardedServer::new(scheme(), 1.0, 2).unwrap();
-        let batch =
-            BatchUpload::new(vec![sequenced(1, 0, &[5]), sequenced(2, 0, &[6, 7])]).unwrap();
-        let expected = reference.receive_batch(batch.clone());
-        assert_eq!(durable.receive_batch(batch).unwrap(), expected);
-        assert_eq!(durable.records_logged(), 1, "one record per batch");
-        drop(durable);
-        let (recovered, report) =
-            DurableServer::recover(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
-                .unwrap();
-        assert_eq!(report.replayed_records, 1);
-        assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn parallel_ingest_logs_in_input_order() {
-        let dir = temp_dir("parallel");
-        let obs = Obs::disabled();
-        let mut durable =
-            DurableServer::create(scheme(), 1.0, 4, &dir, DurableOptions::log_only(), &obs)
-                .unwrap();
-        let mut reference = ShardedServer::new(scheme(), 1.0, 4).unwrap();
-        let uploads: Vec<SequencedUpload> =
-            (1..=8u64).map(|r| sequenced(r, 0, &[r as usize])).collect();
-        let expected = reference.receive_parallel_threads(uploads.clone(), 1);
-        assert_eq!(
-            durable
-                .receive_parallel_threads(uploads.clone(), 4)
-                .unwrap(),
-            expected
-        );
-        drop(durable);
-        let (recovered, report) =
-            DurableServer::recover(scheme(), 1.0, 4, &dir, DurableOptions::log_only(), &obs)
-                .unwrap();
-        assert_eq!(report.replayed_records, 8);
-        assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// The wire batch path logs the raw wire bytes as one record —
     /// byte-identical to the frame that arrived — and replays to the
-    /// same state as the owned path.
+    /// same state as the volatile server.
     #[test]
     fn batch_wire_logs_raw_bytes_and_replays() {
         let dir = temp_dir("batch-wire");
@@ -904,7 +753,7 @@ mod tests {
         let batch =
             BatchUpload::new(vec![sequenced(1, 0, &[5]), sequenced(2, 0, &[6, 7])]).unwrap();
         let wire = batch.encode();
-        let expected = reference.receive_batch(batch);
+        let expected = reference.receive_batch_wire(&wire).unwrap();
         assert_eq!(durable.receive_batch_wire(&wire).unwrap(), expected);
         assert_eq!(durable.records_logged(), 1, "one record per batch");
         // The log holds the wire bytes verbatim — no re-encode drift.

@@ -36,8 +36,8 @@ use vcps_obs::{Obs, Phase};
 use vcps_roadnet::{RoadNetwork, VehicleTrip};
 
 use crate::concurrent::{self, SharedRsu};
-use crate::durable::{DurableOptions, DurableServer, DurableSink, RecoveryReport};
-use crate::faults::{self, Channel, FaultPlan, RetryPolicy, ServerCrash};
+use crate::durable::{DurableOptions, DurableServer, RecoveryReport};
+use crate::faults::{self, FaultPlan, RetryPolicy, SequencedSink, ServerCrash};
 use crate::metrics::FaultMetrics;
 use crate::metro::SlidingWindow;
 use crate::pki::TrustedAuthority;
@@ -624,7 +624,10 @@ impl<'a, B: Backend> Drive<'a, B> {
                 let channel = plan.upload_channel(p);
                 for rsu in &rsus {
                     let upload = rsu.upload();
-                    if !server.deliver(&upload, p, &channel, policy, &mut metrics)? {
+                    let sink = server.sink()?;
+                    if !faults::upload_with_retry(&upload, p, &channel, sink, policy, &mut metrics)?
+                        .delivered
+                    {
                         undelivered.push(upload.rsu);
                     }
                 }
@@ -728,16 +731,9 @@ mod backend {
         /// Ideal-channel delivery: the backend's native ingest of one
         /// period's frames.
         fn ingest(&mut self, frames: Vec<SequencedUpload>) -> Result<(), SimError>;
-        /// One retrying upload session over a faulty channel; `true`
-        /// once the upload was acknowledged.
-        fn deliver(
-            &mut self,
-            upload: &PeriodUpload,
-            seq: u64,
-            channel: &Channel,
-            policy: &RetryPolicy,
-            metrics: &mut FaultMetrics,
-        ) -> Result<bool, SimError>;
+        /// Where the next retrying upload session over a faulty channel
+        /// delivers its copies.
+        fn sink(&mut self) -> Result<&mut dyn SequencedSink, SimError>;
         /// Period end, after the last session.
         fn close(&mut self) -> Result<(), SimError> {
             Ok(())
@@ -825,15 +821,8 @@ mod backend {
             Ok(())
         }
 
-        fn deliver(
-            &mut self,
-            upload: &PeriodUpload,
-            seq: u64,
-            channel: &Channel,
-            policy: &RetryPolicy,
-            metrics: &mut FaultMetrics,
-        ) -> Result<bool, SimError> {
-            Ok(faults::upload_with_retry(upload, seq, channel, self, policy, metrics).delivered)
+        fn sink(&mut self) -> Result<&mut dyn SequencedSink, SimError> {
+            Ok(self)
         }
 
         fn into_parts(self) -> (Self, u64, Option<RecoveryReport>) {
@@ -853,15 +842,8 @@ mod backend {
             Ok(())
         }
 
-        fn deliver(
-            &mut self,
-            upload: &PeriodUpload,
-            seq: u64,
-            channel: &Channel,
-            policy: &RetryPolicy,
-            metrics: &mut FaultMetrics,
-        ) -> Result<bool, SimError> {
-            Ok(faults::upload_with_retry(upload, seq, channel, self, policy, metrics).delivered)
+        fn sink(&mut self) -> Result<&mut dyn SequencedSink, SimError> {
+            Ok(self)
         }
 
         fn into_parts(self) -> (Self, u64, Option<RecoveryReport>) {
@@ -956,22 +938,9 @@ mod backend {
             Ok(())
         }
 
-        fn deliver(
-            &mut self,
-            upload: &PeriodUpload,
-            seq: u64,
-            channel: &Channel,
-            policy: &RetryPolicy,
-            metrics: &mut FaultMetrics,
-        ) -> Result<bool, SimError> {
+        fn sink(&mut self) -> Result<&mut dyn SequencedSink, SimError> {
             self.crash_if_due(false)?;
-            let mut sink = DurableSink::new(self.live());
-            let delivery =
-                faults::upload_with_retry(upload, seq, channel, &mut sink, policy, metrics);
-            match sink.take_error() {
-                Some(e) => Err(e),
-                None => Ok(delivery.delivered),
-            }
+            Ok(self.live())
         }
 
         fn close(&mut self) -> Result<(), SimError> {

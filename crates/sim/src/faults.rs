@@ -46,9 +46,9 @@ use vcps_hash::{splitmix64, SplitMix64};
 
 use crate::metrics::{FaultMetrics, LinkMetrics};
 use crate::pki::Certificate;
-use crate::protocol::{BatchUpload, PeriodUpload, SequencedUpload};
+use crate::protocol::{PeriodUpload, SequencedUpload, SequencedUploadRef};
 use crate::server::ReceiveOutcome;
-use crate::{CentralServer, SimError, SimRsu};
+use crate::{CentralServer, DurableServer, SimError, SimRsu};
 
 use vcps_bitarray::BitArray;
 use vcps_core::{CoreError, RsuId, RsuSketch};
@@ -580,27 +580,22 @@ pub struct UploadDelivery {
 }
 
 /// Anything the retrying upload path can deliver into: the monolithic
-/// [`CentralServer`] and the sharded [`crate::ShardedServer`] both
-/// implement it, so [`upload_with_retry`] and [`batch_upload_with_retry`]
-/// run the *identical* frame/key/ack sequence against either — the
-/// foundation of the sharded-vs-monolithic fault equivalence the
-/// differential suite verifies.
+/// [`CentralServer`], the sharded [`crate::ShardedServer`] and the
+/// write-ahead-logged [`DurableServer`] all implement it, so
+/// [`upload_with_retry`] runs the *identical* frame/key/ack sequence
+/// against each — the foundation of the fault equivalence the
+/// differential suites verify.
 pub trait SequencedSink {
-    /// Ingests one sequence-numbered upload, classifying it against the
-    /// sink's held state (see [`CentralServer::receive_sequenced`]).
-    fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome;
-
-    /// Ingests every frame of a decoded batch, in frame order. The
-    /// default just loops [`ingest_sequenced`](Self::ingest_sequenced);
-    /// sinks with a native batch path (the sharded server's
-    /// `receive_batch`, which also fires `batch.*` counters) override.
-    fn ingest_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        batch
-            .into_frames()
-            .into_iter()
-            .map(|f| self.ingest_sequenced(f))
-            .collect()
-    }
+    /// Ingests one delivered tag-5 wire frame, exactly as received,
+    /// classifying it against the sink's held state (see
+    /// [`CentralServer::receive_sequenced`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedMessage`] for a frame that does not decode
+    /// (nothing is ingested); any other error (a failed WAL append, say)
+    /// is the sink's own failure.
+    fn ingest_wire(&mut self, frame: &[u8]) -> Result<ReceiveOutcome, SimError>;
 
     /// The sink's observability handle — retry counters and the backoff
     /// histogram are recorded through it.
@@ -608,8 +603,8 @@ pub trait SequencedSink {
 }
 
 impl SequencedSink for CentralServer {
-    fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        self.receive_sequenced(sequenced)
+    fn ingest_wire(&mut self, frame: &[u8]) -> Result<ReceiveOutcome, SimError> {
+        Ok(self.receive_sequenced_ref(&SequencedUploadRef::decode_ref(frame)?))
     }
 
     fn sink_obs(&self) -> &vcps_obs::Obs {
@@ -618,12 +613,8 @@ impl SequencedSink for CentralServer {
 }
 
 impl SequencedSink for crate::ShardedServer {
-    fn ingest_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        self.receive_sequenced(sequenced)
-    }
-
-    fn ingest_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        self.receive_batch(batch)
+    fn ingest_wire(&mut self, frame: &[u8]) -> Result<ReceiveOutcome, SimError> {
+        Ok(self.receive_sequenced_ref(&SequencedUploadRef::decode_ref(frame)?))
     }
 
     fn sink_obs(&self) -> &vcps_obs::Obs {
@@ -631,21 +622,20 @@ impl SequencedSink for crate::ShardedServer {
     }
 }
 
-/// Tallies one dedup outcome from a delivered (re-)send into the fault
-/// counters — shared by the single-frame and batch retry paths.
-fn note_ingest_outcome(outcome: ReceiveOutcome, metrics: &mut FaultMetrics) {
-    match outcome {
-        ReceiveOutcome::Fresh => {}
-        ReceiveOutcome::Duplicate => metrics.upload_duplicates += 1,
-        ReceiveOutcome::Conflicting => metrics.upload_conflicts += 1,
-        ReceiveOutcome::Stale => metrics.upload_stale += 1,
+impl SequencedSink for DurableServer {
+    fn ingest_wire(&mut self, frame: &[u8]) -> Result<ReceiveOutcome, SimError> {
+        self.receive_sequenced_wire(frame)
+    }
+
+    fn sink_obs(&self) -> &vcps_obs::Obs {
+        self.obs()
     }
 }
 
 /// Drives one RSU's end-of-period upload through a lossy channel with
 /// stop-and-wait retries: encode a [`SequencedUpload`], transmit, let the
-/// server ingest every surviving copy, and stop on the first surviving
-/// ack or when the retry budget runs out.
+/// server ingest every surviving copy as received, and stop on the first
+/// surviving ack or when the retry budget runs out.
 ///
 /// Fault counters (attempts, retries, lost acks, dedup outcomes,
 /// simulated backoff) accumulate into `metrics`; if the server carries
@@ -653,9 +643,16 @@ fn note_ingest_outcome(outcome: ReceiveOutcome, metrics: &mut FaultMetrics) {
 /// retry/backoff phase is additionally profiled through it (attempt and
 /// retry counters, per-wait backoff histogram in microseconds).
 ///
-/// Generic over the [`SequencedSink`]: delivering into a sharded server
-/// replays byte-for-byte the frames, channel keys, and ack decisions of
-/// the monolithic run, so fault outcomes cannot diverge between the two.
+/// Generic over the [`SequencedSink`]: delivering into a sharded or
+/// durable server replays byte-for-byte the frames, channel keys, and
+/// ack decisions of the monolithic run, so fault outcomes cannot
+/// diverge between them.
+///
+/// # Errors
+///
+/// A corrupted copy the sink rejects as malformed is dropped unacked,
+/// as the channel would lose it; any other sink error ends the session
+/// and is returned.
 pub fn upload_with_retry<S: SequencedSink + ?Sized>(
     upload: &PeriodUpload,
     seq: u64,
@@ -663,7 +660,7 @@ pub fn upload_with_retry<S: SequencedSink + ?Sized>(
     server: &mut S,
     policy: &RetryPolicy,
     metrics: &mut FaultMetrics,
-) -> UploadDelivery {
+) -> Result<UploadDelivery, SimError> {
     let obs = server.sink_obs().clone();
     let _timer = obs.phase(vcps_obs::Phase::Retry);
     let frame = SequencedUpload {
@@ -687,12 +684,16 @@ pub fn upload_with_retry<S: SequencedSink + ?Sized>(
         tx.record(&mut metrics.upload_link);
         let mut acked = false;
         for copy in &tx.delivered {
-            // A corrupted frame that no longer parses is silently gone —
-            // the sender only learns via the missing ack.
-            let Ok(sequenced) = SequencedUpload::decode(copy) else {
-                continue;
-            };
-            note_ingest_outcome(server.ingest_sequenced(sequenced), metrics);
+            match server.ingest_wire(copy) {
+                Ok(ReceiveOutcome::Fresh) => {}
+                Ok(ReceiveOutcome::Duplicate) => metrics.upload_duplicates += 1,
+                Ok(ReceiveOutcome::Conflicting) => metrics.upload_conflicts += 1,
+                Ok(ReceiveOutcome::Stale) => metrics.upload_stale += 1,
+                // A corrupted frame that no longer parses is silently
+                // gone — the sender only learns via the missing ack.
+                Err(SimError::MalformedMessage { .. }) => continue,
+                Err(e) => return Err(e),
+            }
             // The server acks everything it processed (including
             // duplicates — idempotent ack); the ack rides the same lossy
             // link back.
@@ -704,88 +705,18 @@ pub fn upload_with_retry<S: SequencedSink + ?Sized>(
         }
         if acked {
             obs.inc("retry.delivered");
-            return UploadDelivery {
+            return Ok(UploadDelivery {
                 delivered: true,
                 attempts: attempt + 1,
-            };
+            });
         }
     }
     metrics.uploads_abandoned += 1;
     obs.inc("retry.abandoned");
-    UploadDelivery {
+    Ok(UploadDelivery {
         delivered: false,
         attempts: max_attempts,
-    }
-}
-
-/// [`upload_with_retry`] for a whole [`BatchUpload`]: one wire frame
-/// carries every RSU's sequenced upload for the period, the channel's
-/// faults (drop / truncate / bit-flip / duplicate) hit the batch as a
-/// unit, and a surviving ack acknowledges all of it at once.
-///
-/// The per-attempt channel key folds every inner frame's identity
-/// (`rsu ^ rotl(seq, 24)` XOR-combined) so distinct batches draw
-/// independent fault decisions, exactly as distinct single uploads do. A
-/// delivered copy that no longer decodes as a [`BatchUpload`] — a
-/// truncation or bit-flip caught by the length prefix, per-record
-/// checksums, or ordering invariant — is silently discarded without an
-/// ack, like a corrupted single frame.
-pub fn batch_upload_with_retry<S: SequencedSink + ?Sized>(
-    batch: &BatchUpload,
-    channel: &Channel,
-    server: &mut S,
-    policy: &RetryPolicy,
-    metrics: &mut FaultMetrics,
-) -> UploadDelivery {
-    let obs = server.sink_obs().clone();
-    let _timer = obs.phase(vcps_obs::Phase::Retry);
-    let frame = batch.encode();
-    let batch_key = batch
-        .frames()
-        .iter()
-        .fold(0u64, |acc, f| acc ^ f.upload.rsu.0 ^ f.seq.rotate_left(24));
-    let max_attempts = policy.max_attempts.max(1);
-    for attempt in 0..max_attempts {
-        metrics.upload_attempts += 1;
-        obs.inc("retry.attempts");
-        if attempt > 0 {
-            metrics.upload_retries += 1;
-            let backoff = policy.backoff_before(attempt);
-            metrics.backoff_seconds += backoff;
-            obs.inc("retry.retries");
-            obs.observe("retry.backoff_us", (backoff * 1e6).round() as u64);
-        }
-        let key = batch_key ^ (u64::from(attempt) << 48);
-        let tx = channel.transmit(&frame, key);
-        tx.record(&mut metrics.upload_link);
-        let mut acked = false;
-        for copy in &tx.delivered {
-            let Ok(decoded) = BatchUpload::decode(copy) else {
-                continue;
-            };
-            for outcome in server.ingest_batch(decoded) {
-                note_ingest_outcome(outcome, metrics);
-            }
-            if channel.ack_lost(key) {
-                metrics.acks_lost += 1;
-            } else {
-                acked = true;
-            }
-        }
-        if acked {
-            obs.inc("retry.delivered");
-            return UploadDelivery {
-                delivered: true,
-                attempts: attempt + 1,
-            };
-        }
-    }
-    metrics.uploads_abandoned += 1;
-    obs.inc("retry.abandoned");
-    UploadDelivery {
-        delivered: false,
-        attempts: max_attempts,
-    }
+    })
 }
 
 /// A serialized RSU state snapshot — what a crash-tolerant RSU persists
@@ -1105,7 +1036,8 @@ mod tests {
             max_attempts: 16,
             ..RetryPolicy::default()
         };
-        let outcome = upload_with_retry(&upload, 0, &ch, &mut server, &policy, &mut metrics);
+        let outcome =
+            upload_with_retry(&upload, 0, &ch, &mut server, &policy, &mut metrics).unwrap();
         assert!(outcome.delivered, "16 attempts at 50% loss must land");
         assert_eq!(server.upload_count(), 1);
         assert_eq!(metrics.upload_attempts, u64::from(outcome.attempts));
@@ -1130,7 +1062,8 @@ mod tests {
             &mut server,
             &RetryPolicy::default(),
             &mut metrics,
-        );
+        )
+        .unwrap();
         assert!(!outcome.delivered);
         assert_eq!(outcome.attempts, 6);
         assert_eq!(metrics.uploads_abandoned, 1);
@@ -1175,7 +1108,8 @@ mod tests {
                     ..RetryPolicy::default()
                 },
                 &mut metrics,
-            );
+            )
+            .unwrap();
             if outcome.delivered && metrics.acks_lost > 0 {
                 assert_eq!(srv.upload_count(), 1, "dedup kept a single upload");
                 return;
@@ -1184,131 +1118,163 @@ mod tests {
         panic!("no seed in range exercised a lost ack followed by delivery");
     }
 
-    fn period_batch(rsus: u64) -> BatchUpload {
-        let frames: Vec<SequencedUpload> = (0..rsus)
-            .map(|r| {
-                let mut bits = BitArray::new(64);
-                bits.set((r as usize * 7) % 64);
-                SequencedUpload {
-                    seq: 0,
-                    upload: PeriodUpload {
-                        rsu: RsuId(r),
-                        counter: r + 1,
-                        bits,
-                    },
-                }
-            })
-            .collect();
-        BatchUpload::new(frames).unwrap()
-    }
-
-    #[test]
-    fn batch_retry_delivers_a_whole_period_in_one_frame() {
-        let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let batch = period_batch(12);
-        let ch = FaultPlan::none().upload_channel(0);
-        // The identical session against the monolith and the sharded
-        // server: same state either way.
-        let mut mono = CentralServer::new(scheme.clone(), 0.5).unwrap();
-        let mut metrics = FaultMetrics::new();
-        let outcome = batch_upload_with_retry(
-            &batch,
-            &ch,
-            &mut mono,
-            &RetryPolicy::default(),
-            &mut metrics,
-        );
-        assert!(outcome.delivered);
-        assert_eq!(outcome.attempts, 1);
-        assert_eq!(mono.upload_count(), 12);
-
-        let mut sharded = crate::ShardedServer::new(scheme, 0.5, 4).unwrap();
-        let mut metrics2 = FaultMetrics::new();
-        let outcome2 = batch_upload_with_retry(
-            &batch,
-            &ch,
-            &mut sharded,
-            &RetryPolicy::default(),
-            &mut metrics2,
-        );
-        assert_eq!(outcome2, outcome);
-        assert_eq!(sharded.upload_count(), 12);
-        for r in 0..12u64 {
-            assert_eq!(sharded.upload(RsuId(r)), mono.upload(RsuId(r)));
+    fn test_upload(rsu: u64) -> PeriodUpload {
+        let mut bits = BitArray::new(64);
+        for i in (0..64).step_by(rsu as usize % 5 + 2) {
+            bits.set(i);
+        }
+        PeriodUpload {
+            rsu: RsuId(rsu),
+            counter: 9,
+            bits,
         }
     }
 
     #[test]
-    fn batch_retry_survives_loss_identically_on_both_server_shapes() {
+    fn truncated_copies_are_never_ingested_or_acked() {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let batch = period_batch(8);
-        let plan = FaultPlan::new(77).with_upload_link(LinkFaults::none().with_drop(0.5));
-        let policy = RetryPolicy {
-            max_attempts: 16,
-            ..RetryPolicy::default()
-        };
-        let mut mono = CentralServer::new(scheme.clone(), 0.5).unwrap();
-        let mut m1 = FaultMetrics::new();
-        let o1 =
-            batch_upload_with_retry(&batch, &plan.upload_channel(0), &mut mono, &policy, &mut m1);
-        let mut sharded = crate::ShardedServer::new(scheme, 0.5, 4).unwrap();
-        let mut m2 = FaultMetrics::new();
-        let o2 = batch_upload_with_retry(
-            &batch,
-            &plan.upload_channel(0),
-            &mut sharded,
-            &policy,
-            &mut m2,
-        );
-        assert!(o1.delivered, "16 attempts at 50% loss must land");
-        assert_eq!(o1, o2, "identical frames and keys, identical session");
-        assert_eq!(m1, m2);
-        assert_eq!(mono.upload_count(), sharded.upload_count());
-        for r in 0..8u64 {
-            assert_eq!(mono.upload(RsuId(r)), sharded.upload(RsuId(r)));
-        }
-    }
-
-    #[test]
-    fn corrupted_batch_copies_are_discarded_without_ack() {
-        // Every delivered copy takes a bit flip somewhere in the frame;
-        // the length prefix / per-record checksums / ordering invariant
-        // must catch all of them, so nothing is ingested and no ack
-        // comes back.
-        let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let batch = period_batch(6);
-        let plan = FaultPlan::new(5).with_upload_link(LinkFaults::none().with_bit_flip(1.0));
-        let mut server = CentralServer::new(scheme, 0.5).unwrap();
+        let obs = vcps_obs::Obs::enabled(vcps_obs::Level::Info);
+        let mut server = CentralServer::new(scheme, 0.5)
+            .unwrap()
+            .with_obs(obs.clone());
+        let plan = FaultPlan::new(9).with_upload_link(LinkFaults::none().with_truncate(1.0));
+        let policy = RetryPolicy::default();
         let mut metrics = FaultMetrics::new();
-        let outcome = batch_upload_with_retry(
-            &batch,
+        let outcome = upload_with_retry(
+            &test_upload(4),
+            0,
             &plan.upload_channel(0),
             &mut server,
-            &RetryPolicy::default(),
+            &policy,
             &mut metrics,
-        );
+        )
+        .unwrap();
         assert!(!outcome.delivered);
-        assert_eq!(server.upload_count(), 0, "no corrupted copy was accepted");
+        assert_eq!(outcome.attempts, policy.max_attempts);
+        assert_eq!(
+            metrics.upload_link.truncated,
+            u64::from(policy.max_attempts)
+        );
         assert_eq!(metrics.uploads_abandoned, 1);
         assert_eq!(metrics.acks_lost, 0, "a discarded frame is never acked");
+        assert_eq!(server.upload_count(), 0);
+        assert!(
+            obs.snapshot()
+                .counters_with_prefix("server.receive.")
+                .is_empty(),
+            "no truncated copy reached the verdict"
+        );
+    }
+
+    /// A durable sink logs exactly the delivered copies that decode,
+    /// byte for byte as they arrived — corrupted ones included when they
+    /// still parse — and nothing it rejected.
+    #[test]
+    fn durable_sink_logs_exactly_the_copies_that_decode() {
+        /// Forwards to a durable server, keeping every delivered copy.
+        struct Recording<'a> {
+            server: &'a mut DurableServer,
+            copies: Vec<Vec<u8>>,
+        }
+        impl SequencedSink for Recording<'_> {
+            fn ingest_wire(&mut self, frame: &[u8]) -> Result<ReceiveOutcome, SimError> {
+                self.copies.push(frame.to_vec());
+                self.server.ingest_wire(frame)
+            }
+            fn sink_obs(&self) -> &vcps_obs::Obs {
+                self.server.obs()
+            }
+        }
+
+        let dir = std::env::temp_dir().join(format!(
+            "vcps-sim-faults-test-{}-bit-flip",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scheme = Scheme::variable(2, 3.0, 1).unwrap();
+        let obs = vcps_obs::Obs::disabled();
+        let mut server = DurableServer::create(
+            scheme,
+            0.5,
+            2,
+            &dir,
+            crate::DurableOptions::log_only(),
+            &obs,
+        )
+        .unwrap();
+        let plan = FaultPlan::new(5).with_upload_link(LinkFaults::none().with_bit_flip(1.0));
+        let mut sink = Recording {
+            server: &mut server,
+            copies: Vec::new(),
+        };
+        let mut metrics = FaultMetrics::new();
+        for rsu in 0..24 {
+            upload_with_retry(
+                &test_upload(rsu),
+                0,
+                &plan.upload_channel(0),
+                &mut sink,
+                &RetryPolicy::default(),
+                &mut metrics,
+            )
+            .unwrap();
+        }
+        let copies = sink.copies;
+        let accepted: Vec<Vec<u8>> = copies
+            .iter()
+            .filter(|c| SequencedUploadRef::decode_ref(c).is_ok())
+            .cloned()
+            .collect();
+        assert_eq!(metrics.upload_link.bit_flipped, copies.len() as u64);
+        assert!(
+            !accepted.is_empty() && accepted.len() < copies.len(),
+            "the plan must both corrupt past the decoder and reject copies"
+        );
+        let wal = vcps_durable::read_wal(server.wal_path()).unwrap();
+        assert_eq!(wal.records, accepted);
+        assert_eq!(server.records_logged(), accepted.len() as u64);
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn truncated_batch_copies_are_discarded_without_ack() {
-        let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let batch = period_batch(6);
-        let plan = FaultPlan::new(9).with_upload_link(LinkFaults::none().with_truncate(1.0));
-        let mut server = CentralServer::new(scheme, 0.5).unwrap();
+    fn a_failing_sink_ends_the_session_with_its_error() {
+        /// A sink whose storage has failed: every frame errors.
+        struct Failing {
+            calls: u32,
+            obs: vcps_obs::Obs,
+        }
+        impl SequencedSink for Failing {
+            fn ingest_wire(&mut self, _frame: &[u8]) -> Result<ReceiveOutcome, SimError> {
+                self.calls += 1;
+                Err(SimError::Durability(vcps_durable::DurabilityError::Io {
+                    op: "append",
+                    path: "frames.wal".into(),
+                    detail: "disk full".into(),
+                }))
+            }
+            fn sink_obs(&self) -> &vcps_obs::Obs {
+                &self.obs
+            }
+        }
+
+        let mut sink = Failing {
+            calls: 0,
+            obs: vcps_obs::Obs::disabled(),
+        };
         let mut metrics = FaultMetrics::new();
-        let outcome = batch_upload_with_retry(
-            &batch,
-            &plan.upload_channel(0),
-            &mut server,
+        let result = upload_with_retry(
+            &test_upload(4),
+            0,
+            &FaultPlan::none().upload_channel(0),
+            &mut sink,
             &RetryPolicy::default(),
             &mut metrics,
         );
-        assert!(!outcome.delivered);
-        assert_eq!(server.upload_count(), 0);
+        assert!(matches!(result, Err(SimError::Durability(_))), "{result:?}");
+        assert_eq!(sink.calls, 1);
+        assert_eq!(metrics.upload_attempts, 1, "no retry after a sink failure");
+        assert_eq!(metrics.uploads_abandoned, 0);
     }
 
     #[test]

@@ -69,15 +69,15 @@ mod shard;
 pub mod synthetic;
 mod vehicle;
 
-pub use durable::{DurableOptions, DurableServer, DurableSink, RecoveryReport};
+pub use durable::{DurableOptions, DurableServer, RecoveryReport};
 pub use engine::{
     run_period, run_periods, Backend, Durable, MetroRun, Monolith, PeriodRun, PeriodSettings,
     RunConfig, Sharded,
 };
 pub use error::SimError;
 pub use faults::{
-    batch_upload_with_retry, upload_with_retry, Channel, CrashMode, FaultPlan, LinkFaults,
-    RetryPolicy, RsuCheckpoint, RsuCrash, SequencedSink, ServerCrash,
+    upload_with_retry, Channel, CrashMode, FaultPlan, LinkFaults, RetryPolicy, RsuCheckpoint,
+    RsuCrash, SequencedSink, ServerCrash,
 };
 pub use mac::MacAddress;
 pub use metrics::{CommunicationMetrics, FaultMetrics, LinkMetrics};

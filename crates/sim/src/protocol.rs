@@ -19,6 +19,10 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use vcps_core::{BitArray, RsuId};
+// The per-record checksum inside a `BatchUpload`: it only needs to
+// catch channel corruption, not adversaries (authenticity comes from
+// the PKI layer), so the WAL's FNV-1a serves both.
+use vcps_durable::fnv1a_64;
 
 use crate::pki::Certificate;
 use crate::{MacAddress, SimError};
@@ -45,8 +49,8 @@ const _: () = assert!(MAX_UPLOAD_BITS == 4_294_967_296);
 
 /// Validates a wire-claimed bit-array length against
 /// [`MAX_UPLOAD_BITS`] (in `u64`, pre-cast) and converts it to `usize`,
-/// rejecting zero-length claims uniformly across the dense/sparse and
-/// owned/borrowed decoders.
+/// rejecting zero-length claims uniformly across the dense and sparse
+/// decoders.
 fn upload_len_to_usize(len: u64) -> Result<usize, SimError> {
     if len == 0 || len > MAX_UPLOAD_BITS {
         return Err(SimError::MalformedMessage {
@@ -81,19 +85,6 @@ const TAG_UPLOAD_SEQ: u8 = 5;
 const TAG_BATCH: u8 = 6;
 const TAG_CHECKPOINT: u8 = 7;
 const TAG_CHECKPOINT_SET: u8 = 8;
-
-/// FNV-1a 64 over a byte slice — the per-frame checksum inside a
-/// [`BatchUpload`]. Hand-rolled (no new dependency) and byte-order
-/// free; it only needs to catch channel corruption, not adversaries
-/// (authenticity comes from the PKI layer).
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The periodic broadcast an RSU sends to passing vehicles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -239,100 +230,15 @@ impl PeriodUpload {
         buf.freeze()
     }
 
-    /// Parses an upload from its wire form (dense or sparse frame).
+    /// Parses an upload from its wire form (dense or sparse frame):
+    /// [`PeriodUploadRef::decode_ref`], then materialized.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MalformedMessage`] on truncation, a wrong tag
     /// byte, or an inconsistent word/index count.
     pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
-        match wire.first() {
-            Some(&TAG_UPLOAD) => Self::decode_dense(wire),
-            Some(&TAG_UPLOAD_SPARSE) => Self::decode_sparse(wire),
-            _ => Err(SimError::MalformedMessage {
-                reason: "bad upload frame",
-            }),
-        }
-    }
-
-    fn decode_dense(mut wire: &[u8]) -> Result<Self, SimError> {
-        if wire.len() < 1 + 8 * 3 || wire[0] != TAG_UPLOAD {
-            return Err(SimError::MalformedMessage {
-                reason: "bad upload frame",
-            });
-        }
-        wire.advance(1);
-        let rsu = RsuId(wire.get_u64());
-        let counter = wire.get_u64();
-        let len = upload_len_to_usize(wire.get_u64())?;
-        let expected_words = len.div_ceil(64);
-        if wire.len() != expected_words * 8 {
-            return Err(SimError::MalformedMessage {
-                reason: "upload word count mismatch",
-            });
-        }
-        let mut words = Vec::with_capacity(expected_words);
-        for _ in 0..expected_words {
-            words.push(wire.get_u64());
-        }
-        let bits = BitArray::from_words(words, len).map_err(|_| SimError::MalformedMessage {
-            reason: "invalid bit array in upload",
-        })?;
-        Ok(Self { rsu, counter, bits })
-    }
-
-    fn decode_sparse(mut wire: &[u8]) -> Result<Self, SimError> {
-        if wire.len() < 1 + 8 * 4 {
-            return Err(SimError::MalformedMessage {
-                reason: "truncated sparse upload",
-            });
-        }
-        wire.advance(1);
-        let rsu = RsuId(wire.get_u64());
-        let counter = wire.get_u64();
-        let raw_len = wire.get_u64();
-        let ones = wire.get_u64() as usize;
-        // Both `len` and `ones` come straight off the wire: compare
-        // against the remaining byte count without multiplying (which
-        // overflows on hostile `ones`), and bound `len` in u64 before
-        // the cast and the backing allocation (a sparse frame never
-        // makes sense for an array shorter than its own index list, and
-        // a 33-byte frame must not be able to request a multi-terabyte
-        // array).
-        if !wire.len().is_multiple_of(8) || ones != wire.len() / 8 {
-            return Err(SimError::MalformedMessage {
-                reason: "sparse upload index count mismatch",
-            });
-        }
-        let len = upload_len_to_usize(raw_len)?;
-        if ones > len {
-            return Err(SimError::MalformedMessage {
-                reason: "invalid bit array length in upload",
-            });
-        }
-        let mut bits = BitArray::try_new(len).map_err(|_| SimError::MalformedMessage {
-            reason: "invalid bit array length in upload",
-        })?;
-        // The index list must be strictly increasing, as encode_compact
-        // emits it: a duplicated or unsorted list means the frame was
-        // corrupted or forged, and sparse decode kernels downstream
-        // derive counts from list lengths — reject rather than silently
-        // collapse duplicates into fewer set bits.
-        let mut prev: Option<u64> = None;
-        for _ in 0..ones {
-            let index = wire.get_u64();
-            if prev.is_some_and(|p| index <= p) {
-                return Err(SimError::MalformedMessage {
-                    reason: "sparse upload indices not strictly increasing",
-                });
-            }
-            prev = Some(index);
-            bits.try_set(index as usize)
-                .map_err(|_| SimError::MalformedMessage {
-                    reason: "sparse upload index out of range",
-                })?;
-        }
-        Ok(Self { rsu, counter, bits })
+        Ok(PeriodUploadRef::decode_ref(wire)?.to_owned_upload())
     }
 }
 
@@ -367,24 +273,15 @@ impl SequencedUpload {
         buf.freeze()
     }
 
-    /// Parses a sequenced upload from its wire form.
+    /// Parses a sequenced upload from its wire form:
+    /// [`SequencedUploadRef::decode_ref`], then materialized.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MalformedMessage`] on truncation, a wrong tag
     /// byte, or a malformed inner upload.
     pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
-        if wire.len() < 1 + 8 || wire[0] != TAG_UPLOAD_SEQ {
-            return Err(SimError::MalformedMessage {
-                reason: "bad sequenced upload frame",
-            });
-        }
-        let mut header = &wire[1..9];
-        let seq = header.get_u64();
-        Ok(Self {
-            seq,
-            upload: PeriodUpload::decode(&wire[9..])?,
-        })
+        Ok(SequencedUploadRef::decode_ref(wire)?.to_owned_upload())
     }
 }
 
@@ -442,12 +339,6 @@ impl BatchUpload {
         &self.frames
     }
 
-    /// Consumes the batch, yielding the inner frames in canonical order.
-    #[must_use]
-    pub fn into_frames(self) -> Vec<SequencedUpload> {
-        self.frames
-    }
-
     /// Serializes to the wire form: a count header followed by one
     /// `length ‖ checksum ‖ frame` record per inner upload.
     #[must_use]
@@ -465,7 +356,8 @@ impl BatchUpload {
         buf.freeze()
     }
 
-    /// Parses a batch from its wire form.
+    /// Parses a batch from its wire form: [`BatchUploadRef::decode_ref`],
+    /// then materialized.
     ///
     /// # Errors
     ///
@@ -474,60 +366,8 @@ impl BatchUpload {
     /// exceeding the remaining bytes, a checksum mismatch, a malformed
     /// inner frame, inner keys out of canonical order, or trailing
     /// bytes.
-    pub fn decode(mut wire: &[u8]) -> Result<Self, SimError> {
-        if wire.len() < 1 + 8 || wire[0] != TAG_BATCH {
-            return Err(SimError::MalformedMessage {
-                reason: "bad batch frame",
-            });
-        }
-        wire.advance(1);
-        let count = wire.get_u64() as usize;
-        if count > MAX_BATCH_FRAMES {
-            return Err(SimError::MalformedMessage {
-                reason: "batch frame count over limit",
-            });
-        }
-        let mut frames = Vec::with_capacity(count.min(1024));
-        let mut prev: Option<(RsuId, u64)> = None;
-        for _ in 0..count {
-            if wire.len() < 16 {
-                return Err(SimError::MalformedMessage {
-                    reason: "truncated batch record header",
-                });
-            }
-            let frame_len = wire.get_u64() as usize;
-            let checksum = wire.get_u64();
-            // `frame_len` comes straight off the wire: compare against
-            // the remaining byte count (no multiplication, no overflow)
-            // before slicing.
-            if frame_len > wire.len() {
-                return Err(SimError::MalformedMessage {
-                    reason: "batch record length exceeds frame",
-                });
-            }
-            let frame = &wire[..frame_len];
-            if fnv1a_64(frame) != checksum {
-                return Err(SimError::MalformedMessage {
-                    reason: "batch record checksum mismatch",
-                });
-            }
-            let inner = SequencedUpload::decode(frame)?;
-            let key = (inner.upload.rsu, inner.seq);
-            if prev.is_some_and(|p| key <= p) {
-                return Err(SimError::MalformedMessage {
-                    reason: "batch records not strictly increasing",
-                });
-            }
-            prev = Some(key);
-            frames.push(inner);
-            wire.advance(frame_len);
-        }
-        if !wire.is_empty() {
-            return Err(SimError::MalformedMessage {
-                reason: "trailing bytes after batch",
-            });
-        }
-        Ok(Self { frames })
+    pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
+        Ok(BatchUploadRef::decode_ref(wire)?.to_owned_batch())
     }
 }
 
@@ -550,8 +390,8 @@ fn tail_mask(len: usize) -> u64 {
 enum UploadPayload<'a> {
     /// Big-endian 64-bit words, exactly `bits_len.div_ceil(64)` of
     /// them. Bits beyond `bits_len` in the final word may be set on a
-    /// hostile frame; accessors mask them, mirroring how
-    /// [`BitArray::from_words`] masks the tail on the owned path.
+    /// hostile frame; accessors mask them, as [`BitArray::from_words`]
+    /// masks the tail of a materialized upload.
     Dense(&'a [u8]),
     /// Big-endian 64-bit set-bit indices, strictly increasing and
     /// in-range (validated at decode).
@@ -561,11 +401,11 @@ enum UploadPayload<'a> {
 /// A [`PeriodUpload`] parsed as a borrowed view over its wire frame —
 /// the zero-copy half of the ingest hot path (DESIGN.md §18).
 ///
-/// [`decode_ref`](PeriodUploadRef::decode_ref) runs the *same*
-/// validation as [`PeriodUpload::decode`] — a frame is accepted by one
-/// iff it is accepted by the other — but allocates nothing: the dense
-/// word block or sparse index list stays a `&[u8]` into the caller's
-/// buffer, exposed through masking accessors. Materialize with
+/// [`decode_ref`](PeriodUploadRef::decode_ref) is the one upload
+/// validator — [`PeriodUpload::decode`] is this decode followed by
+/// [`to_owned_upload`](PeriodUploadRef::to_owned_upload) — and it
+/// allocates nothing: the dense word block or sparse index list stays a
+/// `&[u8]` into the caller's buffer, exposed through masking accessors. Materialize with
 /// [`to_owned_upload`](PeriodUploadRef::to_owned_upload) only where the
 /// server actually retains the upload (a fresh or conflicting receive);
 /// duplicate detection runs allocation-free via
@@ -579,15 +419,14 @@ pub struct PeriodUploadRef<'a> {
 }
 
 impl<'a> PeriodUploadRef<'a> {
-    /// Parses an upload frame (dense or sparse) into a borrowed view,
-    /// validating exactly what [`PeriodUpload::decode`] validates.
+    /// Parses an upload frame (dense or sparse) into a borrowed view.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MalformedMessage`] on truncation, a wrong
     /// tag byte, an inconsistent word/index count, a zero or oversized
     /// bit-array length, or a non-strictly-increasing / out-of-range
-    /// sparse index list — the same frames the owned decoder rejects.
+    /// sparse index list.
     pub fn decode_ref(wire: &'a [u8]) -> Result<Self, SimError> {
         match wire.first() {
             Some(&TAG_UPLOAD) => Self::decode_dense_ref(wire),
@@ -606,9 +445,9 @@ impl<'a> PeriodUploadRef<'a> {
         }
         let rsu = RsuId(be_u64(&wire[1..9]));
         let counter = be_u64(&wire[9..17]);
-        // Zero and oversized length claims are rejected by the same
-        // `upload_len_to_usize` guard the owned decoder runs, before
-        // the claim participates in any size arithmetic.
+        // Zero and oversized length claims are rejected by
+        // `upload_len_to_usize`, before the claim participates in any
+        // size arithmetic.
         let len = upload_len_to_usize(be_u64(&wire[17..25]))?;
         let payload = &wire[25..];
         if payload.len() != len.div_ceil(64) * 8 {
@@ -635,19 +474,29 @@ impl<'a> PeriodUploadRef<'a> {
         let raw_len = be_u64(&wire[17..25]);
         let ones = be_u64(&wire[25..33]) as usize;
         let payload = &wire[33..];
+        // Both `len` and `ones` come straight off the wire: compare
+        // against the remaining byte count without multiplying (which
+        // overflows on hostile `ones`), and bound `len` in u64 before
+        // the cast and any later allocation (a sparse frame never makes
+        // sense for an array shorter than its own index list, and a
+        // 33-byte frame must not be able to request a multi-terabyte
+        // array).
         if !payload.len().is_multiple_of(8) || ones != payload.len() / 8 {
             return Err(SimError::MalformedMessage {
                 reason: "sparse upload index count mismatch",
             });
         }
-        // Zero and oversized length claims fall to the same
-        // `upload_len_to_usize` guard the owned decoder runs.
         let len = upload_len_to_usize(raw_len)?;
         if ones > len {
             return Err(SimError::MalformedMessage {
                 reason: "invalid bit array length in upload",
             });
         }
+        // The index list must be strictly increasing, as encode_compact
+        // emits it: a duplicated or unsorted list means the frame was
+        // corrupted or forged, and sparse decode kernels downstream
+        // derive counts from list lengths — reject rather than silently
+        // collapse duplicates into fewer set bits.
         let mut prev: Option<u64> = None;
         for chunk in payload.chunks_exact(8) {
             let index = be_u64(chunk);
@@ -802,8 +651,8 @@ pub struct SequencedUploadRef<'a> {
 }
 
 impl<'a> SequencedUploadRef<'a> {
-    /// Parses a sequenced upload into a borrowed view, validating
-    /// exactly what [`SequencedUpload::decode`] validates.
+    /// Parses a sequenced upload into a borrowed view — the validator
+    /// behind [`SequencedUpload::decode`].
     ///
     /// # Errors
     ///
@@ -845,8 +694,8 @@ impl<'a> SequencedUploadRef<'a> {
 
 /// A [`BatchUpload`] parsed as a borrowed view: one pass of validation
 /// (headers, per-record checksums, inner frames, canonical `(rsu, seq)`
-/// order, no trailing bytes — byte-for-byte what
-/// [`BatchUpload::decode`] enforces) with zero heap allocation, then
+/// order, no trailing bytes — the validator behind
+/// [`BatchUpload::decode`]) with zero heap allocation, then
 /// [`frames`](BatchUploadRef::frames) iterates the inner views straight
 /// off the wire buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -858,8 +707,7 @@ pub struct BatchUploadRef<'a> {
 }
 
 impl<'a> BatchUploadRef<'a> {
-    /// Parses a batch frame into a borrowed view, validating exactly
-    /// what [`BatchUpload::decode`] validates.
+    /// Parses a batch frame into a borrowed view.
     ///
     /// # Errors
     ///

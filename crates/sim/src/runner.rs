@@ -222,8 +222,7 @@ impl PairRunner {
                         upload: upload.clone(),
                     })
                     .collect();
-                let wire = BatchUpload::new(frames)?.encode();
-                let _ = server.receive_batch(BatchUpload::decode(&wire)?);
+                let _ = server.receive_batch_wire(&BatchUpload::new(frames)?.encode())?;
                 server.estimate_or_clamp(self.rsu_a, self.rsu_b)?
             }
         };

@@ -1,6 +1,5 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::RwLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -15,7 +14,9 @@ use vcps_core::estimator::{
 use vcps_core::{CoreError, DegradedEstimate, PairEstimate, RsuId, Scheme, VolumeHistory};
 use vcps_obs::{Level, Obs, Phase, Value};
 
-use crate::protocol::{PeriodUpload, SequencedUpload, SequencedUploadRef, ServerCheckpoint};
+use crate::protocol::{
+    PeriodUpload, PeriodUploadRef, SequencedUpload, SequencedUploadRef, ServerCheckpoint,
+};
 use crate::SimError;
 
 thread_local! {
@@ -468,43 +469,69 @@ pub enum ReceiveOutcome {
     Stale,
 }
 
-/// Decode-side caches derived from the uploads of the current period.
+/// What the receive verdict needs of an incoming upload, so one body
+/// serves an owned [`PeriodUpload`] and a borrowed [`PeriodUploadRef`]
+/// alike: the owned form compares and moves, the view compares in place
+/// and materializes only when the server keeps it.
+trait Incoming {
+    fn rsu(&self) -> RsuId;
+    /// Whether this upload equals the one `held` for its RSU.
+    fn matches(&self, held: &PeriodUpload) -> bool;
+    fn into_owned(self) -> PeriodUpload;
+}
+
+impl Incoming for PeriodUpload {
+    fn rsu(&self) -> RsuId {
+        self.rsu
+    }
+
+    fn matches(&self, held: &PeriodUpload) -> bool {
+        self == held
+    }
+
+    fn into_owned(self) -> PeriodUpload {
+        self
+    }
+}
+
+impl Incoming for PeriodUploadRef<'_> {
+    fn rsu(&self) -> RsuId {
+        PeriodUploadRef::rsu(self)
+    }
+
+    fn matches(&self, held: &PeriodUpload) -> bool {
+        PeriodUploadRef::matches(self, held)
+    }
+
+    fn into_owned(self) -> PeriodUpload {
+        self.to_owned_upload()
+    }
+}
+
+/// Decode-side caches derived from the uploads of the current period:
+/// `sparse_ones` holds the sorted set-bit index list of every upload
+/// still under the densify threshold
+/// ([`vcps_bitarray::sparse_is_profitable`]), extracted once at receive
+/// time and shared by all `N−1` pair decodes that touch the RSU.
 ///
-/// * `sparse_ones` — the sorted set-bit index list of every upload still
-///   under the densify threshold ([`vcps_bitarray::sparse_is_profitable`]),
-///   extracted once at receive time and shared by all `N−1` pair decodes
-///   that touch the RSU.
-/// * `pair_memo` — the [`PairCounts`] of every pair already decoded this
-///   period, so repeated single-pair queries are O(1) after first touch.
-///
-/// Lifetime: entries for an RSU are dropped whenever a new upload
-/// replaces its data ([`ReceiveOutcome::Fresh`] / `Conflicting`), and
-/// everything is cleared by [`CentralServer::finish_period`] — the
-/// caches never outlive the uploads they were derived from.
+/// Lifetime: an RSU's entry is re-derived whenever a new upload replaces
+/// its data ([`ReceiveOutcome::Fresh`] / `Conflicting`), and everything
+/// is cleared by [`CentralServer::finish_period`] — the caches never
+/// outlive the uploads they were derived from.
 ///
 /// The caches are pure accelerators: they are ignored by equality,
 /// carried empty through (de)serialization, and rebuilt lazily, so a
 /// restored or cloned server answers identically (at worst via the dense
 /// kernel until re-populated).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct DecodeCaches {
     sparse_ones: BTreeMap<RsuId, Vec<u64>>,
-    pair_memo: RwLock<BTreeMap<(RsuId, RsuId), PairCounts>>,
-}
-
-impl Clone for DecodeCaches {
-    fn clone(&self) -> Self {
-        Self {
-            sparse_ones: self.sparse_ones.clone(),
-            pair_memo: RwLock::new(self.pair_memo.read().expect("pair memo poisoned").clone()),
-        }
-    }
 }
 
 impl PartialEq for DecodeCaches {
     fn eq(&self, _other: &Self) -> bool {
         // Caches are derived state: two servers with equal uploads answer
-        // identically regardless of what either has memoized.
+        // identically regardless of what either has cached.
         true
     }
 }
@@ -763,18 +790,15 @@ impl CentralServer {
     /// [`Duplicate`]: ReceiveOutcome::Duplicate
     /// [`Conflicting`]: ReceiveOutcome::Conflicting
     pub fn receive(&mut self, upload: PeriodUpload) -> ReceiveOutcome {
-        let rsu = upload.rsu;
-        let outcome = match self.uploads.get(&rsu) {
-            None => {
-                self.uploads.insert(rsu, upload);
-                self.refresh_caches_for(rsu);
-                ReceiveOutcome::Fresh
-            }
+        let outcome = match self.uploads.get(&upload.rsu) {
             Some(prev) if *prev == upload => ReceiveOutcome::Duplicate,
             Some(_) => {
-                self.uploads.insert(rsu, upload);
-                self.refresh_caches_for(rsu);
+                self.store(upload);
                 ReceiveOutcome::Conflicting
+            }
+            None => {
+                self.store(upload);
+                ReceiveOutcome::Fresh
             }
         };
         self.note_receive(outcome)
@@ -787,23 +811,17 @@ impl CentralServer {
         outcome
     }
 
-    /// Re-derives the decode caches for `rsu` after its upload changed:
-    /// extract (or drop) the sparse index list and invalidate every
-    /// memoized pair the RSU participates in.
-    fn refresh_caches_for(&mut self, rsu: RsuId) {
-        let bits = &self.uploads[&rsu].bits;
+    /// Holds `upload` as its RSU's data for the period and re-derives
+    /// the RSU's decode caches: extract (or drop) its sparse index list.
+    fn store(&mut self, upload: PeriodUpload) {
+        let bits = &upload.bits;
         if sparse_is_profitable(bits.len(), bits.count_ones()) {
-            self.caches
-                .sparse_ones
-                .insert(rsu, bits.ones().map(|i| i as u64).collect());
+            let ones = bits.ones().map(|i| i as u64).collect();
+            self.caches.sparse_ones.insert(upload.rsu, ones);
         } else {
-            self.caches.sparse_ones.remove(&rsu);
+            self.caches.sparse_ones.remove(&upload.rsu);
         }
-        self.caches
-            .pair_memo
-            .get_mut()
-            .expect("pair memo poisoned")
-            .retain(|&(a, b), _| a != rsu && b != rsu);
+        self.uploads.insert(upload.rsu, upload);
     }
 
     /// Stores a sequence-numbered upload from the retrying upload path
@@ -815,59 +833,41 @@ impl CentralServer {
     /// straggler of an already-closed period ([`ReceiveOutcome::Stale`])
     /// — the latter must not resurrect as the *current* period's data.
     pub fn receive_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        let rsu = sequenced.upload.rsu;
-        let outcome = match self.upload_seqs.get(&rsu).copied() {
-            Some(seen) if sequenced.seq < seen => ReceiveOutcome::Stale,
-            Some(seen) if sequenced.seq == seen => match self.uploads.get(&rsu) {
-                // Same sequence but the period already closed: the upload
-                // was folded into history, so a re-send carries nothing.
-                None => ReceiveOutcome::Stale,
-                Some(prev) if *prev == sequenced.upload => ReceiveOutcome::Duplicate,
-                Some(_) => {
-                    self.uploads.insert(rsu, sequenced.upload);
-                    self.refresh_caches_for(rsu);
-                    ReceiveOutcome::Conflicting
-                }
-            },
-            _ => {
-                self.upload_seqs.insert(rsu, sequenced.seq);
-                self.uploads.insert(rsu, sequenced.upload);
-                self.refresh_caches_for(rsu);
-                ReceiveOutcome::Fresh
-            }
-        };
-        self.note_receive(outcome)
+        self.receive_at(sequenced.seq, sequenced.upload)
     }
 
     /// [`receive_sequenced`](Self::receive_sequenced) over a borrowed
     /// wire view — the zero-copy ingest path (DESIGN.md §18).
     ///
-    /// Verdict logic is identical; the difference is allocation
-    /// discipline: stale and duplicate frames (the retransmission
-    /// steady state) are classified without materializing anything —
-    /// duplicate detection compares the view against the stored upload
-    /// via [`crate::protocol::PeriodUploadRef::matches`] — and only a
-    /// fresh or conflicting frame pays
-    /// [`crate::protocol::PeriodUploadRef::to_owned_upload`].
+    /// The verdict is the same; stale and duplicate frames (the
+    /// retransmission steady state) are classified without
+    /// materializing anything — duplicate detection compares the view
+    /// against the stored upload via [`PeriodUploadRef::matches`] — and
+    /// only a fresh or conflicting frame pays
+    /// [`PeriodUploadRef::to_owned_upload`].
     pub fn receive_sequenced_ref(&mut self, frame: &SequencedUploadRef<'_>) -> ReceiveOutcome {
-        let rsu = frame.upload().rsu();
+        self.receive_at(frame.seq(), frame.upload())
+    }
+
+    /// The one Fresh / Duplicate / Conflicting / Stale verdict behind
+    /// both sequenced receives, over an owned upload or a wire view.
+    fn receive_at(&mut self, seq: u64, upload: impl Incoming) -> ReceiveOutcome {
+        let rsu = upload.rsu();
         let outcome = match self.upload_seqs.get(&rsu).copied() {
-            Some(seen) if frame.seq() < seen => ReceiveOutcome::Stale,
-            Some(seen) if frame.seq() == seen => match self.uploads.get(&rsu) {
+            Some(seen) if seq < seen => ReceiveOutcome::Stale,
+            Some(seen) if seq == seen => match self.uploads.get(&rsu) {
                 // Same sequence but the period already closed: the upload
                 // was folded into history, so a re-send carries nothing.
                 None => ReceiveOutcome::Stale,
-                Some(prev) if frame.upload().matches(prev) => ReceiveOutcome::Duplicate,
+                Some(prev) if upload.matches(prev) => ReceiveOutcome::Duplicate,
                 Some(_) => {
-                    self.uploads.insert(rsu, frame.upload().to_owned_upload());
-                    self.refresh_caches_for(rsu);
+                    self.store(upload.into_owned());
                     ReceiveOutcome::Conflicting
                 }
             },
             _ => {
-                self.upload_seqs.insert(rsu, frame.seq());
-                self.uploads.insert(rsu, frame.upload().to_owned_upload());
-                self.refresh_caches_for(rsu);
+                self.upload_seqs.insert(rsu, seq);
+                self.store(upload.into_owned());
                 ReceiveOutcome::Fresh
             }
         };
@@ -933,9 +933,7 @@ impl CentralServer {
             server.upload_seqs.insert(rsu, seq);
         }
         for upload in &checkpoint.uploads {
-            let rsu = upload.rsu;
-            server.uploads.insert(rsu, upload.clone());
-            server.refresh_caches_for(rsu);
+            server.store(upload.clone());
         }
         Ok(server)
     }
@@ -965,17 +963,12 @@ impl CentralServer {
     /// uploads: orient, read the cached zero counts, and compute `U_c`
     /// through the cheapest kernel ([`combined_zero_count_adaptive`])
     /// using whatever sparse index lists the receive path extracted.
-    fn pair_counts_uncached(
-        &self,
-        a: RsuId,
-        b: RsuId,
-        scratch: &mut DecodeScratch,
-    ) -> Result<PairCounts, SimError> {
-        self.pair_counts_across(self, a, b, scratch, &self.obs.0)
+    fn pair_counts(&self, a: RsuId, b: RsuId) -> Result<PairCounts, SimError> {
+        with_thread_scratch(|s| self.pair_counts_across(self, a, b, s, &self.obs.0))
     }
 
-    /// The cross-holder form of
-    /// [`pair_counts_uncached`](Self::pair_counts_uncached): `a`'s upload
+    /// The cross-holder form of [`pair_counts`](Self::pair_counts):
+    /// `a`'s upload
     /// and sparse index list come from `self`, `b`'s from `other`. With
     /// `other == self` this *is* the monolithic decode; the sharded
     /// server ([`crate::ShardedServer`]) passes the two shards that own
@@ -999,35 +992,8 @@ impl CentralServer {
         Ok(pair_counts_oriented(ua, ones_a, ub, ones_b, scratch, obs)?.1)
     }
 
-    /// [`pair_counts_uncached`](Self::pair_counts_uncached) behind the
-    /// per-period memo: the first query for a pair decodes it, every
-    /// repeat is a map lookup.
-    fn pair_counts(&self, a: RsuId, b: RsuId) -> Result<PairCounts, SimError> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(counts) = self
-            .caches
-            .pair_memo
-            .read()
-            .expect("pair memo poisoned")
-            .get(&key)
-        {
-            return Ok(*counts);
-        }
-        let counts = SCRATCH.with(|s| self.pair_counts_uncached(a, b, &mut s.borrow_mut()))?;
-        self.caches
-            .pair_memo
-            .write()
-            .expect("pair memo poisoned")
-            .insert(key, counts);
-        Ok(counts)
-    }
-
     /// Estimates the point-to-point volume between two uploaded RSUs
-    /// (paper Eq. 5).
-    ///
-    /// The pair's sufficient statistics are decoded once and memoized
-    /// for the rest of the period, so repeated queries are O(1) after
-    /// first touch.
+    /// (paper Eq. 5), decoding the pair afresh on every call.
     ///
     /// # Errors
     ///
@@ -1075,7 +1041,7 @@ impl CentralServer {
     /// The single-pair degradation ladder behind
     /// [`estimate_or_degraded`](Self::estimate_or_degraded), the same
     /// ladder the all-pairs driver runs, parameterized over how the
-    /// pair's counts are produced (this server's memo or the sharded
+    /// pair's counts are produced (this server's decode or the sharded
     /// composite's) and over where `b`'s state lives: `self` holds side
     /// `a`, `other` holds side `b` (`other == self` on the monolithic
     /// path; the two owning shards on the sharded one, which keeps each
@@ -1143,9 +1109,7 @@ impl CentralServer {
     /// array's term; each worker reuses one decode scratch. When the
     /// estimated triangle work is too small to repay a pool dispatch,
     /// the chunks run inline on the caller — small matrices can never
-    /// lose to the 1-thread path. The driver bypasses the single-pair
-    /// memo: it never re-reads a pair, and N²/2 lock round-trips would
-    /// serialize the workers.
+    /// lose to the 1-thread path.
     ///
     /// # Errors
     ///
@@ -1206,11 +1170,6 @@ impl CentralServer {
         // The decode caches were derived from the uploads just folded
         // away; nothing of them may survive into the next period.
         self.caches.sparse_ones.clear();
-        self.caches
-            .pair_memo
-            .get_mut()
-            .expect("pair memo poisoned")
-            .clear();
         Ok(sizes)
     }
 }
@@ -1430,40 +1389,28 @@ mod tests {
     }
 
     #[test]
-    fn repeated_estimates_hit_the_pair_memo() {
+    fn repeated_estimates_agree_in_both_argument_orders() {
         let mut server = server();
         server.receive(upload(1, 64, &[1, 5], 2));
         server.receive(upload(2, 256, &[1, 70], 2));
         let first = server.estimate(RsuId(1), RsuId(2)).unwrap();
-        assert!(server
-            .caches
-            .pair_memo
-            .read()
-            .unwrap()
-            .get(&(RsuId(1), RsuId(2)))
-            .is_some());
-        // Repeat in both argument orders: same memo entry, same answer.
+        // Repeat in both argument orders: same answer.
         assert_eq!(server.estimate(RsuId(2), RsuId(1)).unwrap(), first);
-        assert_eq!(server.caches.pair_memo.read().unwrap().len(), 1);
         assert_eq!(server.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap(), first);
     }
 
     #[test]
-    fn new_upload_invalidates_only_its_pairs() {
+    fn re_upload_changes_only_its_own_pairs() {
         let mut server = server();
         server.receive(upload(1, 64, &[1], 1));
         server.receive(upload(2, 64, &[2], 1));
         server.receive(upload(3, 64, &[3], 1));
-        server.estimate(RsuId(1), RsuId(2)).unwrap();
+        let untouched = server.estimate(RsuId(1), RsuId(2)).unwrap();
         server.estimate(RsuId(2), RsuId(3)).unwrap();
-        assert_eq!(server.caches.pair_memo.read().unwrap().len(), 2);
-        // RSU 3 re-uploads: the (2,3) entry must go, (1,2) must stay.
+        // RSU 3 re-uploads: the (1,2) answer must stay...
         server.receive(upload(3, 64, &[3, 9], 2));
-        let memo = server.caches.pair_memo.read().unwrap();
-        assert!(memo.contains_key(&(RsuId(1), RsuId(2))));
-        assert!(!memo.contains_key(&(RsuId(2), RsuId(3))));
-        drop(memo);
-        // And the refreshed pair decodes against the new content.
+        assert_eq!(server.estimate(RsuId(1), RsuId(2)).unwrap(), untouched);
+        // ...and the (2,3) pair decodes against the new content.
         let e = server.estimate(RsuId(2), RsuId(3)).unwrap();
         assert_eq!(e.n_y, 2);
     }
@@ -1490,7 +1437,6 @@ mod tests {
         server.estimate(RsuId(1), RsuId(2)).unwrap();
         server.finish_period().unwrap();
         assert!(server.caches.sparse_ones.is_empty());
-        assert!(server.caches.pair_memo.read().unwrap().is_empty());
     }
 
     #[test]
@@ -1607,18 +1553,18 @@ mod tests {
         server.receive(upload(1, 64, &[1, 9], 2)); // conflicting
         server.receive(upload(2, 256, &[3], 1));
         let _ = server.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap();
-        let _ = server.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap(); // memo hit
+        let _ = server.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap();
         let snap = server.obs().snapshot();
         assert_eq!(snap.counters["server.receive.fresh"], 2);
         assert_eq!(snap.counters["server.receive.duplicate"], 1);
         assert_eq!(snap.counters["server.receive.conflicting"], 1);
-        // One uncached decode: exactly one kernel counter bump and one
-        // decode phase sample (the memoized repeat records nothing).
+        // One decode per query: exactly one kernel counter bump and one
+        // decode phase sample each.
         assert_eq!(
             snap.counters_with_prefix("kernel.").values().sum::<u64>(),
-            1
+            2
         );
-        assert_eq!(snap.histograms["phase.decode.ns"].count, 1);
-        assert_eq!(snap.counters["phase.decode.calls"], 1);
+        assert_eq!(snap.histograms["phase.decode.ns"].count, 2);
+        assert_eq!(snap.counters["phase.decode.calls"], 2);
     }
 }

@@ -23,9 +23,7 @@
 //! strips before comparing).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::RwLock;
 
-use vcps_bitarray::DecodeScratch;
 use vcps_core::estimator::{
     estimate_from_counts, estimate_from_counts_or_clamp, Estimate, PairCounts,
 };
@@ -34,7 +32,7 @@ use vcps_hash::splitmix64;
 use vcps_obs::{Obs, Phase};
 
 use crate::protocol::{
-    BatchUpload, BatchUploadRef, CheckpointSet, PeriodUpload, SequencedUpload, SequencedUploadRef,
+    BatchUploadRef, CheckpointSet, PeriodUpload, SequencedUpload, SequencedUploadRef,
 };
 use crate::server::{od_chunks, receive_counter_name, with_thread_scratch, RsuDecodeRef};
 use crate::{CentralServer, OdMatrix, ReceiveOutcome, SimError};
@@ -55,18 +53,17 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// hash bucket of RSU ids), answering exactly like a single monolithic
 /// server would.
 ///
-/// * **Writes** ([`receive`], [`receive_sequenced`], [`receive_batch`],
-///   [`receive_parallel`]) route each upload to the owning shard; the
-///   parallel form runs one worker per shard over disjoint `&mut`
-///   shards, lock-free.
+/// * **Writes** ([`receive`], [`receive_sequenced`],
+///   [`receive_batch_wire`], [`receive_parallel`]) route each upload to
+///   the owning shard; the parallel form runs one worker per shard over
+///   disjoint `&mut` shards, lock-free.
 /// * **Reads** ([`estimate`], [`estimate_or_degraded`], [`od_matrix`])
 ///   borrow the owning shards' uploads and decode caches through the
-///   monolith's own cross-holder decode, plus a composite-level pair
-///   memo so repeated queries stay O(1) exactly like the monolith's.
+///   monolith's own cross-holder decode.
 ///
 /// [`receive`]: ShardedServer::receive
 /// [`receive_sequenced`]: ShardedServer::receive_sequenced
-/// [`receive_batch`]: ShardedServer::receive_batch
+/// [`receive_batch_wire`]: ShardedServer::receive_batch_wire
 /// [`receive_parallel`]: ShardedServer::receive_parallel
 /// [`estimate`]: ShardedServer::estimate
 /// [`estimate_or_degraded`]: ShardedServer::estimate_or_degraded
@@ -93,29 +90,13 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShardedServer {
     scheme: Scheme,
     shards: Vec<CentralServer>,
-    /// Composite-level pair memo: the sharded analogue of the monolith's
-    /// per-server memo, covering local and cross-shard pairs alike.
-    /// Invalidated whenever either member RSU re-uploads, cleared at
-    /// period end — the same lifetime the monolith enforces.
-    pair_memo: RwLock<BTreeMap<(RsuId, RsuId), PairCounts>>,
     /// The composite's (real) observability handle; the shards all carry
     /// disabled handles so nothing is double-counted.
     obs: Obs,
-}
-
-impl Clone for ShardedServer {
-    fn clone(&self) -> Self {
-        Self {
-            scheme: self.scheme.clone(),
-            shards: self.shards.clone(),
-            pair_memo: RwLock::new(self.pair_memo.read().expect("pair memo poisoned").clone()),
-            obs: self.obs.clone(),
-        }
-    }
 }
 
 impl ShardedServer {
@@ -139,7 +120,6 @@ impl ShardedServer {
         Ok(Self {
             scheme,
             shards,
-            pair_memo: RwLock::new(BTreeMap::new()),
             obs: Obs::disabled(),
         })
     }
@@ -223,8 +203,7 @@ impl ShardedServer {
     }
 
     /// Rebuilds a sharded server from a [`CheckpointSet`] and the
-    /// deployment's scheme. The composite pair memo starts empty (it is
-    /// derived state) and the observability handle starts disabled,
+    /// deployment's scheme. The observability handle starts disabled,
     /// exactly as after [`ShardedServer::new`] — re-attach with
     /// [`set_obs`](Self::set_obs).
     ///
@@ -247,7 +226,6 @@ impl ShardedServer {
         Ok(Self {
             scheme,
             shards,
-            pair_memo: RwLock::new(BTreeMap::new()),
             obs: Obs::disabled(),
         })
     }
@@ -255,34 +233,17 @@ impl ShardedServer {
     /// Routes one period upload to its owning shard (the sharded
     /// [`CentralServer::receive`] — same classification, same outcome).
     pub fn receive(&mut self, upload: PeriodUpload) -> ReceiveOutcome {
-        let rsu = upload.rsu;
-        let shard = self.shard_of(rsu);
+        let shard = self.shard_of(upload.rsu);
         let outcome = self.shards[shard].receive(upload);
-        self.note_receive(rsu, outcome)
+        self.note_receive(outcome)
     }
 
     /// Routes one sequence-numbered upload to its owning shard (the
     /// sharded [`CentralServer::receive_sequenced`]).
     pub fn receive_sequenced(&mut self, sequenced: SequencedUpload) -> ReceiveOutcome {
-        let rsu = sequenced.upload.rsu;
-        let shard = self.shard_of(rsu);
+        let shard = self.shard_of(sequenced.upload.rsu);
         let outcome = self.shards[shard].receive_sequenced(sequenced);
-        self.note_receive(rsu, outcome)
-    }
-
-    /// Ingests one [`BatchUpload`] frame: every inner sequenced upload
-    /// is routed exactly as [`receive_sequenced`] would route it, and
-    /// the outcomes come back in the batch's (sorted) frame order.
-    ///
-    /// [`receive_sequenced`]: ShardedServer::receive_sequenced
-    pub fn receive_batch(&mut self, batch: BatchUpload) -> Vec<ReceiveOutcome> {
-        let frames = batch.into_frames();
-        self.obs.inc("batch.frames");
-        self.obs.add("batch.uploads", frames.len() as u64);
-        frames
-            .into_iter()
-            .map(|f| self.receive_sequenced(f))
-            .collect()
+        self.note_receive(outcome)
     }
 
     /// [`receive_sequenced`](Self::receive_sequenced) over a borrowed
@@ -290,43 +251,36 @@ impl ShardedServer {
     /// [`CentralServer::receive_sequenced_ref`], so stale and duplicate
     /// frames are classified without materializing anything.
     pub fn receive_sequenced_ref(&mut self, frame: &SequencedUploadRef<'_>) -> ReceiveOutcome {
-        let rsu = frame.upload().rsu();
-        let shard = self.shard_of(rsu);
+        let shard = self.shard_of(frame.upload().rsu());
         let outcome = self.shards[shard].receive_sequenced_ref(frame);
-        self.note_receive(rsu, outcome)
+        self.note_receive(outcome)
     }
 
-    /// [`receive_batch`](Self::receive_batch) over an already-validated
-    /// borrowed batch view: inner frames are routed straight off the
-    /// wire buffer, with per-record heap allocation only where a fresh
-    /// or conflicting upload is actually retained (DESIGN.md §18).
+    /// Ingests one already-validated batch view: every inner frame is
+    /// routed exactly as [`receive_sequenced_ref`] would route it,
+    /// straight off the wire buffer, with per-record heap allocation only
+    /// where a fresh or conflicting upload is actually retained
+    /// (DESIGN.md §18). Outcomes come back in the batch's (sorted) frame
+    /// order.
     ///
-    /// [`receive_batch`]: ShardedServer::receive_batch
+    /// [`receive_sequenced_ref`]: ShardedServer::receive_sequenced_ref
     pub fn receive_batch_ref(&mut self, batch: &BatchUploadRef<'_>) -> Vec<ReceiveOutcome> {
         self.obs.inc("batch.frames");
         self.obs.add("batch.uploads", batch.len() as u64);
         batch
             .frames()
-            .map(|frame| {
-                let rsu = frame.upload().rsu();
-                let shard = self.shard_of(rsu);
-                let outcome = self.shards[shard].receive_sequenced_ref(&frame);
-                self.note_receive(rsu, outcome)
-            })
+            .map(|frame| self.receive_sequenced_ref(&frame))
             .collect()
     }
 
-    /// Decodes a batch wire frame as a borrowed view and ingests it —
-    /// the zero-copy form of `BatchUpload::decode` +
-    /// [`receive_batch`](Self::receive_batch). Outcomes and registry
-    /// counters are identical to the owned path; only the allocation
-    /// profile differs.
+    /// Decodes a batch wire frame as a borrowed view and ingests it
+    /// ([`receive_batch_ref`](Self::receive_batch_ref)).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MalformedMessage`] for exactly the frames
-    /// [`BatchUpload::decode`] rejects — nothing is ingested in that
-    /// case.
+    /// Returns [`SimError::MalformedMessage`] for a frame
+    /// [`BatchUploadRef::decode_ref`] rejects — nothing is ingested in
+    /// that case.
     pub fn receive_batch_wire(&mut self, wire: &[u8]) -> Result<Vec<ReceiveOutcome>, SimError> {
         let batch = BatchUploadRef::decode_ref(wire)?;
         Ok(self.receive_batch_ref(&batch))
@@ -378,70 +332,41 @@ impl ShardedServer {
             |shard: &mut CentralServer, bucket: Vec<(usize, SequencedUpload)>| {
                 bucket
                     .into_iter()
-                    .map(|(index, sequenced)| {
-                        let rsu = sequenced.upload.rsu;
-                        (index, rsu, shard.receive_sequenced(sequenced))
-                    })
+                    .map(|(index, sequenced)| (index, shard.receive_sequenced(sequenced)))
                     .collect::<Vec<_>>()
             },
         );
         let mut outcomes = vec![ReceiveOutcome::Stale; n];
-        let mut order: Vec<(usize, RsuId, ReceiveOutcome)> =
-            per_shard.into_iter().flatten().collect();
-        order.sort_unstable_by_key(|&(index, _, _)| index);
-        for (index, rsu, outcome) in order {
-            outcomes[index] = self.note_receive(rsu, outcome);
+        let mut order: Vec<(usize, ReceiveOutcome)> = per_shard.into_iter().flatten().collect();
+        order.sort_unstable_by_key(|&(index, _)| index);
+        for (index, outcome) in order {
+            outcomes[index] = self.note_receive(outcome);
         }
         outcomes
     }
 
     /// Records one routed receive: fires the same registry counter the
-    /// monolith fires (plus `shard.routed`) and invalidates the
-    /// composite pair memo when the RSU's data changed.
-    fn note_receive(&mut self, rsu: RsuId, outcome: ReceiveOutcome) -> ReceiveOutcome {
+    /// monolith fires, plus `shard.routed`.
+    fn note_receive(&self, outcome: ReceiveOutcome) -> ReceiveOutcome {
         self.obs.inc("shard.routed");
         self.obs.inc(receive_counter_name(outcome));
-        if matches!(outcome, ReceiveOutcome::Fresh | ReceiveOutcome::Conflicting) {
-            self.pair_memo
-                .get_mut()
-                .expect("pair memo poisoned")
-                .retain(|&(a, b), _| a != rsu && b != rsu);
-        }
         outcome
     }
 
     /// Decodes one pair straight from the owning shards — the sharded
-    /// form of the monolith's uncached decode, dispatching to
+    /// form of the monolith's decode, dispatching to
     /// [`CentralServer::pair_counts_across`] with the two holders (which
     /// coincide for a shard-local pair).
-    fn pair_counts_uncached(
-        &self,
-        a: RsuId,
-        b: RsuId,
-        scratch: &mut DecodeScratch,
-    ) -> Result<PairCounts, SimError> {
+    fn pair_counts(&self, a: RsuId, b: RsuId) -> Result<PairCounts, SimError> {
         let (sa, sb) = (self.shard_of(a), self.shard_of(b));
         self.obs.inc(if sa == sb {
             "shard.local_pair"
         } else {
             "shard.cross_pair"
         });
-        self.shards[sa].pair_counts_across(&self.shards[sb], a, b, scratch, &self.obs)
-    }
-
-    /// [`pair_counts_uncached`](Self::pair_counts_uncached) behind the
-    /// composite memo, mirroring [`CentralServer`]'s memoized path.
-    fn pair_counts(&self, a: RsuId, b: RsuId) -> Result<PairCounts, SimError> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(counts) = self.pair_memo.read().expect("pair memo poisoned").get(&key) {
-            return Ok(*counts);
-        }
-        let counts = with_thread_scratch(|s| self.pair_counts_uncached(a, b, s))?;
-        self.pair_memo
-            .write()
-            .expect("pair memo poisoned")
-            .insert(key, counts);
-        Ok(counts)
+        with_thread_scratch(|s| {
+            self.shards[sa].pair_counts_across(&self.shards[sb], a, b, s, &self.obs)
+        })
     }
 
     /// Estimates the point-to-point volume between two uploaded RSUs,
@@ -512,8 +437,8 @@ impl ShardedServer {
     /// The streamed O–D triangle of [`CentralServer::od_chunks_threads`]
     /// over every RSU any shard knows about — the same driver (same RSU
     /// discovery, same chunked triangle, same per-RSU prefetch and
-    /// terms, same sequential-fallback threshold, same memo bypass),
-    /// with each RSU's prefetched state drawn from its owning shard.
+    /// terms, same sequential-fallback threshold), with each RSU's
+    /// prefetched state drawn from its owning shard.
     ///
     /// # Errors
     ///
@@ -574,10 +499,6 @@ impl ShardedServer {
         for shard in &mut self.shards {
             sizes.append(&mut shard.finish_period()?);
         }
-        self.pair_memo
-            .get_mut()
-            .expect("pair memo poisoned")
-            .clear();
         Ok(sizes)
     }
 }
@@ -585,6 +506,7 @@ impl ShardedServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::BatchUpload;
     use vcps_bitarray::BitArray;
 
     fn upload(rsu: u64, m: usize, ones: &[usize], counter: u64) -> PeriodUpload {
@@ -695,9 +617,9 @@ mod tests {
                 upload: upload(r, 64, &[r as usize], r + 1),
             })
             .collect();
-        let batch = BatchUpload::new(frames.clone()).unwrap();
+        let wire = BatchUpload::new(frames.clone()).unwrap().encode();
         let (_, mut via_batch) = servers(4);
-        let outcomes = via_batch.receive_batch(batch);
+        let outcomes = via_batch.receive_batch_wire(&wire).unwrap();
         assert!(outcomes.iter().all(|&o| o == ReceiveOutcome::Fresh));
         let (_, mut via_loop) = servers(4);
         for f in frames {
@@ -710,9 +632,9 @@ mod tests {
         );
     }
 
-    /// The zero-copy wire path is outcome- and state-identical to the
-    /// owned batch path, including on retransmissions (duplicates) and
-    /// conflicting re-sends.
+    /// The zero-copy wire path is outcome- and state-identical to
+    /// receiving each decoded frame in turn, including on
+    /// retransmissions (duplicates) and conflicting re-sends.
     #[test]
     fn receive_batch_wire_matches_owned_batch_path() {
         let frames: Vec<SequencedUpload> = (0..10u64)
@@ -732,7 +654,12 @@ mod tests {
         let (_, mut via_owned) = servers(4);
         for batch_wire in [&wire, &wire, &conflicting] {
             let wire_outcomes = via_wire.receive_batch_wire(batch_wire).unwrap();
-            let owned_outcomes = via_owned.receive_batch(BatchUpload::decode(batch_wire).unwrap());
+            let owned_outcomes: Vec<ReceiveOutcome> = BatchUpload::decode(batch_wire)
+                .unwrap()
+                .frames()
+                .iter()
+                .map(|f| via_owned.receive_sequenced(f.clone()))
+                .collect();
             assert_eq!(wire_outcomes, owned_outcomes);
         }
         assert_eq!(via_wire.upload_count(), via_owned.upload_count());
@@ -766,16 +693,14 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_invalidated_by_re_uploads() {
+    fn re_uploads_change_the_answer() {
         let (_, mut sharded) = servers(4);
         sharded.receive(upload(1, 64, &[1], 1));
         sharded.receive(upload(2, 64, &[2], 1));
         let before = sharded.estimate(RsuId(1), RsuId(2)).unwrap();
-        assert_eq!(sharded.pair_memo.read().unwrap().len(), 1);
-        // RSU 2 re-uploads with different content: the memoized pair must
-        // not survive, and the fresh answer must see the new data.
+        // RSU 2 re-uploads with different content: the fresh answer must
+        // see the new data.
         sharded.receive(upload(2, 64, &[2, 9], 3));
-        assert!(sharded.pair_memo.read().unwrap().is_empty());
         let after = sharded.estimate(RsuId(1), RsuId(2)).unwrap();
         assert_eq!(after.n_y, 3);
         assert_ne!(before, after);

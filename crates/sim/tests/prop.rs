@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use vcps_core::{RsuId, Scheme};
+use vcps_durable::fnv1a_64;
 use vcps_sim::adversary::observe_pair;
 use vcps_sim::pki::TrustedAuthority;
 use vcps_sim::protocol::{BatchUpload, BitReport, PeriodUpload, Query, SequencedUpload};
@@ -226,20 +227,10 @@ proptest! {
     }
 }
 
-/// Mirror of the wire checksum (`protocol::fnv1a_64`), used to splice
-/// batch records with *valid* checksums so the splice tests exercise the
-/// ordering invariant rather than tripping the checksum guard first.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Assembles a raw batch wire frame from pre-encoded inner records,
-/// declaring `count` frames regardless of how many records follow.
+/// declaring `count` frames regardless of how many records follow. Each
+/// record carries a *valid* checksum, so the splice tests exercise the
+/// ordering invariant rather than tripping the checksum guard first.
 fn splice_batch_wire(records: &[Vec<u8>], count: u64) -> Vec<u8> {
     let mut wire = vec![6u8]; // TAG_BATCH
     wire.extend_from_slice(&count.to_be_bytes());
