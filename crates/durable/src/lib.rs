@@ -1,29 +1,38 @@
 //! `vcps-durable`: the workspace's durability substrate — a checksummed
-//! append-only write-ahead log (WAL) and an atomically-published
-//! checkpoint store, with zero dependencies (DESIGN.md §17).
+//! append-only write-ahead log (WAL) kept as a chain of segments, and an
+//! atomically-published checkpoint store, with zero dependencies
+//! (DESIGN.md §17).
 //!
 //! The crate is deliberately *payload-agnostic*: it persists and
 //! recovers opaque byte records. What those bytes mean (wire frames,
 //! serialized server state) is the simulator's business — `vcps-sim`
 //! layers frame logging, per-shard checkpoints, and replay-based
 //! recovery on top, keeping the dependency arrow pointing from the
-//! system to the substrate.
+//! system to the substrate. The on-disk *layout* is this crate's alone:
+//! no other crate builds or parses a segment or checkpoint file name.
 //!
 //! * [`WalWriter`] appends length-delimited, FNV-1a-64-checksummed
 //!   records to a magic-prefixed log file — the same
 //!   `len ‖ checksum ‖ payload` framing discipline the batch wire
 //!   format uses, so one corrupted record is attributed precisely
 //!   instead of desynchronizing the rest of the scan.
+//!   [`WalWriter::seal`] closes the live file as a numbered segment and
+//!   starts a fresh one.
 //! * [`read_wal`] scans a log tolerantly: a torn write, truncated
 //!   tail, or bit-flipped record stops the scan at the last valid
 //!   record and reports a typed [`DurabilityError`] in
 //!   [`WalScan::tail_error`] — it never panics and never yields a
-//!   record that failed its checksum.
+//!   record that failed its checksum. It collects what the one
+//!   streaming scanner visits; [`SegmentedLog::scan`] streams a chain
+//!   of segments through the same scanner without collecting.
 //! * [`CheckpointStore`] publishes snapshot payloads via
 //!   write-to-temp-then-rename, so a crash mid-checkpoint can never
 //!   leave a half-written file where [`CheckpointStore::latest_valid`]
 //!   would find it; corrupt or torn checkpoint files are skipped in
 //!   favor of the newest one that validates.
+//! * A [`Janitor`] deletes, off the request path, the segments and
+//!   checkpoints that two newer checkpoints make unnecessary, so the
+//!   log's disk use stays bounded.
 //!
 //! # Example
 //!
@@ -53,11 +62,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod segments;
+
 use std::error::Error;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+
+pub use segments::{ChainScan, Janitor, SegmentedLog, LIVE_SEGMENT};
 
 /// Magic prefix of a WAL file (8 bytes, version-suffixed).
 pub const WAL_MAGIC: [u8; 8] = *b"VCPSWAL1";
@@ -72,6 +85,9 @@ const RECORD_HEADER: usize = 16;
 /// Checkpoint file header size: magic ‖ `u64` seq ‖ `u64` payload
 /// length ‖ `u64` checksum.
 const CHECKPOINT_HEADER: usize = 8 + 24;
+
+/// Read-ahead of the streaming WAL scanner.
+const SCAN_BUFFER: usize = 1 << 18;
 
 /// When a [`WalWriter`] flushes its append buffer (writes it to the
 /// file and fsyncs) — the group-commit knob (DESIGN.md §18).
@@ -176,6 +192,16 @@ pub enum DurabilityError {
         /// What failed.
         reason: &'static str,
     },
+    /// The segment chain lacks records `from..to` (numbered from the
+    /// log's creation): a replay would have to start before the oldest
+    /// surviving segment, or a segment is missing or holds fewer
+    /// records than its name promises.
+    ChainGap {
+        /// First missing record.
+        from: u64,
+        /// One past the last missing record.
+        to: u64,
+    },
 }
 
 impl fmt::Display for DurabilityError {
@@ -197,6 +223,9 @@ impl fmt::Display for DurabilityError {
             DurabilityError::CorruptCheckpoint { path, reason } => {
                 write!(f, "corrupt checkpoint {}: {reason}", path.display())
             }
+            DurabilityError::ChainGap { from, to } => {
+                write!(f, "log records {from}..{to} are missing from the segment chain")
+            }
         }
     }
 }
@@ -209,6 +238,38 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> DurabilityError 
         path: path.to_path_buf(),
         detail: e.to_string(),
     }
+}
+
+/// Makes the directory entries of `dir` durable: a rename or create is
+/// only on stable storage once its directory has been fsynced.
+fn sync_dir(dir: &Path) -> Result<(), DurabilityError> {
+    #[cfg(unix)]
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("fsync dir", dir, &e))?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    path.parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(Path::new("."))
+}
+
+/// Creates (or truncates) a log file holding only the magic prefix.
+fn create_log_file(path: &Path) -> Result<File, DurabilityError> {
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)
+        .map_err(|e| io_err("create", path, &e))?;
+    file.write_all(&WAL_MAGIC)
+        .map_err(|e| io_err("write magic", path, &e))?;
+    Ok(file)
 }
 
 /// An append-only write-ahead log file with group commit.
@@ -284,14 +345,7 @@ impl WalWriter {
     /// or the prefix written.
     pub fn create(path: impl Into<PathBuf>) -> Result<Self, DurabilityError> {
         let path = path.into();
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| io_err("create", &path, &e))?;
-        file.write_all(&WAL_MAGIC)
-            .map_err(|e| io_err("write magic", &path, &e))?;
+        let file = create_log_file(&path)?;
         Ok(Self {
             file,
             path,
@@ -316,22 +370,26 @@ impl WalWriter {
     /// Returns [`DurabilityError::Io`] if the file cannot be opened,
     /// truncated, or seeked.
     pub fn resume(path: impl Into<PathBuf>, scan: &WalScan) -> Result<Self, DurabilityError> {
-        let path = path.into();
-        let file = OpenOptions::new()
+        Self::resume_at(path.into(), scan.valid_len, scan.records.len() as u64)
+    }
+
+    /// [`resume`](Self::resume) from a scan's summary: `valid_len`
+    /// bytes holding `records` records stay, anything after goes.
+    fn resume_at(path: PathBuf, valid_len: u64, records: u64) -> Result<Self, DurabilityError> {
+        let mut file = OpenOptions::new()
             .write(true)
             .read(true)
             .open(&path)
             .map_err(|e| io_err("open", &path, &e))?;
-        file.set_len(scan.valid_len)
+        file.set_len(valid_len)
             .map_err(|e| io_err("truncate torn tail", &path, &e))?;
-        let mut file = file;
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("seek", &path, &e))?;
         Ok(Self {
             file,
             path,
-            len: scan.valid_len,
-            records: scan.records.len() as u64,
+            len: valid_len,
+            records,
             policy: FlushPolicy::default(),
             buf: Vec::new(),
             buffered_records: 0,
@@ -432,6 +490,48 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Closes this file as a sealed segment of a [`SegmentedLog`] and
+    /// continues in a fresh, empty file at the same path. `first` is
+    /// the number (counted from the log's creation) of this file's first
+    /// record; the sealed file is renamed to carry the range
+    /// `first..first + record_count()`.
+    ///
+    /// Everything appended is flushed first. The fresh file's magic is
+    /// fsynced and then the directory, so the rename and the new file
+    /// are durable together: a crash leaves either the unsealed file, or
+    /// the sealed segment with or without its empty successor — never a
+    /// record outside the chain.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DurabilityError::Io`] on a flush, rename, create or
+    /// fsync failure. If the fresh file cannot be created the rename is
+    /// undone, so later appends still land in the file the name covers.
+    pub fn seal(&mut self, first: u64) -> Result<(), DurabilityError> {
+        self.sync()?;
+        let sealed = self
+            .path
+            .with_file_name(segments::sealed_name(first, first + self.records));
+        fs::rename(&self.path, &sealed).map_err(|e| io_err("seal", &sealed, &e))?;
+        let fresh = create_log_file(&self.path).and_then(|file| {
+            file.sync_data()
+                .map_err(|e| io_err("fsync", &self.path, &e))?;
+            Ok(file)
+        });
+        let file = match fresh {
+            Ok(file) => file,
+            Err(e) => {
+                let _ = fs::rename(&sealed, &self.path);
+                return Err(e);
+            }
+        };
+        self.file = file;
+        self.len = WAL_MAGIC.len() as u64;
+        self.records = 0;
+        self.dirty = false;
+        sync_dir(parent_dir(&self.path))
+    }
+
     /// Records appended (including those found by a resume scan and
     /// those still waiting in the group-commit buffer).
     #[must_use]
@@ -496,7 +596,8 @@ pub struct WalScan {
 }
 
 /// Scans a WAL file, stopping at the first record that fails to
-/// validate.
+/// validate, and collects every valid record — the collecting form of
+/// the one streaming scanner that [`SegmentedLog::scan`] also runs.
 ///
 /// Corruption is *not* a scan failure: torn writes and bit flips are
 /// exactly what a crash leaves behind, so they come back as
@@ -510,57 +611,111 @@ pub struct WalScan {
 /// [`DurabilityError::BadMagic`] if it is not a WAL file (including a
 /// file shorter than the magic prefix).
 pub fn read_wal(path: impl AsRef<Path>) -> Result<WalScan, DurabilityError> {
-    let path = path.as_ref();
-    let bytes = fs::read(path).map_err(|e| io_err("read", path, &e))?;
-    if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(DurabilityError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
     let mut records = Vec::new();
-    let mut offset = WAL_MAGIC.len() as u64;
-    let mut tail_error = None;
-    loop {
-        let rest = &bytes[offset as usize..];
-        if rest.is_empty() {
+    let end = scan_file(path.as_ref(), u64::MAX, |_, payload| {
+        records.push(payload.to_vec());
+        Ok::<(), DurabilityError>(())
+    })?;
+    Ok(WalScan {
+        records,
+        valid_len: end.valid_len,
+        tail_error: end.tail_error,
+    })
+}
+
+/// Where [`scan_file`] stopped in one log file.
+#[derive(Debug)]
+struct FileScan {
+    /// Valid records visited.
+    records: u64,
+    /// Byte length of the valid prefix.
+    valid_len: u64,
+    /// Bytes read from the file.
+    read: u64,
+    /// The file's length when the scan opened it.
+    file_len: u64,
+    /// Why the scan stopped before the end of the file, if it did.
+    tail_error: Option<DurabilityError>,
+}
+
+/// The WAL scanner: streams the records of the log file at `path`
+/// through `visit` (with each record's position in the file), checksum
+/// first, stopping after `limit` records or at the first record that
+/// fails to validate. The payload is borrowed from one reused buffer,
+/// so memory stays at one record however long the file is.
+fn scan_file<E: From<DurabilityError>>(
+    path: &Path,
+    limit: u64,
+    mut visit: impl FnMut(u64, &[u8]) -> Result<(), E>,
+) -> Result<FileScan, E> {
+    let read_err = |e: &std::io::Error| io_err("read", path, e);
+    let file = File::open(path).map_err(|e| read_err(&e))?;
+    let file_len = file.metadata().map_err(|e| read_err(&e))?.len();
+    let bad_magic = || DurabilityError::BadMagic {
+        path: path.to_path_buf(),
+    };
+    if file_len < WAL_MAGIC.len() as u64 {
+        return Err(bad_magic().into());
+    }
+    let mut reader = BufReader::with_capacity(SCAN_BUFFER, file);
+    let mut magic = [0u8; 8];
+    reader.read_exact(&mut magic).map_err(|e| read_err(&e))?;
+    if magic != WAL_MAGIC {
+        return Err(bad_magic().into());
+    }
+    let mut scan = FileScan {
+        records: 0,
+        valid_len: WAL_MAGIC.len() as u64,
+        read: WAL_MAGIC.len() as u64,
+        file_len,
+        tail_error: None,
+    };
+    let mut payload = Vec::new();
+    while scan.records < limit {
+        let offset = scan.valid_len;
+        let rest = file_len - offset;
+        if rest == 0 {
             break;
         }
-        if rest.len() < RECORD_HEADER {
-            tail_error = Some(DurabilityError::TruncatedRecord {
+        if rest < RECORD_HEADER as u64 {
+            scan.tail_error = Some(DurabilityError::TruncatedRecord {
                 offset,
-                have: rest.len() as u64,
+                have: rest,
                 need: RECORD_HEADER as u64,
             });
             break;
         }
-        let len = u64::from_be_bytes(rest[..8].try_into().expect("8-byte slice"));
-        let checksum = u64::from_be_bytes(rest[8..16].try_into().expect("8-byte slice"));
-        let body = &rest[RECORD_HEADER..];
+        let mut header = [0u8; RECORD_HEADER];
+        reader.read_exact(&mut header).map_err(|e| read_err(&e))?;
+        scan.read += RECORD_HEADER as u64;
+        let len = u64::from_be_bytes(header[..8].try_into().expect("8-byte slice"));
+        let checksum = u64::from_be_bytes(header[8..].try_into().expect("8-byte slice"));
         // `len` comes straight off disk: compare against the remaining
-        // byte count (no addition, no overflow) before slicing. A bit
+        // byte count (no addition, no overflow) before allocating. A bit
         // flip in the length field lands here too — indistinguishable
         // from truncation, and handled the same way.
-        if len > body.len() as u64 {
-            tail_error = Some(DurabilityError::TruncatedRecord {
+        let body = rest - RECORD_HEADER as u64;
+        let Some(size) = (len <= body).then(|| usize::try_from(len).ok()).flatten() else {
+            scan.tail_error = Some(DurabilityError::TruncatedRecord {
                 offset,
-                have: body.len() as u64,
+                have: body,
                 need: len,
             });
             break;
-        }
-        let payload = &body[..len as usize];
-        if fnv1a_64(payload) != checksum {
-            tail_error = Some(DurabilityError::ChecksumMismatch { offset });
+        };
+        payload.clear();
+        payload.resize(size, 0);
+        reader.read_exact(&mut payload).map_err(|e| read_err(&e))?;
+        scan.read += len;
+        if fnv1a_64(&payload) != checksum {
+            scan.tail_error = Some(DurabilityError::ChecksumMismatch { offset });
             break;
         }
-        records.push(payload.to_vec());
-        offset += RECORD_HEADER as u64 + len;
+        visit(scan.records, &payload)?;
+        scan.records += 1;
+        scan.valid_len = offset + RECORD_HEADER as u64 + len;
     }
-    Ok(WalScan {
-        records,
-        valid_len: offset,
-        tail_error,
-    })
+    Ok(scan)
 }
 
 /// One validated checkpoint, as returned by
@@ -610,9 +765,37 @@ impl CheckpointStore {
         format!("ckpt-{seq:020}.bin")
     }
 
+    /// Every checkpoint file (`tmp: false`) and leftover publish temp
+    /// file (`tmp: true`) in the store, by the seq in its name, oldest
+    /// first. Names that do not parse are not the store's and are left
+    /// alone.
+    fn entries(&self) -> Result<Vec<CheckpointFile>, DurabilityError> {
+        let listing = fs::read_dir(&self.dir).map_err(|e| io_err("list", &self.dir, &e))?;
+        let mut files: Vec<CheckpointFile> = listing
+            .filter_map(Result::ok)
+            .filter_map(|entry| {
+                let name = entry.file_name();
+                let name = name.to_str()?.strip_prefix("ckpt-")?;
+                let (seq, tmp) = match name.strip_suffix(".bin.tmp") {
+                    Some(seq) => (seq, true),
+                    None => (name.strip_suffix(".bin")?, false),
+                };
+                Some(CheckpointFile {
+                    seq: seq.parse().ok()?,
+                    tmp,
+                    path: entry.path(),
+                })
+            })
+            .collect();
+        files.sort_unstable_by_key(|f| (f.seq, f.tmp));
+        Ok(files)
+    }
+
     /// Atomically publishes a checkpoint payload under sequence `seq`,
     /// returning its final path. An existing checkpoint with the same
-    /// sequence is replaced.
+    /// sequence is replaced. The payload is fsynced before the rename
+    /// and the directory after it, so the checkpoint is on stable
+    /// storage when this returns.
     ///
     /// # Errors
     ///
@@ -634,6 +817,7 @@ impl CheckpointStore {
             file.sync_data().map_err(|e| io_err("fsync", &tmp, &e))?;
         }
         fs::rename(&tmp, &target).map_err(|e| io_err("rename", &target, &e))?;
+        sync_dir(&self.dir)?;
         Ok(target)
     }
 
@@ -675,6 +859,23 @@ impl CheckpointStore {
         })
     }
 
+    /// Every checkpoint that validates, newest first, each loaded only
+    /// when the iterator reaches it. Corrupt, torn, or temp files are
+    /// skipped, as is a file whose header seq disagrees with its name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DurabilityError::Io`] only if the directory itself
+    /// cannot be listed.
+    pub fn valid_newest_first(&self) -> Result<impl Iterator<Item = Checkpoint>, DurabilityError> {
+        let files = self.entries()?;
+        Ok(files.into_iter().rev().filter(|f| !f.tmp).filter_map(|f| {
+            Self::load(&f.path)
+                .ok()
+                .filter(|checkpoint| checkpoint.seq == f.seq)
+        }))
+    }
+
     /// The newest checkpoint that validates, or `None` if the store
     /// holds no valid checkpoint at all. Corrupt, torn, or temp files
     /// are skipped (recovery falls back to the previous checkpoint and
@@ -685,25 +886,61 @@ impl CheckpointStore {
     /// Returns [`DurabilityError::Io`] only if the directory itself
     /// cannot be listed.
     pub fn latest_valid(&self) -> Result<Option<Checkpoint>, DurabilityError> {
-        let entries = fs::read_dir(&self.dir).map_err(|e| io_err("list", &self.dir, &e))?;
-        let mut names: Vec<PathBuf> = entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(".bin"))
-            })
+        Ok(self.valid_newest_first()?.next())
+    }
+
+    /// Deletes every checkpoint (and publish temp file) whose seq is
+    /// above `seq`. Recovery calls this for the checkpoints newer than
+    /// the one it restored: they are corrupt or ahead of the surviving
+    /// log, and once appends resume they would describe records that no
+    /// longer exist.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DurabilityError::Io`] if the directory cannot be listed
+    /// or a file cannot be removed.
+    pub fn retire_newer_than(&self, seq: u64) -> Result<(), DurabilityError> {
+        let newer: Vec<_> = self
+            .entries()?
+            .into_iter()
+            .filter(|f| f.seq > seq)
             .collect();
-        // Zero-padded names: lexicographically descending is newest
-        // first.
-        names.sort_unstable();
-        for path in names.into_iter().rev() {
-            if let Ok(checkpoint) = Self::load(&path) {
-                return Ok(Some(checkpoint));
-            }
+        for file in &newer {
+            remove_file(&file.path)?;
         }
-        Ok(None)
+        if newer.is_empty() {
+            Ok(())
+        } else {
+            sync_dir(&self.dir)
+        }
+    }
+
+    /// Deletes every checkpoint and publish temp file in the store.
+    ///
+    /// # Errors
+    ///
+    /// As [`retire_newer_than`](Self::retire_newer_than).
+    pub fn clear(&self) -> Result<(), DurabilityError> {
+        for file in self.entries()? {
+            remove_file(&file.path)?;
+        }
+        sync_dir(&self.dir)
+    }
+}
+
+/// One file of a [`CheckpointStore`], identified by its name.
+#[derive(Debug)]
+struct CheckpointFile {
+    seq: u64,
+    tmp: bool,
+    path: PathBuf,
+}
+
+/// Removes a file; one that is already gone counts as removed.
+fn remove_file(path: &Path) -> Result<(), DurabilityError> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err("remove", path, &e)),
+        _ => Ok(()),
     }
 }
 

@@ -112,8 +112,9 @@ impl DaemonConfig {
 enum Backend {
     /// In-memory only — state dies with the process.
     Volatile(ShardedServer),
-    /// Write-ahead logged and checkpointed.
-    Durable(DurableServer),
+    /// Write-ahead logged and checkpointed (boxed: it carries the WAL
+    /// writer and its retention janitor).
+    Durable(Box<DurableServer>),
 }
 
 impl Backend {
@@ -194,7 +195,7 @@ impl Daemon {
                     "net.recover.records",
                     report.checkpoint_records + report.replayed_records,
                 );
-                Backend::Durable(server)
+                Backend::Durable(Box::new(server))
             }
             None => Backend::Volatile(
                 ShardedServer::new(config.scheme.clone(), config.history_alpha, config.shards)

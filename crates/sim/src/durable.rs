@@ -13,39 +13,55 @@
 //! [`ShardedServer::receive_sequenced_ref`] /
 //! [`ShardedServer::receive_batch_wire`] paths reproduces dedup and
 //! sequencing decisions *by construction*, instead of re-implementing
-//! them in a recovery routine that could drift.
-//! Recovery is therefore:
+//! them in a recovery routine that could drift. A period rollover is
+//! logged too, as a one-byte record replayed through
+//! [`ShardedServer::finish_period`], so every checkpoint is a valid
+//! starting point for replay.
 //!
-//! 1. load the newest checkpoint that validates **and** is covered by
-//!    the WAL's surviving prefix (a checkpoint ahead of a mid-file
-//!    corruption is ignored — state is only trusted when the log that
-//!    produced it is);
-//! 2. replay the WAL records past the checkpoint through the normal
+//! The log is a chain of segments: each rollover publishes its
+//! checkpoint and then seals the live segment, and segments and
+//! checkpoints that two newer checkpoints cover are retired on a
+//! background thread. Recovery is therefore:
+//!
+//! 1. restore the newest checkpoint that validates **and** that the
+//!    surviving chain reaches — its segments are contiguous and every
+//!    record up to the checkpoint's position checksums (a checkpoint
+//!    ahead of a corruption is passed over for an older one, or for a
+//!    replay from the log's first record, which must still exist);
+//! 2. stream the records past the checkpoint through the normal
 //!    receive paths, silently (the rebuilt server carries a disabled
 //!    observability handle during replay — every replayed frame was
 //!    already counted when it was first accepted, so counters fire
 //!    exactly once per live event and a crashed-and-recovered run's
 //!    registry matches an uninterrupted run's, modulo the `wal.*`
-//!    series);
-//! 3. truncate any torn tail so future appends land after the last
-//!    valid record, and re-attach the real observability handle.
+//!    series). Sealed segments the checkpoint covers are not read;
+//! 3. discard any torn tail (and every segment after it) so future
+//!    appends land after the last valid record, delete the checkpoints
+//!    newer than the restored one, and re-attach the real observability
+//!    handle.
 //!
 //! Torn writes, truncated tails, and bit-flipped records come back as
 //! typed [`DurabilityError`]s in the [`RecoveryReport`] — the scan
 //! stops at the first corrupt record, never panics, and never applies
-//! a record that failed its checksum. See DESIGN.md §17.
+//! a record that failed its checksum. A log whose surviving records no
+//! checkpoint can reach is a typed [`DurabilityError::ChainGap`], never
+//! a partial state. See DESIGN.md §17.
 
 use std::path::{Path, PathBuf};
 
 use vcps_core::CoreError;
-use vcps_durable::{read_wal, CheckpointStore, DurabilityError, FlushPolicy, WalWriter};
+use vcps_durable::{
+    Checkpoint, CheckpointStore, DurabilityError, FlushPolicy, Janitor, SegmentedLog, WalWriter,
+};
 use vcps_obs::{Level, Obs, Phase, Value};
 
-use crate::protocol::{BatchUploadRef, CheckpointSet, SequencedUpload, SequencedUploadRef};
+use crate::protocol::{
+    BatchUploadRef, CheckpointSet, SequencedUpload, SequencedUploadRef, TAG_ROLLOVER,
+};
 use crate::{ReceiveOutcome, ShardedServer, SimError};
 
-/// File name of the frame log inside a durability directory.
-pub const WAL_FILE: &str = "frames.wal";
+/// File name of the live WAL segment inside a durability directory.
+pub const WAL_FILE: &str = vcps_durable::LIVE_SEGMENT;
 
 /// Subdirectory holding published checkpoints.
 pub const CHECKPOINT_DIR: &str = "checkpoints";
@@ -116,11 +132,15 @@ pub struct RecoveryReport {
     /// WAL records replayed through the live receive paths.
     pub replayed_records: u64,
     /// Bytes of torn/corrupt WAL tail discarded before resuming
-    /// appends.
+    /// appends (with every segment after the damage).
     pub truncated_bytes: u64,
     /// Why the WAL scan stopped early, if it did (`None`: the log ended
     /// cleanly on a record boundary).
     pub tail_error: Option<DurabilityError>,
+    /// WAL segment bytes recovery read: the live segment's length when
+    /// the newest checkpoint is usable, however long the deployment has
+    /// run.
+    pub scanned_bytes: u64,
 }
 
 /// A [`ShardedServer`] whose ingestion is write-ahead logged and
@@ -134,6 +154,9 @@ pub struct DurableServer {
     inner: ShardedServer,
     wal: WalWriter,
     store: CheckpointStore,
+    /// Retires covered segments and checkpoints off the request path;
+    /// joined when the server drops.
+    janitor: Janitor,
     options: DurableOptions,
     records_logged: u64,
     last_checkpoint: u64,
@@ -160,16 +183,34 @@ impl DurableServer {
         });
     }
 
-    /// Starts a fresh durable server in `dir` (created if needed): a
-    /// new WAL (truncating any previous one) and an empty deployment.
-    /// Use [`recover`](Self::recover) to resume from existing state
-    /// instead.
+    /// The retention janitor for `dir`: `wal.retire` counts the files
+    /// each pass removes, and a failed pass is counted and logged.
+    fn janitor(dir: &Path, store: &CheckpointStore, obs: &Obs) -> Janitor {
+        let obs = obs.clone();
+        Janitor::new(dir, store.clone(), move |pass| match pass {
+            Ok(retired) => obs.add("wal.retire", retired),
+            Err(e) => {
+                obs.inc("wal.retire.error");
+                obs.event(
+                    Level::Warn,
+                    "wal.retire.error",
+                    &[("error", Value::Str(e.to_string()))],
+                );
+            }
+        })
+    }
+
+    /// Starts a fresh durable server in `dir` (created if needed): an
+    /// empty log and an empty deployment. Whatever an earlier deployment
+    /// left in `dir` — its segments and checkpoints — is deleted first,
+    /// so it cannot outrank the new log at the next recovery. Use
+    /// [`recover`](Self::recover) to resume from existing state instead.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Core`] for an invalid shard count, alpha,
     /// or checkpoint interval, and [`SimError::Durability`] if the
-    /// directory or log cannot be created.
+    /// directory or log cannot be created or the old files removed.
     pub fn create(
         scheme: vcps_core::Scheme,
         history_alpha: f64,
@@ -182,12 +223,14 @@ impl DurableServer {
         // Opening the checkpoint store first creates `dir` itself (the
         // store's directory is nested inside it).
         let store = CheckpointStore::open(dir.join(CHECKPOINT_DIR))?;
-        let mut wal = WalWriter::create(dir.join(WAL_FILE))?.with_flush_policy(options.flush);
+        store.clear()?;
+        let mut wal = SegmentedLog::create(dir)?.with_flush_policy(options.flush);
         Self::install_drop_accounting(&mut wal, obs);
         let inner = ShardedServer::new(scheme, history_alpha, shard_count)?.with_obs(obs.clone());
         Ok(Self {
             inner,
             wal,
+            janitor: Self::janitor(dir, &store, obs),
             store,
             options,
             records_logged: 0,
@@ -195,13 +238,13 @@ impl DurableServer {
         })
     }
 
-    /// Rebuilds a durable server from what `dir` holds: newest usable
-    /// checkpoint plus a silent WAL-tail replay (see the module docs),
-    /// tolerating torn writes, truncated tails, and bit-flipped records
-    /// — the scan stops at the first corrupt record and the tail is
-    /// discarded, reported in the [`RecoveryReport`]. A missing WAL is
-    /// an empty one (the crash may have landed before the first
-    /// append).
+    /// Rebuilds a durable server from what `dir` holds: the newest
+    /// checkpoint the surviving log reaches plus a silent replay of the
+    /// records after it (see the module docs), tolerating torn writes,
+    /// truncated tails, and bit-flipped records — the scan stops at the
+    /// first corrupt record and the tail is discarded, reported in the
+    /// [`RecoveryReport`]. A missing WAL is an empty one (the crash may
+    /// have landed before the first append).
     ///
     /// `history_alpha` and `shard_count` describe the deployment being
     /// recovered; a checkpoint whose topology disagrees with
@@ -209,9 +252,11 @@ impl DurableServer {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Durability`] for hard I/O failures or a
-    /// non-WAL file where the log should be, [`SimError::Core`] for a
-    /// topology mismatch or invalid parameters, and
+    /// Returns [`SimError::Durability`] for hard I/O failures, a
+    /// non-WAL file where a segment should be, or a
+    /// [`DurabilityError::ChainGap`] when no checkpoint is usable and the
+    /// log's first records were retired; [`SimError::Core`] for a
+    /// topology mismatch or invalid parameters; and
     /// [`SimError::MalformedMessage`] if a checksummed WAL record or
     /// checkpoint payload does not parse (possible only for a foreign
     /// or logically corrupted store — checksums catch random damage
@@ -227,92 +272,114 @@ impl DurableServer {
         options.validate()?;
         let _timer = obs.phase(Phase::WalRecover);
         let store = CheckpointStore::open(dir.join(CHECKPOINT_DIR))?;
-        let wal_path = dir.join(WAL_FILE);
-        let (records, tail_error, truncated_bytes, mut wal) = if wal_path.exists() {
-            let file_len = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-            let scan = read_wal(&wal_path)?;
-            let truncated = file_len.saturating_sub(scan.valid_len);
-            let wal = WalWriter::resume(&wal_path, &scan)?.with_flush_policy(options.flush);
-            (scan.records, scan.tail_error, truncated, wal)
-        } else {
-            (
-                Vec::new(),
-                None,
-                0,
-                WalWriter::create(&wal_path)?.with_flush_policy(options.flush),
-            )
-        };
-        Self::install_drop_accounting(&mut wal, obs);
-        let total = records.len() as u64;
-        // A checkpoint is only usable if the surviving log prefix
-        // covers it: state is trusted exactly as far as the log that
-        // produced it.
-        let checkpoint = store.latest_valid()?.filter(|c| c.seq <= total);
-        let (mut inner, start) = match checkpoint {
-            Some(c) => {
-                let set = CheckpointSet::decode(&c.payload)?;
-                if set.frames_applied != c.seq {
-                    return Err(SimError::MalformedMessage {
-                        reason: "checkpoint sequence disagrees with its payload",
-                    });
-                }
-                if set.shards.len() != shard_count {
-                    return Err(SimError::Core(CoreError::InvalidConfig {
-                        parameter: "shard_count",
-                        reason: format!(
-                            "checkpoint holds {} shards, deployment expects {shard_count}",
-                            set.shards.len()
-                        ),
-                    }));
-                }
-                (
-                    ShardedServer::restore_from_checkpoint(scheme, &set)?,
-                    set.frames_applied,
-                )
+        let log = SegmentedLog::open(dir)?;
+        let mut scanned_bytes = 0;
+        // Silent replay: `inner` carries a disabled observability handle
+        // here (both construction paths leave it disabled), so replayed
+        // frames are not double-counted.
+        let mut restored = None;
+        for checkpoint in store.valid_newest_first()? {
+            // Records before the chain's start are retired: no replay
+            // can continue from a checkpoint older than them.
+            if checkpoint.seq < log.start() {
+                continue;
             }
-            None => (ShardedServer::new(scheme, history_alpha, shard_count)?, 0),
-        };
-        // Silent replay: `inner` carries a disabled observability
-        // handle here (both construction paths leave it disabled), so
-        // replayed frames are not double-counted.
-        let mut replayed = 0u64;
-        for frame in &records[start as usize..] {
-            Self::replay_frame(&mut inner, frame)?;
-            replayed += 1;
+            let mut inner = None;
+            let scan = log.scan(checkpoint.seq, |frame| {
+                if inner.is_none() {
+                    inner = Some(Self::restore(&scheme, shard_count, &checkpoint)?);
+                }
+                Self::replay_frame(inner.as_mut().expect("restored above"), frame)
+            })?;
+            scanned_bytes += scan.scanned_bytes;
+            if scan.end >= checkpoint.seq {
+                let inner = match inner {
+                    Some(inner) => inner,
+                    None => Self::restore(&scheme, shard_count, &checkpoint)?,
+                };
+                restored = Some((inner, checkpoint.seq, scan));
+                break;
+            }
         }
+        let (mut inner, start, scan) = match restored {
+            Some(found) => found,
+            None => {
+                let mut inner = ShardedServer::new(scheme, history_alpha, shard_count)?;
+                let scan = log.scan(0, |frame| Self::replay_frame(&mut inner, frame))?;
+                scanned_bytes += scan.scanned_bytes;
+                (inner, 0, scan)
+            }
+        };
+        store.retire_newer_than(start)?;
+        let mut wal = log.resume(&scan)?.with_flush_policy(options.flush);
+        Self::install_drop_accounting(&mut wal, obs);
+        let replayed = scan.end - start;
         inner.set_obs(obs.clone());
         obs.inc("wal.recover");
         obs.add("wal.replay.records", replayed);
         let report = RecoveryReport {
             checkpoint_records: start,
             replayed_records: replayed,
-            truncated_bytes,
-            tail_error,
+            truncated_bytes: scan.discarded_bytes,
+            tail_error: scan.tail_error,
+            scanned_bytes,
         };
         Ok((
             Self {
                 inner,
                 wal,
+                janitor: Self::janitor(dir, &store, obs),
                 store,
                 options,
-                records_logged: total,
+                records_logged: scan.end,
                 last_checkpoint: start,
             },
             report,
         ))
     }
 
-    /// Applies one logged wire frame through the normal receive paths,
+    /// Rebuilds the deployment a checkpoint holds, checking that it
+    /// covers the records its file claims and matches the topology.
+    fn restore(
+        scheme: &vcps_core::Scheme,
+        shard_count: usize,
+        checkpoint: &Checkpoint,
+    ) -> Result<ShardedServer, SimError> {
+        let set = CheckpointSet::decode(&checkpoint.payload)?;
+        if set.frames_applied != checkpoint.seq {
+            return Err(SimError::MalformedMessage {
+                reason: "checkpoint sequence disagrees with its payload",
+            });
+        }
+        if set.shards.len() != shard_count {
+            return Err(SimError::Core(CoreError::InvalidConfig {
+                parameter: "shard_count",
+                reason: format!(
+                    "checkpoint holds {} shards, deployment expects {shard_count}",
+                    set.shards.len()
+                ),
+            }));
+        }
+        ShardedServer::restore_from_checkpoint(scheme.clone(), &set)
+    }
+
+    /// Applies one logged record through the normal receive paths,
     /// dispatching on its tag byte. Replay runs the zero-copy decode, so
-    /// only a fresh or conflicting upload is materialized.
+    /// only a fresh or conflicting upload is materialized. A rollover
+    /// record replays [`ShardedServer::finish_period`] and, like the
+    /// receive verdicts, ignores its result: a sizing failure leaves the
+    /// same state it left live.
     fn replay_frame(inner: &mut ShardedServer, frame: &[u8]) -> Result<(), SimError> {
-        match frame.first() {
-            Some(5) => {
+        match frame {
+            [5, ..] => {
                 let view = SequencedUploadRef::decode_ref(frame)?;
                 let _ = inner.receive_sequenced_ref(&view);
             }
-            Some(6) => {
+            [6, ..] => {
                 let _ = inner.receive_batch_wire(frame)?;
+            }
+            [TAG_ROLLOVER] => {
+                let _ = inner.finish_period();
             }
             _ => {
                 return Err(SimError::MalformedMessage {
@@ -368,16 +435,24 @@ impl DurableServer {
     }
 
     /// Publishes a whole-deployment checkpoint covering everything
-    /// logged so far, unconditionally. The WAL is flushed first so the
-    /// checkpoint never claims records the log does not durably hold
-    /// (recovery trusts a checkpoint only as far as the surviving log
-    /// prefix).
+    /// logged so far, unconditionally, then queues a retention pass.
+    /// The WAL is flushed first so the checkpoint never claims records
+    /// the log does not durably hold (recovery trusts a checkpoint only
+    /// as far as the surviving log reaches).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Durability`] if the flush or publication
     /// fails.
     pub fn checkpoint_now(&mut self) -> Result<(), SimError> {
+        self.publish_checkpoint()?;
+        self.janitor.request(self.last_checkpoint);
+        Ok(())
+    }
+
+    /// Flushes the WAL, then publishes (durably) a checkpoint covering
+    /// every record logged.
+    fn publish_checkpoint(&mut self) -> Result<(), SimError> {
         self.flush_wal()?;
         let set = self.inner.checkpoint(self.records_logged);
         self.store.publish(self.records_logged, &set.encode())?;
@@ -446,21 +521,28 @@ impl DurableServer {
         Ok(outcomes)
     }
 
-    /// [`ShardedServer::finish_period`], followed by a mandatory
-    /// checkpoint: closing a period folds uploads into history and
-    /// drops them, a transition the WAL does not record — the
-    /// checkpoint is what keeps recovery from resurrecting the closed
-    /// period's uploads as current.
+    /// [`ShardedServer::finish_period`], write-ahead logged as a rollover
+    /// record and followed by a mandatory checkpoint, after which the
+    /// live WAL segment is sealed and a retention pass queued. The
+    /// checkpoint is published (durably) before the seal, so the closed
+    /// period's segment is only ever retired behind checkpoints that
+    /// cover it.
     ///
     /// # Errors
     ///
     /// Propagates sizing failures and [`SimError::Durability`] from the
-    /// checkpoint publication.
+    /// append, the checkpoint publication, or the seal.
     pub fn finish_period(
         &mut self,
     ) -> Result<std::collections::BTreeMap<vcps_core::RsuId, usize>, SimError> {
+        self.log_frame(&[TAG_ROLLOVER])?;
         let sizes = self.inner.finish_period()?;
-        self.checkpoint_now()?;
+        self.publish_checkpoint()?;
+        // The live segment holds the newest `record_count` records.
+        self.wal
+            .seal(self.records_logged - self.wal.record_count())?;
+        self.inner.obs().inc("wal.seal");
+        self.janitor.request(self.last_checkpoint);
         Ok(sizes)
     }
 
@@ -471,8 +553,8 @@ impl DurableServer {
         &self.inner
     }
 
-    /// Consumes the wrapper, yielding the wrapped server (the WAL file
-    /// and checkpoints stay on disk).
+    /// Consumes the wrapper, yielding the wrapped server (the WAL
+    /// segments and checkpoints stay on disk).
     #[must_use]
     pub fn into_server(self) -> ShardedServer {
         self.inner
@@ -487,19 +569,22 @@ impl DurableServer {
     /// Re-seeds an RSU's historical average (see
     /// [`ShardedServer::seed_history`]). Seeds are engine-provided
     /// configuration, not logged state — a recovering driver re-applies
-    /// them after [`recover`](Self::recover).
+    /// them after [`recover`](Self::recover). A replay that crosses a
+    /// rollover folds the period into the history held by the
+    /// checkpoint it started from, seeds included only if they were
+    /// applied before that checkpoint.
     pub fn seed_history(&mut self, rsu: vcps_core::RsuId, average: f64) {
         self.inner.seed_history(rsu, average);
     }
 
     /// WAL records appended so far (including those found by
-    /// recovery).
+    /// recovery), numbered from the log's creation across segments.
     #[must_use]
     pub fn records_logged(&self) -> u64 {
         self.records_logged
     }
 
-    /// The WAL file's path.
+    /// The live WAL segment's path.
     #[must_use]
     pub fn wal_path(&self) -> &Path {
         self.wal.path()
@@ -516,6 +601,7 @@ impl DurableServer {
 mod tests {
     use super::*;
     use vcps_core::{BitArray, RsuId, Scheme};
+    use vcps_durable::read_wal;
 
     use crate::protocol::{BatchUpload, PeriodUpload};
 
@@ -921,7 +1007,7 @@ mod tests {
         drop(durable); // no explicit flush after the checkpoint
         let (recovered, report) =
             DurableServer::recover(scheme(), 1.0, 2, &dir, options, &obs).unwrap();
-        assert_eq!(report.checkpoint_records, 2, "checkpoint covered by log");
+        assert_eq!(report.checkpoint_records, 3, "checkpoint covered by log");
         assert_eq!(recovered.server().upload_count(), 0);
         assert_eq!(recovered.server().checkpoint(0), reference.checkpoint(0));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -85,6 +85,10 @@ const TAG_UPLOAD_SEQ: u8 = 5;
 const TAG_BATCH: u8 = 6;
 const TAG_CHECKPOINT: u8 = 7;
 const TAG_CHECKPOINT_SET: u8 = 8;
+/// A period rollover, as a one-byte WAL record (DESIGN.md §17). It is
+/// never a wire frame: `DurableServer::finish_period` logs it and replay
+/// applies it, and no socket path accepts it.
+pub(crate) const TAG_ROLLOVER: u8 = 9;
 
 /// The periodic broadcast an RSU sends to passing vehicles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
