@@ -6,7 +6,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use vcps_bench::{filled_sketch, od_server, pairwise_dense_baseline};
-use vcps_bitarray::{combined_zero_count, combined_zero_count_adaptive, DecodeScratch};
+use vcps_bitarray::{
+    combined_zero_count, combined_zero_count_adaptive, DecodeScratch, UnfoldOperand,
+};
 
 /// Adaptive kernel vs dense word scan for one nested pair at several
 /// load factors. At light loads the sparse kernels should win by orders
@@ -35,7 +37,7 @@ fn bench_kernel_selection(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         combined_zero_count_adaptive(
-                            small,
+                            &UnfoldOperand::new(small),
                             Some(&ones_x),
                             large,
                             Some(&ones_y),

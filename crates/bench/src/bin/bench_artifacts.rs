@@ -51,7 +51,9 @@ use vcps_bench::{
     ingest_mutex_parallel, ingest_workload, od_server, pairwise_dense_baseline, peak_rss_bytes,
     shard_ingest_workload,
 };
-use vcps_bitarray::{combined_zero_count, combined_zero_count_adaptive, select_pair_kernel};
+use vcps_bitarray::{
+    combined_zero_count, combined_zero_count_adaptive, select_pair_kernel, UnfoldOperand,
+};
 use vcps_core::{RsuId, Scheme};
 use vcps_sim::concurrent::{
     default_threads, ingest_parallel, ingest_parallel_obs, MutexRsu, SharedRsu,
@@ -334,7 +336,7 @@ fn bench_odmatrix_kernels(samples: usize) -> String {
             let mut acc = 0usize;
             for _ in 0..reps {
                 acc += combined_zero_count_adaptive(
-                    &small,
+                    &UnfoldOperand::new(&small),
                     Some(&ones_x),
                     &large,
                     Some(&ones_y),

@@ -40,7 +40,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{combined_zero_count, BitArray, BitArrayError};
+use crate::{BitArray, BitArrayError, UnfoldOperand};
 
 const WORD_BITS: usize = 64;
 
@@ -318,7 +318,8 @@ pub fn combined_zero_count_dense_sparse(
 /// pair (also useful for ablation benches and artifact labels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PairKernel {
-    /// Word scan of the large array ([`combined_zero_count`]).
+    /// Word scan of the large array
+    /// ([`combined_zero_count`](crate::combined_zero_count)).
     Dense,
     /// Both sides as index lists
     /// ([`combined_zero_count_sparse_sparse`]).
@@ -427,9 +428,11 @@ pub fn select_pair_kernel_with_cost(
 }
 
 /// Combined zero count through the per-pair kernel selector: given the
-/// dense arrays (always available server-side) and whichever sorted
-/// index lists the decode cache kept, computes the same `U_c` as
-/// [`combined_zero_count`] by the cheapest route.
+/// dense arrays (always available server-side) — the small side prepared
+/// as an [`UnfoldOperand`], which the dense arm counts against — and
+/// whichever sorted index lists the decode cache kept, computes the same
+/// `U_c` as [`combined_zero_count`](crate::combined_zero_count) by the
+/// cheapest route.
 ///
 /// The index lists, when present, must describe exactly the set bits of
 /// the corresponding array (the server derives them from the array, so
@@ -443,15 +446,16 @@ pub fn select_pair_kernel_with_cost(
 /// * [`BitArrayError::NotStrictlyIncreasing`] /
 ///   [`BitArrayError::IndexOutOfBounds`] for an invalid index list.
 pub fn combined_zero_count_adaptive(
-    small: &BitArray,
+    small: &UnfoldOperand<'_>,
     ones_x: Option<&[u64]>,
     large: &BitArray,
     ones_y: Option<&[u64]>,
     scratch: &mut DecodeScratch,
 ) -> Result<usize, BitArrayError> {
-    let (m_x, m_y) = (small.len(), large.len());
+    let bits = small.bits();
+    let (m_x, m_y) = (bits.len(), large.len());
     match select_pair_kernel(m_x, ones_x.map(<[u64]>::len), m_y, ones_y.map(<[u64]>::len)) {
-        PairKernel::Dense => combined_zero_count(small, large),
+        PairKernel::Dense => small.combined_zero_count(large),
         PairKernel::SparseSparse => {
             let (sx, sy) = (ones_x.expect("selected"), ones_y.expect("selected"));
             combined_zero_count_sparse_sparse_with(scratch, m_x, sx, m_y, sy)
@@ -460,7 +464,7 @@ pub fn combined_zero_count_adaptive(
             combined_zero_count_sparse_dense(m_x, ones_x.expect("selected"), large)
         }
         PairKernel::DenseSparse => {
-            combined_zero_count_dense_sparse(small, m_y, ones_y.expect("selected"))
+            combined_zero_count_dense_sparse(bits, m_y, ones_y.expect("selected"))
         }
     }
 }
@@ -486,7 +490,7 @@ mod tests {
     fn check_all_kernels(m_x: usize, m_y: usize, xs: &[usize], ys: &[usize]) {
         let small = BitArray::from_indices(m_x, xs.iter().copied()).unwrap();
         let large = BitArray::from_indices(m_y, ys.iter().copied()).unwrap();
-        let expected = combined_zero_count(&small, &large).unwrap();
+        let expected = crate::combined_zero_count(&small, &large).unwrap();
         let sx = ones_of(&small);
         let sy = ones_of(&large);
         assert_eq!(
@@ -512,7 +516,14 @@ mod tests {
             (Some(sx.as_slice()), Some(sy.as_slice())),
         ] {
             assert_eq!(
-                combined_zero_count_adaptive(&small, ox, &large, oy, &mut scratch).unwrap(),
+                combined_zero_count_adaptive(
+                    &UnfoldOperand::new(&small),
+                    ox,
+                    &large,
+                    oy,
+                    &mut scratch
+                )
+                .unwrap(),
                 expected,
                 "adaptive m_x={m_x} m_y={m_y} ox={} oy={}",
                 ox.is_some(),
@@ -594,7 +605,8 @@ mod tests {
         assert!(combined_zero_count_sparse_dense(8, &[], &large).is_err());
         assert!(combined_zero_count_dense_sparse(&small, 20, &[]).is_err());
         let mut scratch = DecodeScratch::new();
-        assert!(combined_zero_count_adaptive(&small, None, &large, None, &mut scratch).is_err());
+        let operand = UnfoldOperand::new(&small);
+        assert!(combined_zero_count_adaptive(&operand, None, &large, None, &mut scratch).is_err());
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! * [`unfold`](BitArray::unfold) — the paper's unfolding operation.
 //! * [`combined_zero_count`] — a streaming implementation that counts the
 //!   zeros of `unfold(B_x) | B_y` **without materializing** the unfolded
-//!   array (an ablation target; see the workspace DESIGN.md).
+//!   array (an ablation target; see the workspace DESIGN.md), over a
+//!   small side that [`UnfoldOperand`] prepares once for many pairs.
 //!
 //! # Example
 //!
@@ -69,6 +70,6 @@ pub use kernels::{
     sparse_is_profitable, validate_sparse_indices, DecodeScratch, PairKernel,
     SPARSE_DENSIFY_BITS_PER_ONE,
 };
-pub use ops::{combined_zero_count, combined_zero_count_naive};
+pub use ops::{combined_zero_count, combined_zero_count_naive, UnfoldOperand};
 pub use pow2::Pow2;
 pub use sparse::SparseBits;

@@ -6,8 +6,9 @@
 //! the bitwise OR (paper Eqs. 3–4). Only the *count* `U_c` matters for the
 //! estimator, so the unfolded array never has to exist: bit `i` of `B_c` is
 //! zero iff `B_x[i mod m_x]` and `B_y[i]` are both zero. This module
-//! provides a streaming count exploiting that identity, plus the naive
-//! materializing version kept as an ablation baseline.
+//! provides a streaming count exploiting that identity over a small side
+//! prepared once ([`UnfoldOperand`]), plus the naive materializing
+//! version kept as an ablation baseline.
 
 use crate::{BitArray, BitArrayError};
 
@@ -16,12 +17,10 @@ const WORD_BITS: usize = 64;
 /// Counts the zeros of `unfold(small, large.len()) | large` **without**
 /// materializing the unfolded array.
 ///
-/// This is the quantity `U_c` of paper Eq. 5. Fast paths:
-///
-/// * `small.len()` divides 64: the unfolded pattern within every word is a
-///   single precomputed constant.
-/// * `small.len()` is a multiple of 64: word-aligned block iteration.
-/// * otherwise: per-bit fallback (non-power-of-two lengths).
+/// This is the quantity `U_c` of paper Eq. 5: [`UnfoldOperand::new`]
+/// followed by [`UnfoldOperand::combined_zero_count`], so the operand is
+/// prepared afresh on every call. A decoder that pairs one array with
+/// many others prepares it once instead.
 ///
 /// # Errors
 ///
@@ -43,80 +42,121 @@ const WORD_BITS: usize = 64;
 /// # }
 /// ```
 pub fn combined_zero_count(small: &BitArray, large: &BitArray) -> Result<usize, BitArrayError> {
-    let m_x = small.len();
-    let m_y = large.len();
-    if !m_y.is_multiple_of(m_x) {
-        return Err(BitArrayError::NotAMultiple {
-            source: m_x,
-            target: m_y,
-        });
-    }
+    UnfoldOperand::new(small).combined_zero_count(large)
+}
 
-    if WORD_BITS.is_multiple_of(m_x) {
-        // The unfolded pattern repeats within a single word: precompute it.
-        let src = small.as_words()[0];
-        let mut pattern = 0u64;
-        let mut filled = 0;
-        while filled < WORD_BITS {
-            pattern |= (src & ((1u128 << m_x) - 1) as u64) << filled;
-            filled += m_x;
-        }
-        return Ok(count_zeros_with_pattern_word(large, pattern));
-    }
+/// Words in the unfold tile of a short word-aligned small side: 512
+/// bytes, the most an [`UnfoldOperand`] ever materializes.
+const TILE_WORDS: usize = 64;
 
-    if m_x.is_multiple_of(WORD_BITS) {
-        // Word-aligned blocks: B_x word j pairs with B_y word (block, j).
-        // Iterate block-wise with zip (not an indexed `%` per word, which
-        // defeats auto-vectorization — measured 2x slower).
-        //
-        // When the small side spans only a few words, the inner zip's trip
-        // count is too short for the vectorizer to win (a 2-word B_x gives
-        // 2-iteration inner loops around per-block overhead). Unfold the
-        // pattern once into a cache-line-aligned-sized tile — the same
-        // words repeated up to `TILE_WORDS` — so every inner loop runs
-        // dozens of iterations of pure OR+popcount that LLVM lifts to
-        // vpand/vpopcnt blocks. The tile is the only materialization this
-        // path ever does: ≤ 512 bytes on the stack, independent of m_y.
-        const TILE_WORDS: usize = 64;
-        let src_words = small.as_words();
-        let large_words = large.as_words();
-        let mut ones = 0usize;
-        if src_words.len() < TILE_WORDS {
-            let reps = TILE_WORDS / src_words.len();
-            let tile_len = reps * src_words.len();
-            let mut tile = [0u64; TILE_WORDS];
-            for rep in 0..reps {
-                tile[rep * src_words.len()..(rep + 1) * src_words.len()].copy_from_slice(src_words);
+/// The small side `B_x` of a combined zero count, prepared once for any
+/// number of large sides.
+///
+/// Every word of `unfold(B_x)` is a function of `B_x` alone, so the
+/// count streams `B_y`'s words against a repeating operand built here:
+///
+/// * `m_x` divides 64: one pattern word, the unfolded `B_x` within
+///   every word;
+/// * `m_x` is a multiple of 64 below 64 words: a tile of `B_x`'s words
+///   repeated up to 64 words. A 2-word `B_x` would otherwise give
+///   2-iteration inner loops around per-block overhead, too short for
+///   the vectorizer; against the tile every inner loop runs dozens of
+///   iterations of pure OR+popcount;
+/// * `m_x` is a multiple of 64 of at least 64 words: `B_x`'s own words;
+/// * otherwise (non-power-of-two lengths): per-bit evaluation.
+#[derive(Debug, Clone)]
+pub struct UnfoldOperand<'a> {
+    small: &'a BitArray,
+    form: Form,
+}
+
+/// How an [`UnfoldOperand`] repeats against the large side.
+#[derive(Debug, Clone)]
+enum Form {
+    /// The unfolded pattern within one word.
+    Pattern(u64),
+    /// The small side's words, repeated a whole number of times.
+    Tile(Box<[u64]>),
+    /// The small side's own words.
+    Words,
+    /// Per-bit evaluation.
+    PerBit,
+}
+
+impl<'a> UnfoldOperand<'a> {
+    /// Prepares `small` to be unfolded against larger arrays.
+    #[must_use]
+    pub fn new(small: &'a BitArray) -> Self {
+        let m_x = small.len();
+        let words = small.as_words();
+        let form = if WORD_BITS.is_multiple_of(m_x) {
+            let src = words[0] & ((1u128 << m_x) - 1) as u64;
+            let mut pattern = 0u64;
+            let mut filled = 0;
+            while filled < WORD_BITS {
+                pattern |= src << filled;
+                filled += m_x;
             }
-            // Chunk starts are multiples of tile_len, itself a multiple of
-            // the pattern length, so the phase stays aligned; a short last
-            // chunk just zips against a prefix of the tile.
-            for block in large_words.chunks(tile_len) {
-                for (&w, &s) in block.iter().zip(&tile[..tile_len]) {
-                    ones += (w | s).count_ones() as usize;
-                }
-            }
+            Form::Pattern(pattern)
+        } else if !m_x.is_multiple_of(WORD_BITS) {
+            Form::PerBit
+        } else if words.len() < TILE_WORDS {
+            Form::Tile(words.repeat(TILE_WORDS / words.len()).into_boxed_slice())
         } else {
-            for block in large_words.chunks(src_words.len()) {
-                for (&w, &s) in block.iter().zip(src_words) {
-                    ones += (w | s).count_ones() as usize;
-                }
-            }
-        }
-        // Words beyond m_y bits are zero in both arrays, so no tail fixup
-        // is needed (m_y is a multiple of 64 here because m_x is and
-        // m_x | m_y).
-        return Ok(m_y - ones);
+            Form::Words
+        };
+        Self { small, form }
     }
 
-    // General fallback: per-bit evaluation.
-    let mut zeros = 0usize;
-    for i in 0..m_y {
-        if !small.get(i % m_x) && !large.get(i) {
-            zeros += 1;
+    /// The prepared small side.
+    #[must_use]
+    pub fn bits(&self) -> &'a BitArray {
+        self.small
+    }
+
+    /// Counts the zeros of `unfold(small, large.len()) | large`, as
+    /// [`combined_zero_count`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BitArrayError::NotAMultiple`] unless `large.len()` is a
+    /// positive multiple of the small side's length.
+    pub fn combined_zero_count(&self, large: &BitArray) -> Result<usize, BitArrayError> {
+        let m_x = self.small.len();
+        let m_y = large.len();
+        if !m_y.is_multiple_of(m_x) {
+            return Err(BitArrayError::NotAMultiple {
+                source: m_x,
+                target: m_y,
+            });
+        }
+        // Words beyond m_y bits are zero in both arrays, so the aligned
+        // forms need no tail fixup (m_y is a multiple of 64 there because
+        // m_x is and m_x | m_y).
+        Ok(match &self.form {
+            Form::Pattern(pattern) => count_zeros_with_pattern_word(large, *pattern),
+            Form::Tile(tile) => m_y - ones_against(large.as_words(), tile),
+            Form::Words => m_y - ones_against(large.as_words(), self.small.as_words()),
+            Form::PerBit => (0..m_y)
+                .filter(|&i| !self.small.get(i % m_x) && !large.get(i))
+                .count(),
+        })
+    }
+}
+
+/// The ones of `large | unfold(operand)` for a word-aligned operand whose
+/// length divides `large`'s phase: block-wise zip, not an indexed `%`
+/// per word, which defeats auto-vectorization (measured 2x slower). A
+/// short last block zips against a prefix of the operand, which stays
+/// phase-aligned because the operand repeats the small side whole.
+fn ones_against(large: &[u64], operand: &[u64]) -> usize {
+    let mut ones = 0usize;
+    for block in large.chunks(operand.len()) {
+        for (&w, &s) in block.iter().zip(operand) {
+            ones += (w | s).count_ones() as usize;
         }
     }
-    Ok(zeros)
+    ones
 }
 
 /// Counts combined zeros when the unfolded pattern is a single word-sized

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use vcps_bitarray::{
     combined_zero_count, combined_zero_count_adaptive, combined_zero_count_dense_sparse,
     combined_zero_count_naive, combined_zero_count_sparse_dense, combined_zero_count_sparse_sparse,
-    BitArray, BitArrayError, DecodeScratch, Pow2, SparseBits,
+    BitArray, BitArrayError, DecodeScratch, Pow2, SparseBits, UnfoldOperand,
 };
 
 proptest! {
@@ -131,6 +131,7 @@ proptest! {
             expected
         );
         let mut scratch = DecodeScratch::new();
+        let operand = UnfoldOperand::new(&small);
         for (ox, oy) in [
             (None, None),
             (Some(sx.as_slice()), None),
@@ -138,8 +139,58 @@ proptest! {
             (Some(sx.as_slice()), Some(sy.as_slice())),
         ] {
             prop_assert_eq!(
-                combined_zero_count_adaptive(&small, ox, &large, oy, &mut scratch).unwrap(),
+                combined_zero_count_adaptive(&operand, ox, &large, oy, &mut scratch).unwrap(),
                 expected
+            );
+        }
+    }
+
+    #[test]
+    fn one_prepared_operand_counts_against_many_large_sides(
+        shape in 0usize..17,
+        seed in any::<u64>(),
+        fill in 0u32..4,
+    ) {
+        // Shapes 0..=13 are m_x = 2^0..2^13: the pattern word (m_x | 64),
+        // the tile (64 ≤ m_x < 64 words) and the array's own words (≥ 64
+        // words). 14..=16 are nested lengths outside the powers of two:
+        // a 3-word tile (192 | 576) and the per-bit fallback (24 | 72,
+        // 5 | 25).
+        let (m_x, nested): (usize, Vec<usize>) = match shape {
+            14 => (192, vec![192, 576]),
+            15 => (24, vec![24, 72]),
+            16 => (5, vec![5, 25]),
+            k => (1 << k, (0..=4).map(|e| (1usize << k) << e).collect()),
+        };
+        // Empty, sparse, half-full or saturated sides, from one seed.
+        let mut state = seed;
+        let mut draw = move || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let per_mille = [0, 30, 500, 1000][fill as usize];
+        let mut filled = |m: usize| {
+            BitArray::from_indices(m, (0..m).filter(|_| draw() % 1000 < per_mille)).unwrap()
+        };
+        let small = filled(m_x);
+        let operand = UnfoldOperand::new(&small);
+        for &m_y in &nested {
+            // Two large sides per length: the same operand serves each.
+            for _ in 0..2 {
+                let large = filled(m_y);
+                prop_assert_eq!(
+                    operand.combined_zero_count(&large).unwrap(),
+                    combined_zero_count_naive(&small, &large).unwrap(),
+                    "m_x = {}, m_y = {}", m_x, m_y
+                );
+            }
+        }
+        // A length the operand does not divide is refused.
+        if m_x > 1 {
+            let odd = BitArray::new(m_x * 2 + 1);
+            prop_assert_eq!(
+                operand.combined_zero_count(&odd),
+                Err(BitArrayError::NotAMultiple { source: m_x, target: m_x * 2 + 1 })
             );
         }
     }

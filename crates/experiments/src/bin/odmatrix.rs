@@ -4,8 +4,9 @@
 //!
 //! * **Synthetic sweep** (default): servers with `--rsus` uploads at
 //!   each `--loads` fill fraction (array sizes cycle m, m/2, m/4 so all
-//!   kernels fire), timing the batch [`CentralServer::od_matrix`]
-//!   pipeline at each `--threads` count against the per-pair
+//!   kernels fire), timing the batch
+//!   [`CentralServer::od_matrix_threads`] pipeline at each `--threads`
+//!   count against the per-pair
 //!   clone-and-rescan baseline the server used before the batch decoder
 //!   existed (DESIGN.md §13). Emits the same row shape as
 //!   `BENCH_odmatrix.json`.
@@ -189,7 +190,10 @@ fn run_sioux_falls(subsample: f64, seed: u64, shards: Option<usize>) -> (OdMatri
         },
     )
     .expect("network period failed");
-    let matrix = run.server.od_matrix().expect("all-pairs decode failed");
+    let matrix = run
+        .server
+        .od_matrix_threads(default_threads())
+        .expect("all-pairs decode failed");
 
     // With --shards: replay the identical period through the sharded
     // batch-ingestion server and record whether the two matrices are bit
@@ -211,7 +215,7 @@ fn run_sioux_falls(subsample: f64, seed: u64, shards: Option<usize>) -> (OdMatri
         .expect("sharded network period failed");
         let sharded_matrix = sharded
             .server
-            .od_matrix()
+            .od_matrix_threads(default_threads())
             .expect("sharded all-pairs decode failed");
         sharded_matrix == matrix
     });

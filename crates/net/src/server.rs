@@ -522,11 +522,11 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
                 usize::try_from(threads).unwrap_or(shared.od_threads)
             };
             let backend = shared.backend.read().expect("backend poisoned");
-            let (rsus, chunks) = backend
+            let (axes, chunks) = backend
                 .server()
                 .od_chunks_threads(threads, wire::encode_matrix_entries)
                 .map_err(NetError::from)?;
-            Ok(wire::matrix_response_from_chunks(&rsus, &chunks))
+            Ok(wire::matrix_response_from_chunks(&axes, &chunks))
         }
         REQ_FINISH_PERIOD => {
             if payload.len() != 1 {

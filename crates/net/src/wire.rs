@@ -19,8 +19,9 @@
 
 use std::io::{Read, Write};
 
+use vcps_core::estimator::first_plays_x;
 use vcps_core::{DegradedEstimate, Estimate, PairEstimate, RsuId};
-use vcps_sim::ReceiveOutcome;
+use vcps_sim::{OdAxis, ReceiveOutcome};
 
 use crate::NetError;
 
@@ -262,6 +263,8 @@ pub fn estimate_bits(e: &PairEstimate) -> Vec<u64> {
 const KIND_MEASURED: u8 = 0;
 const KIND_DEGRADED: u8 = 1;
 const KIND_ABSENT: u8 = 2;
+/// A measured tag-34 entry whose estimate is clamped.
+const KIND_MEASURED_CLAMPED: u8 = 3;
 
 /// Bytes after the kind byte of a measured entry: four `f64`s, four
 /// `u64`s and the clamped flag.
@@ -269,14 +272,11 @@ const MEASURED_BODY: usize = 4 * 8 + 4 * 8 + 1;
 /// Bytes after the kind byte of a degraded entry: five `f64`s and the
 /// two missing flags.
 const DEGRADED_BODY: usize = 5 * 8 + 2;
-
-/// Encoded size of one pair entry, kind byte included.
-fn pair_estimate_len(e: &PairEstimate) -> usize {
-    1 + match e {
-        PairEstimate::Measured(_) => MEASURED_BODY,
-        PairEstimate::Degraded(_) => DEGRADED_BODY,
-    }
-}
+/// Bytes after the kind byte of a measured tag-34 entry: `n̂_c` and
+/// `V_c` as `f64` bits.
+const FACTORED_BODY: usize = 2 * 8;
+/// Bytes of one tag-34 axis entry: id, `m`, counter and `V` bits.
+const AXIS_BYTES: usize = 4 * 8;
 
 fn put_pair_estimate(buf: &mut Vec<u8>, e: &PairEstimate) {
     match e {
@@ -290,15 +290,17 @@ fn put_pair_estimate(buf: &mut Vec<u8>, e: &PairEstimate) {
             }
             buf.push(u8::from(m.clamped));
         }
-        PairEstimate::Degraded(d) => {
-            buf.push(KIND_DEGRADED);
-            for v in [d.n_c, d.lower, d.upper, d.volume_x, d.volume_y] {
-                buf.extend_from_slice(&v.to_bits().to_be_bytes());
-            }
-            buf.push(u8::from(d.missing_x));
-            buf.push(u8::from(d.missing_y));
-        }
+        PairEstimate::Degraded(d) => put_degraded(buf, d),
     }
+}
+
+fn put_degraded(buf: &mut Vec<u8>, d: &DegradedEstimate) {
+    buf.push(KIND_DEGRADED);
+    for v in [d.n_c, d.lower, d.upper, d.volume_x, d.volume_y] {
+        buf.extend_from_slice(&v.to_bits().to_be_bytes());
+    }
+    buf.push(u8::from(d.missing_x));
+    buf.push(u8::from(d.missing_y));
 }
 
 /// Big-endian `u64` number `k` of a fixed-width record.
@@ -306,7 +308,21 @@ fn word(body: &[u8], k: usize) -> u64 {
     u64::from_be_bytes(body[8 * k..8 * k + 8].try_into().expect("eight bytes"))
 }
 
-fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<Option<PairEstimate>, NetError> {
+fn get_degraded(cur: &mut Cursor<'_>) -> Result<PairEstimate, NetError> {
+    let body = cur.array::<DEGRADED_BODY>()?;
+    let f = |k| f64::from_bits(word(body, k));
+    Ok(PairEstimate::Degraded(DegradedEstimate {
+        n_c: f(0),
+        lower: f(1),
+        upper: f(2),
+        volume_x: f(3),
+        volume_y: f(4),
+        missing_x: body[40] != 0,
+        missing_y: body[41] != 0,
+    }))
+}
+
+fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<PairEstimate, NetError> {
     match cur.u8()? {
         KIND_MEASURED => {
             let body = cur.array::<MEASURED_BODY>()?;
@@ -315,7 +331,7 @@ fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<Option<PairEstimate>, NetEr
                 usize::try_from(word(body, k))
                     .map_err(|_| NetError::Malformed("array size overflows usize"))
             };
-            Ok(Some(PairEstimate::Measured(Estimate {
+            Ok(PairEstimate::Measured(Estimate {
                 n_c: f(0),
                 v_x: f(1),
                 v_y: f(2),
@@ -325,22 +341,10 @@ fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<Option<PairEstimate>, NetEr
                 n_x: word(body, 6),
                 n_y: word(body, 7),
                 clamped: body[64] != 0,
-            })))
+            }))
         }
-        KIND_DEGRADED => {
-            let body = cur.array::<DEGRADED_BODY>()?;
-            let f = |k| f64::from_bits(word(body, k));
-            Ok(Some(PairEstimate::Degraded(DegradedEstimate {
-                n_c: f(0),
-                lower: f(1),
-                upper: f(2),
-                volume_x: f(3),
-                volume_y: f(4),
-                missing_x: body[40] != 0,
-                missing_y: body[41] != 0,
-            })))
-        }
-        KIND_ABSENT => Ok(None),
+        KIND_DEGRADED => get_degraded(cur),
+        KIND_ABSENT => Err(NetError::Malformed("estimate response without estimate")),
         _ => Err(NetError::Malformed("unknown estimate kind")),
     }
 }
@@ -383,22 +387,53 @@ impl WireMatrix {
 }
 
 /// Encodes an O–D matrix response (tag 34) from the server's matrix.
+///
+/// The layout is factored: `[34][n u64]`, then each RSU's axis entry
+/// `[id u64][m u64][count u64][V bits u64]` (`m = 0` without a decodable
+/// upload), then one entry per pair `(i, j)`, `i < j`, in row-major
+/// order — a kind byte, and for a measured pair only `n̂_c`'s and `V_c`'s
+/// bits (kind 0, or 3 when clamped), for a degraded pair the whole
+/// answer (kind 1), for an absent one nothing (kind 2). Everything else
+/// of a measured estimate is its two axis entries, oriented by
+/// [`first_plays_x`], which [`Response::decode`] does.
 #[must_use]
 pub fn encode_matrix_response(matrix: &vcps_sim::OdMatrix) -> Vec<u8> {
     let n = matrix.len();
     let entries = (0..n).flat_map(|i| (i + 1..n).map(move |j| matrix.at(i, j)));
-    let body: usize = entries
-        .clone()
-        .map(|e| e.map_or(1, pair_estimate_len))
-        .sum();
-    let mut buf = matrix_header(matrix.rsus(), body);
+    let body: usize = entries.clone().map(matrix_entry_len).sum();
+    let mut buf = matrix_header(matrix.axes(), body);
     for e in entries {
-        match e {
-            Some(e) => put_pair_estimate(&mut buf, e),
-            None => buf.push(KIND_ABSENT),
-        }
+        put_matrix_entry(&mut buf, e);
     }
     buf
+}
+
+/// Encoded size of one tag-34 pair entry, kind byte included.
+fn matrix_entry_len(e: Option<&PairEstimate>) -> usize {
+    1 + match e {
+        Some(PairEstimate::Measured(_)) => FACTORED_BODY,
+        Some(PairEstimate::Degraded(_)) => DEGRADED_BODY,
+        None => 0,
+    }
+}
+
+fn put_matrix_entry(buf: &mut Vec<u8>, e: Option<&PairEstimate>) {
+    match e {
+        Some(PairEstimate::Measured(m)) => {
+            // One bounds check per entry: the whole entry is built first.
+            let mut entry = [0u8; 1 + FACTORED_BODY];
+            entry[0] = if m.clamped {
+                KIND_MEASURED_CLAMPED
+            } else {
+                KIND_MEASURED
+            };
+            entry[1..9].copy_from_slice(&m.n_c.to_bits().to_be_bytes());
+            entry[9..].copy_from_slice(&m.v_c.to_bits().to_be_bytes());
+            buf.extend_from_slice(&entry);
+        }
+        Some(PairEstimate::Degraded(d)) => put_degraded(buf, d),
+        None => buf.push(KIND_ABSENT),
+    }
 }
 
 /// Encodes one streamed chunk of O–D pair answers as tag-34 entries,
@@ -408,37 +443,89 @@ pub fn encode_matrix_response(matrix: &vcps_sim::OdMatrix) -> Vec<u8> {
 /// so each chunk is encoded on the worker that decoded it.
 #[must_use]
 pub fn encode_matrix_entries(chunk: &[PairEstimate]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(chunk.iter().map(pair_estimate_len).sum());
+    let mut buf = Vec::with_capacity(chunk.iter().map(|e| matrix_entry_len(Some(e))).sum());
     for e in chunk {
-        put_pair_estimate(&mut buf, e);
+        put_matrix_entry(&mut buf, Some(e));
     }
     buf
 }
 
-/// Assembles an O–D matrix response (tag 34) from the RSU axes and the
+/// Assembles an O–D matrix response (tag 34) from the axes and the
 /// chunks of [`encode_matrix_entries`], in pair order, at its exact
 /// size. For the same server state the bytes equal
 /// [`encode_matrix_response`] of the server's
 /// [`od_matrix_threads`](vcps_sim::ShardedServer::od_matrix_threads).
 #[must_use]
-pub fn matrix_response_from_chunks(rsus: &[RsuId], chunks: &[Vec<u8>]) -> Vec<u8> {
-    let mut buf = matrix_header(rsus, chunks.iter().map(Vec::len).sum());
+pub fn matrix_response_from_chunks(axes: &[OdAxis], chunks: &[Vec<u8>]) -> Vec<u8> {
+    let mut buf = matrix_header(axes, chunks.iter().map(Vec::len).sum());
     for chunk in chunks {
         buf.extend_from_slice(chunk);
     }
     buf
 }
 
-/// The tag, `n` and RSU ids of a tag-34 response, in a buffer with room
-/// for `body` more bytes of entries.
-fn matrix_header(rsus: &[RsuId], body: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 + 8 + 8 * rsus.len() + body);
+/// The tag, `n` and axis entries of a tag-34 response, in a buffer with
+/// room for `body` more bytes of pair entries.
+fn matrix_header(axes: &[OdAxis], body: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + 8 + AXIS_BYTES * axes.len() + body);
     buf.push(RESP_MATRIX);
-    buf.extend_from_slice(&(rsus.len() as u64).to_be_bytes());
-    for rsu in rsus {
-        buf.extend_from_slice(&rsu.0.to_be_bytes());
+    buf.extend_from_slice(&(axes.len() as u64).to_be_bytes());
+    for axis in axes {
+        for v in [axis.rsu.0, axis.m as u64, axis.n, axis.v.to_bits()] {
+            buf.extend_from_slice(&v.to_be_bytes());
+        }
     }
     buf
+}
+
+fn get_axis(cur: &mut Cursor<'_>) -> Result<OdAxis, NetError> {
+    let body = cur.array::<AXIS_BYTES>()?;
+    Ok(OdAxis {
+        rsu: RsuId(word(body, 0)),
+        m: usize::try_from(word(body, 1))
+            .map_err(|_| NetError::Malformed("array size overflows usize"))?,
+        n: word(body, 2),
+        v: f64::from_bits(word(body, 3)),
+    })
+}
+
+/// Reads the tag-34 entry of the pair `(a, b)`, rebuilding a measured
+/// estimate from the two axis entries exactly as the server built it:
+/// oriented by [`first_plays_x`], with no arithmetic of its own.
+fn get_matrix_entry(
+    cur: &mut Cursor<'_>,
+    a: &OdAxis,
+    b: &OdAxis,
+) -> Result<Option<PairEstimate>, NetError> {
+    let clamped = match cur.u8()? {
+        KIND_MEASURED => false,
+        KIND_MEASURED_CLAMPED => true,
+        KIND_DEGRADED => return get_degraded(cur).map(Some),
+        KIND_ABSENT => return Ok(None),
+        _ => return Err(NetError::Malformed("unknown estimate kind")),
+    };
+    let body = cur.array::<FACTORED_BODY>()?;
+    if a.m == 0 || b.m == 0 {
+        return Err(NetError::Malformed(
+            "measured entry names an RSU without a decodable upload",
+        ));
+    }
+    let (x, y) = if first_plays_x(a.m, a.n, a.rsu, b.m, b.n, b.rsu) {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    Ok(Some(PairEstimate::Measured(Estimate {
+        n_c: f64::from_bits(word(body, 0)),
+        v_x: x.v,
+        v_y: y.v,
+        v_c: f64::from_bits(word(body, 1)),
+        m_x: x.m,
+        m_y: y.m,
+        n_x: x.n,
+        n_y: y.n,
+        clamped,
+    })))
 }
 
 /// Encodes a next-period sizes response (tag 35).
@@ -493,11 +580,7 @@ impl Response {
         let mut cur = Cursor::new(payload);
         let resp = match cur.u8()? {
             RESP_ACK => Response::Ack(AckSummary::decode_body(&mut cur)?),
-            RESP_ESTIMATE => {
-                let e = get_pair_estimate(&mut cur)?
-                    .ok_or(NetError::Malformed("estimate response without estimate"))?;
-                Response::Estimate(e)
-            }
+            RESP_ESTIMATE => Response::Estimate(get_pair_estimate(&mut cur)?),
             RESP_MATRIX => {
                 let n = usize::try_from(cur.u64()?)
                     .map_err(|_| NetError::Malformed("matrix size overflows usize"))?;
@@ -506,18 +589,24 @@ impl Response {
                     .ok_or(NetError::Malformed("matrix size overflows usize"))?
                     / 2;
                 // Reserve up front, but never beyond what the frame can
-                // hold — every RSU id costs 8 bytes and every entry at
-                // least its kind byte — so an over-claimed n fails the
-                // reads below rather than costing a giant reservation.
-                let mut rsus = Vec::with_capacity(n.min(cur.remaining() / 8));
+                // hold — every axis entry costs 32 bytes and every pair
+                // entry at least its kind byte — so an over-claimed n
+                // fails the reads below rather than costing a giant
+                // reservation.
+                let mut axes = Vec::with_capacity(n.min(cur.remaining() / AXIS_BYTES));
                 for _ in 0..n {
-                    rsus.push(cur.u64()?);
+                    axes.push(get_axis(&mut cur)?);
                 }
                 let mut entries = Vec::with_capacity(pairs.min(cur.remaining()));
-                for _ in 0..pairs {
-                    entries.push(get_pair_estimate(&mut cur)?);
+                for (i, a) in axes.iter().enumerate() {
+                    for b in &axes[i + 1..] {
+                        entries.push(get_matrix_entry(&mut cur, a, b)?);
+                    }
                 }
-                Response::Matrix(WireMatrix { rsus, entries })
+                Response::Matrix(WireMatrix {
+                    rsus: axes.iter().map(|axis| axis.rsu.0).collect(),
+                    entries,
+                })
             }
             RESP_SIZES => {
                 let n = usize::try_from(cur.u64()?)
@@ -668,10 +757,36 @@ mod tests {
         ));
     }
 
-    /// A well-formed 3-RSU matrix response: a measured, a degraded and
-    /// an absent entry.
-    fn three_rsu_matrix() -> Vec<u8> {
-        let measured = PairEstimate::Measured(Estimate {
+    /// The axes of the 3-RSU test matrices: RSU 1 (8 bits, counter 3,
+    /// V = 0.5), RSU 5 (16 bits, counter 9, V = 0.25) and RSU 9 without a
+    /// decodable upload.
+    fn three_axes() -> [OdAxis; 3] {
+        [
+            OdAxis {
+                rsu: RsuId(1),
+                m: 8,
+                n: 3,
+                v: 0.5,
+            },
+            OdAxis {
+                rsu: RsuId(5),
+                m: 16,
+                n: 9,
+                v: 0.25,
+            },
+            OdAxis {
+                rsu: RsuId(9),
+                m: 0,
+                n: 0,
+                v: 0.0,
+            },
+        ]
+    }
+
+    /// The measured (1, 5) estimate of [`three_axes`]: RSU 1's smaller
+    /// array plays `B_x`.
+    fn measured_1_5() -> PairEstimate {
+        PairEstimate::Measured(Estimate {
             n_c: 7.5,
             v_x: 0.5,
             v_y: 0.25,
@@ -681,13 +796,17 @@ mod tests {
             n_x: 3,
             n_y: 9,
             clamped: true,
-        });
+        })
+    }
+
+    /// A well-formed 3-RSU matrix response: a measured, a degraded and
+    /// an absent entry.
+    fn three_rsu_matrix() -> Vec<u8> {
         let degraded =
             PairEstimate::Degraded(DegradedEstimate::from_volumes(4.0, 6.0, false, true));
-        let ids = [RsuId(1), RsuId(5), RsuId(9)];
-        let mut entries = encode_matrix_entries(&[measured, degraded]);
+        let mut entries = encode_matrix_entries(&[measured_1_5(), degraded]);
         entries.push(KIND_ABSENT);
-        matrix_response_from_chunks(&ids, &[entries])
+        matrix_response_from_chunks(&three_axes(), &[entries])
     }
 
     fn assert_malformed(payload: &[u8]) {
@@ -704,7 +823,11 @@ mod tests {
         };
         assert_eq!(m.rsus, vec![1, 5, 9]);
         assert_eq!(m.entries.len(), 3);
-        assert!(matches!(m.at(0, 1), Some(PairEstimate::Measured(e)) if e.clamped && e.m_y == 16));
+        assert_eq!(
+            m.at(0, 1).as_ref().map(estimate_bits),
+            Some(estimate_bits(&measured_1_5()))
+        );
+        assert_eq!(m.at(1, 0), m.at(0, 1), "a measured estimate is canonical");
         assert_eq!(
             m.at(2, 0),
             Some(PairEstimate::Degraded(DegradedEstimate::from_volumes(
@@ -715,14 +838,89 @@ mod tests {
     }
 
     #[test]
+    fn measured_entries_orient_by_size_then_counter_then_id() {
+        // Equal sizes: the smaller (counter, id) plays B_x, whichever of
+        // the pair comes first on the axes.
+        let axes = [
+            OdAxis {
+                rsu: RsuId(2),
+                m: 64,
+                n: 9,
+                v: 0.75,
+            },
+            OdAxis {
+                rsu: RsuId(4),
+                m: 64,
+                n: 5,
+                v: 0.5,
+            },
+        ];
+        let e = Estimate {
+            n_c: 1.25,
+            v_x: 0.5,
+            v_y: 0.75,
+            v_c: 0.375,
+            m_x: 64,
+            m_y: 64,
+            n_x: 5,
+            n_y: 9,
+            clamped: false,
+        };
+        let entries = encode_matrix_entries(&[PairEstimate::Measured(e)]);
+        let payload = matrix_response_from_chunks(&axes, &[entries]);
+        let Response::Matrix(m) = Response::decode(&payload).unwrap() else {
+            panic!("not a matrix");
+        };
+        assert_eq!(
+            m.entries[0].as_ref().map(estimate_bits),
+            Some(estimate_bits(&PairEstimate::Measured(e)))
+        );
+    }
+
+    #[test]
+    fn a_measured_entry_is_17_bytes_against_32_per_axis_entry() {
+        // Three RSUs, all three pairs measured: the tag and n, three axis
+        // entries, three 17-byte entries.
+        let mut axes = three_axes();
+        axes[2] = OdAxis {
+            rsu: RsuId(9),
+            m: 16,
+            n: 2,
+            v: 0.875,
+        };
+        let entries = encode_matrix_entries(&[measured_1_5(); 3]);
+        let payload = matrix_response_from_chunks(&axes, &[entries]);
+        assert_eq!(payload.len(), 9 + 3 * 32 + 3 * 17);
+        assert!(matches!(
+            Response::decode(&payload),
+            Ok(Response::Matrix(m)) if m.entries.iter().all(Option::is_some)
+        ));
+    }
+
+    #[test]
+    fn measured_entry_naming_an_undecodable_rsu_is_malformed() {
+        // RSU 9 has m = 0: a measured (1, 9) entry cannot be rebuilt.
+        let degraded =
+            PairEstimate::Degraded(DegradedEstimate::from_volumes(4.0, 6.0, false, true));
+        let entries = encode_matrix_entries(&[degraded, measured_1_5(), degraded]);
+        let payload = matrix_response_from_chunks(&three_axes(), &[entries]);
+        assert!(matches!(
+            Response::decode(&payload),
+            Err(NetError::Malformed(
+                "measured entry names an RSU without a decodable upload"
+            ))
+        ));
+    }
+
+    #[test]
     fn over_claimed_matrix_size_is_malformed_not_a_giant_reservation() {
-        // n names 2^40 RSUs over a body of three ids.
+        // n names 2^40 RSUs over a body of three axis entries.
         let mut payload = vec![RESP_MATRIX];
         payload.extend_from_slice(&(1u64 << 40).to_be_bytes());
-        payload.extend_from_slice(&[0; 24]);
+        payload.extend_from_slice(&[0; 3 * 32]);
         assert_malformed(&payload);
         // n so large that n (n - 1) / 2 overflows: rejected before any
-        // id is read.
+        // axis entry is read.
         let mut payload = vec![RESP_MATRIX];
         payload.extend_from_slice(&u64::MAX.to_be_bytes());
         assert!(matches!(
@@ -734,8 +932,8 @@ mod tests {
     #[test]
     fn truncated_matrix_triangle_is_malformed() {
         let full = three_rsu_matrix();
-        // Every proper prefix past the tag: cut in the header, the ids,
-        // or mid-entry.
+        // Every proper prefix past the tag: cut in the header, the axis
+        // entries, or mid-entry.
         for cut in 1..full.len() {
             assert_malformed(&full[..cut]);
         }
@@ -744,7 +942,7 @@ mod tests {
     #[test]
     fn unknown_kind_in_last_matrix_entry_is_malformed() {
         let mut payload = three_rsu_matrix();
-        *payload.last_mut().unwrap() = 3;
+        *payload.last_mut().unwrap() = 4;
         assert!(matches!(
             Response::decode(&payload),
             Err(NetError::Malformed("unknown estimate kind"))

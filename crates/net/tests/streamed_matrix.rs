@@ -14,7 +14,7 @@ use vcps_net::wire::{
     encode_estimate_response, encode_matrix_entries, estimate_bits, matrix_response_from_chunks,
     Response, RESP_MATRIX,
 };
-use vcps_sim::{CentralServer, PeriodUpload, ShardedServer, SimError};
+use vcps_sim::{CentralServer, OdAxis, PeriodUpload, ShardedServer, SimError};
 
 /// Array sizes an upload draws from: nested powers of two, plus sizes
 /// that nest with neither them (3 against 4) nor each other (6 against
@@ -63,9 +63,8 @@ fn upload(rsu: RsuId, m: usize, draws: &mut Draws) -> PeriodUpload {
 }
 
 /// `n` RSUs with spread-out ids. With `broken`, one RSU holds only an
-/// undecodable upload and no history, so the matrix has no answer for
-/// its pairs and the whole query must fail with the first error in pair
-/// order.
+/// undecodable upload and no history; its pairs degrade with its
+/// counter, as every undecodable upload's do.
 fn specs(n: usize, seed: u64, broken: bool) -> Vec<RsuSpec> {
     let mut draws = Draws(seed);
     let broken = broken.then(|| draws.below(n.max(1) as u64) as usize);
@@ -106,23 +105,50 @@ fn specs(n: usize, seed: u64, broken: bool) -> Vec<RsuSpec> {
 }
 
 /// The reference tag-34 response and its pairs, built one pair at a
-/// time: the tag, `n` and the ids, then each pair's
-/// `encode_estimate_response(..)[1..]`, stopping at the first error in
+/// time: the tag and `n`; each RSU's axis entry — id, then the length,
+/// counter and zero fraction (`u / m`, or half a zero bit over `m` when
+/// saturated) of an upload of at least 2 bits, or zeros without one;
+/// then each pair's entry — for a measured pair its kind (3 when
+/// clamped) and `n̂_c`'s and `V_c`'s bits, otherwise
+/// `encode_estimate_response(..)[1..]` — stopping at the first error in
 /// pair order.
 fn reference(
     rsus: &[RsuId],
+    upload_of: impl Fn(RsuId) -> Option<PeriodUpload>,
     estimate_or_degraded: impl Fn(RsuId, RsuId) -> Result<PairEstimate, SimError>,
 ) -> Result<(Vec<u8>, Vec<PairEstimate>), SimError> {
     let mut bytes = vec![RESP_MATRIX];
     bytes.extend_from_slice(&(rsus.len() as u64).to_be_bytes());
-    for rsu in rsus {
-        bytes.extend_from_slice(&rsu.0.to_be_bytes());
+    for &rsu in rsus {
+        let (m, n, v) = match upload_of(rsu) {
+            Some(u) if u.bits.len() >= 2 => {
+                let m = u.bits.len();
+                let v = match u.bits.count_zeros() {
+                    0 => 0.5 / m as f64,
+                    zeros => zeros as f64 / m as f64,
+                };
+                (m as u64, u.counter, v)
+            }
+            _ => (0, 0, 0.0),
+        };
+        for word in [rsu.0, m, n, v.to_bits()] {
+            bytes.extend_from_slice(&word.to_be_bytes());
+        }
     }
     let mut pairs = Vec::new();
     for (i, &a) in rsus.iter().enumerate() {
         for &b in &rsus[i + 1..] {
             let e = estimate_or_degraded(a, b)?;
-            bytes.extend_from_slice(&encode_estimate_response(&e)[1..]);
+            match &e {
+                PairEstimate::Measured(m) => {
+                    bytes.push(if m.clamped { 3 } else { 0 });
+                    bytes.extend_from_slice(&m.n_c.to_bits().to_be_bytes());
+                    bytes.extend_from_slice(&m.v_c.to_bits().to_be_bytes());
+                }
+                PairEstimate::Degraded(_) => {
+                    bytes.extend_from_slice(&encode_estimate_response(&e)[1..]);
+                }
+            }
             pairs.push(e);
         }
     }
@@ -135,14 +161,17 @@ fn reference(
 fn check_server(
     label: &str,
     rsus: &[RsuId],
+    upload_of: impl Fn(RsuId) -> Option<PeriodUpload>,
     estimate_or_degraded: impl Fn(RsuId, RsuId) -> Result<PairEstimate, SimError>,
-    od_chunks: impl Fn(usize) -> Result<(Vec<RsuId>, Vec<Vec<u8>>), SimError>,
+    od_chunks: impl Fn(usize) -> Result<(Vec<OdAxis>, Vec<Vec<u8>>), SimError>,
 ) -> Result<(), TestCaseError> {
-    let want = reference(rsus, estimate_or_degraded);
+    let want = reference(rsus, upload_of, estimate_or_degraded);
     let ids: Vec<u64> = rsus.iter().map(|r| r.0).collect();
     for threads in [1, 2, 4, 8] {
-        let streamed = od_chunks(threads)
-            .map(|(axes, chunks)| (matrix_response_from_chunks(&axes, &chunks), axes));
+        let streamed = od_chunks(threads).map(|(axes, chunks)| {
+            let ids: Vec<RsuId> = axes.iter().map(|axis| axis.rsu).collect();
+            (matrix_response_from_chunks(&axes, &chunks), ids)
+        });
         match (&want, streamed) {
             (Err(want), Err(got)) => {
                 prop_assert_eq!(
@@ -215,6 +244,7 @@ proptest! {
         check_server(
             "monolith",
             &rsus,
+            |rsu| mono.upload(rsu).cloned(),
             |a, b| mono.estimate_or_degraded(a, b),
             |threads| mono.od_chunks_threads(threads, encode_matrix_entries),
         )?;
@@ -232,6 +262,7 @@ proptest! {
             check_server(
                 &format!("{shards} shards"),
                 &rsus,
+                |rsu| sharded.upload(rsu).cloned(),
                 |a, b| sharded.estimate_or_degraded(a, b),
                 |threads| sharded.od_chunks_threads(threads, encode_matrix_entries),
             )?;

@@ -91,7 +91,7 @@ pub use protocol::{
 };
 pub use rsu::SimRsu;
 pub use runner::{PairOutcome, PairRunner};
-pub use server::{CentralServer, OdMatrix, ReceiveOutcome};
+pub use server::{CentralServer, OdAxis, OdMatrix, ReceiveOutcome};
 pub use shard::{shard_for, ShardedServer};
 pub use vcps_durable::FlushPolicy;
 pub use vehicle::SimVehicle;

@@ -5,11 +5,10 @@ use serde::{Deserialize, Serialize};
 
 use vcps_bitarray::{
     combined_zero_count_adaptive, select_pair_kernel, select_pair_kernel_with_cost,
-    sparse_is_profitable, DecodeScratch, PairKernel,
+    sparse_is_profitable, DecodeScratch, PairKernel, UnfoldOperand,
 };
 use vcps_core::estimator::{
-    estimate_from_counts, estimate_from_counts_or_clamp, estimate_from_terms, first_plays_x,
-    try_denominator, Estimate, PairCounts, ZeroTerm,
+    denominator, estimate_from_terms, first_plays_x, Estimate, PairCounts, ZeroTerm,
 };
 use vcps_core::{CoreError, DegradedEstimate, PairEstimate, RsuId, Scheme, VolumeHistory};
 use vcps_obs::{Level, Obs, Phase, Value};
@@ -27,9 +26,8 @@ thread_local! {
 }
 
 /// Runs `f` with this thread's decode scratch — the same per-worker
-/// buffer the monolithic estimate and O–D paths use, shared with the
-/// sharded server so both paths reuse identical kernel state.
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
+/// buffer every single-pair and all-pairs decode uses, on both servers.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
@@ -92,131 +90,236 @@ fn note_kernel_choice(
     }
 }
 
-/// One RSU's decode-relevant state, resolved once per all-pairs call.
+/// One RSU's decode row: everything a pair answer reads about the RSU,
+/// resolved once — per query by the all-pairs driver, per call by the
+/// single-pair answers.
 ///
-/// The naive pair loop resolves `uploads` and `sparse_ones` map entries
-/// per *pair* — `O(N²)` tree walks for `N` RSUs, which dominates decode
-/// time on sparse workloads. Prefetching the `N` lookups once and
-/// handing the pair loop plain references removes that entirely. The
-/// `holder` back-pointer keeps the degraded path's history lookups and
-/// scheme access working across shards (each RSU's state lives in
-/// exactly one holder).
-pub(crate) struct RsuDecodeRef<'a> {
-    pub(crate) rsu: RsuId,
-    pub(crate) holder: &'a CentralServer,
-    pub(crate) upload: Option<&'a PeriodUpload>,
-    pub(crate) ones: Option<&'a [u64]>,
+/// Resolving per *pair* costs `O(N²)` map walks for `N` RSUs, and
+/// re-deriving the RSU's Eq. 5 term and unfold operand per pair repeats
+/// work that depends on one RSU alone; the row holds both, so a measured
+/// pair costs only its kernel, one `ln` and the result. Each RSU's state
+/// lives in exactly one holder (one shard on the sharded server), which
+/// builds its row.
+pub(crate) struct DecodeRow<'a> {
+    rsu: RsuId,
+    /// The upload that arrived this period, decodable or not.
+    upload: Option<&'a PeriodUpload>,
+    /// The RSU's volume history average, if any.
+    history: Option<f64>,
+    /// The decodable upload's half of every measured pair, `None` without
+    /// an upload of at least 2 bits (the estimator needs a meaningful
+    /// zero fraction).
+    side: Option<DecodeSide<'a>>,
 }
 
-/// The decodability gate behind [`CentralServer::decodable_upload`],
-/// usable with a prefetched upload reference: present, and at least 2
-/// bits (the estimator needs a meaningful zero fraction).
-fn check_decodable(upload: Option<&PeriodUpload>, rsu: RsuId) -> Result<&PeriodUpload, SimError> {
-    let upload = upload.ok_or(SimError::MissingUpload { rsu })?;
-    if upload.bits.len() < 2 {
-        return Err(SimError::Core(CoreError::InvalidConfig {
+/// The per-RSU half of Eq. 5 for a decodable upload, flat: array length,
+/// counter, zero count, the RSU's zero term and the denominator its size
+/// contributes when it plays `B_y`, its cached sparse index list, and
+/// its unfold operand for when it plays `B_x`.
+struct DecodeSide<'a> {
+    rsu: RsuId,
+    m: usize,
+    counter: u64,
+    zeros: usize,
+    term: ZeroTerm,
+    denominator: f64,
+    ones: Option<&'a [u64]>,
+    operand: UnfoldOperand<'a>,
+}
+
+impl<'a> DecodeRow<'a> {
+    /// The row of `rsu` from what its holder knows: its upload, the
+    /// upload's cached sparse index list, its history, and the scheme's
+    /// `s`.
+    fn new(
+        rsu: RsuId,
+        upload: Option<&'a PeriodUpload>,
+        ones: Option<&'a [u64]>,
+        history: Option<f64>,
+        s: usize,
+    ) -> Self {
+        let side = upload.filter(|u| u.bits.len() >= 2).map(|u| {
+            let (m, zeros) = (u.bits.len(), u.bits.count_zeros());
+            DecodeSide {
+                rsu,
+                m,
+                counter: u.counter,
+                zeros,
+                // A clamped term always exists, and every pair answer
+                // clamps; `measure` refuses a clamped term when asked
+                // not to clamp.
+                term: ZeroTerm::new(zeros, m, true).expect("clamped zero terms always exist"),
+                // m ≥ 2 here and a `Scheme` holds s ≥ 2, so the
+                // denominator is in its domain.
+                denominator: denominator(m, s),
+                ones,
+                operand: UnfoldOperand::new(&u.bits),
+            }
+        });
+        Self {
+            rsu,
+            upload,
+            history,
+            side,
+        }
+    }
+
+    /// `true` when this row's pairs reach [`measure`].
+    pub(crate) fn is_decodable(&self) -> bool {
+        self.side.is_some()
+    }
+
+    /// The decodable side, or why there is none: no upload
+    /// ([`SimError::MissingUpload`]) or one of fewer than 2 bits.
+    fn decodable(&self) -> Result<&DecodeSide<'a>, SimError> {
+        if let Some(side) = &self.side {
+            return Ok(side);
+        }
+        let upload = self
+            .upload
+            .ok_or(SimError::MissingUpload { rsu: self.rsu })?;
+        Err(SimError::Core(CoreError::InvalidConfig {
             parameter: "m",
             reason: format!(
                 "bit array size must be at least 2, got {}",
                 upload.bits.len()
             ),
-        }));
+        }))
     }
-    Ok(upload)
+
+    /// The volume a degraded answer uses for this RSU, and whether its
+    /// upload was missing: an upload that arrived always contributes its
+    /// counter, decodable or not; only an absent one falls back to the
+    /// history.
+    fn volume(&self) -> Result<(f64, bool), SimError> {
+        match (self.upload, self.history) {
+            (Some(u), _) => Ok((u.counter as f64, false)),
+            (None, Some(average)) => Ok((average, true)),
+            (None, None) => Err(SimError::MissingUpload { rsu: self.rsu }),
+        }
+    }
+
+    /// The RSU's axis entry of an O–D answer.
+    pub(crate) fn axis(&self) -> OdAxis {
+        let (m, n, v) = self
+            .side
+            .as_ref()
+            .map_or((0, 0, 0.0), |x| (x.m, x.counter, x.term.v));
+        OdAxis {
+            rsu: self.rsu,
+            m,
+            n,
+            v,
+        }
+    }
 }
 
-/// Decodes one pair's sufficient statistics from already-resolved upload
-/// references and sparse lists: orient, pick the cheapest kernel, count.
-/// Returns whether `a` plays `B_x` alongside the counts. Both
-/// [`CentralServer::pair_counts_across`] (which resolves the maps per
-/// call) and the prefetched all-pairs driver funnel through this one
-/// function, so the two paths are bit-identical by construction.
-fn pair_counts_oriented(
-    ua: &PeriodUpload,
-    ones_a: Option<&[u64]>,
-    ub: &PeriodUpload,
-    ones_b: Option<&[u64]>,
+/// `obs` when it records, so a decode loop checks once per query and
+/// each pair tests an `Option` instead.
+fn observed(obs: &Obs) -> Option<&Obs> {
+    obs.is_enabled().then_some(obs)
+}
+
+/// Measures one pair from two decodable sides: orient (the smaller array
+/// plays `B_x`, [`first_plays_x`]), count `U_c` through the cheapest
+/// kernel on the prepared operand, apply Eq. 5. Every measured answer —
+/// single-pair and all-pairs, monolithic and sharded — is this function,
+/// so the paths are bit-identical by construction. Without `clamp`, a
+/// saturated array is [`CoreError::Saturated`], in the order
+/// [`vcps_core::estimator::estimate_from_counts`] reports it.
+///
+/// With `obs`, the decode records one `phase.decode` sample and the
+/// kernel it picked.
+fn measure(
+    a: &DecodeSide<'_>,
+    b: &DecodeSide<'_>,
+    clamp: bool,
     scratch: &mut DecodeScratch,
-    obs: &Obs,
-) -> Result<(bool, PairCounts), SimError> {
-    let _timer = obs.phase(Phase::Decode);
-    let a_first = first_plays_x(
-        ua.bits.len(),
-        ua.counter,
-        ua.rsu,
-        ub.bits.len(),
-        ub.counter,
-        ub.rsu,
-    );
-    let ((x, ones_x), (y, ones_y)) = if a_first {
-        ((ua, ones_a), (ub, ones_b))
+    obs: Option<&Obs>,
+) -> Result<Estimate, SimError> {
+    let _timer = obs.map(|o| o.phase(Phase::Decode));
+    let (x, y) = if first_plays_x(a.m, a.counter, a.rsu, b.m, b.counter, b.rsu) {
+        (a, b)
     } else {
-        ((ub, ones_b), (ua, ones_a))
+        (b, a)
     };
-    if obs.is_enabled() {
-        note_kernel_choice(obs, x.bits.len(), ones_x, y.bits.len(), ones_y);
+    if let Some(obs) = obs {
+        note_kernel_choice(obs, x.m, x.ones, y.m, y.ones);
     }
-    let u_c = combined_zero_count_adaptive(&x.bits, ones_x, &y.bits, ones_y, scratch)
+    let u_c = combined_zero_count_adaptive(&x.operand, x.ones, y.operand.bits(), y.ones, scratch)
         .map_err(CoreError::from)?;
-    Ok((
-        a_first,
-        PairCounts {
-            m_x: x.bits.len(),
-            m_y: y.bits.len(),
-            u_x: x.bits.count_zeros(),
-            u_y: y.bits.count_zeros(),
-            u_c,
-            n_x: x.counter,
-            n_y: y.counter,
-        },
-    ))
+    if !clamp {
+        if x.term.clamped {
+            return Err(CoreError::Saturated { which: "B_x" }.into());
+        }
+        if y.term.clamped {
+            return Err(CoreError::Saturated { which: "B_y" }.into());
+        }
+    }
+    let counts = PairCounts {
+        m_x: x.m,
+        m_y: y.m,
+        u_x: x.zeros,
+        u_y: y.zeros,
+        u_c,
+        n_x: x.counter,
+        n_y: y.counter,
+    };
+    Ok(estimate_from_terms(
+        &counts,
+        x.term,
+        y.term,
+        y.denominator,
+        clamp,
+    )?)
 }
 
 /// The degradation ladder behind every pair answer, single-pair and
-/// all-pairs alike: `measure` decodes the pair when both uploads are
-/// decodable ([`PairEstimate::Measured`]); otherwise a history-backed
-/// fallback ([`PairEstimate::Degraded`]) brackets the overlap with the
-/// feasible interval `[0, min(n̄_x, n̄_y)]`. Each side's history comes
-/// from its own holder.
-fn degradation_ladder(
-    a: &RsuDecodeRef<'_>,
-    b: &RsuDecodeRef<'_>,
-    measure: impl FnOnce(&PeriodUpload, &PeriodUpload) -> Result<Estimate, SimError>,
+/// all-pairs alike: [`measure`] when both uploads are decodable
+/// ([`PairEstimate::Measured`]); otherwise — or when the uploads are not
+/// comparable (e.g. a corrupted size that slipped through) — a fallback
+/// ([`PairEstimate::Degraded`]) that brackets the overlap with the
+/// feasible interval `[0, min(n̄_x, n̄_y)]` from each side's
+/// [`DecodeRow::volume`].
+fn answer(
+    a: &DecodeRow<'_>,
+    b: &DecodeRow<'_>,
+    scratch: &mut DecodeScratch,
+    obs: Option<&Obs>,
 ) -> Result<PairEstimate, SimError> {
-    match (
-        check_decodable(a.upload, a.rsu),
-        check_decodable(b.upload, b.rsu),
-    ) {
-        (Ok(x), Ok(y)) => match measure(x, y) {
-            Ok(e) => Ok(PairEstimate::Measured(e)),
-            // Uploads present but not comparable (e.g. a corrupted
-            // size that slipped through): counters still bound the
-            // overlap, so degrade rather than fail.
-            Err(_) => Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
-                x.counter as f64,
-                y.counter as f64,
-                false,
-                false,
-            ))),
-        },
-        (ra, rb) => {
-            let missing_a = ra.is_err();
-            let missing_b = rb.is_err();
-            let volume_of = |d: &RsuDecodeRef<'_>, r: Result<&PeriodUpload, SimError>| match r {
-                Ok(u) => Ok(u.counter as f64),
-                Err(_) => d
-                    .holder
-                    .history
-                    .average(d.rsu)
-                    .ok_or(SimError::MissingUpload { rsu: d.rsu }),
-            };
-            let va = volume_of(a, ra)?;
-            let vb = volume_of(b, rb)?;
-            Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
-                va, vb, missing_a, missing_b,
-            )))
+    if let (Some(x), Some(y)) = (&a.side, &b.side) {
+        if let Ok(e) = measure(x, y, true, scratch, obs) {
+            return Ok(PairEstimate::Measured(e));
         }
     }
+    let (va, missing_a) = a.volume()?;
+    let (vb, missing_b) = b.volume()?;
+    Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
+        va, vb, missing_a, missing_b,
+    )))
+}
+
+/// The single-pair answer over two rows
+/// ([`CentralServer::estimate_or_degraded`]).
+pub(crate) fn answer_pair(
+    a: &DecodeRow<'_>,
+    b: &DecodeRow<'_>,
+    obs: &Obs,
+) -> Result<PairEstimate, SimError> {
+    with_thread_scratch(|scratch| answer(a, b, scratch, observed(obs)))
+}
+
+/// The single-pair measured estimate over two rows
+/// ([`CentralServer::estimate`] / [`CentralServer::estimate_or_clamp`]):
+/// both sides must be decodable.
+pub(crate) fn measure_pair(
+    a: &DecodeRow<'_>,
+    b: &DecodeRow<'_>,
+    clamp: bool,
+    obs: &Obs,
+) -> Result<Estimate, SimError> {
+    let (x, y) = (a.decodable()?, b.decodable()?);
+    with_thread_scratch(|scratch| measure(x, y, clamp, scratch, observed(obs)))
 }
 
 /// Upper bound on the pairs in one claimed chunk of the O–D triangle.
@@ -247,48 +350,24 @@ fn pair_at(n: usize, p: usize) -> (usize, usize) {
     (lo, lo + 1 + p - row_start(n, lo))
 }
 
-/// One decodable RSU's half of Eq. 5, computed once per all-pairs call:
-/// its zero term, and the denominator its size contributes when it
-/// plays `B_y`.
-#[derive(Clone, Copy)]
-struct RsuTerms {
-    zero: ZeroTerm,
-    denominator: f64,
-}
-
-impl RsuTerms {
-    /// `None` for an RSU without a decodable upload (its pairs never
-    /// reach Eq. 5) or a scheme outside the estimator's domain (its
-    /// pairs take the full per-pair path, which reports the error).
-    fn of(d: &RsuDecodeRef<'_>, s: usize) -> Option<Self> {
-        let bits = &check_decodable(d.upload, d.rsu).ok()?.bits;
-        Some(Self {
-            zero: ZeroTerm::new(bits.count_zeros(), bits.len(), true)?,
-            denominator: try_denominator(bits.len(), s).ok()?,
-        })
-    }
-}
-
 /// The one all-pairs driver behind `od_chunks_threads` and
 /// `od_matrix_threads` of both [`CentralServer`] and
-/// [`crate::ShardedServer`], over a prefetched [`RsuDecodeRef`] table in
-/// ascending RSU order.
+/// [`crate::ShardedServer`], over a [`DecodeRow`] table in ascending RSU
+/// order built once per query.
 ///
 /// Executors claim chunks of the upper triangle by pair index
 /// ([`map_chunks`]); each walks its chunk in pair order through the
-/// degradation ladder — the per-pair decode reads each RSU's
-/// [`RsuTerms`], computed once here, and reuses one decode scratch per
-/// worker — and hands the chunk's estimates to `sink` on the same
-/// worker. Returns the sinks' results in pair order, or the first error
-/// in pair order. `shards`, on the sharded server, names each RSU's
-/// owning shard, so the pairs are tallied as shard-local or cross-shard
-/// once per chunk.
+/// degradation ladder — reusing one decode scratch per worker — and
+/// hands the chunk's estimates to `sink` on the same worker. Returns the
+/// sinks' results in pair order, or the first error in pair order.
+/// `shards`, on the sharded server, names each RSU's owning shard, so
+/// the measured pairs are tallied as shard-local or cross-shard once per
+/// chunk.
 ///
 /// [`map_chunks`]: crate::concurrent::map_chunks
 pub(crate) fn od_chunks<U, F>(
-    pre: &[RsuDecodeRef<'_>],
+    rows: &[DecodeRow<'_>],
     shards: Option<&[usize]>,
-    s: usize,
     obs: &Obs,
     threads: usize,
     sink: F,
@@ -298,11 +377,11 @@ where
     F: Fn(&[PairEstimate]) -> U + Sync,
 {
     assert!(threads > 0, "need at least one thread");
-    let n = pre.len();
+    let n = rows.len();
     let pair_count = n * n.saturating_sub(1) / 2;
     obs.add("od_matrix.pairs", pair_count as u64);
-    let terms: Vec<Option<RsuTerms>> = pre.iter().map(|d| RsuTerms::of(d, s)).collect();
-    let threads = od_effective_threads(threads, pre, pair_count);
+    let threads = od_effective_threads(threads, rows, pair_count);
+    let observed = observed(obs);
     // Several chunks per worker, as in `parallel_map_threads`, but never
     // more than `OD_CHUNK_PAIRS` pairs in one.
     let chunk = if threads == 1 {
@@ -316,29 +395,17 @@ where
         let (mut local, mut cross) = (0u64, 0u64);
         let walked = with_thread_scratch(|scratch| {
             for _ in range {
-                let (a, b) = (&pre[i], &pre[j]);
-                estimates.push(degradation_ladder(a, b, |ua, ub| {
-                    if let Some(shards) = shards {
+                let (a, b) = (&rows[i], &rows[j]);
+                if let Some(shards) = shards {
+                    if a.is_decodable() && b.is_decodable() {
                         if shards[i] == shards[j] {
                             local += 1;
                         } else {
                             cross += 1;
                         }
                     }
-                    let (a_first, counts) =
-                        pair_counts_oriented(ua, a.ones, ub, b.ones, scratch, obs)?;
-                    let (x, y) = if a_first {
-                        (terms[i], terms[j])
-                    } else {
-                        (terms[j], terms[i])
-                    };
-                    Ok(match (x, y) {
-                        (Some(x), Some(y)) => {
-                            estimate_from_terms(&counts, x.zero, y.zero, y.denominator, true)?
-                        }
-                        _ => estimate_from_counts_or_clamp(&counts, s)?,
-                    })
-                })?);
+                }
+                estimates.push(answer(a, b, scratch, observed)?);
                 j += 1;
                 if j == n {
                     i += 1;
@@ -376,7 +443,11 @@ const OD_SEQUENTIAL_COST_LIMIT: usize = 400_000;
 /// Fixed per-pair overhead (orientation, selection, estimator
 /// arithmetic, result push) in the same word-units, added on top of the
 /// selected kernel's modeled cost when estimating triangle work.
-const OD_PAIR_OVERHEAD: usize = 600;
+/// Measured on the reference box as the 1-thread driver's time per pair
+/// on 256-RSU triangles of 64–65,536-bit arrays, less the pairs' modeled
+/// kernel cost, over the dense scan's time per word: 280–480 word-units,
+/// median ≈ 360 (DESIGN.md §16).
+const OD_PAIR_OVERHEAD: usize = 350;
 
 /// At most this many pairs are cost-modeled when estimating a
 /// triangle's work; larger triangles are sampled at an even stride and
@@ -394,7 +465,7 @@ const OD_ESTIMATE_SAMPLES: usize = 64;
 /// pool dispatch, in which case 1 (the inline path).
 pub(crate) fn od_effective_threads(
     threads: usize,
-    pre: &[RsuDecodeRef<'_>],
+    rows: &[DecodeRow<'_>],
     pair_count: usize,
 ) -> usize {
     if threads <= 1 {
@@ -403,14 +474,13 @@ pub(crate) fn od_effective_threads(
     if pair_count >= OD_ESTIMATE_PAIR_LIMIT {
         return threads;
     }
-    // Hoist each RSU's (array length, index-list length) out of its
-    // upload once: the sampled pair loop below must stay pure
-    // arithmetic over this dense vector — chasing the upload references
-    // per pair costs more than the decode it is trying to avoid
-    // estimating.
-    let sides: Vec<Option<(usize, Option<usize>)>> = pre
+    // Hoist each RSU's (array length, index-list length) out of its row
+    // once: the sampled pair loop below must stay pure arithmetic over
+    // this dense vector — reading the rows per pair costs more than the
+    // decode it is trying to avoid estimating.
+    let sides: Vec<Option<(usize, Option<usize>)>> = rows
         .iter()
-        .map(|d| d.upload.map(|u| (u.bits.len(), d.ones.map(<[u64]>::len))))
+        .map(|d| d.side.as_ref().map(|x| (x.m, x.ones.map(<[u64]>::len))))
         .collect();
     let stride = pair_count.div_ceil(OD_ESTIMATE_SAMPLES).max(1);
     let mut cost = 0usize;
@@ -581,19 +651,43 @@ impl<'de> Deserialize<'de> for ObsCell {
     }
 }
 
+/// One RSU's axis entry of an O–D answer: its id and, when it holds a
+/// decodable upload, the per-RSU half of every measured estimate it
+/// takes part in — array length, counter and zero fraction.
+///
+/// A measured [`Estimate`] of the pair `(a, b)` is these two entries
+/// oriented by [`first_plays_x`] plus the pair's own `n̂_c`, `V_c` and
+/// clamped flag, so an O–D answer sends the entries once per RSU and
+/// three values per measured pair (the tag-34 response of `vcps-net`).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct OdAxis {
+    /// The RSU.
+    pub rsu: RsuId,
+    /// Its array length `m`; 0 when it holds no decodable upload.
+    pub m: usize,
+    /// The counter `n` of its decodable upload (0 without one).
+    pub n: u64,
+    /// The zero fraction `V` of its decodable upload — its `V_x` or
+    /// `V_y` in every measured estimate, half a zero bit over `m` when
+    /// saturated (0 without one).
+    pub v: f64,
+}
+
 /// One period's origin–destination matrix: the [`PairEstimate`] for
 /// every unordered pair of RSUs the server knows about (uploads and
-/// volume history), produced by [`CentralServer::od_matrix`].
+/// volume history), produced by [`CentralServer::od_matrix_threads`].
 ///
 /// Stored row-major over the sorted RSU list; the diagonal is `None`
 /// (an RSU's "overlap with itself" is just its counter, not an O–D
 /// flow) and each pair is decoded once — the mirror entry is the same
 /// estimate with the argument roles swapped
 /// ([`PairEstimate::transposed`]), so `at(i, j)` always equals
-/// `estimate_or_degraded(rsus[i], rsus[j])` exactly.
+/// `estimate_or_degraded(rsus[i], rsus[j])` exactly. The matrix keeps
+/// each RSU's [`OdAxis`], from which its measured estimates are built.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OdMatrix {
     rsus: Vec<RsuId>,
+    axes: Vec<OdAxis>,
     entries: Vec<Option<PairEstimate>>,
 }
 
@@ -601,8 +695,8 @@ impl OdMatrix {
     /// Assembles a matrix from the upper triangle in row-major pair
     /// order, split into chunks as the all-pairs driver streams it: each
     /// `(i, j)` estimate fills its entry and its transposed mirror.
-    pub(crate) fn from_chunks(rsus: Vec<RsuId>, chunks: &[Vec<PairEstimate>]) -> Self {
-        let n = rsus.len();
+    pub(crate) fn from_chunks(axes: Vec<OdAxis>, chunks: &[Vec<PairEstimate>]) -> Self {
+        let n = axes.len();
         let mut entries = vec![None; n * n];
         let (mut i, mut j) = (0, 1);
         for estimate in chunks.iter().flatten() {
@@ -614,7 +708,17 @@ impl OdMatrix {
                 j = i + 1;
             }
         }
-        Self { rsus, entries }
+        Self {
+            rsus: axes.iter().map(|axis| axis.rsu).collect(),
+            axes,
+            entries,
+        }
+    }
+
+    /// Each RSU's axis entry, in the order of [`rsus`](OdMatrix::rsus).
+    #[must_use]
+    pub fn axes(&self) -> &[OdAxis] {
+        &self.axes
     }
 
     /// The RSUs covered, in ascending id order (the matrix axes).
@@ -938,58 +1042,16 @@ impl CentralServer {
         Ok(server)
     }
 
-    /// Fetches the upload for one side of a pair decode, enforcing the
-    /// same validity the sketch-based path did (an array of fewer than
-    /// 2 bits cannot be decoded).
-    pub(crate) fn decodable_upload(&self, rsu: RsuId) -> Result<&PeriodUpload, SimError> {
-        check_decodable(self.uploads.get(&rsu), rsu)
-    }
-
-    /// Snapshots everything a pair decode needs about one RSU — upload
-    /// reference, cached sparse index list, owning holder — so the
-    /// all-pairs loop resolves each RSU's maps *once* instead of paying
-    /// ~6 `BTreeMap` lookups per pair (the dominant per-pair cost on
-    /// sparse workloads).
-    pub(crate) fn prefetch_decode_ref(&self, rsu: RsuId) -> RsuDecodeRef<'_> {
-        RsuDecodeRef {
+    /// The decode row of `rsu` (see [`DecodeRow`]): everything a pair
+    /// answer reads about it, resolved from this server's maps once.
+    pub(crate) fn decode_row(&self, rsu: RsuId) -> DecodeRow<'_> {
+        DecodeRow::new(
             rsu,
-            holder: self,
-            upload: self.uploads.get(&rsu),
-            ones: self.caches.sparse_ones.get(&rsu).map(Vec::as_slice),
-        }
-    }
-
-    /// Decodes one pair's sufficient statistics straight from the held
-    /// uploads: orient, read the cached zero counts, and compute `U_c`
-    /// through the cheapest kernel ([`combined_zero_count_adaptive`])
-    /// using whatever sparse index lists the receive path extracted.
-    fn pair_counts(&self, a: RsuId, b: RsuId) -> Result<PairCounts, SimError> {
-        with_thread_scratch(|s| self.pair_counts_across(self, a, b, s, &self.obs.0))
-    }
-
-    /// The cross-holder form of [`pair_counts`](Self::pair_counts):
-    /// `a`'s upload
-    /// and sparse index list come from `self`, `b`'s from `other`. With
-    /// `other == self` this *is* the monolithic decode; the sharded
-    /// server ([`crate::ShardedServer`]) passes the two shards that own
-    /// the pair, borrowing both shards' caches without copying either.
-    /// Instrumentation goes to the explicit `obs` handle (the sharded
-    /// server's shards carry disabled handles; the composite owns the
-    /// real one), so the counters fired per decode are identical on both
-    /// paths.
-    pub(crate) fn pair_counts_across(
-        &self,
-        other: &CentralServer,
-        a: RsuId,
-        b: RsuId,
-        scratch: &mut DecodeScratch,
-        obs: &Obs,
-    ) -> Result<PairCounts, SimError> {
-        let ua = self.decodable_upload(a)?;
-        let ub = other.decodable_upload(b)?;
-        let ones_a = self.caches.sparse_ones.get(&a).map(Vec::as_slice);
-        let ones_b = other.caches.sparse_ones.get(&b).map(Vec::as_slice);
-        Ok(pair_counts_oriented(ua, ones_a, ub, ones_b, scratch, obs)?.1)
+            self.uploads.get(&rsu),
+            self.caches.sparse_ones.get(&rsu).map(Vec::as_slice),
+            self.history.average(rsu),
+            self.scheme.s(),
+        )
     }
 
     /// Estimates the point-to-point volume between two uploaded RSUs
@@ -1000,10 +1062,7 @@ impl CentralServer {
     /// * [`SimError::MissingUpload`] if either RSU has not uploaded;
     /// * [`SimError::Core`] for saturation or incompatible sizes.
     pub fn estimate(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        Ok(estimate_from_counts(
-            &self.pair_counts(a, b)?,
-            self.scheme.s(),
-        )?)
+        measure_pair(&self.decode_row(a), &self.decode_row(b), false, &self.obs.0)
     }
 
     /// Like [`estimate`](CentralServer::estimate) but clamps saturated
@@ -1014,19 +1073,16 @@ impl CentralServer {
     /// * [`SimError::MissingUpload`] if either RSU has not uploaded;
     /// * [`SimError::Core`] for incompatible sizes.
     pub fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        Ok(estimate_from_counts_or_clamp(
-            &self.pair_counts(a, b)?,
-            self.scheme.s(),
-        )?)
+        measure_pair(&self.decode_row(a), &self.decode_row(b), true, &self.obs.0)
     }
 
     /// Answers a pair query even when uploads are missing: full decode
-    /// when both sketches are present ([`PairEstimate::Measured`]),
-    /// otherwise a history-backed fallback ([`PairEstimate::Degraded`])
-    /// that brackets the overlap with the feasible interval
-    /// `[0, min(n̄_x, n̄_y)]`.
+    /// when both sketches are decodable ([`PairEstimate::Measured`]),
+    /// otherwise a fallback ([`PairEstimate::Degraded`]) that brackets
+    /// the overlap with the feasible interval `[0, min(n̄_x, n̄_y)]`.
     ///
-    /// A present side contributes its measured counter; a missing side
+    /// A side whose upload arrived contributes its measured counter —
+    /// also when the upload cannot be decoded; a side without an upload
     /// contributes its EWMA volume history.
     ///
     /// # Errors
@@ -1035,44 +1091,10 @@ impl CentralServer {
     /// an upload nor any volume history — the server knows nothing at all
     /// about that RSU.
     pub fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
-        self.estimate_or_degraded_across(self, a, b, || self.pair_counts(a, b))
+        answer_pair(&self.decode_row(a), &self.decode_row(b), &self.obs.0)
     }
 
-    /// The single-pair degradation ladder behind
-    /// [`estimate_or_degraded`](Self::estimate_or_degraded), the same
-    /// ladder the all-pairs driver runs, parameterized over how the
-    /// pair's counts are produced (this server's decode or the sharded
-    /// composite's) and over where `b`'s state lives: `self` holds side
-    /// `a`, `other` holds side `b` (`other == self` on the monolithic
-    /// path; the two owning shards on the sharded one, which keeps each
-    /// RSU's upload and history in exactly one place).
-    pub(crate) fn estimate_or_degraded_across(
-        &self,
-        other: &CentralServer,
-        a: RsuId,
-        b: RsuId,
-        counts: impl FnOnce() -> Result<PairCounts, SimError>,
-    ) -> Result<PairEstimate, SimError> {
-        degradation_ladder(
-            &self.prefetch_decode_ref(a),
-            &other.prefetch_decode_ref(b),
-            |_, _| Ok(estimate_from_counts_or_clamp(&counts()?, self.scheme.s())?),
-        )
-    }
-
-    /// Computes the full origin–destination matrix for every RSU the
-    /// server knows about — current uploads and volume history alike —
-    /// with one worker per available core (see
-    /// [`od_matrix_threads`](Self::od_matrix_threads)).
-    ///
-    /// # Errors
-    ///
-    /// As [`od_matrix_threads`](Self::od_matrix_threads).
-    pub fn od_matrix(&self) -> Result<OdMatrix, SimError> {
-        self.od_matrix_threads(crate::concurrent::default_threads())
-    }
-
-    /// [`od_matrix`](Self::od_matrix) with an explicit worker count:
+    /// The full origin–destination matrix:
     /// [`od_chunks_threads`](Self::od_chunks_threads) with each chunk
     /// copied out, scattered into the dense matrix.
     ///
@@ -1084,32 +1106,32 @@ impl CentralServer {
     ///
     /// Panics if `threads == 0` or a worker thread panics.
     pub fn od_matrix_threads(&self, threads: usize) -> Result<OdMatrix, SimError> {
-        let (rsus, chunks) = self.od_chunks_threads(threads, <[PairEstimate]>::to_vec)?;
-        Ok(OdMatrix::from_chunks(rsus, &chunks))
+        let (axes, chunks) = self.od_chunks_threads(threads, <[PairEstimate]>::to_vec)?;
+        Ok(OdMatrix::from_chunks(axes, &chunks))
     }
 
     /// Streams the origin–destination triangle for every RSU the server
     /// knows about — current uploads and volume history alike — through
     /// `sink`, with at most `threads` workers.
     ///
-    /// Returns the RSUs in ascending id order (the matrix axes) and the
-    /// sink's result for each chunk, in pair order: the chunks'
-    /// estimates, concatenated, are every pair `(i, j)`, `i < j`, in
-    /// row-major order, each exactly what
+    /// Returns the matrix axes — every RSU in ascending id order with its
+    /// [`OdAxis`] — and the sink's result for each chunk, in pair order:
+    /// the chunks' estimates, concatenated, are every pair `(i, j)`,
+    /// `i < j`, in row-major order, each exactly what
     /// [`estimate_or_degraded`](Self::estimate_or_degraded) returns for
-    /// `(rsus[i], rsus[j])` — measured where both uploads are decodable,
-    /// degraded where history must fill in.
+    /// `(axes[i].rsu, axes[j].rsu)` — measured where both uploads are
+    /// decodable, degraded elsewhere.
     ///
     /// Persistent-pool workers claim chunks of the triangle by pair
     /// index (consecutive pairs share their `i`-side upload) and run
     /// `sink` on the chunk they decoded, so no whole-matrix intermediate
-    /// exists unless the sink builds one. Each RSU's upload reference,
-    /// sparse index list and Eq. 5 terms are resolved *once* before the
-    /// fan-out, so the per-pair work is kernel time plus the combined
-    /// array's term; each worker reuses one decode scratch. When the
-    /// estimated triangle work is too small to repay a pool dispatch,
-    /// the chunks run inline on the caller — small matrices can never
-    /// lose to the 1-thread path.
+    /// exists unless the sink builds one. Each RSU's [`DecodeRow`] —
+    /// upload, sparse index list, Eq. 5 term and unfold operand — is
+    /// built *once* before the fan-out, so the per-pair work is kernel
+    /// time plus the combined array's term; each worker reuses one
+    /// decode scratch. When the estimated triangle work is too small to
+    /// repay a pool dispatch, the chunks run inline on the caller —
+    /// small matrices can never lose to the 1-thread path.
     ///
     /// # Errors
     ///
@@ -1125,26 +1147,23 @@ impl CentralServer {
         &self,
         threads: usize,
         sink: F,
-    ) -> Result<(Vec<RsuId>, Vec<U>), SimError>
+    ) -> Result<(Vec<OdAxis>, Vec<U>), SimError>
     where
         U: Send,
         F: Fn(&[PairEstimate]) -> U + Sync,
     {
         let _timer = self.obs.0.phase(Phase::OdMatrix);
-        let rsus: Vec<RsuId> = self
+        let rows: Vec<DecodeRow<'_>> = self
             .uploads
             .keys()
             .copied()
             .chain(self.history.iter().map(|(rsu, _)| rsu))
             .collect::<BTreeSet<_>>()
             .into_iter()
+            .map(|rsu| self.decode_row(rsu))
             .collect();
-        let pre: Vec<RsuDecodeRef<'_>> = rsus
-            .iter()
-            .map(|&rsu| self.prefetch_decode_ref(rsu))
-            .collect();
-        let chunks = od_chunks(&pre, None, self.scheme.s(), &self.obs.0, threads, sink)?;
-        Ok((rsus, chunks))
+        let chunks = od_chunks(&rows, None, &self.obs.0, threads, sink)?;
+        Ok((rows.iter().map(DecodeRow::axis).collect(), chunks))
     }
 
     /// Ends the period: folds every upload's counter into the volume
@@ -1379,6 +1398,42 @@ mod tests {
         }
     }
 
+    /// An upload that arrived but cannot be decoded (1 bit) degrades its
+    /// pairs with its own counter; it is not a missing upload, so the
+    /// query answers even without history for that RSU.
+    #[test]
+    fn undecodable_upload_degrades_with_its_counter_instead_of_failing() {
+        let scheme = Scheme::variable(2, 3.0, 9).unwrap();
+        let one_bit = upload(3, 1, &[0], 7);
+        // The frame is well-formed: the server cannot refuse it at ingest.
+        assert_eq!(PeriodUpload::decode(&one_bit.encode()).unwrap(), one_bit);
+        let mut mono = CentralServer::new(scheme.clone(), 0.5).unwrap();
+        let mut sharded = crate::ShardedServer::new(scheme, 0.5, 2).unwrap();
+        for up in [upload(1, 64, &[1, 5], 4), upload(2, 64, &[9], 2), one_bit] {
+            mono.receive(up.clone());
+            sharded.receive(up);
+        }
+        let want = PairEstimate::Degraded(DegradedEstimate::from_volumes(4.0, 7.0, false, false));
+        assert_eq!(mono.estimate_or_degraded(RsuId(1), RsuId(3)), Ok(want));
+        assert_eq!(sharded.estimate_or_degraded(RsuId(1), RsuId(3)), Ok(want));
+        for matrix in [
+            mono.od_matrix_threads(1).unwrap(),
+            sharded.od_matrix_threads(1).unwrap(),
+        ] {
+            assert_eq!(matrix.get(RsuId(1), RsuId(3)), Some(&want));
+            assert!(!matrix.get(RsuId(1), RsuId(2)).unwrap().is_degraded());
+            assert_eq!(matrix.axes()[2].m, 0, "no decodable upload");
+        }
+        // A measured estimate still needs both arrays.
+        assert!(matches!(
+            mono.estimate(RsuId(1), RsuId(3)),
+            Err(SimError::Core(CoreError::InvalidConfig {
+                parameter: "m",
+                ..
+            }))
+        ));
+    }
+
     #[test]
     fn degraded_fallback_fails_only_with_no_knowledge_at_all() {
         let server = server();
@@ -1446,7 +1501,9 @@ mod tests {
         server.receive(upload(1, 64, &[1, 5], 7));
         server.receive(upload(2, 256, &[1, 70, 200], 9));
         server.receive(upload(3, 64, &[2], 1));
-        let matrix = server.od_matrix().unwrap();
+        let matrix = server
+            .od_matrix_threads(crate::concurrent::default_threads())
+            .unwrap();
         assert_eq!(
             matrix.rsus(),
             &[RsuId(1), RsuId(2), RsuId(3), RsuId(9)],
@@ -1497,7 +1554,9 @@ mod tests {
     #[test]
     fn od_matrix_of_empty_server_is_empty() {
         let server = server();
-        let matrix = server.od_matrix().unwrap();
+        let matrix = server
+            .od_matrix_threads(crate::concurrent::default_threads())
+            .unwrap();
         assert!(matrix.is_empty());
         assert_eq!(matrix.iter_pairs().count(), 0);
     }

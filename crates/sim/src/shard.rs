@@ -5,11 +5,11 @@
 //! if they are for the same RSU, and same-RSU uploads always land on the
 //! same shard.
 //!
-//! The read side composes shards without copying: a pair estimate for
-//! RSUs owned by different shards borrows both shards' uploads and
-//! sparse index caches through
-//! [`CentralServer::pair_counts_across`], the *same* decode the
-//! monolithic server runs on itself, so the sharded answer is
+//! The read side composes shards without copying: each RSU's decode
+//! row is built by the shard that owns it, borrowing that shard's upload
+//! and sparse index cache, and a pair estimate for RSUs owned by
+//! different shards runs the *same* decode over the two rows that the
+//! monolithic server runs over its own, so the sharded answer is
 //! bit-identical to the unsharded one by construction — there is one
 //! decode code path, not two. The differential conformance suite
 //! (`tests/sharded_differential.rs`) verifies this equivalence end to
@@ -24,9 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use vcps_core::estimator::{
-    estimate_from_counts, estimate_from_counts_or_clamp, Estimate, PairCounts,
-};
+use vcps_core::estimator::Estimate;
 use vcps_core::{CoreError, PairEstimate, RsuId, Scheme};
 use vcps_hash::splitmix64;
 use vcps_obs::{Obs, Phase};
@@ -34,8 +32,8 @@ use vcps_obs::{Obs, Phase};
 use crate::protocol::{
     BatchUploadRef, CheckpointSet, PeriodUpload, SequencedUpload, SequencedUploadRef,
 };
-use crate::server::{od_chunks, receive_counter_name, with_thread_scratch, RsuDecodeRef};
-use crate::{CentralServer, OdMatrix, ReceiveOutcome, SimError};
+use crate::server::{answer_pair, measure_pair, od_chunks, receive_counter_name, DecodeRow};
+use crate::{CentralServer, OdAxis, OdMatrix, ReceiveOutcome, SimError};
 
 /// Stable shard assignment: which of `shard_count` shards owns `rsu`.
 ///
@@ -57,9 +55,9 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 ///   [`receive_batch_wire`], [`receive_parallel`]) route each upload to
 ///   the owning shard; the parallel form runs one worker per shard over
 ///   disjoint `&mut` shards, lock-free.
-/// * **Reads** ([`estimate`], [`estimate_or_degraded`], [`od_matrix`])
-///   borrow the owning shards' uploads and decode caches through the
-///   monolith's own cross-holder decode.
+/// * **Reads** ([`estimate`], [`estimate_or_degraded`],
+///   [`od_matrix_threads`]) borrow the owning shards' uploads and decode
+///   caches through the monolith's own decode rows.
 ///
 /// [`receive`]: ShardedServer::receive
 /// [`receive_sequenced`]: ShardedServer::receive_sequenced
@@ -67,7 +65,7 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// [`receive_parallel`]: ShardedServer::receive_parallel
 /// [`estimate`]: ShardedServer::estimate
 /// [`estimate_or_degraded`]: ShardedServer::estimate_or_degraded
-/// [`od_matrix`]: ShardedServer::od_matrix
+/// [`od_matrix_threads`]: ShardedServer::od_matrix_threads
 ///
 /// # Example
 ///
@@ -353,20 +351,18 @@ impl ShardedServer {
         outcome
     }
 
-    /// Decodes one pair straight from the owning shards — the sharded
-    /// form of the monolith's decode, dispatching to
-    /// [`CentralServer::pair_counts_across`] with the two holders (which
-    /// coincide for a shard-local pair).
-    fn pair_counts(&self, a: RsuId, b: RsuId) -> Result<PairCounts, SimError> {
-        let (sa, sb) = (self.shard_of(a), self.shard_of(b));
-        self.obs.inc(if sa == sb {
+    /// The decode row of `rsu`, built by its owning shard.
+    fn decode_row(&self, rsu: RsuId) -> DecodeRow<'_> {
+        self.shards[self.shard_of(rsu)].decode_row(rsu)
+    }
+
+    /// Tallies one decoded pair as shard-local or cross-shard.
+    fn tally_pair(&self, a: RsuId, b: RsuId) {
+        self.obs.inc(if self.shard_of(a) == self.shard_of(b) {
             "shard.local_pair"
         } else {
             "shard.cross_pair"
         });
-        with_thread_scratch(|s| {
-            self.shards[sa].pair_counts_across(&self.shards[sb], a, b, s, &self.obs)
-        })
     }
 
     /// Estimates the point-to-point volume between two uploaded RSUs,
@@ -376,10 +372,8 @@ impl ShardedServer {
     ///
     /// As [`CentralServer::estimate`].
     pub fn estimate(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        Ok(estimate_from_counts(
-            &self.pair_counts(a, b)?,
-            self.scheme.s(),
-        )?)
+        self.tally_pair(a, b);
+        measure_pair(&self.decode_row(a), &self.decode_row(b), false, &self.obs)
     }
 
     /// Like [`estimate`](Self::estimate) but clamps saturated zero
@@ -389,10 +383,8 @@ impl ShardedServer {
     ///
     /// As [`CentralServer::estimate_or_clamp`].
     pub fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        Ok(estimate_from_counts_or_clamp(
-            &self.pair_counts(a, b)?,
-            self.scheme.s(),
-        )?)
+        self.tally_pair(a, b);
+        measure_pair(&self.decode_row(a), &self.decode_row(b), true, &self.obs)
     }
 
     /// Answers a pair query with the monolith's exact degradation
@@ -403,24 +395,15 @@ impl ShardedServer {
     ///
     /// As [`CentralServer::estimate_or_degraded`].
     pub fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
-        let (sa, sb) = (self.shard_of(a), self.shard_of(b));
-        self.shards[sa]
-            .estimate_or_degraded_across(&self.shards[sb], a, b, || self.pair_counts(a, b))
+        let (ra, rb) = (self.decode_row(a), self.decode_row(b));
+        if ra.is_decodable() && rb.is_decodable() {
+            self.tally_pair(a, b);
+        }
+        answer_pair(&ra, &rb, &self.obs)
     }
 
     /// The full origin–destination matrix over every RSU any shard
-    /// knows about, with one worker per available core (see
-    /// [`od_matrix_threads`](Self::od_matrix_threads)).
-    ///
-    /// # Errors
-    ///
-    /// As [`od_matrix_threads`](Self::od_matrix_threads).
-    pub fn od_matrix(&self) -> Result<OdMatrix, SimError> {
-        self.od_matrix_threads(crate::concurrent::default_threads())
-    }
-
-    /// [`od_matrix`](Self::od_matrix) with an explicit worker count,
-    /// assembled like [`CentralServer::od_matrix_threads`].
+    /// knows about, assembled like [`CentralServer::od_matrix_threads`].
     ///
     /// # Errors
     ///
@@ -430,15 +413,15 @@ impl ShardedServer {
     ///
     /// Panics if `threads == 0` or a worker thread panics.
     pub fn od_matrix_threads(&self, threads: usize) -> Result<OdMatrix, SimError> {
-        let (rsus, chunks) = self.od_chunks_threads(threads, <[PairEstimate]>::to_vec)?;
-        Ok(OdMatrix::from_chunks(rsus, &chunks))
+        let (axes, chunks) = self.od_chunks_threads(threads, <[PairEstimate]>::to_vec)?;
+        Ok(OdMatrix::from_chunks(axes, &chunks))
     }
 
     /// The streamed O–D triangle of [`CentralServer::od_chunks_threads`]
     /// over every RSU any shard knows about — the same driver (same RSU
-    /// discovery, same chunked triangle, same per-RSU prefetch and
-    /// terms, same sequential-fallback threshold), with each RSU's
-    /// prefetched state drawn from its owning shard.
+    /// discovery, same chunked triangle, same decode rows, same
+    /// sequential-fallback threshold), with each RSU's row built by its
+    /// owning shard.
     ///
     /// # Errors
     ///
@@ -451,7 +434,7 @@ impl ShardedServer {
         &self,
         threads: usize,
         sink: F,
-    ) -> Result<(Vec<RsuId>, Vec<U>), SimError>
+    ) -> Result<(Vec<OdAxis>, Vec<U>), SimError>
     where
         U: Send,
         F: Fn(&[PairEstimate]) -> U + Sync,
@@ -469,20 +452,13 @@ impl ShardedServer {
             .into_iter()
             .collect();
         let shard_idx: Vec<usize> = rsus.iter().map(|&rsu| self.shard_of(rsu)).collect();
-        let pre: Vec<RsuDecodeRef<'_>> = rsus
+        let rows: Vec<DecodeRow<'_>> = rsus
             .iter()
             .zip(&shard_idx)
-            .map(|(&rsu, &s)| self.shards[s].prefetch_decode_ref(rsu))
+            .map(|(&rsu, &s)| self.shards[s].decode_row(rsu))
             .collect();
-        let chunks = od_chunks(
-            &pre,
-            Some(&shard_idx),
-            self.scheme.s(),
-            &self.obs,
-            threads,
-            sink,
-        )?;
-        Ok((rsus, chunks))
+        let chunks = od_chunks(&rows, Some(&shard_idx), &self.obs, threads, sink)?;
+        Ok((rows.iter().map(DecodeRow::axis).collect(), chunks))
     }
 
     /// Ends the period on every shard and merges the (disjoint) per-RSU
