@@ -16,10 +16,10 @@
 //!   percent of the uninstrumented baseline.
 //! * `BENCH_shard.json` — sharded vs monolithic batch ingestion
 //!   (DESIGN.md §15): one period's sequenced uploads into a monolithic
-//!   `CentralServer` loop vs `ShardedServer::receive_parallel` at 1, 2,
-//!   4, and 8 shards. Worker count is capped at the available cores, so
-//!   on a single-core box every shard count degenerates to the routed
-//!   sequential path and the speedup column reads ≈ 1.0 by design.
+//!   `CentralServer` loop vs `ShardedServer::receive_parallel_threads`
+//!   at 1, 2, 4, and 8 shards. Worker count is capped at the available
+//!   cores, so on a single-core box every shard count degenerates to the
+//!   routed sequential path and the speedup column reads ≈ 1.0 by design.
 //! * `BENCH_wal.json` — durability cost (DESIGN.md §17): one period's
 //!   sequenced uploads into a sharded server with the write-ahead log
 //!   off, on (append + fsync per record), and on with periodic
@@ -61,8 +61,8 @@ use vcps_sim::concurrent::{
 use vcps_sim::engine::PeriodSettings;
 use vcps_sim::pki::TrustedAuthority;
 use vcps_sim::{
-    build_metro, run_periods, BatchUpload, BatchUploadRef, CentralServer, MetroConfig,
-    PeriodUpload, RunConfig, Sharded, ShardedServer,
+    build_metro, run_periods, score_accuracy, AccuracyScore, BatchUpload, BatchUploadRef,
+    CentralServer, MetroConfig, PeriodUpload, RunConfig, Sharded, ShardedServer,
 };
 
 const ARRAY_BITS: usize = 1 << 20;
@@ -473,10 +473,10 @@ fn obs_call_ns(samples: usize, obs: &vcps_obs::Obs) -> f64 {
 /// the ≤ 2% budget applies to; "enabled_ratio" is informational (the
 /// enabled path pays for real atomics and is allowed to cost more).
 fn bench_obs(reports: u64, samples: usize) -> String {
-    use vcps_obs::{Level, Obs};
+    use vcps_obs::Obs;
 
     let disabled = Obs::disabled();
-    let enabled = Obs::enabled(Level::Info);
+    let enabled = Obs::enabled();
     let noop_ns = obs_call_ns(samples, &disabled);
     let enabled_ns = obs_call_ns(samples, &enabled);
     println!("obs     counter add     disabled {noop_ns:>8.3} ns/call   enabled {enabled_ns:>8.3} ns/call");
@@ -577,7 +577,7 @@ fn bench_shard(samples: usize) -> String {
                 let start = Instant::now();
                 let mut server =
                     ShardedServer::new(scheme.clone(), 1.0, shards).expect("valid shard count");
-                let outcomes = server.receive_parallel(frames);
+                let outcomes = server.receive_parallel_threads(frames, default_threads());
                 assert_eq!(outcomes.len(), SHARD_RSUS);
                 start.elapsed().as_nanos()
             }
@@ -818,31 +818,22 @@ fn bench_metro(samples: usize) -> String {
     let uploads = reference.uploads_delivered;
     let mut accuracy_rows = String::new();
     for (period, matrix) in reference.window.iter().enumerate() {
-        let truth = &workload.truth[period];
-        let mut scored = 0usize;
-        let mut total_error = 0.0;
-        let mut degraded = 0usize;
-        for (a, b, estimate) in matrix.iter_pairs() {
-            if estimate.is_degraded() {
-                degraded += 1;
-            }
-            let t = truth[a.0 as usize * nodes + b.0 as usize];
-            if t >= TRUTH_FLOOR {
-                scored += 1;
-                total_error += (estimate.n_c() - t).abs() / t;
-            }
-        }
-        let mre = total_error / scored.max(1) as f64;
+        let AccuracyScore {
+            pairs: scored,
+            mean_relative_error,
+            degraded,
+        } = score_accuracy(matrix, &workload.truth[period], nodes, TRUTH_FLOOR);
+        let mre = mean_relative_error.map_or("null".to_string(), |mre| format!("{mre:.4}"));
         if period > 0 {
             accuracy_rows.push_str(",\n");
         }
         let _ = write!(
             accuracy_rows,
             "    {{\"period\": {period}, \"pairs\": {scored}, \
-             \"mean_relative_error\": {mre:.4}, \"degraded_entries\": {degraded}}}",
+             \"mean_relative_error\": {mre}, \"degraded_entries\": {degraded}}}",
         );
         println!(
-            "metro   period {period} accuracy      {scored:>6} pairs   mre {mre:.4}   \
+            "metro   period {period} accuracy      {scored:>6} pairs   mre {mre}   \
              {degraded} degraded"
         );
     }

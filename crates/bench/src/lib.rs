@@ -579,7 +579,8 @@ mod tests {
             mono.receive_sequenced(frame);
         }
         let mut sharded = vcps_sim::ShardedServer::new(scheme, 1.0, 4).unwrap();
-        let outcomes = sharded.receive_parallel(pool[1].clone());
+        let outcomes = sharded
+            .receive_parallel_threads(pool[1].clone(), vcps_sim::concurrent::default_threads());
         assert_eq!(outcomes.len(), 8);
         assert_eq!(sharded.upload_count(), mono.upload_count());
         for i in 1..=8u64 {

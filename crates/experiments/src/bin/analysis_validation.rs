@@ -11,7 +11,10 @@
 use vcps_analysis::accuracy::{self, CovarianceMethod};
 use vcps_analysis::{privacy, PairParams};
 use vcps_core::{RsuId, Scheme};
-use vcps_experiments::{arg_value, parallel_map, run_accuracy_point, text_table};
+use vcps_experiments::{
+    arg_value, default_threads, parallel_map_threads, run_accuracy_point, text_table,
+};
+use vcps_obs::Obs;
 use vcps_sim::adversary::{observe_pair, PrivacyObservation};
 use vcps_sim::synthetic::SyntheticPair;
 
@@ -35,12 +38,16 @@ fn main() {
     let scheme = Scheme::variable(s, f, 77).expect("valid scheme");
     let mut rows = Vec::new();
     for (n_x, n_y, n_c) in configs {
-        let outcomes = parallel_map((0..trials).collect::<Vec<_>>(), |&seed| {
-            run_accuracy_point(&scheme, n_x, n_y, n_c, seed)
-                .expect("simulation failed")
-                .estimate
-                .n_c
-        });
+        let outcomes = parallel_map_threads(
+            (0..trials).collect::<Vec<_>>(),
+            default_threads(),
+            |&seed| {
+                run_accuracy_point(&scheme, n_x, n_y, n_c, seed, None, &Obs::disabled())
+                    .expect("simulation failed")
+                    .estimate
+                    .n_c
+            },
+        );
         let mean = outcomes.iter().sum::<f64>() / outcomes.len() as f64;
         let var = outcomes
             .iter()

@@ -13,7 +13,9 @@
 
 use vcps_analysis::{privacy, PairParams};
 use vcps_core::{RsuId, Scheme};
-use vcps_experiments::{arg_value, log_grid, parallel_map, text_table, OVERLAP_FRACTION};
+use vcps_experiments::{
+    arg_value, default_threads, log_grid, parallel_map_threads, text_table, OVERLAP_FRACTION,
+};
 use vcps_sim::adversary::{observe_pair, PrivacyObservation};
 use vcps_sim::synthetic::SyntheticPair;
 
@@ -36,7 +38,7 @@ fn main() {
         println!("== Fig. 2 (empirical), plot {plot}: n_y = {ratio}·n_x, s = 2 ==");
         println!("(analytic at deployed power-of-two sizes vs tracking adversary)\n");
         let grid = log_grid(0.5, 30.0, points);
-        let rows = parallel_map(grid, |&f| {
+        let rows = parallel_map_threads(grid, default_threads(), |&f| {
             let scheme = Scheme::variable(2, f, seed).expect("valid scheme");
             let m_x = scheme.array_size_for(n_x as f64).expect("sizing");
             let m_y = scheme.array_size_for(n_y as f64).expect("sizing");

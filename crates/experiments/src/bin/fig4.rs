@@ -13,8 +13,10 @@
 
 use vcps_core::Scheme;
 use vcps_experiments::{
-    arg_value, choose_baseline_size, parallel_map, run_accuracy_point, text_table, PRIVACY_TARGET,
+    arg_value, choose_baseline_size, default_threads, parallel_map_threads, run_accuracy_point,
+    text_table, PRIVACY_TARGET,
 };
+use vcps_obs::Obs;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -51,9 +53,17 @@ fn main() {
             .iter()
             .flat_map(|&n_c| (0..runs).map(move |r| (n_c, r)))
             .collect();
-        let outcomes = parallel_map(trials, |&(n_c, r)| {
-            let out = run_accuracy_point(&scheme, n_x, n_y, n_c, seed ^ n_c ^ (r << 40))
-                .expect("simulation failed");
+        let outcomes = parallel_map_threads(trials, default_threads(), |&(n_c, r)| {
+            let out = run_accuracy_point(
+                &scheme,
+                n_x,
+                n_y,
+                n_c,
+                seed ^ n_c ^ (r << 40),
+                None,
+                &Obs::disabled(),
+            )
+            .expect("simulation failed");
             (out.estimate.n_c, u64::from(out.estimate.clamped))
         });
         let rows: Vec<Vec<String>> = n_cs

@@ -36,9 +36,9 @@ use vcps_experiments::{
     write_obs_json, PRIVACY_TARGET,
 };
 use vcps_sim::{
-    build_metro, run_periods, FaultMetrics, FaultPlan, LinkFaults, MetroConfig, MetroLayout,
-    MetroRun, MetroWorkload, Monolith, PeriodSettings, RetryPolicy, RunConfig, Sharded,
-    SlidingWindow,
+    build_metro, run_periods, score_accuracy, AccuracyScore, FaultMetrics, FaultPlan, LinkFaults,
+    MetroConfig, MetroLayout, MetroRun, MetroWorkload, Monolith, PeriodSettings, RetryPolicy,
+    RunConfig, Sharded, SlidingWindow,
 };
 
 struct Outcome {
@@ -48,45 +48,12 @@ struct Outcome {
     ingest_ns: u128,
     od_ns: u128,
     uploads_per_sec: f64,
-    accuracy_pairs: usize,
-    mean_relative_error: f64,
-    degraded_entries: usize,
+    /// The newest window matrix scored against the final period's truth.
+    accuracy: AccuracyScore,
     undelivered: usize,
     faults: FaultMetrics,
     sharded_equal: bool,
     window: SlidingWindow,
-}
-
-/// Mean relative error of the newest window matrix against the final
-/// period's exact ground truth, over pairs whose true volume is at
-/// least `floor` (tiny overlaps make relative error meaningless — the
-/// paper's Table I uses the busiest pairs for the same reason).
-fn score_accuracy(
-    window: &SlidingWindow,
-    truth: &[f64],
-    nodes: usize,
-    floor: f64,
-) -> (usize, f64, usize) {
-    let matrix = window.latest().expect("at least one period completed");
-    let mut scored = 0usize;
-    let mut total_error = 0.0;
-    let mut degraded = 0usize;
-    for (a, b, estimate) in matrix.iter_pairs() {
-        if estimate.is_degraded() {
-            degraded += 1;
-        }
-        let t = truth[a.0 as usize * nodes + b.0 as usize];
-        if t >= floor {
-            scored += 1;
-            total_error += (estimate.n_c() - t).abs() / t;
-        }
-    }
-    let mean = if scored == 0 {
-        f64::NAN
-    } else {
-        total_error / scored as f64
-    };
-    (scored, mean, degraded)
 }
 
 /// Checks every observable surface of the two runs for bit-identity —
@@ -150,8 +117,11 @@ fn run(
     let sharded_equal = runs_agree(&sharded, &mono);
 
     let nodes = workload.net.node_count();
-    let (accuracy_pairs, mean_relative_error, degraded_entries) = score_accuracy(
-        &sharded.window,
+    let accuracy = score_accuracy(
+        sharded
+            .window
+            .latest()
+            .expect("at least one period completed"),
         workload.truth.last().expect("at least one period"),
         nodes,
         truth_floor,
@@ -167,9 +137,7 @@ fn run(
         ingest_ns: sharded.ingest_ns,
         od_ns: sharded.od_ns,
         uploads_per_sec: sharded.uploads_delivered as f64 * 1e9 / (sharded.ingest_ns.max(1)) as f64,
-        accuracy_pairs,
-        mean_relative_error,
-        degraded_entries,
+        accuracy,
         undelivered: sharded.undelivered_per_period.iter().map(Vec::len).sum(),
         faults: faults_total,
         sharded_equal,
@@ -190,11 +158,10 @@ fn payload_json(
     seed: u64,
 ) -> String {
     let rss = peak_rss_bytes().map_or("null".to_string(), |b| b.to_string());
-    let mre = if o.mean_relative_error.is_nan() {
-        "null".to_string()
-    } else {
-        format!("{:.6}", o.mean_relative_error)
-    };
+    let mre = o
+        .accuracy
+        .mean_relative_error
+        .map_or("null".to_string(), |mre| format!("{mre:.6}"));
     format!(
         "{{\"experiment\":\"metro\",\"seed\":{seed},\"layout\":\"{layout}\",\"rsus\":{rsus},\
          \"periods\":{periods},\"window\":{window},\"shards\":{shards},\"threads\":{threads},\
@@ -209,8 +176,8 @@ fn payload_json(
         o.ingest_ns,
         o.od_ns,
         o.uploads_per_sec,
-        o.accuracy_pairs,
-        o.degraded_entries,
+        o.accuracy.pairs,
+        o.accuracy.degraded,
         o.undelivered,
         o.faults.upload_attempts,
         o.faults.upload_retries,
@@ -322,15 +289,18 @@ fn main() {
             ],
             vec![
                 format!("accuracy pairs (truth >= {truth_floor})"),
-                outcome.accuracy_pairs.to_string(),
+                outcome.accuracy.pairs.to_string(),
             ],
             vec![
                 "mean relative error".into(),
-                format!("{:.4}", outcome.mean_relative_error),
+                outcome
+                    .accuracy
+                    .mean_relative_error
+                    .map_or("-".to_string(), |mre| format!("{mre:.4}")),
             ],
             vec![
                 "degraded entries".into(),
-                outcome.degraded_entries.to_string(),
+                outcome.accuracy.degraded.to_string(),
             ],
             vec![
                 "undelivered uploads".into(),

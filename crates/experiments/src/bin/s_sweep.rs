@@ -18,9 +18,10 @@
 
 use vcps_core::Scheme;
 use vcps_experiments::{
-    arg_value, choose_novel_load_factor, parallel_map, run_accuracy_point, text_table,
-    OVERLAP_FRACTION, PRIVACY_TARGET,
+    arg_value, choose_novel_load_factor, default_threads, parallel_map_threads, run_accuracy_point,
+    text_table, OVERLAP_FRACTION, PRIVACY_TARGET,
 };
+use vcps_obs::Obs;
 
 use vcps_analysis::privacy;
 
@@ -44,12 +45,21 @@ fn main() {
         let scheme = Scheme::variable(s, f_bar, seed).expect("valid scheme");
         for ratio in [1u64, 10, 50] {
             let n_y = ratio * n_x;
-            let errs = parallel_map((0..runs).collect::<Vec<_>>(), |&r| {
-                run_accuracy_point(&scheme, n_x, n_y, n_c, seed ^ (r << 24) ^ ratio)
+            let errs =
+                parallel_map_threads((0..runs).collect::<Vec<_>>(), default_threads(), |&r| {
+                    run_accuracy_point(
+                        &scheme,
+                        n_x,
+                        n_y,
+                        n_c,
+                        seed ^ (r << 24) ^ ratio,
+                        None,
+                        &Obs::disabled(),
+                    )
                     .expect("simulation failed")
                     .relative_error()
                     .expect("n_c > 0")
-            });
+                });
             let mean_err = errs.iter().sum::<f64>() / errs.len() as f64;
             let p = privacy::privacy_at_load_factor(
                 f_bar,

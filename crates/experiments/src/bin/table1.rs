@@ -37,8 +37,9 @@ use vcps_analysis::accuracy::{self, CovarianceMethod};
 use vcps_analysis::PairParams;
 use vcps_core::Scheme;
 use vcps_experiments::{
-    arg_flag, arg_value, choose_baseline_size, choose_novel_load_factor, obs_from_args,
-    parallel_map, run_accuracy_point_sharded_obs, text_table, write_obs_json, PRIVACY_TARGET,
+    arg_flag, arg_value, choose_baseline_size, choose_novel_load_factor, default_threads,
+    obs_from_args, parallel_map_threads, run_accuracy_point, text_table, write_obs_json,
+    PRIVACY_TARGET,
 };
 use vcps_roadnet::assignment::{all_or_nothing, pair_volumes, point_volumes};
 use vcps_roadnet::sioux_falls;
@@ -154,14 +155,12 @@ fn main() {
         .collect();
     let (obs, obs_path) = obs_from_args(&args);
     let trial_outcomes: Vec<(f64, f64, f64, f64)> =
-        parallel_map(trials, |&(label, n_x, n_c, r)| {
+        parallel_map_threads(trials, default_threads(), |&(label, n_x, n_c, r)| {
             let point_seed = seed ^ (label as u64) << 32 ^ r;
-            let novel_out =
-                run_accuracy_point_sharded_obs(&novel, n_x, n_y, n_c, point_seed, shards, &obs)
-                    .expect("simulation failed");
-            let base_out =
-                run_accuracy_point_sharded_obs(&baseline, n_x, n_y, n_c, point_seed, shards, &obs)
-                    .expect("simulation failed");
+            let novel_out = run_accuracy_point(&novel, n_x, n_y, n_c, point_seed, shards, &obs)
+                .expect("simulation failed");
+            let base_out = run_accuracy_point(&baseline, n_x, n_y, n_c, point_seed, shards, &obs)
+                .expect("simulation failed");
             (
                 novel_out.estimate.n_c,
                 base_out.estimate.n_c,

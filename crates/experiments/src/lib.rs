@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 
 use vcps_analysis::privacy;
 use vcps_core::{RsuId, Scheme};
-use vcps_obs::{Level, Obs};
+use vcps_obs::Obs;
 use vcps_sim::synthetic::SyntheticPair;
 use vcps_sim::{PairOutcome, PairRunner, SimError};
 
@@ -99,49 +99,19 @@ pub fn choose_baseline_size(volumes: &[f64], s: usize, target: f64) -> usize {
 
 /// Runs one simulated measurement point and returns the outcome.
 ///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn run_accuracy_point(
-    scheme: &Scheme,
-    n_x: u64,
-    n_y: u64,
-    n_c: u64,
-    seed: u64,
-) -> Result<PairOutcome, SimError> {
-    run_accuracy_point_obs(scheme, n_x, n_y, n_c, seed, &Obs::disabled())
-}
-
-/// [`run_accuracy_point`] recording into an observability handle (the
+/// `shards: Some(k)` routes the period uploads through a `k`-shard
+/// [`vcps_sim::ShardedServer`] in one batch frame
+/// ([`PairRunner::with_shards`]); the sharding layer's contract is
+/// bit-identical estimates, so this changes *which code path* the
+/// experiment exercises, never its numbers. `obs` records the run (the
 /// handle is cheaply cloneable — workers in a sweep can each carry a
-/// clone and the lock-free registry merges their counts). Results are
+/// clone and the lock-free registry merges their counts); results are
 /// bit-identical with observability on or off.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures.
-pub fn run_accuracy_point_obs(
-    scheme: &Scheme,
-    n_x: u64,
-    n_y: u64,
-    n_c: u64,
-    seed: u64,
-    obs: &Obs,
-) -> Result<PairOutcome, SimError> {
-    run_accuracy_point_sharded_obs(scheme, n_x, n_y, n_c, seed, None, obs)
-}
-
-/// [`run_accuracy_point_obs`] with an optional sharded ingestion path:
-/// `Some(k)` routes the period uploads through a `k`-shard
-/// [`vcps_sim::ShardedServer`] in one batch frame
-/// ([`PairRunner::with_shards`]). The sharding layer's contract is
-/// bit-identical estimates, so this changes *which code path* the
-/// experiment exercises, never its numbers.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn run_accuracy_point_sharded_obs(
+pub fn run_accuracy_point(
     scheme: &Scheme,
     n_x: u64,
     n_y: u64,
@@ -159,12 +129,12 @@ pub fn run_accuracy_point_sharded_obs(
 }
 
 /// Builds the observability handle an experiment binary should use:
-/// enabled at `Info` when `--obs-json PATH` is present (returning the
-/// path), disabled — the zero-overhead fast path — otherwise.
+/// enabled when `--obs-json PATH` is present (returning the path),
+/// disabled — the zero-overhead fast path — otherwise.
 #[must_use]
 pub fn obs_from_args(args: &[String]) -> (Obs, Option<String>) {
     match arg_value(args, "--obs-json") {
-        Some(path) => (Obs::enabled(Level::Info), Some(path)),
+        Some(path) => (Obs::enabled(), Some(path)),
         None => (Obs::disabled(), None),
     }
 }
@@ -187,10 +157,11 @@ pub fn write_obs_json(path: &str, obs: &Obs) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The experiment binaries' parallel runner: one worker per available
-/// core by default, order-preserving maps (Table I, Figs. 4–5, the `s`
-/// sweep, analysis validation).
-pub use vcps_sim::concurrent::{default_threads, parallel_map, parallel_map_threads};
+/// The experiment binaries' parallel runner: order-preserving maps over
+/// an explicit worker count, [`default_threads`] for one worker per
+/// available core (Table I, Figs. 4–5, the `s` sweep, analysis
+/// validation).
+pub use vcps_sim::concurrent::{default_threads, parallel_map_threads};
 
 /// A logarithmically spaced grid over `[lo, hi]`.
 #[must_use]
@@ -290,7 +261,8 @@ mod tests {
     #[test]
     fn accuracy_point_runs() {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let out = run_accuracy_point(&scheme, 1_000, 1_000, 300, 5).unwrap();
+        let out =
+            run_accuracy_point(&scheme, 1_000, 1_000, 300, 5, None, &Obs::disabled()).unwrap();
         assert!(out.estimate.n_c.is_finite());
         assert_eq!(out.true_n_c, 300);
     }
@@ -299,8 +271,8 @@ mod tests {
     fn sharded_accuracy_point_matches_monolithic() {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
         let obs = Obs::disabled();
-        let mono = run_accuracy_point_sharded_obs(&scheme, 1_000, 1_000, 300, 5, None, &obs);
-        let sharded = run_accuracy_point_sharded_obs(&scheme, 1_000, 1_000, 300, 5, Some(4), &obs);
+        let mono = run_accuracy_point(&scheme, 1_000, 1_000, 300, 5, None, &obs);
+        let sharded = run_accuracy_point(&scheme, 1_000, 1_000, 300, 5, Some(4), &obs);
         assert_eq!(
             mono.unwrap().estimate,
             sharded.unwrap().estimate,
@@ -318,7 +290,7 @@ mod tests {
     #[test]
     fn parallel_map_auto_threads() {
         let items: Vec<u64> = (0..1000).collect();
-        let squared = parallel_map(items, |&x| x * x);
+        let squared = parallel_map_threads(items, default_threads(), |&x| x * x);
         assert_eq!(squared, (0..1000).map(|x| x * x).collect::<Vec<_>>());
     }
 

@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use vcps_core::Scheme;
 use vcps_net::{ConnectionLimits, Daemon, DaemonConfig};
-use vcps_obs::{Level, Obs};
+use vcps_obs::Obs;
 use vcps_sim::{DurableOptions, FlushPolicy};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -63,7 +63,7 @@ fn main() {
 
     let want_obs = arg_flag(&args, "--obs");
     let obs = if want_obs {
-        Obs::enabled(Level::Info)
+        Obs::enabled()
     } else {
         Obs::disabled()
     };

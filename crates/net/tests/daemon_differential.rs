@@ -140,7 +140,7 @@ fn durable_daemon_flushes_on_shutdown_and_recovers() {
     let reference = reference_server(&frames, 4);
     let frames_sent: usize = frames.iter().map(Vec::len).sum();
 
-    let obs = Obs::enabled(vcps_obs::Level::Info);
+    let obs = Obs::enabled();
     let mut config = DaemonConfig::new(scheme());
     config.wal_dir = Some(dir.clone());
     // Manual flushing: nothing reaches disk until the shutdown path

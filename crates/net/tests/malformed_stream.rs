@@ -12,7 +12,7 @@ use vcps_net::wire::{
     encode_od_query, encode_pair_query, estimate_bits, read_frame, write_frame, Response,
 };
 use vcps_net::{AckSummary, ConnectionLimits, Daemon, DaemonConfig, DaemonHandle, NetClient};
-use vcps_obs::{Level, Obs};
+use vcps_obs::Obs;
 use vcps_sim::{PeriodUpload, SequencedUpload, SequencedUploadRef, ShardedServer};
 
 fn scheme() -> Scheme {
@@ -162,7 +162,7 @@ fn stall_after_a_buffered_partial_prefix_acks_first_then_drops() {
 
 /// A daemon whose counters the test can watch.
 fn spawn_observed(limits: ConnectionLimits) -> (SocketAddr, DaemonHandle, Obs) {
-    let obs = Obs::enabled(Level::Info);
+    let obs = Obs::enabled();
     let mut config = DaemonConfig::new(scheme());
     config.limits = limits;
     config.obs = obs.clone();

@@ -10,8 +10,7 @@ use std::fmt::Write as _;
 use crate::registry::{HistogramSnapshot, RegistrySnapshot};
 
 /// Escapes a string for inclusion inside a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -31,8 +30,7 @@ pub fn json_escape(s: &str) -> String {
 
 /// Formats an `f64` as a JSON value: non-finite values become `null`
 /// (JSON has no NaN/Infinity).
-#[must_use]
-pub fn fmt_f64_json(v: f64) -> String {
+fn fmt_f64_json(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -152,6 +150,18 @@ mod tests {
         assert!(json.contains("\"latency_ns\":{\"count\":2"));
         assert!(json.contains("\"buckets\":[[10,1],[17,1]]"));
         assert!(json.ends_with("}}"));
+    }
+
+    #[test]
+    fn non_finite_gauges_render_as_null() {
+        let r = Registry::new();
+        r.set_gauge("nan", f64::NAN);
+        r.set_gauge("inf", f64::INFINITY);
+        let json = snapshot_json(&r.snapshot());
+        assert!(
+            json.contains("\"gauges\":{\"inf\":null,\"nan\":null}"),
+            "{json}"
+        );
     }
 
     #[test]

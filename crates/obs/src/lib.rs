@@ -1,6 +1,5 @@
-//! `vcps-obs`: the workspace's unified observability layer — a
-//! structured tracing facade, a lock-free metrics registry, and
-//! per-phase profiling hooks, with zero dependencies (DESIGN.md §14).
+//! `vcps-obs`: the central server's metrics registry plus per-phase
+//! profiling timers, with zero dependencies (DESIGN.md §14).
 //!
 //! Everything hangs off one cheap, cloneable handle:
 //!
@@ -10,20 +9,14 @@
 //!   (overhead measured in `BENCH_obs.json`). Observability must never
 //!   change results: instrumented code records *about* its computation,
 //!   never *into* it, so estimates are bit-identical on and off.
-//! * [`Obs::enabled`] / [`Obs::with_subscriber`] activate the layer: a
-//!   [`Registry`] of counters, gauges, and fixed-bucket histograms over
-//!   `AtomicU64` cells (parallel workers record without contention), and
-//!   a level-filtered event stream fanned to a pluggable [`Subscriber`]
-//!   ([`NullSubscriber`], ring-buffered [`CollectingSubscriber`], or
-//!   [`JsonLinesSubscriber`]).
+//! * [`Obs::enabled`] activates the layer: a [`Registry`] of counters,
+//!   gauges, and fixed-bucket histograms over `AtomicU64` cells, so
+//!   parallel workers record without contention.
 //! * [`Obs::phase`] opens a [`PhaseTimer`] for one of the pipeline
-//!   [`Phase`]s (encode, receive, decode, O–D matrix, retry); dropping
-//!   it records a `phase.<name>.ns` histogram and a
-//!   `phase.<name>.calls` counter. [`Obs::span`] is the free-form
-//!   tracing twin, emitting enter/exit events instead.
+//!   [`Phase`]s (encode, receive, decode, O–D matrix, retry, WAL append,
+//!   WAL recovery); dropping it records a `phase.<name>.ns` histogram and
+//!   a `phase.<name>.calls` counter.
 //!
-//! Events carry both monotonic wall time (nanoseconds since the handle
-//! was created) and the simulation clock ([`Obs::set_sim_time`]).
 //! [`Obs::snapshot`] freezes the registry into a [`RegistrySnapshot`]
 //! whose [`merge`](RegistrySnapshot::merge) is associative and
 //! commutative, and [`snapshot_json`] / [`snapshot_text`] render it for
@@ -32,9 +25,9 @@
 //! # Example
 //!
 //! ```
-//! use vcps_obs::{Level, Obs, Phase};
+//! use vcps_obs::{Obs, Phase};
 //!
-//! let obs = Obs::enabled(Level::Info);
+//! let obs = Obs::enabled();
 //! {
 //!     let _timer = obs.phase(Phase::Encode);
 //!     obs.add("reports", 128);
@@ -55,19 +48,13 @@
 
 mod export;
 mod registry;
-mod trace;
 
-pub use export::{fmt_f64_json, json_escape, snapshot_json, snapshot_text};
+pub use export::{snapshot_json, snapshot_text};
 pub use registry::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     RegistrySnapshot, HISTOGRAM_BUCKETS,
 };
-pub use trace::{
-    CollectingSubscriber, EventKind, JsonLinesSubscriber, Level, NullSubscriber, Subscriber,
-    TraceEvent, Value,
-};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -91,20 +78,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Lower-case phase name.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Encode => "encode",
-            Phase::Receive => "receive",
-            Phase::Decode => "decode",
-            Phase::OdMatrix => "od_matrix",
-            Phase::Retry => "retry",
-            Phase::WalAppend => "wal_append",
-            Phase::WalRecover => "wal_recover",
-        }
-    }
-
     /// Registry name of the duration histogram.
     #[must_use]
     pub fn ns_metric(self) -> &'static str {
@@ -134,44 +107,14 @@ impl Phase {
     }
 }
 
-#[derive(Debug)]
-struct ObsInner {
-    level: Level,
-    registry: Registry,
-    subscriber: Arc<dyn Subscriber>,
-    epoch: Instant,
-    /// Simulation clock, as `f64` bits (NaN until a driver sets it).
-    sim_time: AtomicU64,
-}
-
-impl ObsInner {
-    fn emit(
-        &self,
-        level: Level,
-        kind: EventKind,
-        name: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) {
-        let event = TraceEvent {
-            level,
-            kind,
-            name,
-            wall_ns: u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            sim_time: f64::from_bits(self.sim_time.load(Ordering::Relaxed)),
-            fields,
-        };
-        self.subscriber.record(&event);
-    }
-}
-
 /// The observability handle (see the crate docs).
 ///
-/// `Clone` is an `Arc` bump; clones share one registry, subscriber, and
-/// clock epoch, so a handle can be fanned across threads and snapshotted
-/// once. The `Default` handle is disabled.
+/// `Clone` is an `Arc` bump; clones share one registry, so a handle can
+/// be fanned across threads and snapshotted once. The `Default` handle
+/// is disabled.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<ObsInner>>,
+    registry: Option<Arc<Registry>>,
 }
 
 impl Obs {
@@ -179,63 +122,34 @@ impl Obs {
     /// check.
     #[must_use]
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { registry: None }
     }
 
-    /// An active handle filtering events at `level`, with a
-    /// [`NullSubscriber`] (registry only — the common experiment
-    /// configuration).
+    /// An active handle over a fresh, empty registry.
     #[must_use]
-    pub fn enabled(level: Level) -> Self {
-        Self::with_subscriber(level, Arc::new(NullSubscriber))
-    }
-
-    /// An active handle fanning events at-or-below `level` to
-    /// `subscriber`. Keep your own `Arc` clone of the subscriber to read
-    /// collected events back later.
-    #[must_use]
-    pub fn with_subscriber(level: Level, subscriber: Arc<dyn Subscriber>) -> Self {
+    pub fn enabled() -> Self {
         Self {
-            inner: Some(Arc::new(ObsInner {
-                level,
-                registry: Registry::new(),
-                subscriber,
-                epoch: Instant::now(),
-                sim_time: AtomicU64::new(f64::NAN.to_bits()),
-            })),
+            registry: Some(Arc::new(Registry::new())),
         }
     }
 
     /// `true` when recording does anything at all.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The configured event level ([`Level::Off`] when disabled).
-    #[must_use]
-    pub fn level(&self) -> Level {
-        self.inner.as_ref().map_or(Level::Off, |i| i.level)
-    }
-
-    /// `true` when an event at `level` would reach the subscriber. Use
-    /// this to guard field construction on hot paths.
-    #[must_use]
-    pub fn enabled_at(&self, level: Level) -> bool {
-        level != Level::Off && level <= self.level()
+        self.registry.is_some()
     }
 
     /// The live registry, when enabled.
     #[must_use]
     pub fn registry(&self) -> Option<&Registry> {
-        self.inner.as_ref().map(|i| &i.registry)
+        self.registry.as_deref()
     }
 
     /// Adds `v` to a named counter.
     #[inline]
     pub fn add(&self, name: &str, v: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.add(name, v);
+        if let Some(registry) = &self.registry {
+            registry.add(name, v);
         }
     }
 
@@ -248,127 +162,53 @@ impl Obs {
     /// Stores `v` in a named gauge.
     #[inline]
     pub fn gauge(&self, name: &str, v: f64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.set_gauge(name, v);
+        if let Some(registry) = &self.registry {
+            registry.set_gauge(name, v);
         }
     }
 
     /// Records `v` into a named histogram.
     #[inline]
     pub fn observe(&self, name: &str, v: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.observe(name, v);
-        }
-    }
-
-    /// Advances the simulation clock stamped onto subsequent events, and
-    /// mirrors it to the `sim_time` gauge.
-    #[inline]
-    pub fn set_sim_time(&self, t: f64) {
-        if let Some(inner) = &self.inner {
-            inner.sim_time.store(t.to_bits(), Ordering::Relaxed);
-            inner.registry.set_gauge("sim_time", t);
-        }
-    }
-
-    /// The last simulation clock value set (NaN when unset or disabled).
-    #[must_use]
-    pub fn sim_time(&self) -> f64 {
-        self.inner.as_ref().map_or(f64::NAN, |i| {
-            f64::from_bits(i.sim_time.load(Ordering::Relaxed))
-        })
-    }
-
-    /// Emits a point-in-time event if `level` passes the filter.
-    ///
-    /// The fields slice is cloned only when the event actually fires;
-    /// guard expensive field *construction* with [`enabled_at`](Self::enabled_at).
-    pub fn event(&self, level: Level, name: &'static str, fields: &[(&'static str, Value)]) {
-        if let Some(inner) = &self.inner {
-            if level != Level::Off && level <= inner.level {
-                inner.emit(level, EventKind::Instant, name, fields.to_vec());
-            }
-        }
-    }
-
-    /// Opens a tracing span: an `Enter` event now, an `Exit` event with
-    /// an `ns` duration field when the guard drops. Purely for the event
-    /// stream; use [`phase`](Self::phase) for registry-backed profiling.
-    pub fn span(&self, level: Level, name: &'static str) -> SpanGuard {
-        match &self.inner {
-            Some(inner) if level != Level::Off && level <= inner.level => {
-                inner.emit(level, EventKind::Enter, name, Vec::new());
-                SpanGuard {
-                    state: Some((Arc::clone(inner), level, name, Instant::now())),
-                }
-            }
-            _ => SpanGuard { state: None },
+        if let Some(registry) = &self.registry {
+            registry.observe(name, v);
         }
     }
 
     /// Starts profiling one pipeline phase; the returned timer records
     /// on drop. When disabled this reads no clock at all.
     pub fn phase(&self, phase: Phase) -> PhaseTimer {
-        match &self.inner {
-            Some(inner) => {
-                if Level::Trace <= inner.level {
-                    inner.emit(Level::Trace, EventKind::Enter, phase.label(), Vec::new());
-                }
-                PhaseTimer {
-                    state: Some((Arc::clone(inner), phase, Instant::now())),
-                }
-            }
-            None => PhaseTimer { state: None },
+        PhaseTimer {
+            state: self
+                .registry
+                .as_ref()
+                .map(|registry| (Arc::clone(registry), phase, Instant::now())),
         }
     }
 
     /// Freezes the registry (empty when disabled).
     #[must_use]
     pub fn snapshot(&self) -> RegistrySnapshot {
-        self.inner
+        self.registry
             .as_ref()
-            .map_or_else(RegistrySnapshot::default, |i| i.registry.snapshot())
+            .map_or_else(RegistrySnapshot::default, |r| r.snapshot())
     }
 }
 
-/// Guard for [`Obs::span`]; emits the `Exit` event on drop.
-#[derive(Debug)]
-#[must_use = "dropping the guard ends the span"]
-pub struct SpanGuard {
-    state: Option<(Arc<ObsInner>, Level, &'static str, Instant)>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some((inner, level, name, start)) = self.state.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            inner.emit(level, EventKind::Exit, name, vec![("ns", Value::U64(ns))]);
-        }
-    }
-}
-
-/// Guard for [`Obs::phase`]; records duration histogram + call counter
-/// (and a `Trace`-level exit event) on drop.
+/// Guard for [`Obs::phase`]; records the duration histogram and the
+/// call counter on drop.
 #[derive(Debug)]
 #[must_use = "dropping the timer records the phase duration"]
 pub struct PhaseTimer {
-    state: Option<(Arc<ObsInner>, Phase, Instant)>,
+    state: Option<(Arc<Registry>, Phase, Instant)>,
 }
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
-        if let Some((inner, phase, start)) = self.state.take() {
+        if let Some((registry, phase, start)) = self.state.take() {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            inner.registry.observe(phase.ns_metric(), ns);
-            inner.registry.inc(phase.calls_metric());
-            if Level::Trace <= inner.level {
-                inner.emit(
-                    Level::Trace,
-                    EventKind::Exit,
-                    phase.label(),
-                    vec![("ns", Value::U64(ns))],
-                );
-            }
+            registry.observe(phase.ns_metric(), ns);
+            registry.inc(phase.calls_metric());
         }
     }
 }
@@ -383,15 +223,10 @@ mod tests {
         obs.inc("a");
         obs.gauge("g", 1.0);
         obs.observe("h", 5);
-        obs.set_sim_time(9.0);
-        obs.event(Level::Error, "boom", &[]);
-        drop(obs.span(Level::Error, "s"));
         drop(obs.phase(Phase::Encode));
         assert!(!obs.is_enabled());
+        assert!(obs.registry().is_none());
         assert!(obs.snapshot().is_empty());
-        assert!(obs.sim_time().is_nan());
-        assert_eq!(obs.level(), Level::Off);
-        assert!(!obs.enabled_at(Level::Error));
     }
 
     #[test]
@@ -401,7 +236,7 @@ mod tests {
 
     #[test]
     fn clones_share_one_registry() {
-        let obs = Obs::enabled(Level::Info);
+        let obs = Obs::enabled();
         let clone = obs.clone();
         std::thread::scope(|scope| {
             scope.spawn(|| clone.add("x", 2));
@@ -411,54 +246,14 @@ mod tests {
     }
 
     #[test]
-    fn level_filter_gates_events() {
-        let sub = Arc::new(CollectingSubscriber::new(16));
-        let obs = Obs::with_subscriber(Level::Info, Arc::clone(&sub) as Arc<dyn Subscriber>);
-        obs.event(Level::Debug, "hidden", &[]);
-        obs.event(Level::Info, "shown", &[("k", Value::U64(1))]);
-        assert!(obs.enabled_at(Level::Info));
-        assert!(!obs.enabled_at(Level::Debug));
-        let events = sub.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "shown");
-        assert_eq!(events[0].fields, vec![("k", Value::U64(1))]);
-    }
-
-    #[test]
-    fn spans_emit_enter_and_exit() {
-        let sub = Arc::new(CollectingSubscriber::new(16));
-        let obs = Obs::with_subscriber(Level::Debug, Arc::clone(&sub) as Arc<dyn Subscriber>);
-        obs.set_sim_time(2.5);
-        drop(obs.span(Level::Debug, "work"));
-        let events = sub.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::Enter);
-        assert_eq!(events[1].kind, EventKind::Exit);
-        assert!(events[1].fields.iter().any(|(k, _)| *k == "ns"));
-        assert_eq!(events[1].sim_time, 2.5);
-        assert!(events[1].wall_ns >= events[0].wall_ns);
-        // A filtered span emits nothing.
-        drop(obs.span(Level::Trace, "silent"));
-        assert_eq!(sub.events().len(), 2);
-    }
-
-    #[test]
     fn phase_timer_records_histogram_and_counter() {
-        let obs = Obs::enabled(Level::Info);
+        let obs = Obs::enabled();
         for _ in 0..3 {
             let _t = obs.phase(Phase::Decode);
         }
         let snap = obs.snapshot();
         assert_eq!(snap.counters["phase.decode.calls"], 3);
         assert_eq!(snap.histograms["phase.decode.ns"].count, 3);
-    }
-
-    #[test]
-    fn sim_time_is_stamped_and_gauged() {
-        let obs = Obs::enabled(Level::Info);
-        obs.set_sim_time(1234.5);
-        assert_eq!(obs.sim_time(), 1234.5);
-        assert_eq!(obs.snapshot().gauges["sim_time"], 1234.5);
     }
 
     #[test]

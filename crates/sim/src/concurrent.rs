@@ -18,9 +18,9 @@
 //! # Work distribution
 //!
 //! All the parallel drivers here — [`ingest_parallel`],
-//! [`try_ingest_parallel`], [`for_each_slot_mut_threads`],
-//! [`parallel_map_threads`], and the O–D pair driver through the same
-//! chunk runner as the map — fan out over the process-wide persistent
+//! [`try_ingest_parallel`], [`parallel_map_threads`] and the O–D pair
+//! driver through one chunk runner, [`for_each_slot_mut_threads`] over
+//! slot groups — fan out over the process-wide persistent
 //! worker pool ([`vcps_pool`]) instead of spawning scoped threads per
 //! call. Workers are created once and parked between calls, so
 //! steady-state dispatch costs a mutex handshake rather than a thread
@@ -286,38 +286,7 @@ impl MutexRsu {
 /// Panics if `threads == 0` or a worker thread panics.
 #[must_use]
 pub fn ingest_parallel(rsu: &SharedRsu, reports: &[BitReport], threads: usize) -> usize {
-    assert!(threads > 0, "need at least one thread");
-    if reports.is_empty() {
-        return 0;
-    }
-    // Small enough to balance load, large enough to amortize the shared
-    // cursor: aim for several chunks per worker.
-    let chunk = reports.len().div_ceil(threads * 8).max(64);
-    let executors = capped_executors(threads).min(reports.len().div_ceil(chunk));
-    if executors <= 1 {
-        return reports.iter().filter(|r| rsu.receive(r).is_err()).count();
-    }
-    let cursor = AtomicUsize::new(0);
-    let rejected = AtomicUsize::new(0);
-    vcps_pool::run(executors - 1, &|_| {
-        let mut local_rejected = 0usize;
-        loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= reports.len() {
-                break;
-            }
-            let end = (start + chunk).min(reports.len());
-            for report in &reports[start..end] {
-                if rsu.receive(report).is_err() {
-                    local_rejected += 1;
-                }
-            }
-        }
-        if local_rejected > 0 {
-            rejected.fetch_add(local_rejected, Ordering::Relaxed);
-        }
-    });
-    rejected.into_inner()
+    ingest_chunks(rsu, reports, threads).0
 }
 
 /// [`ingest_parallel`] wrapped in observability: the whole batch runs
@@ -345,15 +314,16 @@ pub fn ingest_parallel_obs(
     rejected
 }
 
-/// Like [`ingest_parallel`] but propagates the first ingestion error
-/// instead of counting rejects — the drop-in parallel replacement for a
-/// sequential `for r in reports { rsu.receive(r)?; }` loop.
+/// Like [`ingest_parallel`] but returns an error instead of a reject
+/// count — the drop-in parallel replacement for a sequential
+/// `for r in reports { rsu.receive(r)?; }` loop, except that every
+/// in-range report is still recorded.
 ///
 /// # Errors
 ///
-/// Returns the error of one failing [`SharedRsu::receive`] (which one is
-/// unspecified under concurrency; in the protocol paths reports are
-/// always in range, so this is belt-and-braces).
+/// Returns the error of the earliest (in input order) report that
+/// [`SharedRsu::receive`] rejects, at any thread count. In the protocol
+/// paths reports are always in range, so this is belt-and-braces.
 ///
 /// # Panics
 ///
@@ -363,41 +333,38 @@ pub fn try_ingest_parallel(
     reports: &[BitReport],
     threads: usize,
 ) -> Result<(), SimError> {
+    ingest_chunks(rsu, reports, threads).1.map_or(Ok(()), Err)
+}
+
+/// The one chunk body behind both ingest drivers, run over
+/// [`map_chunks`]: every in-range report is recorded, and each chunk
+/// returns its reject count and its first rejected report's error.
+/// Chunks come back in input order, so the first error among them is
+/// the earliest rejected report's.
+fn ingest_chunks(
+    rsu: &SharedRsu,
+    reports: &[BitReport],
+    threads: usize,
+) -> (usize, Option<SimError>) {
     assert!(threads > 0, "need at least one thread");
-    if reports.is_empty() {
-        return Ok(());
-    }
+    // Small enough to balance load, large enough to amortize the shared
+    // cursor: aim for several chunks per worker.
     let chunk = reports.len().div_ceil(threads * 8).max(64);
-    let executors = capped_executors(threads).min(reports.len().div_ceil(chunk));
-    if executors <= 1 {
-        for report in reports {
-            rsu.receive(report)?;
-        }
-        return Ok(());
-    }
-    let cursor = AtomicUsize::new(0);
-    let first_error: Mutex<Option<SimError>> = Mutex::new(None);
-    vcps_pool::run(executors - 1, &|_| loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= reports.len() {
-            break;
-        }
-        let end = (start + chunk).min(reports.len());
-        for report in &reports[start..end] {
+    map_chunks(reports.len(), chunk, threads, |range| {
+        let mut rejected = 0usize;
+        let mut first_error = None;
+        for report in &reports[range] {
             if let Err(e) = rsu.receive(report) {
-                let mut slot = first_error.lock().unwrap_or_else(PoisonError::into_inner);
-                slot.get_or_insert(e);
-                return;
+                rejected += 1;
+                first_error.get_or_insert(e);
             }
         }
-    });
-    match first_error
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+        (rejected, first_error)
+    })
+    .into_iter()
+    .fold((0, None), |(rejected, first), (r, e)| {
+        (rejected + r, first.or(e))
+    })
 }
 
 /// Fans `inputs` out over disjoint mutable `slots` with at most
@@ -497,17 +464,6 @@ where
         out.append(&mut piece);
     }
     out
-}
-
-/// Maps `f` over `items` in parallel with one worker per available core,
-/// preserving input order (see [`parallel_map_threads`]).
-pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send + Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parallel_map_threads(items, default_threads(), f)
 }
 
 /// Order-preserving parallel map with an explicit worker count — a thin
@@ -655,7 +611,7 @@ mod tests {
         let plain = SharedRsu::new(RsuId(1), m, &ca).unwrap();
         let plain_rejected = ingest_parallel(&plain, &batch, 4);
 
-        let obs = vcps_obs::Obs::enabled(vcps_obs::Level::Info);
+        let obs = vcps_obs::Obs::enabled();
         let observed = SharedRsu::new(RsuId(1), m, &ca).unwrap();
         let obs_rejected = ingest_parallel_obs(&observed, &batch, 4, &obs);
 
@@ -765,13 +721,37 @@ mod tests {
     }
 
     #[test]
+    fn try_ingest_reports_the_earliest_error_and_records_every_valid_report() {
+        let ca = TrustedAuthority::new(3);
+        // 2,000 reports make chunks of 64–250 at every thread count
+        // below, so the two bad reports always land in different chunks.
+        let mut batch = reports(2_000, 16);
+        for (at, index) in [(300, 17), (1_700, 16)] {
+            batch[at].index = index;
+        }
+        let earliest = SharedRsu::new(RsuId(1), 16, &ca)
+            .unwrap()
+            .receive(&batch[300])
+            .unwrap_err();
+        for threads in [1, 2, 4, 8] {
+            let rsu = SharedRsu::new(RsuId(1), 16, &ca).unwrap();
+            let err = try_ingest_parallel(&rsu, &batch, threads).unwrap_err();
+            assert_eq!(err, earliest, "threads = {threads}");
+            assert_eq!(rsu.upload().counter, 1_998, "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn parallel_map_preserves_order_across_thread_counts() {
         let items: Vec<u64> = (0..1_000).collect();
         for threads in [1, 2, 3, 8] {
             let out = parallel_map_threads(items.clone(), threads, |&x| x * 3);
             assert_eq!(out, (0..1_000).map(|x| x * 3).collect::<Vec<_>>());
         }
-        assert_eq!(parallel_map(Vec::<u64>::new(), |&x| x), Vec::<u64>::new());
+        assert_eq!(
+            parallel_map_threads(Vec::<u64>::new(), default_threads(), |&x| x),
+            Vec::<u64>::new()
+        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ use vcps_core::CoreError;
 use vcps_durable::{
     Checkpoint, CheckpointStore, DurabilityError, FlushPolicy, Janitor, SegmentedLog, WalWriter,
 };
-use vcps_obs::{Level, Obs, Phase, Value};
+use vcps_obs::{Obs, Phase};
 
 use crate::protocol::{
     BatchUploadRef, CheckpointSet, SequencedUpload, SequencedUploadRef, TAG_ROLLOVER,
@@ -172,31 +172,16 @@ impl DurableServer {
         wal.set_drop_hook(move |records, bytes| {
             obs.add("wal.dropped_buffered_records", records);
             obs.add("wal.dropped_buffered_bytes", bytes);
-            obs.event(
-                Level::Warn,
-                "wal.dropped_buffered_records",
-                &[
-                    ("records", Value::U64(records)),
-                    ("bytes", Value::U64(bytes)),
-                ],
-            );
         });
     }
 
     /// The retention janitor for `dir`: `wal.retire` counts the files
-    /// each pass removes, and a failed pass is counted and logged.
+    /// each pass removes, and `wal.retire.error` the passes that fail.
     fn janitor(dir: &Path, store: &CheckpointStore, obs: &Obs) -> Janitor {
         let obs = obs.clone();
         Janitor::new(dir, store.clone(), move |pass| match pass {
             Ok(retired) => obs.add("wal.retire", retired),
-            Err(e) => {
-                obs.inc("wal.retire.error");
-                obs.event(
-                    Level::Warn,
-                    "wal.retire.error",
-                    &[("error", Value::Str(e.to_string()))],
-                );
-            }
+            Err(_) => obs.inc("wal.retire.error"),
         })
     }
 
@@ -652,7 +637,7 @@ mod tests {
     #[test]
     fn dropping_with_buffered_records_is_counted() {
         let dir = temp_dir("drop-counted");
-        let obs = Obs::enabled(Level::Info);
+        let obs = Obs::enabled();
         let mut durable = DurableServer::create(
             scheme(),
             1.0,
@@ -674,7 +659,7 @@ mod tests {
 
         // An explicit flush before drop leaves the counters untouched.
         let dir2 = temp_dir("drop-flushed");
-        let obs2 = Obs::enabled(Level::Info);
+        let obs2 = Obs::enabled();
         let mut durable = DurableServer::create(
             scheme(),
             1.0,

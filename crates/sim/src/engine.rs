@@ -546,7 +546,7 @@ impl<'a, B: Backend> Drive<'a, B> {
             .collect();
         let arrivals = simulate_arrivals(self.net, self.link_times, trips, &departures);
         if let Some(last) = arrivals.last() {
-            obs.set_sim_time(last.time);
+            obs.gauge("sim_time", last.time);
         }
         let make_vehicle = |t: &VehicleTrip| {
             SimVehicle::new(
@@ -1351,8 +1351,17 @@ mod tests {
         let trips = full_line(200);
         let history = [200.0, 200.0, 200.0];
         let plain = period(&trips, &history, &RunConfig::new(Monolith));
+        // The period's last arrival, from the departures `period` draws
+        // (seed 4, period 0, window 60).
+        let net = line_net();
+        let mut rng = StdRng::seed_from_u64(4);
+        let departures: Vec<f64> = trips.iter().map(|_| rng.random_range(0.0..60.0)).collect();
+        let last_arrival = simulate_arrivals(&net, &net.free_flow_times(), &trips, &departures)
+            .last()
+            .expect("every trip arrives")
+            .time;
         for threads in [1usize, 2, 4] {
-            let obs = Obs::enabled(vcps_obs::Level::Trace);
+            let obs = Obs::enabled();
             let observed = period(&trips, &history, &observed(threads, &obs, Monolith));
             assert_eq!(observed.exchanges, plain.exchanges, "threads = {threads}");
             for (a, b) in [(0u64, 1u64), (0, 2), (1, 2)] {
@@ -1365,6 +1374,7 @@ mod tests {
             let snap = obs.snapshot();
             assert_eq!(snap.counters["engine.exchanges"], plain.exchanges as u64);
             assert_eq!(snap.counters["server.receive.fresh"], 3);
+            assert_eq!(snap.gauges["sim_time"], last_arrival, "threads = {threads}");
         }
     }
 
@@ -1382,7 +1392,7 @@ mod tests {
             .with_upload_link(LinkFaults::none().with_drop(0.3));
         let mut snapshots = Vec::new();
         for threads in [1usize, 2, 4] {
-            let obs = Obs::enabled(vcps_obs::Level::Info);
+            let obs = Obs::enabled();
             let config = RunConfig {
                 faults: Some((plan.clone(), RetryPolicy::default())),
                 ..observed(threads, &obs, Monolith)
@@ -1466,11 +1476,11 @@ mod tests {
     fn sharded_registry_counters_match_monolith_modulo_shard_series() {
         let trips = full_line(200);
         let history = [200.0, 200.0, 200.0];
-        let mono_obs = Obs::enabled(vcps_obs::Level::Info);
+        let mono_obs = Obs::enabled();
         let mono = period(&trips, &history, &observed(2, &mono_obs, Monolith));
         let _ = mono.server.od_matrix_threads(2).unwrap();
         for shards in [1usize, 4] {
-            let obs = Obs::enabled(vcps_obs::Level::Info);
+            let obs = Obs::enabled();
             let sharded = period(&trips, &history, &observed(2, &obs, Sharded(shards)));
             let _ = sharded.server.od_matrix_threads(2).unwrap();
             let mut counters = obs.snapshot().counters;

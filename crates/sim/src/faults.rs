@@ -1133,7 +1133,7 @@ mod tests {
     #[test]
     fn truncated_copies_are_never_ingested_or_acked() {
         let scheme = Scheme::variable(2, 3.0, 1).unwrap();
-        let obs = vcps_obs::Obs::enabled(vcps_obs::Level::Info);
+        let obs = vcps_obs::Obs::enabled();
         let mut server = CentralServer::new(scheme, 0.5)
             .unwrap()
             .with_obs(obs.clone());

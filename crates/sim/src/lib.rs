@@ -82,8 +82,8 @@ pub use faults::{
 pub use mac::MacAddress;
 pub use metrics::{CommunicationMetrics, FaultMetrics, LinkMetrics};
 pub use metro::{
-    build_metro, pair_truth, point_truth, MetroConfig, MetroLayout, MetroWorkload, SlidingWindow,
-    WindowEstimate,
+    build_metro, pair_truth, point_truth, score_accuracy, AccuracyScore, MetroConfig, MetroLayout,
+    MetroWorkload, SlidingWindow, WindowEstimate,
 };
 pub use protocol::{
     BatchUpload, BatchUploadRef, BitReport, CheckpointSet, PeriodUpload, PeriodUploadRef, Query,

@@ -401,7 +401,7 @@ mod tests {
         faults.upload_retries = 3;
         faults.backoff_seconds = 0.5;
 
-        let obs = vcps_obs::Obs::enabled(vcps_obs::Level::Info);
+        let obs = vcps_obs::Obs::enabled();
         comm.record_into(&obs);
         faults.record_into(&obs);
         // Recording twice sums, exactly like the struct merges.

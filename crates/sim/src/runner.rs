@@ -194,8 +194,8 @@ impl PairRunner {
         }
         {
             let _receive = self.obs.phase(Phase::Receive);
-            self.ingest(&rsu_a, &reports_a)?;
-            self.ingest(&rsu_b, &reports_b)?;
+            concurrent::try_ingest_parallel(&rsu_a, &reports_a, self.threads)?;
+            concurrent::try_ingest_parallel(&rsu_b, &reports_b, self.threads)?;
         }
 
         let uploads: Vec<PeriodUpload> = [&rsu_a, &rsu_b].map(|rsu| rsu.upload()).into();
@@ -237,8 +237,8 @@ impl PairRunner {
     }
 
     /// Generates one report per identity, numbering passages from
-    /// `base + 1`. Sequential when the runner has one thread, chunked
-    /// across workers otherwise — same output either way.
+    /// `base + 1`, chunked across the runner's workers — the same output
+    /// at every thread count.
     fn make_reports(
         &self,
         query: &crate::Query,
@@ -246,38 +246,17 @@ impl PairRunner {
         base: u64,
         m_o: usize,
     ) -> Result<Vec<BitReport>, SimError> {
-        let answer = |counter: u64, identity: VehicleIdentity| {
-            let mut vehicle = SimVehicle::new(identity, splitmix64(self.mac_seed ^ counter));
-            vehicle.answer(query, &self.scheme, &self.authority, m_o)
-        };
-        if self.threads == 1 {
-            return identities
-                .into_iter()
-                .enumerate()
-                .map(|(i, identity)| answer(base + i as u64 + 1, identity))
-                .collect();
-        }
         let indexed: Vec<(u64, VehicleIdentity)> = identities
             .into_iter()
             .enumerate()
             .map(|(i, identity)| (base + i as u64 + 1, identity))
             .collect();
         concurrent::parallel_map_threads(indexed, self.threads, |&(counter, identity)| {
-            answer(counter, identity)
+            let mut vehicle = SimVehicle::new(identity, splitmix64(self.mac_seed ^ counter));
+            vehicle.answer(query, &self.scheme, &self.authority, m_o)
         })
         .into_iter()
         .collect()
-    }
-
-    fn ingest(&self, rsu: &SharedRsu, reports: &[BitReport]) -> Result<(), SimError> {
-        if self.threads == 1 {
-            for report in reports {
-                rsu.receive(report)?;
-            }
-            Ok(())
-        } else {
-            concurrent::try_ingest_parallel(rsu, reports, self.threads)
-        }
     }
 }
 
@@ -415,7 +394,7 @@ mod tests {
         let workload = SyntheticPair::generate(800, 2_400, 200, 23);
         let plain = PairRunner::new(scheme.clone(), RsuId(1), RsuId(2));
         let (plain_out, plain_metrics) = plain.run_with_metrics(&workload).unwrap();
-        let obs = Obs::enabled(vcps_obs::Level::Trace);
+        let obs = Obs::enabled();
         let observed = PairRunner::new(scheme, RsuId(1), RsuId(2)).with_obs(obs.clone());
         let (obs_out, obs_metrics) = observed.run_with_metrics(&workload).unwrap();
         assert_eq!(obs_out.estimate, plain_out.estimate);

@@ -11,7 +11,7 @@ use vcps_core::estimator::{
     denominator, estimate_from_terms, first_plays_x, Estimate, PairCounts, ZeroTerm,
 };
 use vcps_core::{CoreError, DegradedEstimate, PairEstimate, RsuId, Scheme, VolumeHistory};
-use vcps_obs::{Level, Obs, Phase, Value};
+use vcps_obs::{Obs, Phase};
 
 use crate::protocol::{
     PeriodUpload, PeriodUploadRef, SequencedUpload, SequencedUploadRef, ServerCheckpoint,
@@ -43,14 +43,12 @@ pub(crate) fn receive_counter_name(outcome: ReceiveOutcome) -> &'static str {
     }
 }
 
-/// Records which decode kernel [`select_pair_kernel`] picks for a
-/// pair and why: a per-kernel counter always, and at `Debug` level a
-/// `kernel_select` event carrying the cost-model inputs (the array
-/// sizes and set-bit counts the selector weighed). Mirrors the exact
-/// selection [`combined_zero_count_adaptive`] makes internally — same
-/// function, same inputs — without touching the decode itself. Takes
-/// the handle explicitly so the monolithic and sharded decode paths
-/// attribute to their respective registries through one code path.
+/// Counts which decode kernel [`select_pair_kernel`] picks for a pair
+/// in its `kernel.*` counter. Mirrors the exact selection
+/// [`combined_zero_count_adaptive`] makes internally — same function,
+/// same inputs — without touching the decode itself. Takes the handle
+/// explicitly so the monolithic and sharded decode paths attribute to
+/// their respective registries through one code path.
 fn note_kernel_choice(
     obs: &Obs,
     m_x: usize,
@@ -65,29 +63,6 @@ fn note_kernel_choice(
         PairKernel::SparseDense => "kernel.sparse_dense",
         PairKernel::DenseSparse => "kernel.dense_sparse",
     });
-    if obs.enabled_at(Level::Debug) {
-        obs.event(
-            Level::Debug,
-            "kernel_select",
-            &[
-                ("kernel", Value::Str(kernel.label().to_string())),
-                ("m_x", Value::U64(m_x as u64)),
-                ("m_y", Value::U64(m_y as u64)),
-                (
-                    "sparse_ones_x",
-                    ones_x.map_or(Value::Str("dense".to_string()), |o| {
-                        Value::U64(o.len() as u64)
-                    }),
-                ),
-                (
-                    "sparse_ones_y",
-                    ones_y.map_or(Value::Str("dense".to_string()), |o| {
-                        Value::U64(o.len() as u64)
-                    }),
-                ),
-            ],
-        );
-    }
 }
 
 /// One RSU's decode row: everything a pair answer reads about the RSU,
@@ -1587,7 +1562,7 @@ mod tests {
         };
         let mut plain = server();
         feed(&mut plain);
-        let mut observed = server().with_obs(vcps_obs::Obs::enabled(vcps_obs::Level::Trace));
+        let mut observed = server().with_obs(vcps_obs::Obs::enabled());
         feed(&mut observed);
         assert_eq!(
             plain.estimate_or_clamp(RsuId(1), RsuId(2)).unwrap(),
@@ -1606,7 +1581,7 @@ mod tests {
 
     #[test]
     fn obs_records_receive_outcomes_and_kernel_choices() {
-        let mut server = server().with_obs(vcps_obs::Obs::enabled(vcps_obs::Level::Info));
+        let mut server = server().with_obs(vcps_obs::Obs::enabled());
         server.receive(upload(1, 64, &[1, 5], 2));
         server.receive(upload(1, 64, &[1, 5], 2)); // duplicate
         server.receive(upload(1, 64, &[1, 9], 2)); // conflicting

@@ -52,9 +52,9 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// server would.
 ///
 /// * **Writes** ([`receive`], [`receive_sequenced`],
-///   [`receive_batch_wire`], [`receive_parallel`]) route each upload to
-///   the owning shard; the parallel form runs one worker per shard over
-///   disjoint `&mut` shards, lock-free.
+///   [`receive_batch_wire`], [`receive_parallel_threads`]) route each
+///   upload to the owning shard; the parallel form runs one worker per
+///   shard over disjoint `&mut` shards, lock-free.
 /// * **Reads** ([`estimate`], [`estimate_or_degraded`],
 ///   [`od_matrix_threads`]) borrow the owning shards' uploads and decode
 ///   caches through the monolith's own decode rows.
@@ -62,7 +62,7 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// [`receive`]: ShardedServer::receive
 /// [`receive_sequenced`]: ShardedServer::receive_sequenced
 /// [`receive_batch_wire`]: ShardedServer::receive_batch_wire
-/// [`receive_parallel`]: ShardedServer::receive_parallel
+/// [`receive_parallel_threads`]: ShardedServer::receive_parallel_threads
 /// [`estimate`]: ShardedServer::estimate
 /// [`estimate_or_degraded`]: ShardedServer::estimate_or_degraded
 /// [`od_matrix_threads`]: ShardedServer::od_matrix_threads
@@ -284,30 +284,20 @@ impl ShardedServer {
         Ok(self.receive_batch_ref(&batch))
     }
 
-    /// Ingests a whole period's uploads with one worker per shard:
-    /// uploads are bucketed by owning shard (preserving their relative
-    /// order, so per-RSU sequencing semantics are untouched), each shard
-    /// drains its bucket on its own thread over exclusive `&mut` state,
-    /// and the outcomes are scattered back to input order.
+    /// Ingests a whole period's uploads with up to `threads` workers
+    /// over the shards: uploads are bucketed by owning shard (preserving
+    /// their relative order, so per-RSU sequencing semantics are
+    /// untouched), each shard drains its bucket over exclusive `&mut`
+    /// state, and the outcomes are scattered back to input order.
     ///
     /// Equivalent to calling [`receive_sequenced`] for each upload in
     /// input order — dedup state is per-RSU and same-RSU uploads share a
-    /// shard, so only commutative cross-RSU interleavings change.
+    /// shard, so only commutative cross-RSU interleavings change. The
+    /// effective worker count is `threads.min(shard_count)`; outcomes are
+    /// identical at every thread count — the cap only changes how shard
+    /// buckets are grouped onto workers.
     ///
     /// [`receive_sequenced`]: ShardedServer::receive_sequenced
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard worker panics.
-    pub fn receive_parallel(&mut self, uploads: Vec<SequencedUpload>) -> Vec<ReceiveOutcome> {
-        self.receive_parallel_threads(uploads, crate::concurrent::default_threads())
-    }
-
-    /// [`receive_parallel`](Self::receive_parallel) with an explicit
-    /// worker cap (the effective worker count is
-    /// `threads.min(shard_count)`). Outcomes are identical at every
-    /// thread count — the cap only changes how shard buckets are grouped
-    /// onto workers.
     ///
     /// # Panics
     ///
@@ -576,7 +566,8 @@ mod tests {
                 .map(|s| seq_srv.receive_sequenced(s))
                 .collect();
             let (_, mut par_srv) = servers(shards);
-            let par_outcomes = par_srv.receive_parallel(sequenced.clone());
+            let par_outcomes = par_srv
+                .receive_parallel_threads(sequenced.clone(), crate::concurrent::default_threads());
             assert_eq!(par_outcomes, seq_outcomes, "{shards} shards");
             assert_eq!(par_srv.upload_count(), seq_srv.upload_count());
             for r in 0..20u64 {
@@ -684,8 +675,8 @@ mod tests {
 
     #[test]
     fn composite_counters_match_monolith_modulo_shard_series() {
-        let obs_mono = Obs::enabled(vcps_obs::Level::Info);
-        let obs_shard = Obs::enabled(vcps_obs::Level::Info);
+        let obs_mono = Obs::enabled();
+        let obs_shard = Obs::enabled();
         let mut mono = CentralServer::new(scheme(), 0.5)
             .unwrap()
             .with_obs(obs_mono.clone());
@@ -711,7 +702,7 @@ mod tests {
         // they count as neither local nor cross.
         for shards in [1, 3] {
             for threads in [1, 2, 4] {
-                let obs = Obs::enabled(vcps_obs::Level::Info);
+                let obs = Obs::enabled();
                 let (mut mono, sharded) = servers(shards);
                 let mut sharded = sharded.with_obs(obs.clone());
                 feed_both(&mut mono, &mut sharded, 60);

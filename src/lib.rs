@@ -76,7 +76,7 @@ pub use vcps_core::{
 pub use vcps_hash::{
     HashFamily, PrivateKey, RsuId, Salts, SelectionRule, VehicleId, VehicleIdentity,
 };
-pub use vcps_obs::{Level, Obs, Phase, Registry, RegistrySnapshot};
+pub use vcps_obs::{Obs, Phase, Registry, RegistrySnapshot};
 pub use vcps_roadnet::{RoadNetError, RoadNetwork, TripTable, VehicleTrip};
 pub use vcps_sim::{
     CentralServer, Channel, FaultPlan, LinkFaults, PairRunner, ReceiveOutcome, RetryPolicy,

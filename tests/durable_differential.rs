@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use vcps::hash::splitmix64;
-use vcps::obs::{Level, Obs};
+use vcps::obs::Obs;
 use vcps::roadnet::{Link, RoadNetwork, VehicleTrip};
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
@@ -149,7 +149,7 @@ fn ideal_crash_and_recover_is_bit_identical() {
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
     let history = vec![120.0; 4];
 
-    let ref_obs = Obs::enabled(Level::Info);
+    let ref_obs = Obs::enabled();
     let reference = run_period(
         &scheme,
         (&net, &net.free_flow_times()),
@@ -183,7 +183,7 @@ fn ideal_crash_and_recover_is_bit_identical() {
                     Some(ServerCrash { at_record: 1 }),
                 ] {
                     let dir = scratch("ideal");
-                    let obs = Obs::enabled(Level::Info);
+                    let obs = Obs::enabled();
                     let run = run_period(
                         &scheme,
                         (&net, &net.free_flow_times()),
@@ -265,7 +265,7 @@ fn faulty_crash_and_recover_is_bit_identical() {
         .with_upload_link(LinkFaults::none().with_drop(0.3).with_duplicate(0.2));
     let policy = RetryPolicy::default();
 
-    let ref_obs = Obs::enabled(Level::Info);
+    let ref_obs = Obs::enabled();
     let reference = run_period(
         &scheme,
         (&net, &net.free_flow_times()),
@@ -294,7 +294,7 @@ fn faulty_crash_and_recover_is_bit_identical() {
                 // the log never reaches) at period end.
                 for at_record in [0, 2, 1 << 40] {
                     let dir = scratch("faulty");
-                    let obs = Obs::enabled(Level::Info);
+                    let obs = Obs::enabled();
                     let run = run_period(
                         &scheme,
                         (&net, &net.free_flow_times()),

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use vcps::hash::splitmix64;
-use vcps::obs::{Level, Obs};
+use vcps::obs::Obs;
 use vcps::sim::engine::PeriodSettings;
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
@@ -78,7 +78,7 @@ where
 fn metro_sharded_run_is_bit_identical_to_monolith() {
     let (workload, scheme, settings) = metro_fixture();
     let nodes = workload.net.node_count() as u64;
-    let mono_obs = Obs::enabled(Level::Info);
+    let mono_obs = Obs::enabled();
     let mono = run_periods(
         &scheme,
         (&workload.net, &workload.net.free_flow_times()),
@@ -97,7 +97,7 @@ fn metro_sharded_run_is_bit_identical_to_monolith() {
 
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
-            let obs = Obs::enabled(Level::Info);
+            let obs = Obs::enabled();
             let run = run_periods(
                 &scheme,
                 (&workload.net, &workload.net.free_flow_times()),
@@ -150,7 +150,7 @@ fn metro_faulty_sharded_run_is_bit_identical_to_monolith() {
         .with_report_link(LinkFaults::none().with_drop(0.15).with_bit_flip(0.05))
         .with_upload_link(LinkFaults::none().with_drop(0.35).with_duplicate(0.1));
     let policy = RetryPolicy::default();
-    let mono_obs = Obs::enabled(Level::Info);
+    let mono_obs = Obs::enabled();
     let mono = run_periods(
         &scheme,
         (&workload.net, &workload.net.free_flow_times()),
@@ -170,7 +170,7 @@ fn metro_faulty_sharded_run_is_bit_identical_to_monolith() {
 
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
-            let obs = Obs::enabled(Level::Info);
+            let obs = Obs::enabled();
             let run = run_periods(
                 &scheme,
                 (&workload.net, &workload.net.free_flow_times()),

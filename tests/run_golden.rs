@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use vcps::obs::{Level, Obs};
+use vcps::obs::Obs;
 use vcps::sim::{
     build_metro, run_period, run_periods, Backend, CentralServer, CrashMode, Durable,
     DurableOptions, FaultMetrics, FaultPlan, LinkFaults, MetroConfig, MetroRun, MetroWorkload,
@@ -151,7 +151,7 @@ impl Served for ShardedServer {
 fn config<B>(backend: B, faulty: bool) -> RunConfig<B> {
     RunConfig {
         threads: THREADS,
-        obs: Obs::enabled(Level::Info),
+        obs: Obs::enabled(),
         faults: if faulty { faults() } else { None },
         backend,
     }

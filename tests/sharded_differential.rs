@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use vcps::hash::splitmix64;
-use vcps::obs::{Level, Obs};
+use vcps::obs::Obs;
 use vcps::roadnet::{Link, RoadNetwork, VehicleTrip};
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{
@@ -80,7 +80,7 @@ fn workload(rsus: u64, seed: u64) -> Vec<SequencedUpload> {
 /// Ingests the workload into a monolithic server the sequential way and
 /// decodes everything, returning the server and its counter snapshot.
 fn monolith(rsus: u64, frames: &[SequencedUpload]) -> (CentralServer, BTreeMap<String, u64>) {
-    let obs = Obs::enabled(Level::Info);
+    let obs = Obs::enabled();
     let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
     let mut server = CentralServer::new(scheme, 1.0)
         .expect("valid alpha")
@@ -144,7 +144,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Direct ingestion differential: random uploads (with duplicate,
-    /// conflicting, and stale re-sends) through `receive_parallel` at
+    /// conflicting, and stale re-sends) through `receive_parallel_threads` at
     /// every shard × worker count must reproduce the monolith's
     /// estimates, O–D matrix, and counters bit for bit.
     #[test]
@@ -158,7 +158,7 @@ proptest! {
 
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
-                let obs = Obs::enabled(Level::Info);
+                let obs = Obs::enabled();
                 let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
                 let mut server = ShardedServer::new(scheme, 1.0, shards)
                     .expect("valid shard count")
@@ -217,7 +217,7 @@ proptest! {
         let trips = line4_trips(trip_count, seed);
         let scheme = Scheme::variable(2, 3.0, 9).expect("valid scheme");
         let history = vec![trip_count as f64; 4];
-        let mono_obs = Obs::enabled(Level::Info);
+        let mono_obs = Obs::enabled();
         let mono = run_period(
             &scheme, (&net, &net.free_flow_times()), &trips, &history, 60.0, seed,
             &RunConfig { obs: mono_obs.clone(), ..RunConfig::new(Monolith) },
@@ -226,7 +226,7 @@ proptest! {
 
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
-                let obs = Obs::enabled(Level::Info);
+                let obs = Obs::enabled();
                 let run = run_period(
                     &scheme, (&net, &net.free_flow_times()), &trips, &history, 60.0, seed,
                     &RunConfig { threads, obs: obs.clone(), ..RunConfig::new(Sharded(shards)) },
@@ -283,7 +283,7 @@ proptest! {
                 LinkFaults::none().with_drop(upload_drop).with_duplicate(upload_dup),
             );
         let policy = RetryPolicy::default();
-        let mono_obs = Obs::enabled(Level::Info);
+        let mono_obs = Obs::enabled();
         let mono = run_period(
             &scheme, (&net, &net.free_flow_times()), &trips, &history, 60.0, seed,
             &RunConfig {
@@ -296,7 +296,7 @@ proptest! {
 
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
-                let obs = Obs::enabled(Level::Info);
+                let obs = Obs::enabled();
                 let run = run_period(
                     &scheme, (&net, &net.free_flow_times()), &trips, &history, 60.0, seed,
                     &RunConfig {

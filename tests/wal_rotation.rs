@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use vcps::durable::DurabilityError;
 use vcps::hash::splitmix64;
-use vcps::obs::{Level, Obs};
+use vcps::obs::Obs;
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
 use vcps::sim::{DurableOptions, DurableServer, FlushPolicy, ShardedServer, SimError};
 use vcps::{BitArray, RsuId, Scheme};
@@ -334,7 +334,7 @@ fn create_does_not_inherit_the_previous_deployment() {
 fn recovery_reads_only_the_live_segment_after_any_number_of_rollovers() {
     for rollovers in [1u64, 5, 20] {
         let dir = scratch("bounded");
-        let obs = Obs::enabled(Level::Info);
+        let obs = Obs::enabled();
         let mut ops = closed_periods(rollovers, 3, rollovers);
         let open = period_uploads(3, rollovers, rollovers);
         ops.extend(open.iter().take(2).cloned());
