@@ -5,8 +5,6 @@
 //! and standard deviation so that simulations can be checked against
 //! theory (and so parameter solvers can trade accuracy against privacy).
 
-use serde::{Deserialize, Serialize};
-
 use crate::covariance::covariance_terms;
 use crate::stats::{ln_one_minus, pow_one_minus};
 use crate::{AnalysisError, PairParams};
@@ -81,7 +79,7 @@ pub fn bias_ratio(p: &PairParams) -> f64 {
 
 /// How the covariance terms of paper Eq. 34 are treated when computing
 /// the estimator variance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CovarianceMethod {
     /// Drop all covariance terms (`C = 0`). A good first approximation:
     /// the three covariances are an order of magnitude smaller than the

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::AnalysisError;
 
 /// The six parameters that determine every formula in the paper's analysis
@@ -28,7 +26,7 @@ use crate::AnalysisError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairParams {
     /// Point traffic volume at the RSU with the **smaller** bit array.
     pub n_x: f64,

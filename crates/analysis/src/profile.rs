@@ -7,13 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::accuracy::{self, CovarianceMethod};
 use crate::{fisher, privacy, AnalysisError, PairParams};
 
 /// A qualitative operating-regime assessment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Regime {
     /// Arrays keep healthy zero fractions; the estimator is informative.
     Healthy,
@@ -37,7 +35,7 @@ impl fmt::Display for Regime {
 }
 
 /// The full analytical profile of one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// The profiled parameters.
     pub params: PairParams,

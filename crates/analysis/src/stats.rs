@@ -7,8 +7,6 @@
 //! 1 for huge `m`); this module routes everything through
 //! `exp(n · ln1p(-1/m))`.
 
-use serde::{Deserialize, Serialize};
-
 /// `ln(1 - frac)` computed stably via `ln_1p`.
 ///
 /// Returns `-inf` for `frac >= 1` (a certain event's complement) and `0`
@@ -159,7 +157,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 /// assert!((acc.mean() - 5.0).abs() < 1e-12);
 /// assert!((acc.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

@@ -38,8 +38,6 @@
 //! rejects violations with a typed error instead of silently
 //! double-counting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BitArray, BitArrayError, UnfoldOperand};
 
 const WORD_BITS: usize = 64;
@@ -316,7 +314,7 @@ pub fn combined_zero_count_dense_sparse(
 
 /// Which decode kernel [`combined_zero_count_adaptive`] chose for a
 /// pair (also useful for ablation benches and artifact labels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairKernel {
     /// Word scan of the large array
     /// ([`combined_zero_count`](crate::combined_zero_count)).

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::BitArrayError;
 
 /// A validated power-of-two bit-array length (the paper's `m = 2^k`).
@@ -25,8 +23,7 @@ use crate::BitArrayError;
 /// let m_x = Pow2::ceil_from(451_000.0 * 3.0).unwrap();
 /// assert_eq!(m_x.get(), 2_097_152); // 2^21, smallest power of two ≥ 1,353,000
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(try_from = "usize", into = "usize")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pow2(usize);
 
 impl Pow2 {

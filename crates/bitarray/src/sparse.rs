@@ -11,13 +11,11 @@
 //! arrays); the measurement math is unaffected because decoding
 //! reproduces the exact array.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels::{sparse_is_profitable, validate_sparse_indices};
 use crate::{BitArray, BitArrayError};
 
 /// A size-adaptive encoding of a [`BitArray`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SparseBits {
     /// Dense form: the raw backing words (cheap when many bits are set).
     Dense {

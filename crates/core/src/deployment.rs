@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use vcps_hash::{RsuId, VehicleIdentity};
 
 use crate::estimator::{estimate_pair, estimate_pair_or_clamp, Estimate};
@@ -20,7 +18,7 @@ use crate::{CoreError, RsuSketch, Scheme, VolumeHistory};
 /// 3. fold the period's counters into a [`VolumeHistory`] and call
 ///    [`resize_from_history`](Deployment::resize_from_history) to start
 ///    the next period with refreshed sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
     scheme: Scheme,
     sketches: BTreeMap<RsuId, RsuSketch>,

@@ -24,15 +24,13 @@
 //! so experiment harnesses can both plot a number *and* report how often
 //! the scheme saturated.
 
-use serde::{Deserialize, Serialize};
-
 use vcps_bitarray::combined_zero_count;
 use vcps_hash::RsuId;
 
 use crate::{CoreError, RsuSketch};
 
 /// The result of decoding one RSU pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// The estimated point-to-point volume `n̂_c` (may be negative due to
     /// sampling noise when the true overlap is small; see
@@ -137,7 +135,7 @@ impl Estimate {
 /// one upload is missing turns a single lost frame into a service
 /// outage. The degraded arm keeps the API total while forcing callers to
 /// see exactly which answers are measurement-backed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PairEstimate {
     /// A genuine Eq. 5 decode of both RSUs' uploads.
     Measured(Estimate),
@@ -201,7 +199,7 @@ impl PairEstimate {
 /// value is that interval's midpoint — the minimax choice under absolute
 /// error — and the bounds are carried explicitly so consumers can treat
 /// the answer as an interval rather than a number.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedEstimate {
     /// The fallback point estimate (midpoint of `[lower, upper]`).
     pub n_c: f64,
@@ -247,7 +245,7 @@ impl DegradedEstimate {
 /// batch decoder can compute them once per pair — via whatever kernel is
 /// cheapest — cache them, and replay [`estimate_from_counts`] for free
 /// on repeated queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairCounts {
     /// Size of the smaller array, `m_x`.
     pub m_x: usize,

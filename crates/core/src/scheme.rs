@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use vcps_hash::{HashFamily, RsuId, Salts, SelectionRule, VehicleIdentity};
 
 use crate::{CoreError, Deployment, Sizing};
 
 /// Which measurement scheme a [`Scheme`] instance realizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// The paper's variable-length bit array scheme (per-RSU sizing with a
     /// global load factor, power-of-two lengths, unfolding decode).
@@ -37,7 +35,7 @@ pub enum SchemeKind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scheme {
     family: HashFamily,
     salts: Salts,

@@ -10,15 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use vcps_bitarray::Pow2;
 use vcps_hash::RsuId;
 
 use crate::CoreError;
 
 /// How a scheme sizes RSU bit arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Sizing {
     /// The paper's rule: `m = 2^ceil(log2(n̄ · f̄))` with global load
     /// factor `f̄` — arrays scale with each RSU's traffic.
@@ -107,7 +105,7 @@ impl Sizing {
 /// history.update(RsuId(2), 700.0);
 /// assert_eq!(history.average(RsuId(2)), Some(700.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VolumeHistory {
     alpha: f64,
     averages: BTreeMap<RsuId, f64>,

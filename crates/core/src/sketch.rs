@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use vcps_bitarray::BitArray;
 use vcps_hash::RsuId;
 
@@ -29,7 +27,7 @@ use crate::CoreError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsuSketch {
     id: RsuId,
     bits: BitArray,

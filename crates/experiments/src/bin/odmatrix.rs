@@ -5,11 +5,10 @@
 //! * **Synthetic sweep** (default): servers with `--rsus` uploads at
 //!   each `--loads` fill fraction (array sizes cycle m, m/2, m/4 so all
 //!   kernels fire), timing the batch
-//!   [`CentralServer::od_matrix_threads`] pipeline at each `--threads`
-//!   count against the per-pair
-//!   clone-and-rescan baseline the server used before the batch decoder
-//!   existed (DESIGN.md §13). Emits the same row shape as
-//!   `BENCH_odmatrix.json`.
+//!   [`vcps_sim::CentralServer::od_matrix_threads`] pipeline at each
+//!   `--threads` count against the per-pair clone-and-rescan baseline
+//!   the server used before the batch decoder existed (DESIGN.md §13).
+//!   Emits the same row shape as `BENCH_odmatrix.json`.
 //! * **`--sioux-falls`**: drives one measurement period over the Sioux
 //!   Falls network (an RSU at every one of the 24 nodes), computes the
 //!   full matrix, and prints it — with `--json`, a machine-readable

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::splitmix64;
 
 /// The keyed hash `H` shared by all vehicles and RSUs (paper §IV-B).
@@ -20,7 +18,7 @@ use crate::splitmix64;
 /// assert_ne!(HashFamily::new(2).hash(99), h.hash(99)); // seed-dependent
 /// assert!(h.hash_mod(12345, 1024) < 1024);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HashFamily {
     seed: u64,
 }

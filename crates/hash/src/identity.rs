@@ -1,7 +1,6 @@
 use std::fmt;
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::{HashFamily, Salts};
 
@@ -9,9 +8,7 @@ use crate::{HashFamily, Salts};
 ///
 /// The identifier is **never transmitted**; it only enters keyed hash
 /// computations on the vehicle itself.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VehicleId(pub u64);
 
 impl fmt::Display for VehicleId {
@@ -30,7 +27,7 @@ impl From<u64> for VehicleId {
 ///
 /// XOR-ing `K_v` into every hash input prevents anyone who knows `H`, `X`
 /// and a vehicle's identifier from precomputing its logical bit array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PrivateKey(pub u64);
 
 impl From<u64> for PrivateKey {
@@ -41,9 +38,7 @@ impl From<u64> for PrivateKey {
 
 /// A road-side unit's identifier (the paper's `RID`), broadcast in every
 /// query.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RsuId(pub u64);
 
 impl fmt::Display for RsuId {
@@ -65,7 +60,7 @@ impl From<u64> for RsuId {
 /// RSU, while its analysis assumes per-vehicle independent selection. Both
 /// rules are implemented; [`SelectionRule::PerVehicle`] is the default used
 /// by `vcps-core` and matches every formula in the paper's Sections V–VI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SelectionRule {
     /// Salt index `H(v ⊕ K_v ⊕ H(R_x)) mod s`: each vehicle independently
     /// keeps the same logical bit across two RSUs with probability `1/s`,
@@ -106,7 +101,7 @@ pub enum SelectionRule {
 /// let b = v.report_index(&family, &salts, 1.into(), 256, 1 << 16, SelectionRule::PerVehicle);
 /// assert_eq!(a, b);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VehicleIdentity {
     id: VehicleId,
     key: PrivateKey,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::SplitMix64;
 
 /// The global salt constants `X[0..s)` (paper §IV-B).
@@ -18,7 +16,7 @@ use crate::SplitMix64;
 /// assert_eq!(salts.len(), 5);
 /// assert_eq!(Salts::generate(5, 123), salts); // reproducible from seed
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Salts {
     values: Vec<u64>,
 }

@@ -46,7 +46,7 @@ pub fn splitmix64(x: u64) -> u64 {
 /// assert_ne!(a, b);
 /// assert_eq!(SplitMix64::new(7).next_u64(), a); // reproducible
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }

@@ -37,27 +37,35 @@ use std::net::SocketAddr;
 use std::time::Instant;
 
 use vcps_core::{RsuId, Scheme};
+use vcps_net::cli::Args;
 use vcps_net::wire::estimate_bits;
 use vcps_net::workload::{city_replay_frames, reference_order};
 use vcps_net::{Daemon, DaemonConfig, NetClient, WireMatrix};
 use vcps_sim::synthetic::SyntheticCity;
 use vcps_sim::{OdMatrix, ShardedServer};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--connections",
+    "--periods",
+    "--rsus",
+    "--vehicles",
+    "--city-seed",
+    "--s",
+    "--load-factor",
+    "--seed",
+    "--out",
+];
 
-fn arg_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
+const SWITCHES: &[&str] = &["--bench", "--expect-bit-identical", "--shutdown"];
 
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// The flags only client mode reads (`--out` is bench mode's own).
+const CLIENT_FLAGS: &[&str] = &[
+    "--addr",
+    "--connections",
+    "--expect-bit-identical",
+    "--shutdown",
+];
 
 /// The fixed visit-probability table, cycled to the requested city
 /// size so every run of the same shape replays identical traffic.
@@ -70,6 +78,8 @@ fn visit_probs(rsus: usize) -> Vec<f64> {
 }
 
 struct Workload {
+    /// The scheme parameters `s`, load factor and seed.
+    params: (usize, f64, u64),
     scheme: Scheme,
     city: SyntheticCity,
     periods: u64,
@@ -78,23 +88,28 @@ struct Workload {
 }
 
 impl Workload {
-    fn from_args(args: &[String]) -> Self {
-        let s: usize = parsed(args, "--s", 2);
-        let load_factor: f64 = parsed(args, "--load-factor", 3.0);
-        let seed: u64 = parsed(args, "--seed", 41);
-        let rsus: usize = parsed(args, "--rsus", 6);
-        let vehicles: u64 = parsed(args, "--vehicles", 20_000);
-        Workload {
-            scheme: Scheme::variable(s, load_factor, seed).expect("valid scheme parameters"),
+    fn from_args(args: &Args) -> Result<Self, String> {
+        let params = (
+            args.parsed_or("--s", 2)?,
+            args.parsed_or("--load-factor", 3.0)?,
+            args.parsed_or("--seed", 41)?,
+        );
+        let scheme = Scheme::variable(params.0, params.1, params.2)
+            .map_err(|e| format!("invalid scheme parameters: {e}"))?;
+        let rsus = args.parsed_or("--rsus", 6)?;
+        let vehicles = args.parsed_or("--vehicles", 20_000)?;
+        Ok(Workload {
+            params,
+            scheme,
             city: SyntheticCity::generate(
                 &visit_probs(rsus),
                 vehicles,
-                parsed(args, "--city-seed", 17),
+                args.parsed_or("--city-seed", 17)?,
             ),
-            periods: parsed(args, "--periods", 32),
+            periods: args.parsed_or("--periods", 32)?,
             rsus,
             vehicles,
-        }
+        })
     }
 
     fn frames(&self, connections: usize) -> Vec<Vec<Vec<u8>>> {
@@ -235,9 +250,7 @@ fn row_json(
     )
 }
 
-fn bench(args: &[String]) {
-    let workload = Workload::from_args(args);
-    let out = arg_value(args, "--out").unwrap_or_else(|| "BENCH_net.json".to_string());
+fn bench(workload: &Workload, out: &str) {
     let mut rows = Vec::new();
     for connections in [1usize, 2, 4] {
         let frames = workload.frames(connections);
@@ -277,33 +290,46 @@ fn bench(args: &[String]) {
             "  \"rows\": [\n    {}\n  ]\n",
             "}}\n"
         ),
-        parsed::<usize>(args, "--s", 2),
-        parsed::<f64>(args, "--load-factor", 3.0),
-        parsed::<u64>(args, "--seed", 41),
+        workload.params.0,
+        workload.params.1,
+        workload.params.2,
         workload.rsus,
         workload.vehicles,
         workload.periods,
         rows.join(",\n    "),
     );
-    std::fs::write(&out, &json).expect("write bench output");
+    std::fs::write(out, &json).expect("write bench output");
     print!("{json}");
     eprintln!("vcps-load: wrote {out}");
 }
 
-fn client_mode(args: &[String]) {
-    let Some(addr) = arg_value(args, "--addr") else {
-        eprintln!(
-            "vcps-load: --addr HOST:PORT is required (or use --bench); \
-             see the usage header in crates/net/src/bin/vcps_load.rs"
-        );
-        std::process::exit(2);
-    };
-    let addr: SocketAddr = addr.parse().expect("parse --addr");
-    let connections: usize = parsed(args, "--connections", 1);
-    let workload = Workload::from_args(args);
+/// What one client-mode run replays, and against which daemon.
+struct Client {
+    addr: SocketAddr,
+    connections: usize,
+    expect_bit_identical: bool,
+    shutdown: bool,
+}
+
+impl Client {
+    fn from_args(args: &Args) -> Result<Self, String> {
+        let addr = args
+            .parsed("--addr")?
+            .ok_or("--addr HOST:PORT is required (or use --bench)")?;
+        Ok(Client {
+            addr,
+            connections: args.parsed_or("--connections", 1)?,
+            expect_bit_identical: args.has("--expect-bit-identical"),
+            shutdown: args.has("--shutdown"),
+        })
+    }
+}
+
+fn client_mode(client: &Client, workload: &Workload) {
+    let (addr, connections) = (client.addr, client.connections);
     let frames = workload.frames(connections);
 
-    let reference = if arg_flag(args, "--expect-bit-identical") {
+    let reference = if client.expect_bit_identical {
         Some(workload.reference(&frames))
     } else {
         None
@@ -312,7 +338,7 @@ fn client_mode(args: &[String]) {
     let stats = replay(addr, frames);
     let bit_identical = reference.as_ref().map(|r| check_bit_identical(addr, r));
 
-    if arg_flag(args, "--shutdown") {
+    if client.shutdown {
         let mut client = NetClient::connect(addr).expect("connect for shutdown");
         client.shutdown().expect("send shutdown frame");
     }
@@ -324,11 +350,39 @@ fn client_mode(args: &[String]) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if arg_flag(&args, "--bench") {
-        bench(&args);
+/// The mode `args` select, with everything it reads checked up front.
+enum Mode {
+    Bench { out: String },
+    Client(Client),
+}
+
+fn parse(argv: &[String]) -> Result<(Mode, Workload), String> {
+    let args = Args::parse(argv, VALUE_FLAGS, SWITCHES)?;
+    let bench = args.has("--bench");
+    if let Some(flag) = CLIENT_FLAGS.iter().find(|f| bench && args.has(f)) {
+        return Err(format!("{flag} does not apply to --bench"));
+    }
+    if !bench && args.has("--out") {
+        return Err("--out needs --bench".to_string());
+    }
+    let mode = if bench {
+        Mode::Bench {
+            out: args.value("--out").unwrap_or("BENCH_net.json").to_string(),
+        }
     } else {
-        client_mode(&args);
+        Mode::Client(Client::from_args(&args)?)
+    };
+    Ok((mode, Workload::from_args(&args)?))
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().collect();
+    let (mode, workload) = parse(&argv).unwrap_or_else(|e| {
+        eprintln!("vcps-load: {e}; see the usage header in crates/net/src/bin/vcps_load.rs");
+        std::process::exit(2);
+    });
+    match mode {
+        Mode::Bench { out } => bench(&workload, &out),
+        Mode::Client(client) => client_mode(&client, &workload),
     }
 }

@@ -33,75 +33,102 @@
 use std::time::Duration;
 
 use vcps_core::Scheme;
+use vcps_net::cli::Args;
 use vcps_net::{ConnectionLimits, Daemon, DaemonConfig};
 use vcps_obs::Obs;
 use vcps_sim::{DurableOptions, FlushPolicy};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--port-file",
+    "--s",
+    "--load-factor",
+    "--seed",
+    "--alpha",
+    "--shards",
+    "--od-threads",
+    "--wal-dir",
+    "--checkpoint-every",
+    "--flush-every",
+    "--max-frame-bytes",
+    "--max-frames-in-flight",
+    "--max-bytes-per-sec",
+    "--read-timeout-ms",
+    "--max-connections",
+];
 
-fn arg_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
+/// The options that only mean something to a durable daemon.
+const DURABLE_FLAGS: &[&str] = &["--checkpoint-every", "--flush-every"];
 
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The daemon config `args` describe.
+fn config(args: &Args) -> Result<DaemonConfig, String> {
+    let scheme = Scheme::variable(
+        args.parsed_or("--s", 2)?,
+        args.parsed_or("--load-factor", 3.0)?,
+        args.parsed_or("--seed", 41)?,
+    )
+    .map_err(|e| format!("invalid scheme parameters: {e}"))?;
+    let mut config = DaemonConfig::new(scheme);
+    config.history_alpha = args.parsed_or("--alpha", 1.0)?;
+    config.shards = args.parsed_or("--shards", 4)?;
+    config.od_threads = args.parsed_or("--od-threads", 4)?;
+    if args.has("--obs") {
+        config.obs = Obs::enabled();
+    }
+    config.limits = ConnectionLimits {
+        max_frame_bytes: args.parsed_or("--max-frame-bytes", 64 << 20)?,
+        max_frames_in_flight: args.parsed_or("--max-frames-in-flight", 64)?,
+        max_bytes_per_sec: args.parsed("--max-bytes-per-sec")?,
+        read_timeout: Duration::from_millis(args.parsed_or("--read-timeout-ms", 10_000)?),
+        max_connections: args.parsed_or("--max-connections", 64)?,
+    };
+    match args.value("--wal-dir") {
+        Some(dir) => {
+            config.wal_dir = Some(dir.into());
+            let mut options = DurableOptions::log_only();
+            if let Some(every) = args.parsed("--checkpoint-every")? {
+                options = options.with_checkpoint_every(every);
+            }
+            if let Some(records) = args.parsed("--flush-every")? {
+                options = options.with_flush(FlushPolicy::EveryRecords(records));
+            }
+            config.durable_options = options;
+        }
+        None => {
+            if let Some(flag) = DURABLE_FLAGS.iter().find(|f| args.has(f)) {
+                return Err(format!("{flag} needs --wal-dir"));
+            }
+        }
+    }
+    Ok(config)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let s: usize = parsed(&args, "--s", 2);
-    let load_factor: f64 = parsed(&args, "--load-factor", 3.0);
-    let seed: u64 = parsed(&args, "--seed", 41);
-    let scheme = Scheme::variable(s, load_factor, seed).expect("valid scheme parameters");
+    let argv: Vec<String> = std::env::args().collect();
+    let parsed = Args::parse(&argv, VALUE_FLAGS, &["--obs"])
+        .and_then(|args| config(&args).map(|config| (args, config)));
+    let (args, config) = parsed.unwrap_or_else(|e| {
+        eprintln!("vcpsd: {e}; see the usage header in crates/net/src/bin/vcpsd.rs");
+        std::process::exit(2);
+    });
+    let obs = config.obs.clone();
 
-    let want_obs = arg_flag(&args, "--obs");
-    let obs = if want_obs {
-        Obs::enabled()
-    } else {
-        Obs::disabled()
-    };
-
-    let mut config = DaemonConfig::new(scheme);
-    config.history_alpha = parsed(&args, "--alpha", 1.0);
-    config.shards = parsed(&args, "--shards", 4);
-    config.od_threads = parsed(&args, "--od-threads", 4);
-    config.obs = obs.clone();
-    config.limits = ConnectionLimits {
-        max_frame_bytes: parsed(&args, "--max-frame-bytes", 64 << 20),
-        max_frames_in_flight: parsed(&args, "--max-frames-in-flight", 64),
-        max_bytes_per_sec: arg_value(&args, "--max-bytes-per-sec").and_then(|v| v.parse().ok()),
-        read_timeout: Duration::from_millis(parsed(&args, "--read-timeout-ms", 10_000)),
-        max_connections: parsed(&args, "--max-connections", 64),
-    };
-    if let Some(dir) = arg_value(&args, "--wal-dir") {
-        config.wal_dir = Some(dir.into());
-        let mut options = DurableOptions::log_only();
-        if let Some(every) = arg_value(&args, "--checkpoint-every").and_then(|v| v.parse().ok()) {
-            options = options.with_checkpoint_every(every);
+    let daemon = match Daemon::bind(args.value("--addr").unwrap_or("127.0.0.1:0"), config) {
+        Ok(daemon) => daemon,
+        Err(e) => {
+            eprintln!("vcpsd: cannot start: {e}");
+            std::process::exit(1);
         }
-        if let Some(records) = arg_value(&args, "--flush-every").and_then(|v| v.parse().ok()) {
-            options = options.with_flush(FlushPolicy::EveryRecords(records));
-        }
-        config.durable_options = options;
-    }
-
-    let daemon = Daemon::bind(addr.as_str(), config).expect("bind daemon");
+    };
     let bound = daemon.local_addr();
-    if let Some(path) = arg_value(&args, "--port-file") {
-        std::fs::write(&path, bound.to_string()).expect("write --port-file");
+    if let Some(path) = args.value("--port-file") {
+        std::fs::write(path, bound.to_string()).expect("write --port-file");
     }
     eprintln!("vcpsd listening on {bound}");
 
     daemon.run().expect("daemon run loop failed");
     eprintln!("vcpsd: orderly shutdown complete");
-    if want_obs {
+    if args.has("--obs") {
         let snap = obs.snapshot();
         for (name, value) in &snap.counters {
             eprintln!("  {name} = {value}");

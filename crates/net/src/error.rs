@@ -36,6 +36,14 @@ pub enum NetError {
     Server(String),
     /// The server refused the connection (connection budget exhausted).
     ConnectionLimit,
+    /// A [`crate::ConnectionLimits`] value no connection could be
+    /// served under, refused by [`crate::Daemon::bind`].
+    InvalidLimit {
+        /// The limit's field name.
+        field: &'static str,
+        /// Why the value is refused.
+        reason: &'static str,
+    },
     /// A transport-level I/O failure.
     Io(io::Error),
 }
@@ -57,6 +65,9 @@ impl fmt::Display for NetError {
             NetError::Malformed(reason) => write!(f, "malformed frame: {reason}"),
             NetError::Server(msg) => write!(f, "server error: {msg}"),
             NetError::ConnectionLimit => write!(f, "server connection budget exhausted"),
+            NetError::InvalidLimit { field, reason } => {
+                write!(f, "invalid connection limit {field}: {reason}")
+            }
             NetError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }

@@ -13,7 +13,8 @@
 //! * [`NetClient`] — a blocking request/response client with a
 //!   pipelined ingest path;
 //! * [`workload`] — synthetic-city replay frames for the
-//!   load-generator binary and the differential tests.
+//!   load-generator binary and the differential tests;
+//! * [`cli`] — the strict flag parser both binaries share.
 //!
 //! See DESIGN.md §19 for the framing grammar, the threading model, and
 //! the shutdown/durability contract.
@@ -24,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 mod client;
 mod error;
 mod limits;

@@ -10,6 +10,8 @@
 
 use std::time::Duration;
 
+use crate::NetError;
+
 /// Resource budgets enforced on each accepted connection.
 #[derive(Debug, Clone)]
 pub struct ConnectionLimits {
@@ -49,6 +51,29 @@ impl Default for ConnectionLimits {
             read_timeout: Duration::from_secs(10),
             max_connections: 64,
         }
+    }
+}
+
+impl ConnectionLimits {
+    /// Refuses the values that would break every connection: under a
+    /// zero byte rate the token bucket's wait for the first frame is
+    /// infinite (`Duration::from_secs_f64` panics the reader on it), and
+    /// the OS rejects a zero socket timeout, which would leave writes
+    /// unbounded.
+    pub(crate) fn validate(&self) -> Result<(), NetError> {
+        if self.max_bytes_per_sec == Some(0) {
+            return Err(NetError::InvalidLimit {
+                field: "max_bytes_per_sec",
+                reason: "a zero byte rate admits no frame (use None for no throttling)",
+            });
+        }
+        if self.read_timeout.is_zero() {
+            return Err(NetError::InvalidLimit {
+                field: "read_timeout",
+                reason: "must be positive",
+            });
+        }
+        Ok(())
     }
 }
 

@@ -175,9 +175,11 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Bind failures, invalid deployment parameters, or a corrupt
-    /// durable store.
+    /// [`NetError::InvalidLimit`] for a zero byte rate or read timeout
+    /// (checked before anything is bound), bind failures, invalid
+    /// deployment parameters, or a corrupt durable store.
     pub fn bind(addr: impl ToSocketAddrs, config: DaemonConfig) -> Result<Self, NetError> {
+        config.limits.validate()?;
         let listener = TcpListener::bind(addr).map_err(NetError::Io)?;
         let local_addr = listener.local_addr().map_err(NetError::Io)?;
         let backend = match &config.wal_dir {

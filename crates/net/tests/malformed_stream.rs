@@ -11,7 +11,9 @@ use vcps_core::{RsuId, Scheme};
 use vcps_net::wire::{
     encode_od_query, encode_pair_query, estimate_bits, read_frame, write_frame, Response,
 };
-use vcps_net::{AckSummary, ConnectionLimits, Daemon, DaemonConfig, DaemonHandle, NetClient};
+use vcps_net::{
+    AckSummary, ConnectionLimits, Daemon, DaemonConfig, DaemonHandle, NetClient, NetError,
+};
 use vcps_obs::Obs;
 use vcps_sim::{PeriodUpload, SequencedUpload, SequencedUploadRef, ShardedServer};
 
@@ -414,5 +416,60 @@ fn byte_rate_budget_throttles_without_dropping() {
         started.elapsed() > Duration::from_millis(200),
         "an over-budget replay should have been visibly throttled"
     );
+    shutdown(addr, handle);
+}
+
+/// A zero byte rate would panic each connection's reader on its first
+/// frame, and a zero read timeout would leave writes unbounded: `bind`
+/// refuses both before it listens.
+#[test]
+fn bind_refuses_a_zero_byte_rate_and_a_zero_read_timeout() {
+    let zero_rate = ConnectionLimits {
+        max_bytes_per_sec: Some(0),
+        ..tight_limits()
+    };
+    let zero_timeout = ConnectionLimits {
+        read_timeout: Duration::ZERO,
+        ..tight_limits()
+    };
+    for (limits, want) in [
+        (zero_rate, "max_bytes_per_sec"),
+        (zero_timeout, "read_timeout"),
+    ] {
+        let mut config = DaemonConfig::new(scheme());
+        config.limits = limits;
+        match Daemon::bind("127.0.0.1:0", config) {
+            Err(NetError::InvalidLimit { field, .. }) => assert_eq!(field, want),
+            Err(other) => panic!("{want}: expected InvalidLimit, got {other:?}"),
+            Ok(_) => panic!("{want}: bind accepted a limit no connection survives"),
+        }
+    }
+}
+
+/// The tag-17 thread count is client input, so no value of it may
+/// panic the daemon: a request past every real executor count answers
+/// with the same tag-34 bytes as the daemon's default (`threads = 0`),
+/// and the connection stays open. 100 RSUs make 4,950 pairs, past the
+/// size at which the triangle always fans out.
+#[test]
+fn absurd_od_thread_count_answers_like_the_default() {
+    let (addr, handle) = spawn_daemon(tight_limits());
+    let mut client = NetClient::connect(addr).unwrap();
+    client
+        .ingest_pipelined((1..=100u64).map(|rsu| upload_frame(rsu, 0)))
+        .unwrap();
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut answer = |threads: u64| {
+        write_frame(&mut raw, &encode_od_query(threads)).unwrap();
+        read_frame(&mut raw, 1 << 24).expect("the daemon must answer")
+    };
+    let default = answer(0);
+    assert!(
+        matches!(Response::decode(&default).unwrap(), Response::Matrix(m) if m.rsus.len() == 100)
+    );
+    assert_eq!(answer(1 << 62), default);
+    // The same connection still serves.
+    assert_eq!(answer(0), default);
     shutdown(addr, handle);
 }

@@ -1,9 +1,10 @@
 //! Hand-rolled text and JSON exporters for [`RegistrySnapshot`].
 //!
-//! The workspace vendors a serde *shim* without a real data format, so
-//! the exporters format JSON by hand — the same policy the benchmark
-//! artifacts (`BENCH_*.json`) already follow. Histogram buckets are
-//! emitted sparsely as `[bit_length, count]` pairs to keep files small.
+//! The workspace has no serialization framework (it builds offline, and
+//! its wire formats are explicit byte codecs), so the exporters format
+//! JSON by hand — the same policy the benchmark artifacts
+//! (`BENCH_*.json`) already follow. Histogram buckets are emitted
+//! sparsely as `[bit_length, count]` pairs to keep files small.
 
 use std::fmt::Write as _;
 

@@ -10,14 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bpr;
 use crate::shortest_path::shortest_path;
 use crate::{RoadNetwork, TripTable};
 
 /// The result of routing every OD pair along a single path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     /// Node path (origin..=dest) per OD pair with positive demand.
     pub paths: BTreeMap<(usize, usize), Vec<usize>>,
@@ -74,7 +72,7 @@ pub fn all_or_nothing(net: &RoadNetwork, trips: &TripTable, costs: &[f64]) -> As
 
 /// A user-equilibrium solution computed by the method of successive
 /// averages (MSA).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Equilibrium {
     /// Equilibrium link flows.
     pub link_flows: Vec<f64>,
@@ -204,7 +202,7 @@ pub fn pair_volumes(assignment: &Assignment, trips: &TripTable, node_count: usiz
 
 /// One turning movement at an intersection: vehicles arriving from
 /// `from` (or starting here) and leaving toward `to` (or ending here).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TurningMovement {
     /// Upstream neighbor node, `None` for trips originating here.
     pub from: Option<usize>,

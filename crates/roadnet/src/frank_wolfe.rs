@@ -13,14 +13,12 @@
 //!    `Σ_a ∫_0^{f_a} t_a(x) dx` along the segment;
 //! 3. repeat until the relative gap is small.
 
-use serde::{Deserialize, Serialize};
-
 use crate::assignment::all_or_nothing;
 use crate::bpr::{self, ALPHA, BETA};
 use crate::{RoadNetwork, TripTable};
 
 /// A Frank–Wolfe equilibrium solution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrankWolfeResult {
     /// Equilibrium link flows.
     pub link_flows: Vec<f64>,

@@ -6,8 +6,6 @@
 //! experiments can scale beyond the 24-node Sioux Falls instance without
 //! external data.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Link, RoadNetwork, TripTable};
 
 /// Deterministic generator state (splitmix64-style; self-contained so
@@ -31,7 +29,7 @@ impl Gen {
 }
 
 /// Parameters for [`grid_network`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     /// Grid width (columns of nodes).
     pub width: usize,
@@ -139,7 +137,7 @@ pub fn gravity_trips(n: usize, total_trips: f64, weight_range: (f64, f64), seed:
 }
 
 /// Parameters for [`ring_radial_network`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingRadialSpec {
     /// Number of concentric rings around the central node.
     pub rings: usize,

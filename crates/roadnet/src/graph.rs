@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::RoadNetError;
 
 /// One directed road segment (the paper's "arc").
@@ -7,7 +5,7 @@ use crate::RoadNetError;
 /// Capacity is in vehicles per measurement period, free-flow time in
 /// arbitrary consistent units (the Sioux Falls data uses minutes·0.01 in
 /// some distributions; only ratios matter for route choice).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Tail node index (0-based).
     pub from: usize,
@@ -53,7 +51,7 @@ impl Link {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoadNetwork {
     node_count: usize,
     links: Vec<Link>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::RoadNetError;
 
 /// An origin–destination demand matrix (vehicles per measurement period).
@@ -16,7 +14,7 @@ use crate::RoadNetError;
 /// assert_eq!(trips.total(), 200.0);
 /// assert_eq!(trips.iter_positive().count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TripTable {
     n: usize,
     demand: Vec<f64>,

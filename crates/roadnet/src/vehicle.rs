@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use crate::assignment::Assignment;
 use crate::TripTable;
 
 /// One vehicle's trip: its identifier seed and the node sequence it
 /// drives (each node is an RSU site where it answers one query).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VehicleTrip {
     /// A unique per-vehicle sequence number (used to derive identities).
     pub id: u64,

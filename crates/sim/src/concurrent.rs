@@ -4,13 +4,12 @@
 //! everyone in range). Ingesting a [`BitReport`] touches exactly two
 //! words of state — one bit in the array and the passage counter — and
 //! both updates are commutative, so no lock is needed at all:
-//! [`SharedRsu`] stores its bits in an
-//! [`AtomicBitArray`](vcps_bitarray::AtomicBitArray) (one `fetch_or` per
-//! report) and its counter in an `AtomicU64` (one `fetch_add`). Because
-//! bit-setting is commutative and idempotent and addition is commutative,
-//! concurrent ingestion is order-insensitive: the resulting sketch is
-//! bit-identical to a sequential run over any permutation of the same
-//! reports (tested below).
+//! [`SharedRsu`] stores its bits in an [`AtomicBitArray`] (one
+//! `fetch_or` per report) and its counter in an `AtomicU64` (one
+//! `fetch_add`). Because bit-setting is commutative and idempotent and
+//! addition is commutative, concurrent ingestion is order-insensitive:
+//! the resulting sketch is bit-identical to a sequential run over any
+//! permutation of the same reports (tested below).
 //!
 //! [`MutexRsu`] keeps the old lock-per-report design as a measurable
 //! baseline; the workspace benches compare the two across thread counts.
@@ -74,7 +73,11 @@ pub fn default_threads() -> usize {
 /// 256-RSU all-pairs decode requested at 4 threads on a 1-core host),
 /// and results are identical at any executor count by construction, so
 /// capping is always safe.
-fn capped_executors(threads: usize) -> usize {
+///
+/// Chunk sizes derive from this count, never from the raw request: a
+/// request is caller input (the daemon takes it off the wire), and
+/// `threads * k` overflows for requests near `usize::MAX`.
+pub(crate) fn capped_executors(threads: usize) -> usize {
     threads.min(default_threads()).max(1)
 }
 
@@ -348,8 +351,11 @@ fn ingest_chunks(
 ) -> (usize, Option<SimError>) {
     assert!(threads > 0, "need at least one thread");
     // Small enough to balance load, large enough to amortize the shared
-    // cursor: aim for several chunks per worker.
-    let chunk = reports.len().div_ceil(threads * 8).max(64);
+    // cursor: aim for several chunks per executor.
+    let chunk = reports
+        .len()
+        .div_ceil(capped_executors(threads) * 8)
+        .max(64);
     map_chunks(reports.len(), chunk, threads, |range| {
         let mut rejected = 0usize;
         let mut first_error = None;
@@ -488,14 +494,13 @@ where
 {
     assert!(threads > 0, "need at least one thread");
     let n = items.len();
-    // Several chunks per worker so stragglers can be stolen around, but
-    // chunks stay large enough to amortize the shared cursor. One worker
-    // takes the whole input as one chunk, so its result is returned
-    // without a copy.
-    let chunk = if threads == 1 {
-        n
-    } else {
-        n.div_ceil(threads * 4)
+    // Several chunks per executor so stragglers can be stolen around,
+    // but chunks stay large enough to amortize the shared cursor. One
+    // executor takes the whole input as one chunk, so its result is
+    // returned without a copy.
+    let chunk = match capped_executors(threads) {
+        1 => n,
+        executors => n.div_ceil(executors * 4),
     };
     let mut pieces = map_chunks(n, chunk, threads, |range| {
         items[range].iter().map(&f).collect::<Vec<U>>()
@@ -752,6 +757,26 @@ mod tests {
             parallel_map_threads(Vec::<u64>::new(), default_threads(), |&x| x),
             Vec::<u64>::new()
         );
+    }
+
+    /// A thread count is caller input: a request near `usize::MAX` runs
+    /// on the executors that exist and answers like one thread.
+    #[test]
+    fn absurd_thread_counts_answer_like_one_thread() {
+        let items: Vec<u64> = (0..1_000).collect();
+        assert_eq!(
+            parallel_map_threads(items.clone(), usize::MAX, |&x| x * 3),
+            parallel_map_threads(items, 1, |&x| x * 3)
+        );
+        let ca = TrustedAuthority::new(3);
+        let mut batch = reports(2_000, 16);
+        batch[300].index = 17;
+        let ingest = |threads| {
+            let rsu = SharedRsu::new(RsuId(1), 16, &ca).unwrap();
+            let verdict = try_ingest_parallel(&rsu, &batch, threads);
+            (verdict, rsu.upload())
+        };
+        assert_eq!(ingest(usize::MAX), ingest(1));
     }
 
     #[test]

@@ -668,11 +668,10 @@ where
     for arrival in arrivals {
         stops[arrival.vehicle].push((arrival.node, arrival.time));
     }
-    // Several chunks per worker so stragglers can be stolen around.
-    let chunk = if threads == 1 {
-        trips.len()
-    } else {
-        trips.len().div_ceil(threads * 4)
+    // Several chunks per executor so stragglers can be stolen around.
+    let chunk = match concurrent::capped_executors(threads) {
+        1 => trips.len(),
+        executors => trips.len().div_ceil(executors * 4),
     };
     let outcomes = concurrent::map_chunks(trips.len(), chunk, threads, |vehicles| {
         let mut exchanges = 0usize;

@@ -1,7 +1,7 @@
 //! Fault injection for the query → report → upload pipeline.
 //!
-//! The paper assumes a clean lab channel: every [`BitReport`] reaches its
-//! RSU, every [`PeriodUpload`](crate::PeriodUpload) reaches the server,
+//! The paper assumes a clean lab channel: every [`crate::BitReport`]
+//! reaches its RSU, every [`PeriodUpload`] reaches the server,
 //! and every RSU survives the period. Real DSRC links drop, duplicate,
 //! delay, and corrupt frames, and road-side hardware crashes. This module
 //! makes all of that injectable — **deterministically** — so the
@@ -40,8 +40,6 @@
 //! exhausts its budget is reported so callers can fall back to the
 //! degraded estimate path.
 
-use serde::{Deserialize, Serialize};
-
 use vcps_hash::{splitmix64, SplitMix64};
 
 use crate::metrics::{FaultMetrics, LinkMetrics};
@@ -59,7 +57,7 @@ use vcps_core::{CoreError, RsuId, RsuSketch};
 /// delivered so late it misses the receiver's period cut — for this
 /// system the only observable effect reordering can have, since bit-set
 /// ingestion is order-insensitive within a period.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFaults {
     /// Probability a frame is dropped outright.
     pub drop: f64,
@@ -151,7 +149,7 @@ impl LinkFaults {
 }
 
 /// What an RSU recovers after a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrashMode {
     /// No persistence: the whole in-period state (bits and counter) is
     /// lost.
@@ -187,7 +185,7 @@ impl CrashMode {
 }
 
 /// One RSU crash/restart event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RsuCrash {
     /// The node (RSU site) that crashes.
     pub node: usize,
@@ -223,7 +221,7 @@ impl RsuCrash {
 /// `at_record`, which keeps the recovered byte stream identical at
 /// every shard and thread count: the WAL records frames in arrival
 /// order regardless of how ingestion is parallelized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerCrash {
     /// Kill once at least this many WAL records have been appended
     /// (`0` crashes before any ingestion — recovery from an empty log).
@@ -252,7 +250,7 @@ impl ServerCrash {
 }
 
 /// A complete, seeded fault configuration for one simulation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for every fault decision (independent of the simulation's
     /// own seed, so faults can be re-rolled without changing traffic).
@@ -500,7 +498,7 @@ fn chance(rng: &mut SplitMix64, p: f64) -> bool {
 /// Bounded-retry policy for the upload path: attempt, then wait
 /// `min(initial_backoff · multiplier^(k−1), max_backoff)` simulated
 /// seconds before retry `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total send attempts (first try included); must be ≥ 1.
     pub max_attempts: u32,
@@ -726,7 +724,7 @@ pub fn upload_with_retry<S: SequencedSink + ?Sized>(
 /// [`BitArray::to_bytes`], all little-endian; restoring validates every
 /// field and rejects truncated or padded snapshots atomically (a partial
 /// restore would silently bias the period's counters).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsuCheckpoint {
     bytes: Vec<u8>,
 }

@@ -1,7 +1,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A one-time MAC address.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// from a large space for one-time use" (§II-A). [`MacAddress::random`]
 /// draws such an address; a fresh one is used for every query answer so
 /// link-layer identifiers cannot be used for tracking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MacAddress(pub [u8; 6]);
 
 impl MacAddress {

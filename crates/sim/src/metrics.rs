@@ -7,12 +7,10 @@
 //! end-of-period uploads (RSU → server), in both the dense and
 //! compact ([`PeriodUpload::encode_compact`]) forms.
 
-use serde::{Deserialize, Serialize};
-
 use crate::protocol::{BitReport, PeriodUpload, Query};
 
 /// Message and byte counters for one measurement period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommunicationMetrics {
     /// Queries answered (one per vehicle per RSU passage).
     pub queries: u64,
@@ -94,7 +92,7 @@ impl CommunicationMetrics {
 
 /// Per-link fault counters: what the channel did to the frames that
 /// crossed it (see [`crate::faults::Channel`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkMetrics {
     /// Frames offered to the link.
     pub frames: u64,
@@ -142,7 +140,7 @@ impl LinkMetrics {
 /// End-to-end fault accounting for one measurement period: what the two
 /// lossy links did, what the receivers rejected, what the crash model
 /// destroyed, and how the upload retry loop fared.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultMetrics {
     /// The vehicle → RSU report link.
     pub report_link: LinkMetrics,

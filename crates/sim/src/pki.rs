@@ -14,18 +14,16 @@
 //! and forgeries are rejected (up to hash collisions, which is plenty to
 //! exercise the failure path).
 
-use serde::{Deserialize, Serialize};
-
 use vcps_core::{HashFamily, RsuId};
 
 /// The trusted third party that issues RSU certificates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrustedAuthority {
     family: HashFamily,
 }
 
 /// A simulated certificate binding an RSU id to the authority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Certificate {
     /// The certified RSU.
     pub rsu: RsuId,

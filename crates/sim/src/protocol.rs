@@ -10,13 +10,10 @@
 //! 3. RSU → central server (end of period): a [`PeriodUpload`] with the
 //!    counter and the bit array.
 //!
-//! The wire format is a compact big-endian layout over [`bytes`]; it
-//! stands in for DSRC/IEEE 802.11p frames (the scheme is agnostic to the
-//! radio layer). Every message round-trips through
-//! `encode`/`decode`, property-tested below.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+//! The wire format is a compact big-endian byte layout; it stands in
+//! for DSRC/IEEE 802.11p frames (the scheme is agnostic to the radio
+//! layer). Every message round-trips through `encode`/`decode`,
+//! property-tested below, and golden vectors freeze its bytes.
 
 use vcps_core::{BitArray, RsuId};
 // The per-record checksum inside a `BatchUpload`: it only needs to
@@ -91,7 +88,7 @@ const TAG_CHECKPOINT_SET: u8 = 8;
 pub(crate) const TAG_ROLLOVER: u8 = 9;
 
 /// The periodic broadcast an RSU sends to passing vehicles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Query {
     /// The RSU's identifier (RID).
     pub rsu: RsuId,
@@ -105,14 +102,14 @@ pub struct Query {
 impl Query {
     /// Serializes the query to its wire form.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 + 8 * 4);
-        buf.put_u8(TAG_QUERY);
-        buf.put_u64(self.rsu.0);
-        buf.put_u64(self.certificate.rsu.0);
-        buf.put_u64(self.certificate.tag);
-        buf.put_u64(self.array_size);
-        buf.freeze()
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(1 + 8 * 4);
+        buf.push(TAG_QUERY);
+        put_u64(&mut buf, self.rsu.0);
+        put_u64(&mut buf, self.certificate.rsu.0);
+        put_u64(&mut buf, self.certificate.tag);
+        put_u64(&mut buf, self.array_size);
+        buf
     }
 
     /// Parses a query from its wire form.
@@ -121,26 +118,26 @@ impl Query {
     ///
     /// Returns [`SimError::MalformedMessage`] on truncation or a wrong
     /// tag byte.
-    pub fn decode(mut wire: &[u8]) -> Result<Self, SimError> {
+    pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
         if wire.len() != 1 + 8 * 4 || wire[0] != TAG_QUERY {
             return Err(SimError::MalformedMessage {
                 reason: "bad query frame",
             });
         }
-        wire.advance(1);
+        let mut wire = &wire[1..];
         Ok(Self {
-            rsu: RsuId(wire.get_u64()),
+            rsu: RsuId(take_u64(&mut wire)),
             certificate: Certificate {
-                rsu: RsuId(wire.get_u64()),
-                tag: wire.get_u64(),
+                rsu: RsuId(take_u64(&mut wire)),
+                tag: take_u64(&mut wire),
             },
-            array_size: wire.get_u64(),
+            array_size: take_u64(&mut wire),
         })
     }
 }
 
 /// A vehicle's answer: one bit index under a one-time MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitReport {
     /// The one-time link-layer address used for this single exchange.
     pub mac: MacAddress,
@@ -151,12 +148,12 @@ pub struct BitReport {
 impl BitReport {
     /// Serializes the report to its wire form.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 + 6 + 8);
-        buf.put_u8(TAG_REPORT);
-        buf.put_slice(&self.mac.0);
-        buf.put_u64(self.index);
-        buf.freeze()
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(1 + 6 + 8);
+        buf.push(TAG_REPORT);
+        buf.extend_from_slice(&self.mac.0);
+        put_u64(&mut buf, self.index);
+        buf
     }
 
     /// Parses a report from its wire form.
@@ -165,24 +162,23 @@ impl BitReport {
     ///
     /// Returns [`SimError::MalformedMessage`] on truncation or a wrong
     /// tag byte.
-    pub fn decode(mut wire: &[u8]) -> Result<Self, SimError> {
+    pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
         if wire.len() != 1 + 6 + 8 || wire[0] != TAG_REPORT {
             return Err(SimError::MalformedMessage {
                 reason: "bad report frame",
             });
         }
-        wire.advance(1);
-        let mut mac = [0u8; 6];
-        wire.copy_to_slice(&mut mac);
+        let mut wire = &wire[1..];
+        let mac = take(&mut wire, 6).try_into().expect("6-byte slice");
         Ok(Self {
             mac: MacAddress(mac),
-            index: wire.get_u64(),
+            index: take_u64(&mut wire),
         })
     }
 }
 
 /// An RSU's end-of-period upload to the central server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeriodUpload {
     /// The uploading RSU.
     pub rsu: RsuId,
@@ -195,17 +191,17 @@ pub struct PeriodUpload {
 impl PeriodUpload {
     /// Serializes the upload to its wire form.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let words = self.bits.as_words();
-        let mut buf = BytesMut::with_capacity(1 + 8 * 3 + 8 * words.len());
-        buf.put_u8(TAG_UPLOAD);
-        buf.put_u64(self.rsu.0);
-        buf.put_u64(self.counter);
-        buf.put_u64(self.bits.len() as u64);
+        let mut buf = Vec::with_capacity(1 + 8 * 3 + 8 * words.len());
+        buf.push(TAG_UPLOAD);
+        put_u64(&mut buf, self.rsu.0);
+        put_u64(&mut buf, self.counter);
+        put_u64(&mut buf, self.bits.len() as u64);
         for &w in words {
-            buf.put_u64(w);
+            put_u64(&mut buf, w);
         }
-        buf.freeze()
+        buf
     }
 
     /// Serializes the upload choosing the cheaper representation: the
@@ -215,23 +211,23 @@ impl PeriodUpload {
     ///
     /// [`PeriodUpload::decode`] accepts both forms transparently.
     #[must_use]
-    pub fn encode_compact(&self) -> Bytes {
+    pub fn encode_compact(&self) -> Vec<u8> {
         // The cached popcount picks the form; set-bit indices are only
         // walked when the sparse form wins.
         let ones = self.bits.count_ones();
         if ones >= self.bits.as_words().len() {
             return self.encode();
         }
-        let mut buf = BytesMut::with_capacity(1 + 8 * 4 + 8 * ones);
-        buf.put_u8(TAG_UPLOAD_SPARSE);
-        buf.put_u64(self.rsu.0);
-        buf.put_u64(self.counter);
-        buf.put_u64(self.bits.len() as u64);
-        buf.put_u64(ones as u64);
+        let mut buf = Vec::with_capacity(1 + 8 * 4 + 8 * ones);
+        buf.push(TAG_UPLOAD_SPARSE);
+        put_u64(&mut buf, self.rsu.0);
+        put_u64(&mut buf, self.counter);
+        put_u64(&mut buf, self.bits.len() as u64);
+        put_u64(&mut buf, ones as u64);
         for i in self.bits.ones() {
-            buf.put_u64(i as u64);
+            put_u64(&mut buf, i as u64);
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses an upload from its wire form (dense or sparse frame):
@@ -255,7 +251,7 @@ impl PeriodUpload {
 /// from a previous period that must not clobber fresher state) and from
 /// a *conflicting* one (same `seq`, different content — a corrupted or
 /// equivocating sender).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequencedUpload {
     /// Monotonically increasing per-RSU sequence number (the engine uses
     /// the period index).
@@ -268,13 +264,13 @@ impl SequencedUpload {
     /// Serializes to the wire form: a sequence header followed by the
     /// compact upload frame.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let inner = self.upload.encode_compact();
-        let mut buf = BytesMut::with_capacity(1 + 8 + inner.len());
-        buf.put_u8(TAG_UPLOAD_SEQ);
-        buf.put_u64(self.seq);
-        buf.put_slice(&inner);
-        buf.freeze()
+        let mut buf = Vec::with_capacity(1 + 8 + inner.len());
+        buf.push(TAG_UPLOAD_SEQ);
+        put_u64(&mut buf, self.seq);
+        buf.extend_from_slice(&inner);
+        buf
     }
 
     /// Parses a sequenced upload from its wire form:
@@ -304,7 +300,7 @@ impl SequencedUpload {
 /// it, [`BatchUpload::decode`] enforces it — which is what lets the
 /// mutation tests demand that a duplicated or reordered inner frame is
 /// *rejected* rather than silently re-ingested.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchUpload {
     frames: Vec<SequencedUpload>,
 }
@@ -346,18 +342,18 @@ impl BatchUpload {
     /// Serializes to the wire form: a count header followed by one
     /// `length ‖ checksum ‖ frame` record per inner upload.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let inner: Vec<Bytes> = self.frames.iter().map(SequencedUpload::encode).collect();
+    pub fn encode(&self) -> Vec<u8> {
+        let inner: Vec<Vec<u8>> = self.frames.iter().map(SequencedUpload::encode).collect();
         let total: usize = inner.iter().map(|f| 16 + f.len()).sum();
-        let mut buf = BytesMut::with_capacity(1 + 8 + total);
-        buf.put_u8(TAG_BATCH);
-        buf.put_u64(self.frames.len() as u64);
+        let mut buf = Vec::with_capacity(1 + 8 + total);
+        buf.push(TAG_BATCH);
+        put_u64(&mut buf, self.frames.len() as u64);
         for frame in &inner {
-            buf.put_u64(frame.len() as u64);
-            buf.put_u64(fnv1a_64(frame));
-            buf.put_slice(frame);
+            put_u64(&mut buf, frame.len() as u64);
+            put_u64(&mut buf, fnv1a_64(frame));
+            buf.extend_from_slice(frame);
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses a batch from its wire form: [`BatchUploadRef::decode_ref`],
@@ -375,9 +371,29 @@ impl BatchUpload {
     }
 }
 
+/// Appends one big-endian `u64`.
+fn put_u64(buf: &mut Vec<u8>, value: u64) {
+    buf.extend_from_slice(&value.to_be_bytes());
+}
+
 /// Reads one big-endian `u64` from an exactly-8-byte slice.
 fn be_u64(bytes: &[u8]) -> u64 {
     u64::from_be_bytes(bytes.try_into().expect("8-byte slice"))
+}
+
+/// Splits the first `n` bytes off `wire`: the reader of the decoders
+/// that walk a frame front to back. Each caller checks the remaining
+/// length before it reads, so `n` never exceeds it (`split_at` would
+/// panic there, as slice indexing does).
+fn take<'a>(wire: &mut &'a [u8], n: usize) -> &'a [u8] {
+    let (head, rest) = wire.split_at(n);
+    *wire = rest;
+    head
+}
+
+/// [`take`]s one big-endian `u64`.
+fn take_u64(wire: &mut &[u8]) -> u64 {
+    be_u64(take(wire, 8))
 }
 
 /// Mask selecting the in-range bits of a bit array's final 64-bit word.
@@ -852,7 +868,7 @@ impl ExactSizeIterator for BatchFrames<'_> {}
 /// Invariant: each section's RSU keys are strictly increasing.
 /// [`crate::CentralServer::checkpoint`] establishes it (the fields are
 /// `BTreeMap`-ordered), [`ServerCheckpoint::decode`] enforces it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerCheckpoint {
     /// The [`vcps_core::VolumeHistory`] smoothing factor `α ∈ (0, 1]`.
     pub alpha: f64,
@@ -871,34 +887,34 @@ impl ServerCheckpoint {
     /// `f64` values travel as their IEEE-754 bit patterns so restore is
     /// exact, and uploads as length-prefixed compact frames.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let frames: Vec<Bytes> = self
+    pub fn encode(&self) -> Vec<u8> {
+        let frames: Vec<Vec<u8>> = self
             .uploads
             .iter()
             .map(PeriodUpload::encode_compact)
             .collect();
         let upload_bytes: usize = frames.iter().map(|f| 8 + f.len()).sum();
-        let mut buf = BytesMut::with_capacity(
+        let mut buf = Vec::with_capacity(
             1 + 8 * 4 + 16 * (self.history.len() + self.seqs.len()) + upload_bytes,
         );
-        buf.put_u8(TAG_CHECKPOINT);
-        buf.put_u64(self.alpha.to_bits());
-        buf.put_u64(self.history.len() as u64);
+        buf.push(TAG_CHECKPOINT);
+        put_u64(&mut buf, self.alpha.to_bits());
+        put_u64(&mut buf, self.history.len() as u64);
         for &(rsu, avg) in &self.history {
-            buf.put_u64(rsu.0);
-            buf.put_u64(avg.to_bits());
+            put_u64(&mut buf, rsu.0);
+            put_u64(&mut buf, avg.to_bits());
         }
-        buf.put_u64(self.seqs.len() as u64);
+        put_u64(&mut buf, self.seqs.len() as u64);
         for &(rsu, seq) in &self.seqs {
-            buf.put_u64(rsu.0);
-            buf.put_u64(seq);
+            put_u64(&mut buf, rsu.0);
+            put_u64(&mut buf, seq);
         }
-        buf.put_u64(frames.len() as u64);
+        put_u64(&mut buf, frames.len() as u64);
         for frame in &frames {
-            buf.put_u64(frame.len() as u64);
-            buf.put_slice(frame);
+            put_u64(&mut buf, frame.len() as u64);
+            buf.extend_from_slice(frame);
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses a checkpoint from its wire form.
@@ -911,14 +927,14 @@ impl ServerCheckpoint {
     /// order, a non-finite average, a malformed inner upload, or
     /// trailing bytes. Never panics: every length is validated against
     /// the remaining byte count before it is trusted.
-    pub fn decode(mut wire: &[u8]) -> Result<Self, SimError> {
+    pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
         if wire.len() < 1 + 8 * 2 || wire[0] != TAG_CHECKPOINT {
             return Err(SimError::MalformedMessage {
                 reason: "bad checkpoint frame",
             });
         }
-        wire.advance(1);
-        let alpha = f64::from_bits(wire.get_u64());
+        let mut wire = &wire[1..];
+        let alpha = f64::from_bits(take_u64(&mut wire));
         if !(alpha > 0.0 && alpha <= 1.0) {
             return Err(SimError::MalformedMessage {
                 reason: "checkpoint alpha outside (0, 1]",
@@ -928,7 +944,7 @@ impl ServerCheckpoint {
             if wire.len() < 8 {
                 return Err(SimError::MalformedMessage { reason });
             }
-            let count = wire.get_u64() as usize;
+            let count = take_u64(wire) as usize;
             if count > MAX_BATCH_FRAMES {
                 return Err(SimError::MalformedMessage {
                     reason: "checkpoint section count over limit",
@@ -945,8 +961,8 @@ impl ServerCheckpoint {
                     reason: "truncated checkpoint history",
                 });
             }
-            let rsu = RsuId(wire.get_u64());
-            let avg = f64::from_bits(wire.get_u64());
+            let rsu = RsuId(take_u64(&mut wire));
+            let avg = f64::from_bits(take_u64(&mut wire));
             if prev.is_some_and(|p| rsu <= p) {
                 return Err(SimError::MalformedMessage {
                     reason: "checkpoint history not strictly increasing",
@@ -969,8 +985,8 @@ impl ServerCheckpoint {
                     reason: "truncated checkpoint sequences",
                 });
             }
-            let rsu = RsuId(wire.get_u64());
-            let seq = wire.get_u64();
+            let rsu = RsuId(take_u64(&mut wire));
+            let seq = take_u64(&mut wire);
             if prev.is_some_and(|p| rsu <= p) {
                 return Err(SimError::MalformedMessage {
                     reason: "checkpoint sequences not strictly increasing",
@@ -988,7 +1004,7 @@ impl ServerCheckpoint {
                     reason: "truncated checkpoint uploads",
                 });
             }
-            let frame_len = wire.get_u64() as usize;
+            let frame_len = take_u64(&mut wire) as usize;
             // Straight off the wire: compare against the remaining byte
             // count (no multiplication, no overflow) before slicing.
             if frame_len > wire.len() {
@@ -996,7 +1012,7 @@ impl ServerCheckpoint {
                     reason: "checkpoint upload length exceeds frame",
                 });
             }
-            let upload = PeriodUpload::decode(&wire[..frame_len])?;
+            let upload = PeriodUpload::decode(take(&mut wire, frame_len))?;
             if prev.is_some_and(|p| upload.rsu <= p) {
                 return Err(SimError::MalformedMessage {
                     reason: "checkpoint uploads not strictly increasing",
@@ -1004,7 +1020,6 @@ impl ServerCheckpoint {
             }
             prev = Some(upload.rsu);
             uploads.push(upload);
-            wire.advance(frame_len);
         }
         if !wire.is_empty() {
             return Err(SimError::MalformedMessage {
@@ -1026,7 +1041,7 @@ impl ServerCheckpoint {
 ///
 /// This is the payload `vcps-durable`'s checkpoint store persists (the
 /// store adds its own header and checksum; see `DurableServer`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointSet {
     /// How many WAL records had been applied when the snapshot was
     /// taken: recovery replays the log from this index.
@@ -1041,18 +1056,18 @@ impl CheckpointSet {
     /// Serializes to the wire form: the applied-record count, then one
     /// `length ‖ checkpoint frame` record per shard.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let inner: Vec<Bytes> = self.shards.iter().map(ServerCheckpoint::encode).collect();
+    pub fn encode(&self) -> Vec<u8> {
+        let inner: Vec<Vec<u8>> = self.shards.iter().map(ServerCheckpoint::encode).collect();
         let total: usize = inner.iter().map(|f| 8 + f.len()).sum();
-        let mut buf = BytesMut::with_capacity(1 + 8 * 2 + total);
-        buf.put_u8(TAG_CHECKPOINT_SET);
-        buf.put_u64(self.frames_applied);
-        buf.put_u64(self.shards.len() as u64);
+        let mut buf = Vec::with_capacity(1 + 8 * 2 + total);
+        buf.push(TAG_CHECKPOINT_SET);
+        put_u64(&mut buf, self.frames_applied);
+        put_u64(&mut buf, self.shards.len() as u64);
         for frame in &inner {
-            buf.put_u64(frame.len() as u64);
-            buf.put_slice(frame);
+            put_u64(&mut buf, frame.len() as u64);
+            buf.extend_from_slice(frame);
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses a checkpoint set from its wire form.
@@ -1062,15 +1077,15 @@ impl CheckpointSet {
     /// Returns [`SimError::MalformedMessage`] on truncation, a wrong
     /// tag byte, a shard count of zero or over `MAX_CHECKPOINT_SHARDS`,
     /// a malformed inner checkpoint, or trailing bytes.
-    pub fn decode(mut wire: &[u8]) -> Result<Self, SimError> {
+    pub fn decode(wire: &[u8]) -> Result<Self, SimError> {
         if wire.len() < 1 + 8 * 2 || wire[0] != TAG_CHECKPOINT_SET {
             return Err(SimError::MalformedMessage {
                 reason: "bad checkpoint set frame",
             });
         }
-        wire.advance(1);
-        let frames_applied = wire.get_u64();
-        let count = wire.get_u64() as usize;
+        let mut wire = &wire[1..];
+        let frames_applied = take_u64(&mut wire);
+        let count = take_u64(&mut wire) as usize;
         if count == 0 || count > MAX_CHECKPOINT_SHARDS {
             return Err(SimError::MalformedMessage {
                 reason: "invalid checkpoint set shard count",
@@ -1083,14 +1098,13 @@ impl CheckpointSet {
                     reason: "truncated checkpoint set record",
                 });
             }
-            let frame_len = wire.get_u64() as usize;
+            let frame_len = take_u64(&mut wire) as usize;
             if frame_len > wire.len() {
                 return Err(SimError::MalformedMessage {
                     reason: "checkpoint set record length exceeds frame",
                 });
             }
-            shards.push(ServerCheckpoint::decode(&wire[..frame_len])?);
-            wire.advance(frame_len);
+            shards.push(ServerCheckpoint::decode(take(&mut wire, frame_len))?);
         }
         if !wire.is_empty() {
             return Err(SimError::MalformedMessage {
@@ -1283,12 +1297,11 @@ mod tests {
     fn dense_upload_rejects_absurd_length_claim() {
         // A frame claiming more bits than MAX_UPLOAD_BITS must be
         // rejected before any word-count arithmetic.
-        let mut wire = BytesMut::new();
-        wire.put_u8(TAG_UPLOAD);
-        wire.put_u64(1); // rsu
-        wire.put_u64(1); // counter
-        wire.put_u64(u64::MAX); // absurd bit length
-        assert!(PeriodUpload::decode(&wire.freeze()).is_err());
+        let mut wire = vec![TAG_UPLOAD];
+        put_u64(&mut wire, 1); // rsu
+        put_u64(&mut wire, 1); // counter
+        put_u64(&mut wire, u64::MAX); // absurd bit length
+        assert!(PeriodUpload::decode(&wire).is_err());
     }
 
     /// The length bound is compared in `u64` *before* any cast: a claim
@@ -1299,23 +1312,21 @@ mod tests {
     #[test]
     fn upload_length_bound_is_checked_pre_cast() {
         let dense = |claim: u64| {
-            let mut wire = BytesMut::new();
-            wire.put_u8(TAG_UPLOAD);
-            wire.put_u64(1); // rsu
-            wire.put_u64(1); // counter
-            wire.put_u64(claim);
-            wire.put_u64(0); // one payload word, as a truncated claim implies
-            wire.freeze()
+            let mut wire = vec![TAG_UPLOAD];
+            put_u64(&mut wire, 1); // rsu
+            put_u64(&mut wire, 1); // counter
+            put_u64(&mut wire, claim);
+            put_u64(&mut wire, 0); // one payload word, as a truncated claim implies
+            wire
         };
         let sparse = |claim: u64| {
-            let mut wire = BytesMut::new();
-            wire.put_u8(TAG_UPLOAD_SPARSE);
-            wire.put_u64(1); // rsu
-            wire.put_u64(1); // counter
-            wire.put_u64(claim);
-            wire.put_u64(1); // one index
-            wire.put_u64(3);
-            wire.freeze()
+            let mut wire = vec![TAG_UPLOAD_SPARSE];
+            put_u64(&mut wire, 1); // rsu
+            put_u64(&mut wire, 1); // counter
+            put_u64(&mut wire, claim);
+            put_u64(&mut wire, 1); // one index
+            put_u64(&mut wire, 3);
+            wire
         };
         // (1 << 32) + 64 as a 32-bit usize would be 64 — consistent
         // with both assembled payloads. The u64 comparison rejects it.
@@ -1349,15 +1360,13 @@ mod tests {
     #[test]
     fn zero_length_rejection_is_unified_across_decoders() {
         for tag in [TAG_UPLOAD, TAG_UPLOAD_SPARSE] {
-            let mut wire = BytesMut::new();
-            wire.put_u8(tag);
-            wire.put_u64(1); // rsu
-            wire.put_u64(1); // counter
-            wire.put_u64(0); // zero bit length
+            let mut wire = vec![tag];
+            put_u64(&mut wire, 1); // rsu
+            put_u64(&mut wire, 1); // counter
+            put_u64(&mut wire, 0); // zero bit length
             if tag == TAG_UPLOAD_SPARSE {
-                wire.put_u64(0); // zero indices
+                put_u64(&mut wire, 0); // zero indices
             }
-            let wire = wire.freeze();
             for verdict in [
                 PeriodUpload::decode(&wire).map(|_| ()),
                 PeriodUploadRef::decode_ref(&wire).map(|_| ()),
@@ -1447,11 +1456,10 @@ mod tests {
 
     #[test]
     fn batch_rejects_absurd_count_claim() {
-        let mut wire = BytesMut::new();
-        wire.put_u8(TAG_BATCH);
-        wire.put_u64(u64::MAX);
+        let mut wire = vec![TAG_BATCH];
+        put_u64(&mut wire, u64::MAX);
         assert!(matches!(
-            BatchUpload::decode(&wire.freeze()),
+            BatchUpload::decode(&wire),
             Err(SimError::MalformedMessage {
                 reason: "batch frame count over limit"
             })
@@ -1481,16 +1489,15 @@ mod tests {
         // Hand-assemble wires so both records are individually valid —
         // only the ordering invariant can reject them.
         let assemble = |frames: &[&SequencedUpload]| {
-            let mut buf = BytesMut::new();
-            buf.put_u8(TAG_BATCH);
-            buf.put_u64(frames.len() as u64);
+            let mut buf = vec![TAG_BATCH];
+            put_u64(&mut buf, frames.len() as u64);
             for f in frames {
                 let inner = f.encode();
-                buf.put_u64(inner.len() as u64);
-                buf.put_u64(fnv1a_64(&inner));
-                buf.put_slice(&inner);
+                put_u64(&mut buf, inner.len() as u64);
+                put_u64(&mut buf, fnv1a_64(&inner));
+                buf.extend_from_slice(&inner);
             }
-            buf.freeze()
+            buf
         };
         assert!(BatchUpload::decode(&assemble(&[&a, &b])).is_ok());
         assert!(matches!(
@@ -1601,30 +1608,27 @@ mod tests {
         }
         // Zero-length arrays: rejected by both, dense and sparse.
         for tag in [TAG_UPLOAD, TAG_UPLOAD_SPARSE] {
-            let mut wire = BytesMut::new();
-            wire.put_u8(tag);
-            wire.put_u64(1); // rsu
-            wire.put_u64(1); // counter
-            wire.put_u64(0); // zero bit length
+            let mut wire = vec![tag];
+            put_u64(&mut wire, 1); // rsu
+            put_u64(&mut wire, 1); // counter
+            put_u64(&mut wire, 0); // zero bit length
             if tag == TAG_UPLOAD_SPARSE {
-                wire.put_u64(0); // zero indices
+                put_u64(&mut wire, 0); // zero indices
             }
-            let wire = wire.freeze();
             assert!(PeriodUpload::decode(&wire).is_err());
             assert!(PeriodUploadRef::decode_ref(&wire).is_err());
         }
         // Duplicated and out-of-range sparse indices.
         let assemble_sparse = |indices: &[u64]| {
-            let mut wire = BytesMut::new();
-            wire.put_u8(TAG_UPLOAD_SPARSE);
-            wire.put_u64(1);
-            wire.put_u64(1);
-            wire.put_u64(64);
-            wire.put_u64(indices.len() as u64);
+            let mut wire = vec![TAG_UPLOAD_SPARSE];
+            put_u64(&mut wire, 1);
+            put_u64(&mut wire, 1);
+            put_u64(&mut wire, 64);
+            put_u64(&mut wire, indices.len() as u64);
             for &i in indices {
-                wire.put_u64(i);
+                put_u64(&mut wire, i);
             }
-            wire.freeze()
+            wire
         };
         for indices in [&[5u64, 5][..], &[9, 3], &[64], &[2, 70]] {
             let wire = assemble_sparse(indices);
@@ -1774,12 +1778,11 @@ mod tests {
     fn checkpoint_rejects_absurd_count_claim() {
         // A 17-byte frame must not be able to promise 2^60 history
         // entries and drive a giant validation loop.
-        let mut wire = BytesMut::new();
-        wire.put_u8(TAG_CHECKPOINT);
-        wire.put_u64(0.5f64.to_bits());
-        wire.put_u64(1 << 60);
+        let mut wire = vec![TAG_CHECKPOINT];
+        put_u64(&mut wire, 0.5f64.to_bits());
+        put_u64(&mut wire, 1 << 60);
         assert!(matches!(
-            ServerCheckpoint::decode(&wire.freeze()),
+            ServerCheckpoint::decode(&wire),
             Err(SimError::MalformedMessage {
                 reason: "checkpoint section count over limit"
             })
@@ -1812,21 +1815,19 @@ mod tests {
         trailing.push(0);
         assert!(CheckpointSet::decode(&trailing).is_err());
         // Zero shards is not a deployment.
-        let mut empty = BytesMut::new();
-        empty.put_u8(TAG_CHECKPOINT_SET);
-        empty.put_u64(0);
-        empty.put_u64(0);
+        let mut empty = vec![TAG_CHECKPOINT_SET];
+        put_u64(&mut empty, 0);
+        put_u64(&mut empty, 0);
         assert!(matches!(
-            CheckpointSet::decode(&empty.freeze()),
+            CheckpointSet::decode(&empty),
             Err(SimError::MalformedMessage {
                 reason: "invalid checkpoint set shard count"
             })
         ));
         // An absurd shard-count claim dies before any allocation.
-        let mut absurd = BytesMut::new();
-        absurd.put_u8(TAG_CHECKPOINT_SET);
-        absurd.put_u64(0);
-        absurd.put_u64(u64::MAX);
-        assert!(CheckpointSet::decode(&absurd.freeze()).is_err());
+        let mut absurd = vec![TAG_CHECKPOINT_SET];
+        put_u64(&mut absurd, 0);
+        put_u64(&mut absurd, u64::MAX);
+        assert!(CheckpointSet::decode(&absurd).is_err());
     }
 }

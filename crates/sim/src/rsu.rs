@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use vcps_core::{RsuId, RsuSketch};
 
 use crate::pki::{Certificate, TrustedAuthority};
@@ -12,7 +10,7 @@ use crate::SimError;
 /// broadcast [`Query`]s (RID + certificate + array size), fold incoming
 /// [`BitReport`]s into the sketch, and produce the end-of-period
 /// [`PeriodUpload`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimRsu {
     sketch: RsuSketch,
     certificate: Certificate,

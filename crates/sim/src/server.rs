@@ -1,8 +1,6 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use vcps_bitarray::{
     combined_zero_count_adaptive, select_pair_kernel, select_pair_kernel_with_cost,
     sparse_is_profitable, DecodeScratch, PairKernel, UnfoldOperand,
@@ -357,12 +355,11 @@ where
     obs.add("od_matrix.pairs", pair_count as u64);
     let threads = od_effective_threads(threads, rows, pair_count);
     let observed = observed(obs);
-    // Several chunks per worker, as in `parallel_map_threads`, but never
-    // more than `OD_CHUNK_PAIRS` pairs in one.
-    let chunk = if threads == 1 {
-        OD_CHUNK_PAIRS
-    } else {
-        pair_count.div_ceil(threads * 4).min(OD_CHUNK_PAIRS)
+    // Several chunks per executor, as in `parallel_map_threads`, but
+    // never more than `OD_CHUNK_PAIRS` pairs in one.
+    let chunk = match crate::concurrent::capped_executors(threads) {
+        1 => OD_CHUNK_PAIRS,
+        executors => pair_count.div_ceil(executors * 4).min(OD_CHUNK_PAIRS),
     };
     let pieces = crate::concurrent::map_chunks(pair_count, chunk, threads, |range| {
         let mut estimates = Vec::with_capacity(range.len());
@@ -498,7 +495,7 @@ pub(crate) fn od_effective_threads(
 /// lost), so the server must distinguish a benign duplicate from an RSU
 /// that changed its story mid-period — silently taking the last write
 /// would hide both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReceiveOutcome {
     /// First upload from this RSU (or a newer sequence number): stored.
     Fresh,
@@ -553,79 +550,6 @@ impl Incoming for PeriodUploadRef<'_> {
     }
 }
 
-/// Decode-side caches derived from the uploads of the current period:
-/// `sparse_ones` holds the sorted set-bit index list of every upload
-/// still under the densify threshold
-/// ([`vcps_bitarray::sparse_is_profitable`]), extracted once at receive
-/// time and shared by all `N−1` pair decodes that touch the RSU.
-///
-/// Lifetime: an RSU's entry is re-derived whenever a new upload replaces
-/// its data ([`ReceiveOutcome::Fresh`] / `Conflicting`), and everything
-/// is cleared by [`CentralServer::finish_period`] — the caches never
-/// outlive the uploads they were derived from.
-///
-/// The caches are pure accelerators: they are ignored by equality,
-/// carried empty through (de)serialization, and rebuilt lazily, so a
-/// restored or cloned server answers identically (at worst via the dense
-/// kernel until re-populated).
-#[derive(Debug, Clone, Default)]
-struct DecodeCaches {
-    sparse_ones: BTreeMap<RsuId, Vec<u64>>,
-}
-
-impl PartialEq for DecodeCaches {
-    fn eq(&self, _other: &Self) -> bool {
-        // Caches are derived state: two servers with equal uploads answer
-        // identically regardless of what either has cached.
-        true
-    }
-}
-
-impl Serialize for DecodeCaches {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Derived state: nothing to persist (matches the offline serde
-        // shim's placeholder sink; with real serde this would be a unit).
-        serializer.serialize_stub()
-    }
-}
-
-impl<'de> Deserialize<'de> for DecodeCaches {
-    fn deserialize<D: serde::Deserializer<'de>>(_deserializer: D) -> Result<Self, D::Error> {
-        // Rebuilt lazily after restore.
-        Ok(Self::default())
-    }
-}
-
-/// The server's observability handle ([`vcps_obs::Obs`]), wrapped so it
-/// follows the same derived-state policy as [`DecodeCaches`]: ignored by
-/// equality (instrumentation never changes what a server answers),
-/// dropped through (de)serialization (a restored server comes back with
-/// observability off), and defaulting to the disabled no-op handle.
-#[derive(Debug, Clone, Default)]
-struct ObsCell(Obs);
-
-impl PartialEq for ObsCell {
-    fn eq(&self, _other: &Self) -> bool {
-        // Observability is side-channel state: two servers with equal
-        // uploads answer identically whatever either has recorded.
-        true
-    }
-}
-
-impl Serialize for ObsCell {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Side-channel state: nothing to persist.
-        serializer.serialize_stub()
-    }
-}
-
-impl<'de> Deserialize<'de> for ObsCell {
-    fn deserialize<D: serde::Deserializer<'de>>(_deserializer: D) -> Result<Self, D::Error> {
-        // Restored servers start with observability disabled.
-        Ok(Self::default())
-    }
-}
-
 /// One RSU's axis entry of an O–D answer: its id and, when it holds a
 /// decodable upload, the per-RSU half of every measured estimate it
 /// takes part in — array length, counter and zero fraction.
@@ -634,7 +558,7 @@ impl<'de> Deserialize<'de> for ObsCell {
 /// oriented by [`first_plays_x`] plus the pair's own `n̂_c`, `V_c` and
 /// clamped flag, so an O–D answer sends the entries once per RSU and
 /// three values per measured pair (the tag-34 response of `vcps-net`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OdAxis {
     /// The RSU.
     pub rsu: RsuId,
@@ -659,7 +583,7 @@ pub struct OdAxis {
 /// ([`PairEstimate::transposed`]), so `at(i, j)` always equals
 /// `estimate_or_degraded(rsus[i], rsus[j])` exactly. The matrix keeps
 /// each RSU's [`OdAxis`], from which its measured estimates are built.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OdMatrix {
     rsus: Vec<RsuId>,
     axes: Vec<OdAxis>,
@@ -780,7 +704,7 @@ impl OdMatrix {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CentralServer {
     scheme: Scheme,
     history: VolumeHistory,
@@ -789,10 +713,18 @@ pub struct CentralServer {
     /// [`finish_period`](CentralServer::finish_period) so stragglers from
     /// closed periods are recognized as stale).
     upload_seqs: BTreeMap<RsuId, u64>,
-    /// Decode caches derived from `uploads` (see [`DecodeCaches`]).
-    caches: DecodeCaches,
-    /// Observability handle (see [`ObsCell`]); disabled by default.
-    obs: ObsCell,
+    /// The sorted set-bit index list of every held upload still under
+    /// the densify threshold ([`vcps_bitarray::sparse_is_profitable`]),
+    /// extracted once at receive time and shared by all `N−1` pair
+    /// decodes that touch the RSU. An entry is re-derived whenever a new
+    /// upload replaces its RSU's data and everything is cleared by
+    /// [`finish_period`](CentralServer::finish_period), so the cache
+    /// never outlives the uploads it was derived from. Derived state:
+    /// checkpoints leave it out and restore rebuilds it.
+    sparse_ones: BTreeMap<RsuId, Vec<u64>>,
+    /// Observability handle; disabled by default. Instrumentation never
+    /// changes what the server answers, and a checkpoint leaves it out.
+    obs: Obs,
 }
 
 impl CentralServer {
@@ -815,8 +747,8 @@ impl CentralServer {
             history: VolumeHistory::new(history_alpha),
             uploads: BTreeMap::new(),
             upload_seqs: BTreeMap::new(),
-            caches: DecodeCaches::default(),
-            obs: ObsCell::default(),
+            sparse_ones: BTreeMap::new(),
+            obs: Obs::default(),
         })
     }
 
@@ -825,7 +757,7 @@ impl CentralServer {
     /// on. The default handle is disabled ([`Obs::disabled`]), in which
     /// case every instrumentation point is a single pointer check.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = ObsCell(obs);
+        self.obs = obs;
     }
 
     /// Builder-style [`set_obs`](Self::set_obs).
@@ -839,7 +771,7 @@ impl CentralServer {
     /// [`set_obs`](Self::set_obs) was called).
     #[must_use]
     pub fn obs(&self) -> &Obs {
-        &self.obs.0
+        &self.obs
     }
 
     /// Seeds an RSU's historical average (e.g. from past traffic
@@ -886,19 +818,19 @@ impl CentralServer {
     /// Records one receive outcome into the registry (a no-op with
     /// observability disabled) and passes it through.
     fn note_receive(&self, outcome: ReceiveOutcome) -> ReceiveOutcome {
-        self.obs.0.inc(receive_counter_name(outcome));
+        self.obs.inc(receive_counter_name(outcome));
         outcome
     }
 
     /// Holds `upload` as its RSU's data for the period and re-derives
-    /// the RSU's decode caches: extract (or drop) its sparse index list.
+    /// the RSU's sparse index list (extracted, or dropped).
     fn store(&mut self, upload: PeriodUpload) {
         let bits = &upload.bits;
         if sparse_is_profitable(bits.len(), bits.count_ones()) {
             let ones = bits.ones().map(|i| i as u64).collect();
-            self.caches.sparse_ones.insert(upload.rsu, ones);
+            self.sparse_ones.insert(upload.rsu, ones);
         } else {
-            self.caches.sparse_ones.remove(&upload.rsu);
+            self.sparse_ones.remove(&upload.rsu);
         }
         self.uploads.insert(upload.rsu, upload);
     }
@@ -970,12 +902,13 @@ impl CentralServer {
         self.uploads.keys().copied()
     }
 
-    /// Captures the server's durable state as a wire-serializable
-    /// [`ServerCheckpoint`]: history, accepted sequence numbers, and the
-    /// open period's uploads. Derived state (decode caches, the
+    /// Captures the server's durable state as a [`ServerCheckpoint`]
+    /// (wire tag 7): history, accepted sequence numbers, and the open
+    /// period's uploads. Derived state (the sparse index lists, the
     /// observability handle) is excluded — [`restore_from_checkpoint`]
-    /// rebuilds the former and the caller re-attaches the latter, the
-    /// same contract the `serde` impls follow.
+    /// rebuilds the former and the caller re-attaches the latter. Two
+    /// servers of one scheme with equal checkpoints answer every query
+    /// identically.
     ///
     /// [`restore_from_checkpoint`]: Self::restore_from_checkpoint
     #[must_use]
@@ -991,9 +924,8 @@ impl CentralServer {
     /// Rebuilds a server from a [`ServerCheckpoint`] and the
     /// deployment's scheme (checkpoints deliberately do not carry the
     /// scheme: a snapshot is only meaningful to the deployment that
-    /// wrote it). Decode caches are re-derived from the restored
-    /// uploads; the observability handle starts disabled, exactly as
-    /// after a `serde` round trip.
+    /// wrote it). The sparse index lists are re-derived from the
+    /// restored uploads; the observability handle starts disabled.
     ///
     /// # Errors
     ///
@@ -1023,7 +955,7 @@ impl CentralServer {
         DecodeRow::new(
             rsu,
             self.uploads.get(&rsu),
-            self.caches.sparse_ones.get(&rsu).map(Vec::as_slice),
+            self.sparse_ones.get(&rsu).map(Vec::as_slice),
             self.history.average(rsu),
             self.scheme.s(),
         )
@@ -1037,7 +969,7 @@ impl CentralServer {
     /// * [`SimError::MissingUpload`] if either RSU has not uploaded;
     /// * [`SimError::Core`] for saturation or incompatible sizes.
     pub fn estimate(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        measure_pair(&self.decode_row(a), &self.decode_row(b), false, &self.obs.0)
+        measure_pair(&self.decode_row(a), &self.decode_row(b), false, &self.obs)
     }
 
     /// Like [`estimate`](CentralServer::estimate) but clamps saturated
@@ -1048,7 +980,7 @@ impl CentralServer {
     /// * [`SimError::MissingUpload`] if either RSU has not uploaded;
     /// * [`SimError::Core`] for incompatible sizes.
     pub fn estimate_or_clamp(&self, a: RsuId, b: RsuId) -> Result<Estimate, SimError> {
-        measure_pair(&self.decode_row(a), &self.decode_row(b), true, &self.obs.0)
+        measure_pair(&self.decode_row(a), &self.decode_row(b), true, &self.obs)
     }
 
     /// Answers a pair query even when uploads are missing: full decode
@@ -1066,7 +998,7 @@ impl CentralServer {
     /// an upload nor any volume history — the server knows nothing at all
     /// about that RSU.
     pub fn estimate_or_degraded(&self, a: RsuId, b: RsuId) -> Result<PairEstimate, SimError> {
-        answer_pair(&self.decode_row(a), &self.decode_row(b), &self.obs.0)
+        answer_pair(&self.decode_row(a), &self.decode_row(b), &self.obs)
     }
 
     /// The full origin–destination matrix:
@@ -1100,7 +1032,7 @@ impl CentralServer {
     /// Persistent-pool workers claim chunks of the triangle by pair
     /// index (consecutive pairs share their `i`-side upload) and run
     /// `sink` on the chunk they decoded, so no whole-matrix intermediate
-    /// exists unless the sink builds one. Each RSU's [`DecodeRow`] —
+    /// exists unless the sink builds one. Each RSU's decode row —
     /// upload, sparse index list, Eq. 5 term and unfold operand — is
     /// built *once* before the fan-out, so the per-pair work is kernel
     /// time plus the combined array's term; each worker reuses one
@@ -1127,7 +1059,7 @@ impl CentralServer {
         U: Send,
         F: Fn(&[PairEstimate]) -> U + Sync,
     {
-        let _timer = self.obs.0.phase(Phase::OdMatrix);
+        let _timer = self.obs.phase(Phase::OdMatrix);
         let rows: Vec<DecodeRow<'_>> = self
             .uploads
             .keys()
@@ -1137,7 +1069,7 @@ impl CentralServer {
             .into_iter()
             .map(|rsu| self.decode_row(rsu))
             .collect();
-        let chunks = od_chunks(&rows, None, &self.obs.0, threads, sink)?;
+        let chunks = od_chunks(&rows, None, &self.obs, threads, sink)?;
         Ok((rows.iter().map(DecodeRow::axis).collect(), chunks))
     }
 
@@ -1152,7 +1084,7 @@ impl CentralServer {
     ///
     /// Returns [`SimError::Core`] if a size computation fails.
     pub fn finish_period(&mut self) -> Result<BTreeMap<RsuId, usize>, SimError> {
-        self.obs.0.inc("server.finish_period.calls");
+        self.obs.inc("server.finish_period.calls");
         let mut sizes = BTreeMap::new();
         for (&rsu, upload) in &self.uploads {
             self.history.update(rsu, upload.counter as f64);
@@ -1161,9 +1093,9 @@ impl CentralServer {
             sizes.insert(rsu, self.scheme.array_size_for(average)?);
         }
         self.uploads.clear();
-        // The decode caches were derived from the uploads just folded
-        // away; nothing of them may survive into the next period.
-        self.caches.sparse_ones.clear();
+        // The sparse index lists were derived from the uploads just
+        // folded away; none of them may survive into the next period.
+        self.sparse_ones.clear();
         Ok(sizes)
     }
 }
@@ -1450,10 +1382,7 @@ mod tests {
         let mut server = server();
         // 2 ones in 256 bits (4 words): sparse.
         server.receive(upload(1, 256, &[1, 200], 2));
-        assert_eq!(
-            server.caches.sparse_ones.get(&RsuId(1)),
-            Some(&vec![1u64, 200])
-        );
+        assert_eq!(server.sparse_ones.get(&RsuId(1)), Some(&vec![1u64, 200]));
         // Re-upload above the threshold: list dropped.
         server.receive(upload(
             1,
@@ -1461,12 +1390,12 @@ mod tests {
             &(0..8).map(|i| i * 30).collect::<Vec<_>>(),
             8,
         ));
-        assert!(!server.caches.sparse_ones.contains_key(&RsuId(1)));
+        assert!(!server.sparse_ones.contains_key(&RsuId(1)));
         // finish_period clears everything.
         server.receive(upload(2, 256, &[7], 1));
         server.estimate(RsuId(1), RsuId(2)).unwrap();
         server.finish_period().unwrap();
-        assert!(server.caches.sparse_ones.is_empty());
+        assert!(server.sparse_ones.is_empty());
     }
 
     #[test]
@@ -1526,6 +1455,32 @@ mod tests {
         }
     }
 
+    /// A thread count is caller input (the daemon takes it off the
+    /// wire), so any request, however absurd, runs on the executors that
+    /// exist. 92 RSUs make 4,186 pairs, past the size at which the
+    /// triangle always fans out.
+    #[test]
+    fn absurd_thread_counts_answer_like_one_thread() {
+        let mut server = server();
+        for r in 0..92u64 {
+            let ones: Vec<usize> = (0..r as usize % 5)
+                .map(|k| (k * 13 + r as usize) % 64)
+                .collect();
+            server.receive(upload(r, 64, &ones, ones.len() as u64));
+        }
+        let pairs = |threads| {
+            let (axes, chunks) = server
+                .od_chunks_threads(threads, <[PairEstimate]>::to_vec)
+                .unwrap();
+            (axes, chunks.concat())
+        };
+        let reference = pairs(1);
+        assert_eq!(reference.1.len(), 92 * 91 / 2);
+        for threads in [1 << 62, usize::MAX] {
+            assert_eq!(pairs(threads), reference, "threads = {threads}");
+        }
+    }
+
     #[test]
     fn od_matrix_of_empty_server_is_empty() {
         let server = server();
@@ -1575,8 +1530,8 @@ mod tests {
                 "threads = {threads}"
             );
         }
-        // PartialEq ignores the obs handle, like the decode caches.
-        assert_eq!(plain, observed);
+        // The obs handle is not server state: both checkpoint the same.
+        assert_eq!(plain.checkpoint(), observed.checkpoint());
     }
 
     #[test]

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use vcps_core::{Scheme, VehicleIdentity};
 use vcps_hash::SplitMix64;
 
@@ -15,7 +13,7 @@ use crate::{MacAddress, SimError};
 /// single bit index for this RSU, and (3) replies under a fresh one-time
 /// MAC address. Nothing derived from the vehicle's identity or key ever
 /// appears on the wire except the (uniformly distributed) bit index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimVehicle {
     identity: VehicleIdentity,
     mac_gen: SplitMix64,

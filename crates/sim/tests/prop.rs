@@ -7,7 +7,10 @@ use vcps_core::{RsuId, Scheme};
 use vcps_durable::fnv1a_64;
 use vcps_sim::adversary::observe_pair;
 use vcps_sim::pki::TrustedAuthority;
-use vcps_sim::protocol::{BatchUpload, BitReport, PeriodUpload, Query, SequencedUpload};
+use vcps_sim::protocol::{
+    BatchUpload, BatchUploadRef, BitReport, CheckpointSet, PeriodUpload, PeriodUploadRef, Query,
+    SequencedUpload, SequencedUploadRef, ServerCheckpoint,
+};
 use vcps_sim::synthetic::SyntheticPair;
 use vcps_sim::{MacAddress, SimError};
 
@@ -57,13 +60,28 @@ proptest! {
 
     #[test]
     fn truncated_frames_never_panic(
+        tag in 0u8..10,
         bytes in prop::collection::vec(any::<u8>(), 0..200),
     ) {
-        // Fuzz the decoders: arbitrary bytes must be rejected or parsed,
-        // never panic.
-        let _ = Query::decode(&bytes);
-        let _ = BitReport::decode(&bytes);
-        let _ = PeriodUpload::decode(&bytes);
+        // Fuzz every decoder: arbitrary bytes must be rejected or parsed,
+        // never panic. The tagged copy carries a tag byte some decoder
+        // accepts, so its body is read and not only its tag checked.
+        let mut tagged = bytes.clone();
+        if let Some(first) = tagged.first_mut() {
+            *first = tag;
+        }
+        for wire in [&bytes, &tagged] {
+            let _ = Query::decode(wire);
+            let _ = BitReport::decode(wire);
+            let _ = PeriodUpload::decode(wire);
+            let _ = SequencedUpload::decode(wire);
+            let _ = BatchUpload::decode(wire);
+            let _ = ServerCheckpoint::decode(wire);
+            let _ = CheckpointSet::decode(wire);
+            let _ = PeriodUploadRef::decode_ref(wire);
+            let _ = SequencedUploadRef::decode_ref(wire);
+            let _ = BatchUploadRef::decode_ref(wire);
+        }
     }
 
     #[test]

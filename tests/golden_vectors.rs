@@ -251,6 +251,41 @@ fn golden_error_vectors_reject_with_the_frozen_reason() {
     }
 }
 
+/// The checkpoint decoders read what recovery loads from disk, so a torn
+/// or corrupted image must come back as a typed error: every strict
+/// prefix of the frozen images is a `MalformedMessage`, and every
+/// single-bit flip decodes or is refused with one — nothing panics.
+#[test]
+fn golden_checkpoint_truncations_and_bit_flips_never_panic() {
+    type Decode = fn(&[u8]) -> Result<(), SimError>;
+    let decoders: [(&str, Decode); 2] = [
+        ("ckpt_server.bin", |w| ServerCheckpoint::decode(w).map(drop)),
+        ("ckpt_set.bin", |w| CheckpointSet::decode(w).map(drop)),
+    ];
+    for (name, decode) in decoders {
+        let wire = std::fs::read(data_path(name)).unwrap();
+        assert_eq!(decode(&wire), Ok(()), "{name}");
+        for cut in 0..wire.len() {
+            assert!(
+                matches!(decode(&wire[..cut]), Err(SimError::MalformedMessage { .. })),
+                "{name} cut at {cut}"
+            );
+        }
+        for byte in 0..wire.len() {
+            for bit in 0..8 {
+                let mut flipped = wire.clone();
+                flipped[byte] ^= 1 << bit;
+                if let Err(e) = decode(&flipped) {
+                    assert!(
+                        matches!(e, SimError::MalformedMessage { .. }),
+                        "{name} bit {bit} of byte {byte}: {e:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn golden_vectors_cover_every_protocol_tag() {
     let tags: Vec<u8> = vectors().iter().map(|(_, bytes)| bytes[0]).collect();
