@@ -4,13 +4,20 @@
 //! form — must equal `vcps_core::estimate_pair_or_clamp` over the same
 //! arrays as `RsuSketch`es, bit for bit, at every thread count, on the
 //! monolithic and the sharded server.
+//!
+//! The same period also freezes tag 34 itself: the bytes the daemon
+//! sends for it, and the bits the client decodes from them, are pinned
+//! to FNV-1a digests.
 
 use vcps_core::estimator::estimate_pair_or_clamp;
 use vcps_core::{PairEstimate, RsuId, RsuSketch, Scheme};
-use vcps_net::wire::{encode_matrix_response, estimate_bits, Response};
+use vcps_net::wire::{
+    encode_matrix_entries, encode_matrix_response, estimate_bits, matrix_response_from_chunks,
+    Response,
+};
 use vcps_sim::{
-    build_metro, run_period, run_periods, MetroConfig, Monolith, OdMatrix, PeriodSettings,
-    PeriodUpload, RunConfig, Sharded,
+    build_metro, run_period, run_periods, CentralServer, MetroConfig, Monolith, OdMatrix,
+    PeriodSettings, PeriodUpload, RunConfig, Sharded, ShardedServer,
 };
 
 /// Checks every measured entry of `matrix` — and of its decoded tag-34
@@ -57,8 +64,10 @@ fn check_against_oracle(
     measured
 }
 
-#[test]
-fn measured_od_entries_equal_the_sketch_decode_at_every_thread_count() {
+/// The oracle's period: a 64-RSU metro city's third period, recorded
+/// at the sizes two rollovers chose, on the monolith and on 3 shards.
+/// Also returns the scheme's `s` and the city's pair count.
+fn metro_period() -> (CentralServer, ShardedServer, usize, usize) {
     let workload = build_metro(&MetroConfig {
         rsus: 64,
         periods: 3,
@@ -125,23 +134,109 @@ fn measured_od_entries_equal_the_sketch_decode_at_every_thread_count() {
         })
         .collect();
     assert!(sizes.len() >= 3, "rollover sizes vary: {sizes:?}");
-
-    let s = scheme.s();
     let pairs = workload.net.node_count() * (workload.net.node_count() - 1) / 2;
+    (mono.server, sharded.server, scheme.s(), pairs)
+}
+
+#[test]
+fn measured_od_entries_equal_the_sketch_decode_at_every_thread_count() {
+    let (mono, sharded, s, pairs) = metro_period();
     for threads in [1, 2, 4] {
         let measured = check_against_oracle(
             &format!("monolith, {threads} threads"),
-            &mono.server.od_matrix_threads(threads).expect("matrix"),
-            |rsu| mono.server.upload(rsu).expect("uploaded").clone(),
+            &mono.od_matrix_threads(threads).expect("matrix"),
+            |rsu| mono.upload(rsu).expect("uploaded").clone(),
             s,
         );
         assert_eq!(measured, pairs, "every pair of a full period is measured");
         let measured = check_against_oracle(
             &format!("3 shards, {threads} threads"),
-            &sharded.server.od_matrix_threads(threads).expect("matrix"),
-            |rsu| sharded.server.upload(rsu).expect("uploaded").clone(),
+            &sharded.od_matrix_threads(threads).expect("matrix"),
+            |rsu| sharded.upload(rsu).expect("uploaded").clone(),
             s,
         );
         assert_eq!(measured, pairs, "every pair of a full period is measured");
+    }
+}
+
+/// FNV-1a, 64-bit, as the run driver's golden digests fold their
+/// outputs.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Digest of the tag-34 payload the daemon sends for the period.
+const TAG34_BYTES_DIGEST: u64 = 0x7dd6_e407_a822_1317;
+/// Length of that payload: 9 header bytes, 64 axis entries of 32 bytes
+/// and 2,016 measured entries of 17 bytes.
+const TAG34_BYTES_LEN: usize = 9 + 64 * 32 + 2_016 * 17;
+/// Digest of `estimate_bits` over every entry the client decodes from
+/// it, in pair order.
+const TAG34_DECODED_DIGEST: u64 = 0x5b73_f39f_b778_5d73;
+
+/// Tag 34 as the daemon answers an O–D query — the driver streaming
+/// each chunk through the entry encoder, under the daemon's header — and
+/// as the client decodes it, is frozen: the same bytes and the same
+/// decoded bits at 1, 2 and 4 threads, on the monolith and on 3 shards.
+#[test]
+fn tag34_bytes_and_decoded_bits_are_frozen() {
+    let (mono, sharded, _, pairs) = metro_period();
+    for threads in [1, 2, 4] {
+        for (label, streamed) in [
+            (
+                "monolith",
+                mono.od_chunks_threads(threads, encode_matrix_entries),
+            ),
+            (
+                "3 shards",
+                sharded.od_chunks_threads(threads, encode_matrix_entries),
+            ),
+        ] {
+            let (axes, chunks) = streamed.expect("streamed answer");
+            let payload = matrix_response_from_chunks(&axes, &chunks);
+            let mut sent = Fnv::new();
+            sent.bytes(&payload);
+            assert_eq!(payload.len(), TAG34_BYTES_LEN, "{label}, {threads} threads");
+            assert_eq!(
+                sent.0, TAG34_BYTES_DIGEST,
+                "{label}, {threads} threads: tag-34 bytes {:#018x}",
+                sent.0
+            );
+
+            let Ok(Response::Matrix(wire)) = Response::decode(&payload) else {
+                panic!("{label}, {threads} threads: tag 34 does not decode");
+            };
+            assert_eq!(wire.entries.len(), pairs);
+            let mut decoded = Fnv::new();
+            for entry in &wire.entries {
+                let bits = entry
+                    .as_ref()
+                    .map(estimate_bits)
+                    .expect("every pair measured");
+                for word in bits {
+                    decoded.u64(word);
+                }
+            }
+            assert_eq!(
+                decoded.0, TAG34_DECODED_DIGEST,
+                "{label}, {threads} threads: decoded bits {:#018x}",
+                decoded.0
+            );
+        }
     }
 }
