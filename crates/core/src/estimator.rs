@@ -272,6 +272,7 @@ pub struct PairCounts {
 /// Exposed so batch decoders operating on raw uploads (not
 /// [`RsuSketch`]s) produce orientations — and therefore estimates —
 /// bit-identical to [`estimate_pair`].
+#[inline]
 #[must_use]
 pub fn first_plays_x(
     a_len: usize,
@@ -371,24 +372,55 @@ impl ZeroTerm {
     /// `1/m` — and no term otherwise.
     #[must_use]
     pub fn new(u: usize, m: usize, clamp: bool) -> Option<Self> {
+        (u > 0 || clamp).then(|| Self::clamped(u, m))
+    }
+
+    /// [`ZeroTerm::new`] with clamping: the term always exists.
+    #[inline]
+    #[must_use]
+    pub fn clamped(u: usize, m: usize) -> Self {
         let (v, clamped) = match u {
-            0 if clamp => (0.5 / m as f64, true),
-            0 => return None,
+            0 => (0.5 / m as f64, true),
             _ => (u as f64 / m as f64, false),
         };
-        Some(Self {
+        Self {
             v,
             ln_v: v.ln(),
             clamped,
-        })
+        }
     }
 }
 
-/// Applies Eq. 5 to precomputed per-array terms: `x` and `y` are the
+/// Eq. 5 itself, over precomputed per-array terms: `x` and `y` are the
 /// zero terms of `B_x` and `B_y`, `denominator` is
 /// [`denominator`]`(counts.m_y, s)`, and the combined array's term is
-/// derived here from `counts.u_c`. Only `m_x`, `m_y`, `u_c`, `n_x` and
-/// `n_y` of `counts` are read.
+/// derived here from `counts.u_c`, clamped when `B_c` is saturated. Only
+/// `m_x`, `m_y`, `u_c`, `n_x` and `n_y` of `counts` are read.
+///
+/// Infallible and inlined across crates: a batch decoder that has
+/// already counted `U_c` pays the formula, one `ln` and nothing else.
+/// Every estimate in the workspace — [`estimate_from_terms`],
+/// [`estimate_from_counts`], [`estimate_pair`] and the servers' pair
+/// and all-pairs answers — is this function's result.
+#[inline]
+#[must_use]
+pub fn eq5(counts: &PairCounts, x: ZeroTerm, y: ZeroTerm, denominator: f64) -> Estimate {
+    let c = ZeroTerm::clamped(counts.u_c, counts.m_y);
+    Estimate {
+        n_c: (c.ln_v - x.ln_v - y.ln_v) / denominator,
+        v_x: x.v,
+        v_y: y.v,
+        v_c: c.v,
+        m_x: counts.m_x,
+        m_y: counts.m_y,
+        n_x: counts.n_x,
+        n_y: counts.n_y,
+        clamped: x.clamped || y.clamped || c.clamped,
+    }
+}
+
+/// Applies Eq. 5 to precomputed per-array terms, as [`eq5`] does, but
+/// refuses a saturated combined array unless `clamp` is set.
 ///
 /// [`estimate_from_counts`] is this function after validating the
 /// domain and building both terms, so for the same inputs the two return
@@ -405,19 +437,10 @@ pub fn estimate_from_terms(
     denominator: f64,
     clamp: bool,
 ) -> Result<Estimate, CoreError> {
-    let c = ZeroTerm::new(counts.u_c, counts.m_y, clamp)
-        .ok_or(CoreError::Saturated { which: "B_c" })?;
-    Ok(Estimate {
-        n_c: (c.ln_v - x.ln_v - y.ln_v) / denominator,
-        v_x: x.v,
-        v_y: y.v,
-        v_c: c.v,
-        m_x: counts.m_x,
-        m_y: counts.m_y,
-        n_x: counts.n_x,
-        n_y: counts.n_y,
-        clamped: x.clamped || y.clamped || c.clamped,
-    })
+    if counts.u_c == 0 && !clamp {
+        return Err(CoreError::Saturated { which: "B_c" });
+    }
+    Ok(eq5(counts, x, y, denominator))
 }
 
 /// The estimator denominator `ln(1 − (s−1)/(s·m_y)) − ln(1 − 1/m_y)`.

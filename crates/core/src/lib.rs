@@ -79,7 +79,7 @@ mod sketch;
 pub use deployment::Deployment;
 pub use error::CoreError;
 pub use estimator::{
-    estimate_from_counts, estimate_from_counts_or_clamp, estimate_from_terms, estimate_pair,
+    eq5, estimate_from_counts, estimate_from_counts_or_clamp, estimate_from_terms, estimate_pair,
     first_plays_x, try_denominator, DegradedEstimate, Estimate, PairCounts, PairEstimate, ZeroTerm,
 };
 pub use scheme::{Scheme, SchemeKind};

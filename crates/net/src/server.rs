@@ -458,9 +458,11 @@ fn process_frames(
         };
         match item {
             Ok(frame) => {
-                let response = handle_frame(&frame, shared);
-                shared.obs.add("net.bytes.out", response.len() as u64 + 4);
-                if wire::write_frame(&mut out, &response).is_err() {
+                let reply = handle_frame(&frame, shared);
+                shared
+                    .obs
+                    .add("net.bytes.out", reply.payload_len() as u64 + 4);
+                if reply.write(&mut out).is_err() {
                     break false;
                 }
             }
@@ -480,28 +482,53 @@ fn process_frames(
     }
 }
 
-/// Dispatches one well-framed payload and builds its response.
-fn handle_frame(payload: &[u8], shared: &Arc<Shared>) -> Vec<u8> {
-    match dispatch(payload, shared) {
-        Ok(response) => response,
-        Err(e) => {
-            shared.obs.inc("net.frames.err");
-            wire::encode_error_response(&e.to_string())
+/// The response to one frame.
+enum Reply {
+    /// A response payload, written as one frame.
+    Payload(Vec<u8>),
+    /// An O–D answer, written after its header chunk by chunk, never
+    /// copied into one buffer.
+    Matrix(wire::MatrixFrame),
+}
+
+impl Reply {
+    fn payload_len(&self) -> usize {
+        match self {
+            Reply::Payload(payload) => payload.len(),
+            Reply::Matrix(matrix) => matrix.payload_len(),
+        }
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), NetError> {
+        match self {
+            Reply::Payload(payload) => wire::write_frame(out, payload),
+            Reply::Matrix(matrix) => matrix.write(out),
         }
     }
 }
 
-fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
+/// Dispatches one well-framed payload and builds its response.
+fn handle_frame(payload: &[u8], shared: &Arc<Shared>) -> Reply {
+    match dispatch(payload, shared) {
+        Ok(reply) => reply,
+        Err(e) => {
+            shared.obs.inc("net.frames.err");
+            Reply::Payload(wire::encode_error_response(&e.to_string()))
+        }
+    }
+}
+
+fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Reply, NetError> {
     let tag = *payload
         .first()
         .ok_or(NetError::Malformed("empty payload"))?;
-    match tag {
+    let response = match tag {
         3..=6 => {
             let outcomes = {
                 let mut backend = shared.backend.write().expect("backend poisoned");
                 ingest(&mut backend, tag, payload)?
             };
-            Ok(AckSummary::from_outcomes(&outcomes).encode())
+            AckSummary::from_outcomes(&outcomes).encode()
         }
         REQ_PAIR_QUERY => {
             let mut cur = Cursor::new(&payload[1..]);
@@ -512,7 +539,7 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
                 .server()
                 .estimate_or_degraded(vcps_core::RsuId(a), vcps_core::RsuId(b))
                 .map_err(NetError::from)?;
-            Ok(wire::encode_estimate_response(&estimate))
+            wire::encode_estimate_response(&estimate)
         }
         REQ_OD_QUERY => {
             let mut cur = Cursor::new(&payload[1..]);
@@ -528,7 +555,7 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
                 .server()
                 .od_chunks_threads(threads, wire::encode_matrix_entries)
                 .map_err(NetError::from)?;
-            Ok(wire::matrix_response_from_chunks(&axes, &chunks))
+            return Ok(Reply::Matrix(wire::MatrixFrame::new(&axes, chunks)));
         }
         REQ_FINISH_PERIOD => {
             if payload.len() != 1 {
@@ -543,7 +570,7 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
                 .into_iter()
                 .map(|(rsu, m)| (rsu.0, m as u64))
                 .collect();
-            Ok(wire::encode_sizes_response(&sizes))
+            wire::encode_sizes_response(&sizes)
         }
         REQ_SHUTDOWN => {
             if payload.len() != 1 {
@@ -552,19 +579,22 @@ fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Vec<u8>, NetError> {
             shared.shutdown.store(true, Ordering::SeqCst);
             // Poke the accept loop awake so it can notice the flag.
             let _ = TcpStream::connect(shared.local_addr);
-            Ok(vec![RESP_OK])
+            vec![RESP_OK]
         }
         REQ_PING => {
             if payload.len() != 1 {
                 return Err(NetError::Malformed("trailing bytes in payload"));
             }
-            Ok(vec![RESP_OK])
+            vec![RESP_OK]
         }
-        1 | 2 | 7 | 8 => Err(NetError::Malformed(
-            "frame not addressed to the server (vehicle/storage tag)",
-        )),
-        other => Err(NetError::UnknownTag(other)),
-    }
+        1 | 2 | 7 | 8 => {
+            return Err(NetError::Malformed(
+                "frame not addressed to the server (vehicle/storage tag)",
+            ))
+        }
+        other => return Err(NetError::UnknownTag(other)),
+    };
+    Ok(Reply::Payload(response))
 }
 
 /// Routes an upload frame (tags 3–6) into the backend. Sequenced and

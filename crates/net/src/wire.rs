@@ -17,7 +17,7 @@
 //! (`f64::to_bits`), so an estimate survives the wire bit-identically —
 //! the property the differential tests pin.
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use vcps_core::estimator::first_plays_x;
 use vcps_core::{DegradedEstimate, Estimate, PairEstimate, RsuId};
@@ -56,13 +56,18 @@ pub const RESP_OK: u8 = 37;
 /// Propagates transport failures; [`NetError::FrameTooLarge`] if the
 /// payload itself exceeds the u32 prefix space.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
-    let len = u32::try_from(payload.len()).map_err(|_| NetError::FrameTooLarge {
-        claimed: payload.len() as u64,
-        limit: u64::from(u32::MAX),
-    })?;
-    w.write_all(&len.to_be_bytes())?;
+    w.write_all(&frame_prefix(payload.len())?)?;
     w.write_all(payload)?;
     Ok(())
+}
+
+/// The length prefix of a `len`-byte payload.
+fn frame_prefix(len: usize) -> Result<[u8; 4], NetError> {
+    let len = u32::try_from(len).map_err(|_| NetError::FrameTooLarge {
+        claimed: len as u64,
+        limit: u64::from(u32::MAX),
+    })?;
+    Ok(len.to_be_bytes())
 }
 
 /// Reads one length-delimited frame, capping the prefix at
@@ -308,10 +313,10 @@ fn word(body: &[u8], k: usize) -> u64 {
     u64::from_be_bytes(body[8 * k..8 * k + 8].try_into().expect("eight bytes"))
 }
 
-fn get_degraded(cur: &mut Cursor<'_>) -> Result<PairEstimate, NetError> {
-    let body = cur.array::<DEGRADED_BODY>()?;
+/// A degraded entry's answer from its body.
+fn degraded_from(body: &[u8; DEGRADED_BODY]) -> PairEstimate {
     let f = |k| f64::from_bits(word(body, k));
-    Ok(PairEstimate::Degraded(DegradedEstimate {
+    PairEstimate::Degraded(DegradedEstimate {
         n_c: f(0),
         lower: f(1),
         upper: f(2),
@@ -319,7 +324,7 @@ fn get_degraded(cur: &mut Cursor<'_>) -> Result<PairEstimate, NetError> {
         volume_y: f(4),
         missing_x: body[40] != 0,
         missing_y: body[41] != 0,
-    }))
+    })
 }
 
 fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<PairEstimate, NetError> {
@@ -343,7 +348,7 @@ fn get_pair_estimate(cur: &mut Cursor<'_>) -> Result<PairEstimate, NetError> {
                 clamped: body[64] != 0,
             }))
         }
-        KIND_DEGRADED => get_degraded(cur),
+        KIND_DEGRADED => Ok(degraded_from(cur.array::<DEGRADED_BODY>()?)),
         KIND_ABSENT => Err(NetError::Malformed("estimate response without estimate")),
         _ => Err(NetError::Malformed("unknown estimate kind")),
     }
@@ -401,7 +406,8 @@ pub fn encode_matrix_response(matrix: &vcps_sim::OdMatrix) -> Vec<u8> {
     let n = matrix.len();
     let entries = (0..n).flat_map(|i| (i + 1..n).map(move |j| matrix.at(i, j)));
     let body: usize = entries.clone().map(matrix_entry_len).sum();
-    let mut buf = matrix_header(matrix.axes(), body);
+    let mut buf = Vec::with_capacity(matrix_header_len(matrix.axes()) + body);
+    put_matrix_header(&mut buf, matrix.axes());
     for e in entries {
         put_matrix_entry(&mut buf, e);
     }
@@ -450,24 +456,67 @@ pub fn encode_matrix_entries(chunk: &[PairEstimate]) -> Vec<u8> {
     buf
 }
 
-/// Assembles an O–D matrix response (tag 34) from the axes and the
-/// chunks of [`encode_matrix_entries`], in pair order, at its exact
-/// size. For the same server state the bytes equal
+/// An O–D matrix response (tag 34) as the daemon sends it: the tag, `n`
+/// and the axis entries, then the chunks of [`encode_matrix_entries`] in
+/// pair order, written as one frame without being assembled into one
+/// buffer. For the same server state its payload equals
 /// [`encode_matrix_response`] of the server's
 /// [`od_matrix_threads`](vcps_sim::ShardedServer::od_matrix_threads).
-#[must_use]
-pub fn matrix_response_from_chunks(axes: &[OdAxis], chunks: &[Vec<u8>]) -> Vec<u8> {
-    let mut buf = matrix_header(axes, chunks.iter().map(Vec::len).sum());
-    for chunk in chunks {
-        buf.extend_from_slice(chunk);
-    }
-    buf
+#[derive(Debug)]
+pub struct MatrixFrame {
+    header: Vec<u8>,
+    chunks: Vec<Vec<u8>>,
 }
 
-/// The tag, `n` and axis entries of a tag-34 response, in a buffer with
-/// room for `body` more bytes of pair entries.
-fn matrix_header(axes: &[OdAxis], body: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 + 8 + AXIS_BYTES * axes.len() + body);
+impl MatrixFrame {
+    /// The response over `axes` and the encoded `chunks`, in pair order.
+    #[must_use]
+    pub fn new(axes: &[OdAxis], chunks: Vec<Vec<u8>>) -> Self {
+        let mut header = Vec::with_capacity(matrix_header_len(axes));
+        put_matrix_header(&mut header, axes);
+        Self { header, chunks }
+    }
+
+    /// Bytes of the payload, the length prefix not included.
+    #[must_use]
+    pub fn payload_len(&self) -> usize {
+        self.header.len() + self.chunks.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// Writes the frame: the length prefix, the header, then each chunk,
+    /// in as few vectored writes as `w` accepts.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::FrameTooLarge`] if the payload exceeds the u32 prefix
+    /// space, as [`write_frame`]; transport failures.
+    pub fn write(&self, w: &mut impl Write) -> Result<(), NetError> {
+        let prefix = frame_prefix(self.payload_len())?;
+        let mut slices: Vec<IoSlice<'_>> = [&prefix[..], &self.header]
+            .into_iter()
+            .chain(self.chunks.iter().map(Vec::as_slice))
+            .map(IoSlice::new)
+            .collect();
+        let mut unwritten = &mut slices[..];
+        while !unwritten.is_empty() {
+            match w.write_vectored(unwritten) {
+                Ok(0) => return Err(NetError::Io(io::ErrorKind::WriteZero.into())),
+                Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Bytes of the tag, `n` and the axis entries of a tag-34 response.
+fn matrix_header_len(axes: &[OdAxis]) -> usize {
+    1 + 8 + AXIS_BYTES * axes.len()
+}
+
+/// Appends the tag, `n` and the axis entries of a tag-34 response.
+fn put_matrix_header(buf: &mut Vec<u8>, axes: &[OdAxis]) {
     buf.push(RESP_MATRIX);
     buf.extend_from_slice(&(axes.len() as u64).to_be_bytes());
     for axis in axes {
@@ -475,7 +524,6 @@ fn matrix_header(axes: &[OdAxis], body: usize) -> Vec<u8> {
             buf.extend_from_slice(&v.to_be_bytes());
         }
     }
-    buf
 }
 
 fn get_axis(cur: &mut Cursor<'_>) -> Result<OdAxis, NetError> {
@@ -489,43 +537,62 @@ fn get_axis(cur: &mut Cursor<'_>) -> Result<OdAxis, NetError> {
     })
 }
 
-/// Reads the tag-34 entry of the pair `(a, b)`, rebuilding a measured
-/// estimate from the two axis entries exactly as the server built it:
-/// oriented by [`first_plays_x`], with no arithmetic of its own.
-fn get_matrix_entry(
-    cur: &mut Cursor<'_>,
-    a: &OdAxis,
-    b: &OdAxis,
-) -> Result<Option<PairEstimate>, NetError> {
-    let clamped = match cur.u8()? {
-        KIND_MEASURED => false,
-        KIND_MEASURED_CLAMPED => true,
-        KIND_DEGRADED => return get_degraded(cur).map(Some),
-        KIND_ABSENT => return Ok(None),
-        _ => return Err(NetError::Malformed("unknown estimate kind")),
-    };
-    let body = cur.array::<FACTORED_BODY>()?;
-    if a.m == 0 || b.m == 0 {
-        return Err(NetError::Malformed(
-            "measured entry names an RSU without a decodable upload",
-        ));
+/// Reads the tag-34 pair entries of `axes` off the front of `rest`, in
+/// pair order, into `entries`, and returns the bytes after them.
+///
+/// Each entry is split off the remaining bytes and pushed as it is
+/// rebuilt: a measured estimate from the two axis entries exactly as
+/// the server built it — oriented by [`first_plays_x`], with no
+/// arithmetic of its own.
+fn get_matrix_entries<'a>(
+    mut rest: &'a [u8],
+    axes: &[OdAxis],
+    entries: &mut Vec<Option<PairEstimate>>,
+) -> Result<&'a [u8], NetError> {
+    const TRUNCATED: NetError = NetError::Malformed("truncated payload");
+    for (i, a) in axes.iter().enumerate() {
+        for b in &axes[i + 1..] {
+            let (&kind, tail) = rest.split_first().ok_or(TRUNCATED)?;
+            let (entry, tail) = match kind {
+                KIND_MEASURED | KIND_MEASURED_CLAMPED => {
+                    let (body, tail) =
+                        tail.split_first_chunk::<FACTORED_BODY>().ok_or(TRUNCATED)?;
+                    if a.m == 0 || b.m == 0 {
+                        return Err(NetError::Malformed(
+                            "measured entry names an RSU without a decodable upload",
+                        ));
+                    }
+                    let (x, y) = if first_plays_x(a.m, a.n, a.rsu, b.m, b.n, b.rsu) {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    let estimate = Estimate {
+                        n_c: f64::from_bits(word(body, 0)),
+                        v_x: x.v,
+                        v_y: y.v,
+                        v_c: f64::from_bits(word(body, 1)),
+                        m_x: x.m,
+                        m_y: y.m,
+                        n_x: x.n,
+                        n_y: y.n,
+                        clamped: kind == KIND_MEASURED_CLAMPED,
+                    };
+                    (Some(PairEstimate::Measured(estimate)), tail)
+                }
+                KIND_DEGRADED => {
+                    let (body, tail) =
+                        tail.split_first_chunk::<DEGRADED_BODY>().ok_or(TRUNCATED)?;
+                    (Some(degraded_from(body)), tail)
+                }
+                KIND_ABSENT => (None, tail),
+                _ => return Err(NetError::Malformed("unknown estimate kind")),
+            };
+            entries.push(entry);
+            rest = tail;
+        }
     }
-    let (x, y) = if first_plays_x(a.m, a.n, a.rsu, b.m, b.n, b.rsu) {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    Ok(Some(PairEstimate::Measured(Estimate {
-        n_c: f64::from_bits(word(body, 0)),
-        v_x: x.v,
-        v_y: y.v,
-        v_c: f64::from_bits(word(body, 1)),
-        m_x: x.m,
-        m_y: y.m,
-        n_x: x.n,
-        n_y: y.n,
-        clamped,
-    })))
+    Ok(rest)
 }
 
 /// Encodes a next-period sizes response (tag 35).
@@ -598,11 +665,7 @@ impl Response {
                     axes.push(get_axis(&mut cur)?);
                 }
                 let mut entries = Vec::with_capacity(pairs.min(cur.remaining()));
-                for (i, a) in axes.iter().enumerate() {
-                    for b in &axes[i + 1..] {
-                        entries.push(get_matrix_entry(&mut cur, a, b)?);
-                    }
-                }
+                cur.buf = get_matrix_entries(cur.buf, &axes, &mut entries)?;
                 Response::Matrix(WireMatrix {
                     rsus: axes.iter().map(|axis| axis.rsu.0).collect(),
                     entries,
@@ -806,7 +869,64 @@ mod tests {
             PairEstimate::Degraded(DegradedEstimate::from_volumes(4.0, 6.0, false, true));
         let mut entries = encode_matrix_entries(&[measured_1_5(), degraded]);
         entries.push(KIND_ABSENT);
-        matrix_response_from_chunks(&three_axes(), &[entries])
+        matrix_payload(&three_axes(), vec![entries])
+    }
+
+    /// The tag-34 payload the daemon writes for `axes` and `chunks`.
+    fn matrix_payload(axes: &[OdAxis], chunks: Vec<Vec<u8>>) -> Vec<u8> {
+        let frame = MatrixFrame::new(axes, chunks);
+        let mut wire = Vec::new();
+        frame.write(&mut wire).unwrap();
+        assert_eq!(wire.len(), 4 + frame.payload_len());
+        read_frame(&mut wire.as_slice(), u64::MAX).unwrap()
+    }
+
+    /// A writer that takes at most 7 bytes a call and is interrupted
+    /// every other call.
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(7);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn matrix_frame_survives_short_and_interrupted_writes() {
+        let degraded =
+            PairEstimate::Degraded(DegradedEstimate::from_volumes(4.0, 6.0, false, true));
+        let chunks = vec![
+            encode_matrix_entries(&[measured_1_5()]),
+            Vec::new(),
+            encode_matrix_entries(&[degraded]),
+            vec![KIND_ABSENT],
+        ];
+        let frame = MatrixFrame::new(&three_axes(), chunks);
+        let mut whole = Vec::new();
+        frame.write(&mut whole).unwrap();
+        let mut trickle = Trickle {
+            out: Vec::new(),
+            calls: 0,
+        };
+        frame.write(&mut trickle).unwrap();
+        assert_eq!(trickle.out, whole);
+        assert_eq!(
+            read_frame(&mut whole.as_slice(), u64::MAX).unwrap(),
+            three_rsu_matrix()
+        );
     }
 
     fn assert_malformed(payload: &[u8]) {
@@ -867,7 +987,7 @@ mod tests {
             clamped: false,
         };
         let entries = encode_matrix_entries(&[PairEstimate::Measured(e)]);
-        let payload = matrix_response_from_chunks(&axes, &[entries]);
+        let payload = matrix_payload(&axes, vec![entries]);
         let Response::Matrix(m) = Response::decode(&payload).unwrap() else {
             panic!("not a matrix");
         };
@@ -889,7 +1009,7 @@ mod tests {
             v: 0.875,
         };
         let entries = encode_matrix_entries(&[measured_1_5(); 3]);
-        let payload = matrix_response_from_chunks(&axes, &[entries]);
+        let payload = matrix_payload(&axes, vec![entries]);
         assert_eq!(payload.len(), 9 + 3 * 32 + 3 * 17);
         assert!(matches!(
             Response::decode(&payload),
@@ -903,7 +1023,7 @@ mod tests {
         let degraded =
             PairEstimate::Degraded(DegradedEstimate::from_volumes(4.0, 6.0, false, true));
         let entries = encode_matrix_entries(&[degraded, measured_1_5(), degraded]);
-        let payload = matrix_response_from_chunks(&three_axes(), &[entries]);
+        let payload = matrix_payload(&three_axes(), vec![entries]);
         assert!(matches!(
             Response::decode(&payload),
             Err(NetError::Malformed(

@@ -12,8 +12,7 @@
 use vcps_core::estimator::estimate_pair_or_clamp;
 use vcps_core::{PairEstimate, RsuId, RsuSketch, Scheme};
 use vcps_net::wire::{
-    encode_matrix_entries, encode_matrix_response, estimate_bits, matrix_response_from_chunks,
-    Response,
+    encode_matrix_entries, encode_matrix_response, estimate_bits, read_frame, MatrixFrame, Response,
 };
 use vcps_sim::{
     build_metro, run_period, run_periods, CentralServer, MetroConfig, Monolith, OdMatrix,
@@ -190,9 +189,10 @@ const TAG34_BYTES_LEN: usize = 9 + 64 * 32 + 2_016 * 17;
 const TAG34_DECODED_DIGEST: u64 = 0x5b73_f39f_b778_5d73;
 
 /// Tag 34 as the daemon answers an O–D query — the driver streaming
-/// each chunk through the entry encoder, under the daemon's header — and
-/// as the client decodes it, is frozen: the same bytes and the same
-/// decoded bits at 1, 2 and 4 threads, on the monolith and on 3 shards.
+/// each chunk through the entry encoder, written after the daemon's
+/// header as one frame — and as the client decodes it, is frozen: the
+/// same bytes and the same decoded bits at 1, 2 and 4 threads, on the
+/// monolith and on 3 shards.
 #[test]
 fn tag34_bytes_and_decoded_bits_are_frozen() {
     let (mono, sharded, _, pairs) = metro_period();
@@ -208,7 +208,11 @@ fn tag34_bytes_and_decoded_bits_are_frozen() {
             ),
         ] {
             let (axes, chunks) = streamed.expect("streamed answer");
-            let payload = matrix_response_from_chunks(&axes, &chunks);
+            let mut frame = Vec::new();
+            MatrixFrame::new(&axes, chunks)
+                .write(&mut frame)
+                .expect("writes");
+            let payload = read_frame(&mut frame.as_slice(), u64::MAX).expect("one frame");
             let mut sent = Fnv::new();
             sent.bytes(&payload);
             assert_eq!(payload.len(), TAG34_BYTES_LEN, "{label}, {threads} threads");

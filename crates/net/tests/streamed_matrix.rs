@@ -1,18 +1,19 @@
 //! The daemon streams its O–D answer: each chunk of pairs is encoded on
-//! the worker that decoded it and the tag-34 response is assembled from
-//! the chunks. These properties pin that response, byte for byte, to a
-//! reference built one pair at a time through `estimate_or_degraded` —
-//! a path that never touches the chunked all-pairs driver — over
-//! servers that mix uploaded, history-only, undecodable (`m < 2`) and
-//! non-nested RSUs, at every shard and thread count.
+//! the worker that decoded it, and the tag-34 frame is written as its
+//! header followed by the chunks. These properties pin that response,
+//! as the daemon writes it, byte for byte, to a reference built one
+//! pair at a time through `estimate_or_degraded` — a path that never
+//! touches the chunked all-pairs driver — over servers that mix
+//! uploaded, history-only, undecodable (`m < 2`) and non-nested RSUs, at
+//! every shard and thread count.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use vcps_core::{BitArray, PairEstimate, RsuId, Scheme};
 use vcps_net::wire::{
-    encode_estimate_response, encode_matrix_entries, estimate_bits, matrix_response_from_chunks,
-    Response, RESP_MATRIX,
+    encode_estimate_response, encode_matrix_entries, estimate_bits, read_frame, MatrixFrame,
+    Response,
 };
 use vcps_sim::{CentralServer, OdAxis, PeriodUpload, ShardedServer, SimError};
 
@@ -104,12 +105,22 @@ fn specs(n: usize, seed: u64, broken: bool) -> Vec<RsuSpec> {
         .collect()
 }
 
+/// The payload of the tag-34 frame the daemon writes for `axes` and
+/// `chunks`.
+fn daemon_payload(axes: &[OdAxis], chunks: Vec<Vec<u8>>) -> Vec<u8> {
+    let mut frame = Vec::new();
+    MatrixFrame::new(axes, chunks)
+        .write(&mut frame)
+        .expect("writes");
+    read_frame(&mut frame.as_slice(), u64::MAX).expect("one frame")
+}
+
 /// The reference tag-34 response and its pairs, built one pair at a
-/// time: the tag and `n`; each RSU's axis entry — id, then the length,
-/// counter and zero fraction (`u / m`, or half a zero bit over `m` when
-/// saturated) of an upload of at least 2 bits, or zeros without one;
-/// then each pair's entry — for a measured pair its kind (3 when
-/// clamped) and `n̂_c`'s and `V_c`'s bits, otherwise
+/// time under the daemon's header: each RSU's axis entry — id, then the
+/// length, counter and zero fraction (`u / m`, or half a zero bit over
+/// `m` when saturated) of an upload of at least 2 bits, or zeros
+/// without one; then each pair's entry — for a measured pair its kind
+/// (3 when clamped) and `n̂_c`'s and `V_c`'s bits, otherwise
 /// `encode_estimate_response(..)[1..]` — stopping at the first error in
 /// pair order.
 fn reference(
@@ -117,42 +128,49 @@ fn reference(
     upload_of: impl Fn(RsuId) -> Option<PeriodUpload>,
     estimate_or_degraded: impl Fn(RsuId, RsuId) -> Result<PairEstimate, SimError>,
 ) -> Result<(Vec<u8>, Vec<PairEstimate>), SimError> {
-    let mut bytes = vec![RESP_MATRIX];
-    bytes.extend_from_slice(&(rsus.len() as u64).to_be_bytes());
-    for &rsu in rsus {
-        let (m, n, v) = match upload_of(rsu) {
+    let axes: Vec<OdAxis> = rsus
+        .iter()
+        .map(|&rsu| match upload_of(rsu) {
             Some(u) if u.bits.len() >= 2 => {
                 let m = u.bits.len();
                 let v = match u.bits.count_zeros() {
                     0 => 0.5 / m as f64,
                     zeros => zeros as f64 / m as f64,
                 };
-                (m as u64, u.counter, v)
+                OdAxis {
+                    rsu,
+                    m,
+                    n: u.counter,
+                    v,
+                }
             }
-            _ => (0, 0, 0.0),
-        };
-        for word in [rsu.0, m, n, v.to_bits()] {
-            bytes.extend_from_slice(&word.to_be_bytes());
-        }
-    }
+            _ => OdAxis {
+                rsu,
+                m: 0,
+                n: 0,
+                v: 0.0,
+            },
+        })
+        .collect();
+    let mut entries = Vec::new();
     let mut pairs = Vec::new();
     for (i, &a) in rsus.iter().enumerate() {
         for &b in &rsus[i + 1..] {
             let e = estimate_or_degraded(a, b)?;
             match &e {
                 PairEstimate::Measured(m) => {
-                    bytes.push(if m.clamped { 3 } else { 0 });
-                    bytes.extend_from_slice(&m.n_c.to_bits().to_be_bytes());
-                    bytes.extend_from_slice(&m.v_c.to_bits().to_be_bytes());
+                    entries.push(if m.clamped { 3 } else { 0 });
+                    entries.extend_from_slice(&m.n_c.to_bits().to_be_bytes());
+                    entries.extend_from_slice(&m.v_c.to_bits().to_be_bytes());
                 }
                 PairEstimate::Degraded(_) => {
-                    bytes.extend_from_slice(&encode_estimate_response(&e)[1..]);
+                    entries.extend_from_slice(&encode_estimate_response(&e)[1..]);
                 }
             }
             pairs.push(e);
         }
     }
-    Ok((bytes, pairs))
+    Ok((daemon_payload(&axes, vec![entries]), pairs))
 }
 
 /// Checks one server's streamed response at every thread count against
@@ -170,7 +188,7 @@ fn check_server(
     for threads in [1, 2, 4, 8] {
         let streamed = od_chunks(threads).map(|(axes, chunks)| {
             let ids: Vec<RsuId> = axes.iter().map(|axis| axis.rsu).collect();
-            (matrix_response_from_chunks(&axes, &chunks), ids)
+            (daemon_payload(&axes, chunks), ids)
         });
         match (&want, streamed) {
             (Err(want), Err(got)) => {

@@ -3,11 +3,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use vcps_bitarray::{
     combined_zero_count_adaptive, select_pair_kernel, select_pair_kernel_with_cost,
-    sparse_is_profitable, DecodeScratch, PairKernel, UnfoldOperand,
+    sparse_is_profitable, BitArrayError, DecodeScratch, PairKernel, UnfoldOperand,
 };
-use vcps_core::estimator::{
-    denominator, estimate_from_terms, first_plays_x, Estimate, PairCounts, ZeroTerm,
-};
+use vcps_core::estimator::{denominator, eq5, first_plays_x, Estimate, PairCounts, ZeroTerm};
 use vcps_core::{CoreError, DegradedEstimate, PairEstimate, RsuId, Scheme, VolumeHistory};
 use vcps_obs::{Obs, Phase};
 
@@ -118,10 +116,9 @@ impl<'a> DecodeRow<'a> {
                 m,
                 counter: u.counter,
                 zeros,
-                // A clamped term always exists, and every pair answer
-                // clamps; `measure` refuses a clamped term when asked
-                // not to clamp.
-                term: ZeroTerm::new(zeros, m, true).expect("clamped zero terms always exist"),
+                // Every measured answer clamps; `measure_pair` refuses a
+                // clamped one when asked not to clamp.
+                term: ZeroTerm::clamped(zeros, m),
                 // m ≥ 2 here and a `Scheme` holds s ≥ 2, so the
                 // denominator is in its domain.
                 denominator: denominator(m, s),
@@ -187,48 +184,41 @@ impl<'a> DecodeRow<'a> {
     }
 }
 
-/// `obs` when it records, so a decode loop checks once per query and
-/// each pair tests an `Option` instead.
+/// `obs` when it records, so a decode checks it once: the all-pairs
+/// driver per chunk, a single-pair answer per call.
 fn observed(obs: &Obs) -> Option<&Obs> {
     obs.is_enabled().then_some(obs)
 }
 
-/// Measures one pair from two decodable sides: orient (the smaller array
-/// plays `B_x`, [`first_plays_x`]), count `U_c` through the cheapest
-/// kernel on the prepared operand, apply Eq. 5. Every measured answer —
-/// single-pair and all-pairs, monolithic and sharded — is this function,
-/// so the paths are bit-identical by construction. Without `clamp`, a
-/// saturated array is [`CoreError::Saturated`], in the order
-/// [`vcps_core::estimator::estimate_from_counts`] reports it.
-///
-/// With `obs`, the decode records one `phase.decode` sample and the
-/// kernel it picked.
-fn measure(
-    a: &DecodeSide<'_>,
-    b: &DecodeSide<'_>,
-    clamp: bool,
-    scratch: &mut DecodeScratch,
-    obs: Option<&Obs>,
-) -> Result<Estimate, SimError> {
-    let _timer = obs.map(|o| o.phase(Phase::Decode));
-    let (x, y) = if first_plays_x(a.m, a.counter, a.rsu, b.m, b.counter, b.rsu) {
+/// The two sides of a pair in Eq. 5's roles: the smaller array plays
+/// `B_x` ([`first_plays_x`]).
+#[inline]
+fn oriented<'s, 'a>(
+    a: &'s DecodeSide<'a>,
+    b: &'s DecodeSide<'a>,
+) -> (&'s DecodeSide<'a>, &'s DecodeSide<'a>) {
+    if first_plays_x(a.m, a.counter, a.rsu, b.m, b.counter, b.rsu) {
         (a, b)
     } else {
         (b, a)
-    };
-    if let Some(obs) = obs {
-        note_kernel_choice(obs, x.m, x.ones, y.m, y.ones);
     }
-    let u_c = combined_zero_count_adaptive(&x.operand, x.ones, y.operand.bits(), y.ones, scratch)
-        .map_err(CoreError::from)?;
-    if !clamp {
-        if x.term.clamped {
-            return Err(CoreError::Saturated { which: "B_x" }.into());
-        }
-        if y.term.clamped {
-            return Err(CoreError::Saturated { which: "B_y" }.into());
-        }
-    }
+}
+
+/// The measured step: orient the pair, count `U_c` through the cheapest
+/// kernel on the prepared operand, and apply Eq. 5 ([`eq5`]) to the two
+/// rows' prepared terms, clamping any saturated array. Every measured
+/// answer — single-pair and all-pairs, monolithic and sharded — is this
+/// function, so the paths are bit-identical by construction. Only the
+/// kernel can fail: [`BitArrayError::NotAMultiple`] for sizes that do
+/// not nest.
+#[inline]
+fn measure(
+    a: &DecodeSide<'_>,
+    b: &DecodeSide<'_>,
+    scratch: &mut DecodeScratch,
+) -> Result<Estimate, BitArrayError> {
+    let (x, y) = oriented(a, b);
+    let u_c = combined_zero_count_adaptive(&x.operand, x.ones, y.operand.bits(), y.ones, scratch)?;
     let counts = PairCounts {
         m_x: x.m,
         m_y: y.m,
@@ -238,33 +228,50 @@ fn measure(
         n_x: x.counter,
         n_y: y.counter,
     };
-    Ok(estimate_from_terms(
-        &counts,
-        x.term,
-        y.term,
-        y.denominator,
-        clamp,
-    )?)
+    Ok(eq5(&counts, x.term, y.term, y.denominator))
 }
 
-/// The degradation ladder behind every pair answer, single-pair and
-/// all-pairs alike: [`measure`] when both uploads are decodable
-/// ([`PairEstimate::Measured`]); otherwise — or when the uploads are not
-/// comparable (e.g. a corrupted size that slipped through) — a fallback
-/// ([`PairEstimate::Degraded`]) that brackets the overlap with the
-/// feasible interval `[0, min(n̄_x, n̄_y)]` from each side's
-/// [`DecodeRow::volume`].
-fn answer(
-    a: &DecodeRow<'_>,
-    b: &DecodeRow<'_>,
+/// [`measure`], which a recording `obs` also times as one `phase.decode`
+/// sample and whose kernel it counts.
+#[inline]
+fn measure_observed(
+    a: &DecodeSide<'_>,
+    b: &DecodeSide<'_>,
     scratch: &mut DecodeScratch,
     obs: Option<&Obs>,
-) -> Result<PairEstimate, SimError> {
-    if let (Some(x), Some(y)) = (&a.side, &b.side) {
-        if let Ok(e) = measure(x, y, true, scratch, obs) {
-            return Ok(PairEstimate::Measured(e));
-        }
+) -> Result<Estimate, BitArrayError> {
+    let Some(obs) = obs else {
+        return measure(a, b, scratch);
+    };
+    let _timer = obs.phase(Phase::Decode);
+    let (x, y) = oriented(a, b);
+    note_kernel_choice(obs, x.m, x.ones, y.m, y.ones);
+    measure(x, y, scratch)
+}
+
+/// The measured rung of the degradation ladder behind every pair
+/// answer, single-pair ([`answer_pair`]) and all-pairs alike: the
+/// measured step — [`measure`], observed or not — over both rows'
+/// decodable sides. `None` when a row has no decodable upload or the
+/// two are not comparable (e.g. a corrupted size that slipped through),
+/// which sends the pair to the fallback, [`degraded`].
+#[inline]
+fn measured(
+    a: &DecodeRow<'_>,
+    b: &DecodeRow<'_>,
+    measure: impl FnOnce(&DecodeSide<'_>, &DecodeSide<'_>) -> Result<Estimate, BitArrayError>,
+) -> Option<Estimate> {
+    match (&a.side, &b.side) {
+        (Some(x), Some(y)) => measure(x, y).ok(),
+        _ => None,
     }
+}
+
+/// The ladder's fallback: the feasible interval `[0, min(n̄_x, n̄_y)]`
+/// from each side's [`DecodeRow::volume`].
+#[cold]
+#[inline(never)]
+fn degraded(a: &DecodeRow<'_>, b: &DecodeRow<'_>) -> Result<PairEstimate, SimError> {
     let (va, missing_a) = a.volume()?;
     let (vb, missing_b) = b.volume()?;
     Ok(PairEstimate::Degraded(DegradedEstimate::from_volumes(
@@ -273,26 +280,50 @@ fn answer(
 }
 
 /// The single-pair answer over two rows
-/// ([`CentralServer::estimate_or_degraded`]).
+/// ([`CentralServer::estimate_or_degraded`]): the ladder's measured
+/// rung ([`measured`]) when it holds, its fallback ([`degraded`])
+/// otherwise.
 pub(crate) fn answer_pair(
     a: &DecodeRow<'_>,
     b: &DecodeRow<'_>,
     obs: &Obs,
 ) -> Result<PairEstimate, SimError> {
-    with_thread_scratch(|scratch| answer(a, b, scratch, observed(obs)))
+    let estimate = with_thread_scratch(|scratch| {
+        measured(a, b, |x, y| measure_observed(x, y, scratch, observed(obs)))
+    });
+    match estimate {
+        Some(e) => Ok(PairEstimate::Measured(e)),
+        None => degraded(a, b),
+    }
 }
 
 /// The single-pair measured estimate over two rows
 /// ([`CentralServer::estimate`] / [`CentralServer::estimate_or_clamp`]):
-/// both sides must be decodable.
+/// both sides must be decodable. Without `clamp`, a saturated array is
+/// [`CoreError::Saturated`], after any kernel error and in the order
+/// [`vcps_core::estimator::estimate_pair`] reports it: `B_x`, `B_y`,
+/// `B_c`.
 pub(crate) fn measure_pair(
     a: &DecodeRow<'_>,
     b: &DecodeRow<'_>,
     clamp: bool,
     obs: &Obs,
 ) -> Result<Estimate, SimError> {
-    let (x, y) = (a.decodable()?, b.decodable()?);
-    with_thread_scratch(|scratch| measure(x, y, clamp, scratch, observed(obs)))
+    let (a, b) = (a.decodable()?, b.decodable()?);
+    let estimate = with_thread_scratch(|scratch| measure_observed(a, b, scratch, observed(obs)))
+        .map_err(CoreError::from)?;
+    if estimate.clamped && !clamp {
+        let (x, y) = oriented(a, b);
+        let which = if x.term.clamped {
+            "B_x"
+        } else if y.term.clamped {
+            "B_y"
+        } else {
+            "B_c"
+        };
+        return Err(CoreError::Saturated { which }.into());
+    }
+    Ok(estimate)
 }
 
 /// Upper bound on the pairs in one claimed chunk of the O–D triangle.
@@ -363,28 +394,24 @@ where
     };
     let pieces = crate::concurrent::map_chunks(pair_count, chunk, threads, |range| {
         let mut estimates = Vec::with_capacity(range.len());
-        let (mut i, mut j) = pair_at(n, range.start);
         let (mut local, mut cross) = (0u64, 0u64);
-        let walked = with_thread_scratch(|scratch| {
-            for _ in range {
-                let (a, b) = (&rows[i], &rows[j]);
+        // Unobserved, a measured pair is the bare step; observed, it is
+        // also tallied as shard-local or cross-shard, which only feeds
+        // the registry.
+        let walked = with_thread_scratch(|scratch| match observed {
+            None => walk_pairs(rows, range, &mut estimates, |_, _, x, y| {
+                measure(x, y, scratch)
+            }),
+            Some(obs) => walk_pairs(rows, range, &mut estimates, |i, k, x, y| {
                 if let Some(shards) = shards {
-                    if a.is_decodable() && b.is_decodable() {
-                        if shards[i] == shards[j] {
-                            local += 1;
-                        } else {
-                            cross += 1;
-                        }
+                    if shards[i] == shards[k] {
+                        local += 1;
+                    } else {
+                        cross += 1;
                     }
                 }
-                estimates.push(answer(a, b, scratch, observed)?);
-                j += 1;
-                if j == n {
-                    i += 1;
-                    j = i + 1;
-                }
-            }
-            Ok(())
+                measure_observed(x, y, scratch, Some(obs))
+            }),
         });
         if local > 0 {
             obs.add("shard.local_pair", local);
@@ -395,6 +422,45 @@ where
         walked.map(|()| sink(&estimates))
     });
     pieces.into_iter().collect()
+}
+
+/// Pushes the answer of each pair of `range` of the upper triangle over
+/// `rows`, in pair order, onto `estimates`: through the ladder of
+/// [`answer_pair`], with `measure(i, j, x, y)` as the measured step of the
+/// pair `(i, j)` of decodable sides `x`, `y`. Stops at the first error.
+///
+/// The range is a run of row segments — the rest of row `i` from column
+/// `j`, then whole rows, then a row's head — so the first row of a pair
+/// is resolved once per segment.
+#[inline]
+fn walk_pairs<M>(
+    rows: &[DecodeRow<'_>],
+    range: std::ops::Range<usize>,
+    estimates: &mut Vec<PairEstimate>,
+    mut measure: M,
+) -> Result<(), SimError>
+where
+    M: FnMut(usize, usize, &DecodeSide<'_>, &DecodeSide<'_>) -> Result<Estimate, BitArrayError>,
+{
+    let n = rows.len();
+    let (mut i, mut j) = pair_at(n, range.start);
+    let mut left = range.len();
+    while left > 0 {
+        let end = n.min(j + left);
+        let a = &rows[i];
+        for (b, k) in rows[j..end].iter().zip(j..) {
+            // The ladder of `answer_pair`, pushed in place: a `Result`
+            // per pair cost the driver ~6 ns of ~40 per pair.
+            estimates.push(match measured(a, b, |x, y| measure(i, k, x, y)) {
+                Some(e) => PairEstimate::Measured(e),
+                None => degraded(a, b)?,
+            });
+        }
+        left -= end - j;
+        i += 1;
+        j = i + 1;
+    }
+    Ok(())
 }
 
 /// Pair count below which the all-pairs decoder estimates the triangle's
@@ -417,9 +483,10 @@ const OD_SEQUENTIAL_COST_LIMIT: usize = 400_000;
 /// selected kernel's modeled cost when estimating triangle work.
 /// Measured on the reference box as the 1-thread driver's time per pair
 /// on 256-RSU triangles of 64–65,536-bit arrays, less the pairs' modeled
-/// kernel cost, over the dense scan's time per word: 280–480 word-units,
-/// median ≈ 360 (DESIGN.md §16).
-const OD_PAIR_OVERHEAD: usize = 350;
+/// kernel cost, over the dense scan's time per word: the medians of 7
+/// runs fell between 190 and 366 word-units, their median ≈ 246
+/// (DESIGN.md §16).
+const OD_PAIR_OVERHEAD: usize = 250;
 
 /// At most this many pairs are cost-modeled when estimating a
 /// triangle's work; larger triangles are sampled at an even stride and
@@ -1478,6 +1545,40 @@ mod tests {
         assert_eq!(reference.1.len(), 92 * 91 / 2);
         for threads in [1 << 62, usize::MAX] {
             assert_eq!(pairs(threads), reference, "threads = {threads}");
+        }
+    }
+
+    /// The sequential-or-parallel decision on triangles shaped like
+    /// `BENCH_odmatrix`'s (`vcps_bench::od_server`: array sizes cycling
+    /// through 2^17, 2^16 and 2^15 bits, at loads 5·10⁻⁴, 5·10⁻³ and
+    /// 0.3): 8 RSUs decode inline at every load and thread count, 256
+    /// RSUs fan out to the threads requested.
+    #[test]
+    fn small_triangles_decode_inline_and_large_ones_fan_out() {
+        for load in [0.0005, 0.005, 0.3] {
+            for (rsus, parallel) in [(8usize, false), (256, true)] {
+                let mut server = server();
+                for i in 0..rsus {
+                    let m = (1usize << 17) >> (i % 3);
+                    // An odd stride is a permutation mod a power of two,
+                    // so the bits are distinct.
+                    let ones: Vec<usize> = (0..(m as f64 * load) as usize)
+                        .map(|k| (k * 7919 + i) % m)
+                        .collect();
+                    server.receive(upload(i as u64 + 1, m, &ones, ones.len() as u64));
+                }
+                let rows: Vec<DecodeRow<'_>> =
+                    server.upload_rsus().map(|r| server.decode_row(r)).collect();
+                let pairs = rsus * (rsus - 1) / 2;
+                for threads in [1, 2, 4] {
+                    let want = if parallel { threads } else { 1 };
+                    assert_eq!(
+                        od_effective_threads(threads, &rows, pairs),
+                        want,
+                        "{rsus} RSUs at load {load}, {threads} threads"
+                    );
+                }
+            }
         }
     }
 
