@@ -6,9 +6,11 @@
 //! * `BENCH_decode.json` — server-side upload decode cost vs array size,
 //!   plus the O(1) cached zero-count vs a full popcount rescan.
 //! * `BENCH_odmatrix.json` — adaptive kernel selection vs the
-//!   dense-always word scan per load factor, and the cached all-pairs
+//!   dense-always word scan per load factor, the cached all-pairs
 //!   `od_matrix` pipeline vs the per-pair clone-and-rescan baseline
-//!   across RSU counts, load factors, and thread counts (DESIGN.md §13).
+//!   across RSU counts, load factors, and thread counts (DESIGN.md §13),
+//!   and the daemon's O–D answer on the 529-RSU `metro_day` city, step
+//!   by step, with the host's core count and `target-cpu`.
 //! * `BENCH_obs.json` — observability overhead (DESIGN.md §14): the
 //!   per-call cost of a disabled vs enabled counter increment, and the
 //!   end-to-end ingest / od_matrix cost with observability off vs on.
@@ -47,6 +49,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use vcps_bench::od_answer::{metro_day_server, time_answer};
 use vcps_bench::{
     ingest_mutex_parallel, ingest_workload, od_server, pairwise_dense_baseline, peak_rss_bytes,
     shard_ingest_workload,
@@ -444,12 +447,68 @@ fn bench_odmatrix_pipeline(samples: usize) -> String {
     rows
 }
 
+/// The period of the `metro_day` city whose answer `bench_metro_answer`
+/// times: the third, recorded at the sizes two rollovers chose.
+const METRO_ANSWER_PERIOD: usize = 2;
+
+/// The daemon's O–D answer on the `metro_day` city
+/// (`vcps_bench::od_answer`): the driver per pair at 1 and 2 threads,
+/// the daemon's answer path at 1, 2 and 4 requested threads, and the
+/// client's decode, with the host they ran on. Printed and recorded,
+/// not gated.
+fn bench_metro_answer(samples: usize) -> String {
+    let rounds = samples.max(15);
+    let server = metro_day_server(METRO_ANSWER_PERIOD);
+    let timing = time_answer(&server, rounds);
+    let (nproc, cpu) = (default_threads(), target_cpu());
+    println!(
+        "metro-od {} RSUs, {} pairs ({} measured), {} response bytes; nproc {nproc}, target-cpu {cpu}",
+        timing.rsus, timing.pairs, timing.measured, timing.response_bytes
+    );
+    let mut steps = String::new();
+    for step in &timing.steps {
+        let per_pair = step.ns as f64 / timing.pairs as f64;
+        println!(
+            "metro-od {:<6} threads={} {:>11} ns   {per_pair:>6.1} ns/pair",
+            step.step, step.threads, step.ns
+        );
+        let _ = write!(
+            steps,
+            "{}    {{\"step\": \"{}\", \"threads\": {}, \"ns\": {}, \"ns_per_pair\": {per_pair:.1}}}",
+            if steps.is_empty() { "" } else { ",\n" },
+            step.step,
+            step.threads,
+            step.ns,
+        );
+    }
+    format!(
+        "{{\"host\": {{\"nproc\": {nproc}, \"target_cpu\": \"{cpu}\"}}, \
+         \"city\": \"metro_day\", \"period\": {METRO_ANSWER_PERIOD}, \"rsus\": {}, \
+         \"pairs\": {}, \"measured\": {}, \"response_bytes\": {}, \"rounds\": {rounds}, \
+         \"steps\": [\n{steps}\n  ]}}",
+        timing.rsus, timing.pairs, timing.measured, timing.response_bytes,
+    )
+}
+
+/// The `target-cpu` the workspace's `.cargo/config.toml` builds for
+/// ("default" without one); `RUSTFLAGS` set in the environment would
+/// override it unseen.
+fn target_cpu() -> &'static str {
+    include_str!("../../../../.cargo/config.toml")
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .find_map(|l| l.split("target-cpu=").nth(1))
+        .map_or("default", |v| v.split('"').next().unwrap_or(v).trim())
+}
+
 fn bench_odmatrix(samples: usize) -> String {
     let kernel_rows = bench_odmatrix_kernels(samples);
     let od_rows = bench_odmatrix_pipeline(samples);
+    let metro = bench_metro_answer(samples);
     format!(
         "{{\n  \"workload\": {{\"array_bits\": {}, \"samples\": {samples}}},\n  \
-         \"kernel\": [\n{kernel_rows}\n  ],\n  \"od_matrix\": [\n{od_rows}\n  ]\n}}\n",
+         \"kernel\": [\n{kernel_rows}\n  ],\n  \"od_matrix\": [\n{od_rows}\n  ],\n  \
+         \"metro_answer\": {metro}\n}}\n",
         1usize << 18,
     )
 }

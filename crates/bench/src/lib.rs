@@ -17,7 +17,8 @@
 //! * `roadnet` — Dijkstra / all-or-nothing / MSA on Sioux Falls.
 //!
 //! This library only exports small workload builders shared by those
-//! benches.
+//! benches, plus the metro-scale O–D answer timing of
+//! `bench_artifacts` ([`od_answer`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,8 @@ use vcps_core::{
 use vcps_hash::RsuId;
 use vcps_sim::concurrent::MutexRsu;
 use vcps_sim::{BitReport, CentralServer, MacAddress, PeriodUpload, SequencedUpload};
+
+pub mod od_answer;
 
 /// Builds a sketch of size `m` with roughly `fill` fraction of distinct
 /// bits set, deterministically.
