@@ -27,8 +27,7 @@ use vcps_sim::{
 };
 
 /// The `metro_day` city (`perfbench/src/metro.rs`, `synthesize`).
-#[must_use]
-pub fn metro_day_config() -> MetroConfig {
+fn metro_day_config() -> MetroConfig {
     MetroConfig {
         rsus: 23 * 23,
         periods: 6,

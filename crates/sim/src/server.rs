@@ -484,7 +484,7 @@ const OD_SEQUENTIAL_COST_LIMIT: usize = 400_000;
 /// Measured on the reference box as the 1-thread driver's time per pair
 /// on 256-RSU triangles of 64–65,536-bit arrays, less the pairs' modeled
 /// kernel cost, over the dense scan's time per word: the medians of 7
-/// runs fell between 190 and 366 word-units, their median ≈ 246
+/// runs fell between 146 and 291 word-units, their median ≈ 245
 /// (DESIGN.md §16).
 const OD_PAIR_OVERHEAD: usize = 250;
 
