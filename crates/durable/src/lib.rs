@@ -11,11 +11,13 @@
 //! system to the substrate. The on-disk *layout* is this crate's alone:
 //! no other crate builds or parses a segment or checkpoint file name.
 //!
-//! * [`WalWriter`] appends length-delimited, FNV-1a-64-checksummed
+//! * [`WalWriter`] appends length-delimited, XXH64-checksummed
 //!   records to a magic-prefixed log file — the same
 //!   `len ‖ checksum ‖ payload` framing discipline the batch wire
 //!   format uses, so one corrupted record is attributed precisely
-//!   instead of desynchronizing the rest of the scan.
+//!   instead of desynchronizing the rest of the scan. The magic's last
+//!   byte is the on-disk format version; a file of another version is
+//!   refused as [`DurabilityError::UnsupportedVersion`], never read.
 //!   [`WalWriter::seal`] closes the live file as a numbered segment and
 //!   starts a fresh one.
 //! * [`read_wal`] scans a log tolerantly: a torn write, truncated
@@ -72,14 +74,16 @@ use std::path::{Path, PathBuf};
 
 pub use segments::{ChainScan, Janitor, SegmentedLog, LIVE_SEGMENT};
 
-/// Magic prefix of a WAL file (8 bytes, version-suffixed).
-pub const WAL_MAGIC: [u8; 8] = *b"VCPSWAL1";
+/// Magic prefix of a WAL file (8 bytes; the last is the format
+/// version).
+pub const WAL_MAGIC: [u8; 8] = *b"VCPSWAL2";
 
-/// Magic prefix of a checkpoint file (8 bytes, version-suffixed).
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VCPSCKP1";
+/// Magic prefix of a checkpoint file (8 bytes; the last is the format
+/// version).
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VCPSCKP2";
 
-/// Per-record header size: `u64` payload length ‖ `u64` FNV-1a-64
-/// checksum, both big-endian like the wire protocol.
+/// Per-record header size: `u64` payload length ‖ `u64` [`xxh64`] of
+/// the payload, both big-endian like the wire protocol.
 const RECORD_HEADER: usize = 16;
 
 /// Checkpoint file header size: magic ‖ `u64` seq ‖ `u64` payload
@@ -131,10 +135,10 @@ impl FlushPolicy {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the hand-rolled checksum of every WAL
-/// record and checkpoint here, and of every record in `vcps-sim`'s batch
-/// wire format, which calls this function. It catches disk and channel
-/// corruption, not adversaries.
+/// FNV-1a 64 over a byte slice — the checksum of every record in
+/// `vcps-sim`'s batch wire format (tag 6), which calls this function.
+/// Nothing on disk uses it: WAL records and checkpoints carry [`xxh64`].
+/// It catches channel corruption, not adversaries.
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -143,6 +147,83 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One XXH64 lane step: folds an 8-byte input lane into an accumulator.
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+/// Folds one of the four stripe accumulators into the converged hash.
+fn xxh64_merge(hash: u64, acc: u64) -> u64 {
+    (hash ^ xxh64_round(0, acc))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+/// XXH64 with seed 0 over a byte slice — the checksum of every WAL
+/// record and checkpoint file (on-disk format 2), per the xxHash
+/// specification. Input is consumed in 32-byte stripes by four
+/// independent 64-bit accumulators, so it runs at several bytes per
+/// cycle where [`fnv1a_64`]'s one dependent multiply per byte cannot
+/// (DESIGN.md §17). It catches disk corruption, not adversaries.
+#[must_use]
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let (stripes, rest) = bytes.as_chunks::<32>();
+    let mut hash = if stripes.is_empty() {
+        XXH_P5
+    } else {
+        let mut acc = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            for (acc, lane) in acc.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *acc = xxh64_round(*acc, u64::from_le_bytes(*lane));
+            }
+        }
+        let converged = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.into_iter().fold(converged, xxh64_merge)
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let (words, mut tail) = rest.as_chunks::<8>();
+    for word in words {
+        hash = (hash ^ xxh64_round(0, u64::from_le_bytes(*word)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+    }
+    if let Some((word, bytes)) = tail.split_first_chunk::<4>() {
+        hash = (hash ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        tail = bytes;
+    }
+    for &b in tail {
+        hash = (hash ^ u64::from(b).wrapping_mul(XXH_P5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_P1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(XXH_P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(XXH_P3);
+    hash ^ (hash >> 32)
 }
 
 /// A typed durability failure. I/O errors carry the failed operation
@@ -161,11 +242,21 @@ pub enum DurabilityError {
         /// The OS error rendered to text.
         detail: String,
     },
-    /// The file does not start with the expected magic bytes — it is
-    /// not (this version of) a WAL or checkpoint file at all.
+    /// The file does not start with the WAL magic bytes — it is not a
+    /// WAL file at all.
     BadMagic {
         /// The path involved.
         path: PathBuf,
+    },
+    /// The file is a WAL segment or checkpoint of another on-disk format
+    /// version, which this build does not read: its magic differs from
+    /// [`WAL_MAGIC`] or [`CHECKPOINT_MAGIC`] only in the version byte.
+    /// Recovery stops on it and leaves every file as it was.
+    UnsupportedVersion {
+        /// The file.
+        path: PathBuf,
+        /// The magic the file starts with.
+        magic: [u8; 8],
     },
     /// A record's header or payload extends past the end of the file:
     /// a torn write or truncation. `have` bytes remained where `need`
@@ -213,6 +304,14 @@ impl fmt::Display for DurabilityError {
             DurabilityError::BadMagic { path } => {
                 write!(f, "{} is not a recognized durable file", path.display())
             }
+            DurabilityError::UnsupportedVersion { path, magic } => write!(
+                f,
+                "{} is in on-disk format version {}, which this build does not read \
+                 (it reads only version {})",
+                path.display(),
+                char::from(magic[7]).escape_default(),
+                char::from(WAL_MAGIC[7]),
+            ),
             DurabilityError::TruncatedRecord { offset, have, need } => write!(
                 f,
                 "truncated record at offset {offset}: {have} bytes remain where {need} were promised"
@@ -259,6 +358,12 @@ fn parent_dir(path: &Path) -> &Path {
         .unwrap_or(Path::new("."))
 }
 
+/// Whether `magic` is `expected` in another format version: the same
+/// seven-byte family name, a different version byte.
+fn other_version(magic: &[u8; 8], expected: &[u8; 8]) -> bool {
+    magic[..7] == expected[..7] && magic[7] != expected[7]
+}
+
 /// Creates (or truncates) a log file holding only the magic prefix.
 fn create_log_file(path: &Path) -> Result<File, DurabilityError> {
     let mut file = OpenOptions::new()
@@ -274,7 +379,7 @@ fn create_log_file(path: &Path) -> Result<File, DurabilityError> {
 
 /// An append-only write-ahead log file with group commit.
 ///
-/// Records are `u64 length ‖ u64 fnv1a-64 ‖ payload`, big-endian,
+/// Records are `u64 length ‖ u64 xxh64 ‖ payload`, big-endian,
 /// after an 8-byte magic prefix. [`append`](WalWriter::append) stages
 /// each record in a user-space buffer and flushes (file write + fsync)
 /// according to the writer's [`FlushPolicy`]; [`sync`](WalWriter::sync)
@@ -450,7 +555,7 @@ impl WalWriter {
         self.buf.reserve(RECORD_HEADER + payload.len());
         self.buf
             .extend_from_slice(&(payload.len() as u64).to_be_bytes());
-        self.buf.extend_from_slice(&fnv1a_64(payload).to_be_bytes());
+        self.buf.extend_from_slice(&xxh64(payload).to_be_bytes());
         self.buf.extend_from_slice(payload);
         self.len += (RECORD_HEADER + payload.len()) as u64;
         self.records += 1;
@@ -608,8 +713,9 @@ pub struct WalScan {
 /// # Errors
 ///
 /// Returns [`DurabilityError::Io`] if the file cannot be read,
-/// [`DurabilityError::BadMagic`] if it is not a WAL file (including a
-/// file shorter than the magic prefix).
+/// [`DurabilityError::UnsupportedVersion`] if it is a WAL of another
+/// format version, and [`DurabilityError::BadMagic`] if it is not a WAL
+/// file at all (including a file shorter than the magic prefix).
 pub fn read_wal(path: impl AsRef<Path>) -> Result<WalScan, DurabilityError> {
     let mut records = Vec::new();
     let end = scan_file(path.as_ref(), u64::MAX, |_, payload| {
@@ -660,6 +766,13 @@ fn scan_file<E: From<DurabilityError>>(
     let mut reader = BufReader::with_capacity(SCAN_BUFFER, file);
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic).map_err(|e| read_err(&e))?;
+    if other_version(&magic, &WAL_MAGIC) {
+        return Err(DurabilityError::UnsupportedVersion {
+            path: path.to_path_buf(),
+            magic,
+        }
+        .into());
+    }
     if magic != WAL_MAGIC {
         return Err(bad_magic().into());
     }
@@ -707,7 +820,7 @@ fn scan_file<E: From<DurabilityError>>(
         payload.resize(size, 0);
         reader.read_exact(&mut payload).map_err(|e| read_err(&e))?;
         scan.read += len;
-        if fnv1a_64(&payload) != checksum {
+        if xxh64(&payload) != checksum {
             scan.tail_error = Some(DurabilityError::ChecksumMismatch { offset });
             break;
         }
@@ -732,7 +845,7 @@ pub struct Checkpoint {
 /// A directory of checkpoint files, published atomically and selected
 /// by highest validating sequence number.
 ///
-/// File layout: `magic(8) ‖ seq(8) ‖ payload_len(8) ‖ fnv1a-64(8) ‖
+/// File layout: `magic(8) ‖ seq(8) ‖ payload_len(8) ‖ xxh64(8) ‖
 /// payload`, big-endian. Publication writes to a `.tmp` name, fsyncs,
 /// then renames into place — a crash mid-publish leaves only the temp
 /// file, which the reader ignores.
@@ -808,7 +921,7 @@ impl CheckpointStore {
         bytes.extend_from_slice(&CHECKPOINT_MAGIC);
         bytes.extend_from_slice(&seq.to_be_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-        bytes.extend_from_slice(&fnv1a_64(payload).to_be_bytes());
+        bytes.extend_from_slice(&xxh64(payload).to_be_bytes());
         bytes.extend_from_slice(payload);
         {
             let mut file = File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
@@ -825,8 +938,10 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`DurabilityError::Io`] if the file cannot be read, or
-    /// [`DurabilityError::CorruptCheckpoint`] naming what failed.
+    /// Returns [`DurabilityError::Io`] if the file cannot be read,
+    /// [`DurabilityError::UnsupportedVersion`] if it is a checkpoint of
+    /// another format version, or [`DurabilityError::CorruptCheckpoint`]
+    /// naming what failed.
     pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, DurabilityError> {
         let path = path.as_ref();
         let mut bytes = Vec::new();
@@ -840,7 +955,14 @@ impl CheckpointStore {
         if bytes.len() < CHECKPOINT_HEADER {
             return Err(corrupt("truncated header"));
         }
-        if bytes[..8] != CHECKPOINT_MAGIC {
+        let magic: [u8; 8] = bytes[..8].try_into().expect("8-byte slice");
+        if other_version(&magic, &CHECKPOINT_MAGIC) {
+            return Err(DurabilityError::UnsupportedVersion {
+                path: path.to_path_buf(),
+                magic,
+            });
+        }
+        if magic != CHECKPOINT_MAGIC {
             return Err(corrupt("bad magic"));
         }
         let seq = u64::from_be_bytes(bytes[8..16].try_into().expect("8-byte slice"));
@@ -850,7 +972,7 @@ impl CheckpointStore {
         if len != payload.len() as u64 {
             return Err(corrupt("payload length mismatch"));
         }
-        if fnv1a_64(payload) != checksum {
+        if xxh64(payload) != checksum {
             return Err(corrupt("payload checksum mismatch"));
         }
         Ok(Checkpoint {
@@ -862,18 +984,27 @@ impl CheckpointStore {
     /// Every checkpoint that validates, newest first, each loaded only
     /// when the iterator reaches it. Corrupt, torn, or temp files are
     /// skipped, as is a file whose header seq disagrees with its name.
+    /// A file of another on-disk format version is not damage: it comes
+    /// back as [`DurabilityError::UnsupportedVersion`], since skipping it
+    /// would let a caller fall back past state it cannot read.
     ///
     /// # Errors
     ///
     /// Returns [`DurabilityError::Io`] only if the directory itself
     /// cannot be listed.
-    pub fn valid_newest_first(&self) -> Result<impl Iterator<Item = Checkpoint>, DurabilityError> {
+    pub fn valid_newest_first(
+        &self,
+    ) -> Result<impl Iterator<Item = Result<Checkpoint, DurabilityError>>, DurabilityError> {
         let files = self.entries()?;
-        Ok(files.into_iter().rev().filter(|f| !f.tmp).filter_map(|f| {
-            Self::load(&f.path)
-                .ok()
-                .filter(|checkpoint| checkpoint.seq == f.seq)
-        }))
+        Ok(files
+            .into_iter()
+            .rev()
+            .filter(|f| !f.tmp)
+            .filter_map(|f| match Self::load(&f.path) {
+                Ok(checkpoint) => (checkpoint.seq == f.seq).then_some(Ok(checkpoint)),
+                Err(e @ DurabilityError::UnsupportedVersion { .. }) => Some(Err(e)),
+                Err(_) => None,
+            }))
     }
 
     /// The newest checkpoint that validates, or `None` if the store
@@ -883,10 +1014,11 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`DurabilityError::Io`] only if the directory itself
-    /// cannot be listed.
+    /// Returns [`DurabilityError::Io`] if the directory cannot be
+    /// listed, and [`DurabilityError::UnsupportedVersion`] if the newest
+    /// checkpoint file that is not damaged is of another format version.
     pub fn latest_valid(&self) -> Result<Option<Checkpoint>, DurabilityError> {
-        Ok(self.valid_newest_first()?.next())
+        self.valid_newest_first()?.next().transpose()
     }
 
     /// Deletes every checkpoint (and publish temp file) whose seq is
@@ -962,6 +1094,81 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn xxh64_matches_reference_vectors() {
+        // Published seed-0 XXH64 vectors: the empty input, one 1-byte
+        // tail run, and 39 B (one stripe, then the 4-byte and 1-byte
+        // tails).
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+        // Bytes 0, 1, 2, ... of the given length, against the reference
+        // C implementation (xxHash 0.8.1): the 8-byte tail loop alone
+        // (8, 12), after a stripe with every tail (47), and two stripes
+        // with no tail (64).
+        let counting = |len: u8| (0..len).collect::<Vec<u8>>();
+        assert_eq!(xxh64(&counting(8)), 0x884A_1736_14B8_1B8D);
+        assert_eq!(xxh64(&counting(12)), 0x424A_F23F_1F08_DCA5);
+        assert_eq!(xxh64(&counting(47)), 0x0D98_83A0_3E7B_FBB8);
+        assert_eq!(xxh64(&counting(64)), 0xF7C6_7301_DB67_13F0);
+    }
+
+    /// A log or checkpoint of another format version is refused by name
+    /// with the magic it carries — never scanned as damage, never
+    /// skipped — and reading it changes nothing.
+    #[test]
+    fn other_format_versions_are_refused_not_read() {
+        let dir = temp_dir("version");
+        let wal = dir.join("frames.wal");
+        let mut v1 = b"VCPSWAL1".to_vec();
+        v1.extend_from_slice(&3u64.to_be_bytes());
+        v1.extend_from_slice(&fnv1a_64(b"abc").to_be_bytes());
+        v1.extend_from_slice(b"abc");
+        fs::write(&wal, &v1).unwrap();
+        assert_eq!(
+            read_wal(&wal),
+            Err(DurabilityError::UnsupportedVersion {
+                path: wal.clone(),
+                magic: *b"VCPSWAL1",
+            })
+        );
+        assert_eq!(fs::read(&wal).unwrap(), v1);
+
+        let store = CheckpointStore::open(dir.join("ckpt")).unwrap();
+        store.publish(1, b"current").unwrap();
+        let old = store.dir().join(CheckpointStore::file_name(2));
+        let mut ckpt = b"VCPSCKP1".to_vec();
+        for v in [2, 3, fnv1a_64(b"old")] {
+            ckpt.extend_from_slice(&u64::to_be_bytes(v));
+        }
+        ckpt.extend_from_slice(b"old");
+        fs::write(&old, &ckpt).unwrap();
+        let err = CheckpointStore::load(&old).unwrap_err();
+        assert_eq!(
+            err,
+            DurabilityError::UnsupportedVersion {
+                path: old.clone(),
+                magic: *b"VCPSCKP1",
+            }
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains("ckpt-") && message.contains("version 1"),
+            "{message}"
+        );
+        // The newest file is of another version: the store does not
+        // fall back past it to checkpoint 1.
+        assert_eq!(store.latest_valid(), Err(err));
+        assert_eq!(fs::read(&old).unwrap(), ckpt);
+        // Any other magic is still damage, and skipped.
+        fs::write(&old, b"NOTACKPT-and-some-more-bytes-to-fill-a-header").unwrap();
+        assert_eq!(store.latest_valid().unwrap().unwrap().seq, 1);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1315,7 +1522,7 @@ mod tests {
         let latest = store.latest_valid().unwrap().unwrap();
         assert_eq!((latest.seq, latest.payload.as_slice()), (1, &b"good"[..]));
         // Truncate the newest below its header: still skipped.
-        fs::write(&newest, b"VCPSCKP1").unwrap();
+        fs::write(&newest, CHECKPOINT_MAGIC).unwrap();
         assert_eq!(store.latest_valid().unwrap().unwrap().seq, 1);
         // A stray temp file (crash mid-publish) is ignored entirely.
         fs::write(dir.join("ckpt").join("ckpt-99.bin.tmp"), b"torn").unwrap();

@@ -165,9 +165,11 @@ impl SegmentedLog {
     /// # Errors
     ///
     /// Returns [`DurabilityError::ChainGap`] if `from` precedes the
-    /// chain's [`start`](Self::start), [`DurabilityError::Io`] or
-    /// [`DurabilityError::BadMagic`] if a segment cannot be read or is
-    /// not a log file, and whatever `visit` returns.
+    /// chain's [`start`](Self::start); [`DurabilityError::Io`],
+    /// [`DurabilityError::BadMagic`] or
+    /// [`DurabilityError::UnsupportedVersion`] if a segment cannot be
+    /// read, is not a log file, or is a log of another format version;
+    /// and whatever `visit` returns.
     pub fn scan<E: From<DurabilityError>>(
         &self,
         from: u64,

@@ -238,7 +238,10 @@ impl DurableServer {
     /// # Errors
     ///
     /// Returns [`SimError::Durability`] for hard I/O failures, a
-    /// non-WAL file where a segment should be, or a
+    /// non-WAL file where a segment should be, a
+    /// [`DurabilityError::UnsupportedVersion`] naming the first segment
+    /// or checkpoint of another on-disk format version it meets (before
+    /// anything on disk changes), or a
     /// [`DurabilityError::ChainGap`] when no checkpoint is usable and the
     /// log's first records were retired; [`SimError::Core`] for a
     /// topology mismatch or invalid parameters; and
@@ -264,6 +267,7 @@ impl DurableServer {
         // frames are not double-counted.
         let mut restored = None;
         for checkpoint in store.valid_newest_first()? {
+            let checkpoint = checkpoint?;
             // Records before the chain's start are retired: no replay
             // can continue from a checkpoint older than them.
             if checkpoint.seq < log.start() {

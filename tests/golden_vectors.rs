@@ -8,11 +8,16 @@
 //! format changed: that is a breaking protocol revision, not a test to
 //! update casually.
 //!
+//! The same regime freezes the durable store's on-disk format:
+//! `wal_v2.bin` is a live WAL segment and `ckpt_v2.bin` a checkpoint
+//! file, byte for byte as the writers produce them.
+//!
 //! To regenerate after a *deliberate* format change:
 //! `cargo test --test golden_vectors -- --ignored regenerate`
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use vcps::durable::{read_wal, CheckpointStore, WalWriter};
 use vcps::sim::pki::TrustedAuthority;
 use vcps::sim::protocol::{
     BatchUpload, BitReport, CheckpointSet, PeriodUpload, PeriodUploadRef, Query, SequencedUpload,
@@ -127,6 +132,47 @@ fn vectors() -> Vec<(&'static str, Vec<u8>)> {
         ("ckpt_server.bin", golden_checkpoint().encode().to_vec()),
         ("ckpt_set.bin", golden_checkpoint_set().encode().to_vec()),
     ]
+}
+
+/// The records of the frozen WAL segment: an empty record, `abc`, and
+/// the tag-6 golden frame, whose 149 bytes run every loop of the XXH64
+/// record checksum (stripes, 8-byte, 4-byte and 1-byte tails).
+fn wal_records() -> Vec<Vec<u8>> {
+    vec![Vec::new(), b"abc".to_vec(), golden_batch().encode()]
+}
+
+/// On-disk vectors, format 2: `(file name, bytes the writers produce)`
+/// — the live segment `WalWriter` leaves after appending
+/// [`wal_records`], and the file `CheckpointStore::publish` writes for
+/// the tag-8 golden set at the log position it covers. Both are written
+/// under `dir`.
+fn disk_vectors(dir: &Path) -> Vec<(&'static str, Vec<u8>)> {
+    let wal = dir.join("frames.wal");
+    let mut writer = WalWriter::create(&wal).expect("create the WAL");
+    for record in wal_records() {
+        writer.append(&record).expect("append");
+    }
+    writer.sync().expect("sync");
+    let set = golden_checkpoint_set();
+    let checkpoint = CheckpointStore::open(dir.join("checkpoints"))
+        .expect("open the checkpoint store")
+        .publish(set.frames_applied, &set.encode())
+        .expect("publish");
+    vec![
+        ("wal_v2.bin", std::fs::read(&wal).expect("read the WAL")),
+        (
+            "ckpt_v2.bin",
+            std::fs::read(checkpoint).expect("read the checkpoint"),
+        ),
+    ]
+}
+
+/// A fresh scratch directory for [`disk_vectors`].
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vcps-golden-disk-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 /// Builds an upload header by hand — these frames are unrepresentable
@@ -287,6 +333,36 @@ fn golden_checkpoint_truncations_and_bit_flips_never_panic() {
 }
 
 #[test]
+fn golden_disk_vectors_freeze_the_on_disk_format() {
+    let dir = scratch_dir("freeze");
+    for (name, written) in disk_vectors(&dir) {
+        let frozen = std::fs::read(data_path(name)).unwrap_or_else(|e| {
+            panic!("missing golden vector {name}: {e} (run the ignored `regenerate` test once)")
+        });
+        assert_eq!(
+            written, frozen,
+            "{name}: the durable writers diverged from the frozen on-disk bytes — \
+             this is a breaking storage format change"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn golden_disk_vectors_read_back() {
+    let wal = data_path("wal_v2.bin");
+    let scan = read_wal(&wal).unwrap();
+    assert_eq!(scan.records, wal_records());
+    assert_eq!(scan.tail_error, None);
+    assert_eq!(scan.valid_len, std::fs::metadata(&wal).unwrap().len());
+
+    let checkpoint = CheckpointStore::load(data_path("ckpt_v2.bin")).unwrap();
+    let set = golden_checkpoint_set();
+    assert_eq!(checkpoint.seq, set.frames_applied);
+    assert_eq!(CheckpointSet::decode(&checkpoint.payload).unwrap(), set);
+}
+
+#[test]
 fn golden_vectors_cover_every_protocol_tag() {
     let tags: Vec<u8> = vectors().iter().map(|(_, bytes)| bytes[0]).collect();
     assert_eq!(
@@ -303,8 +379,14 @@ fn golden_vectors_cover_every_protocol_tag() {
 fn regenerate() {
     let dir = data_path("");
     std::fs::create_dir_all(&dir).expect("create tests/data");
-    for (name, encoded) in vectors().into_iter().chain(error_vectors()) {
+    let scratch = scratch_dir("regenerate");
+    for (name, encoded) in vectors()
+        .into_iter()
+        .chain(error_vectors())
+        .chain(disk_vectors(&scratch))
+    {
         std::fs::write(data_path(name), &encoded).expect("write golden vector");
         println!("wrote {name} ({} bytes)", encoded.len());
     }
+    std::fs::remove_dir_all(&scratch).expect("remove scratch dir");
 }

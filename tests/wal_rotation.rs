@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use vcps::durable::DurabilityError;
+use vcps::durable::{fnv1a_64, DurabilityError};
 use vcps::hash::splitmix64;
 use vcps::obs::Obs;
 use vcps::sim::protocol::{PeriodUpload, SequencedUpload};
@@ -294,6 +294,111 @@ fn corrupt_retained_checkpoints_after_retirement_are_a_typed_gap() {
         "a failed recovery changes nothing"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file in on-disk format 1, as a build before format 2 wrote it: the
+/// same layout, `VCPSWAL1`/`VCPSCKP1` magic and FNV-1a-64 checksums.
+fn v1_file(magic: &[u8; 8], header: &[u64], records: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = magic.to_vec();
+    for v in header {
+        bytes.extend_from_slice(&v.to_be_bytes());
+    }
+    for record in records {
+        bytes.extend_from_slice(&(record.len() as u64).to_be_bytes());
+        bytes.extend_from_slice(&fnv1a_64(record).to_be_bytes());
+        bytes.extend_from_slice(record);
+    }
+    bytes
+}
+
+/// Every file under `dir`, recursively, with its bytes.
+fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("list dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            out.extend(tree(&path));
+        } else {
+            let bytes = std::fs::read(&path).expect("read");
+            out.push((path, bytes));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The store a format-1 daemon leaves after three rollovers — the first
+/// segment retired, the sealed segment `10..15`, a live segment and the
+/// two retained checkpoints — is refused by name, not skipped: without
+/// that, the unreadable checkpoints plus the retired records 0..10
+/// would read as a chain gap. A directory holding only a format-1 live
+/// segment is refused naming that segment. Nothing on disk changes.
+#[test]
+fn a_format_1_store_is_refused_by_name_and_left_intact() {
+    let dir = scratch("v1");
+    let ops = closed_periods(3, 2, 0x5E1);
+    assert_eq!(ops.len(), 15, "five records a period");
+    let live_ops: Vec<Op> = period_uploads(2, 3, 0x5E1).into_iter().take(2).collect();
+    let record = |op: &Op| match op {
+        Op::Upload(frame) => frame.encode(),
+        Op::Rollover => vec![9],
+    };
+    let records = |ops: &[Op]| ops.iter().map(record).collect::<Vec<_>>();
+    std::fs::write(
+        dir.join("frames-00000000000000000010-00000000000000000015.wal"),
+        v1_file(b"VCPSWAL1", &[], &records(&ops[10..])),
+    )
+    .unwrap();
+    let live = dir.join("frames.wal");
+    std::fs::write(&live, v1_file(b"VCPSWAL1", &[], &records(&live_ops))).unwrap();
+    let checkpoints = dir.join("checkpoints");
+    std::fs::create_dir(&checkpoints).unwrap();
+    let newest = checkpoints.join("ckpt-00000000000000000015.bin");
+    for seq in [10u64, 15] {
+        let payload = reference(&ops[..seq as usize]).checkpoint(seq).encode();
+        let mut file = v1_file(
+            b"VCPSCKP1",
+            &[seq, payload.len() as u64, fnv1a_64(&payload)],
+            &[],
+        );
+        file.extend_from_slice(&payload);
+        std::fs::write(checkpoints.join(format!("ckpt-{seq:020}.bin")), file).unwrap();
+    }
+
+    let before = tree(&dir);
+    match recover(&dir) {
+        Err(SimError::Durability(e @ DurabilityError::UnsupportedVersion { .. })) => {
+            assert_eq!(
+                e,
+                DurabilityError::UnsupportedVersion {
+                    path: newest.clone(),
+                    magic: *b"VCPSCKP1",
+                }
+            );
+            let message = SimError::Durability(e).to_string();
+            assert!(
+                message.contains("ckpt-00000000000000000015.bin") && message.contains("version 1"),
+                "{message}"
+            );
+        }
+        Err(e) => panic!("expected an unsupported version, got {e}"),
+        Ok((_, report)) => panic!("expected an unsupported version, recovered {report:?}"),
+    }
+    assert_eq!(tree(&dir), before, "a refused store is left byte-identical");
+
+    let lone = scratch("v1-live");
+    let lone_live = lone.join("frames.wal");
+    std::fs::write(&lone_live, b"VCPSWAL1").unwrap();
+    match recover(&lone) {
+        Err(SimError::Durability(DurabilityError::UnsupportedVersion { path, magic })) => {
+            assert_eq!((path, &magic), (lone_live.clone(), b"VCPSWAL1"));
+        }
+        Err(e) => panic!("expected an unsupported version, got {e}"),
+        Ok((_, report)) => panic!("expected an unsupported version, recovered {report:?}"),
+    }
+    assert_eq!(std::fs::read(&lone_live).unwrap(), b"VCPSWAL1");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&lone);
 }
 
 /// `create` starts from nothing: an earlier deployment's checkpoint in
