@@ -1,12 +1,14 @@
 //! A blocking client for `vcpsd` — request/response calls plus a
 //! pipelined ingest path for replay workloads.
 
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
 use vcps_core::PairEstimate;
 
 use crate::wire::{
-    self, AckSummary, Response, WireMatrix, REQ_FINISH_PERIOD, REQ_PING, REQ_SHUTDOWN,
+    self, AckSummary, Response, WireMatrix, IO_BUFFER_BYTES, REQ_FINISH_PERIOD, REQ_PING,
+    REQ_SHUTDOWN,
 };
 use crate::NetError;
 
@@ -59,9 +61,17 @@ impl NetClient {
     /// `max_frames_in_flight` budget bounds how far ahead the sends can
     /// run; beyond it this call is flow-controlled by TCP itself.
     ///
+    /// Both halves are buffered like the daemon's, at the same 64 KiB
+    /// (DESIGN.md §19): the frames go out through one write buffer,
+    /// flushed once after the last frame, and the acks come in through
+    /// a read buffer, so a burst costs a few large socket calls instead
+    /// of two writes and two reads per frame.
+    ///
     /// # Errors
     ///
-    /// The first transport or server error on either half.
+    /// The first transport or server error on either half. A failed
+    /// send leaves the connection shut down: the stream may end inside
+    /// a frame, so no later request on it could be framed.
     ///
     /// # Panics
     ///
@@ -71,10 +81,16 @@ impl NetClient {
         I: IntoIterator,
         I::Item: AsRef<[u8]>,
     {
-        let mut reader = self.stream.try_clone().map_err(NetError::Io)?;
+        let read_half = self.stream.try_clone().map_err(NetError::Io)?;
         let max_frame_bytes = self.max_frame_bytes;
         let (count_tx, count_rx) = std::sync::mpsc::channel::<usize>();
         let collector = std::thread::spawn(move || -> Result<AckSummary, NetError> {
+            // Reading ahead is safe: until this client's next request the
+            // daemon sends nothing on the connection beyond the `sent`
+            // acks (one response per frame, or an error frame and close),
+            // so the buffer dropped with this thread holds no byte a later
+            // call needs.
+            let mut reader = BufReader::with_capacity(IO_BUFFER_BYTES, read_half);
             let mut total = AckSummary::default();
             let expected = count_rx.recv().unwrap_or(0);
             for _ in 0..expected {
@@ -87,21 +103,32 @@ impl NetClient {
             }
             Ok(total)
         });
+        let mut out = BufWriter::with_capacity(IO_BUFFER_BYTES, &self.stream);
         let mut sent = 0usize;
-        let mut send_err = None;
-        for frame in frames {
-            if let Err(e) = wire::write_frame(&mut self.stream, frame.as_ref()) {
-                send_err = Some(e);
-                break;
-            }
-            sent += 1;
+        let sending = frames
+            .into_iter()
+            .try_for_each(|frame| {
+                wire::write_frame(&mut out, frame.as_ref())?;
+                sent += 1;
+                Ok(())
+            })
+            .and_then(|()| out.flush().map_err(NetError::Io));
+        // `into_parts` drops whatever a failed flush left buffered,
+        // without the retry that dropping a `BufWriter` would make.
+        let (stream, _unsent) = out.into_parts();
+        if let Err(e) = sending {
+            // Frames counted in `sent` may never have left the buffer, so
+            // their acks would never come, and the stream may end inside
+            // a frame. Shut the socket down, so no later request on it can
+            // be misframed, and join the collector without a count, so it
+            // reads nothing.
+            let _ = stream.shutdown(Shutdown::Both);
+            drop(count_tx);
+            let _ = collector.join().expect("ack reader panicked");
+            return Err(e);
         }
         let _ = count_tx.send(sent);
-        let collected = collector.join().expect("ack reader panicked");
-        match send_err {
-            Some(e) => Err(e),
-            None => collected,
-        }
+        collector.join().expect("ack reader panicked")
     }
 
     /// Queries the point-to-point volume of one RSU pair.
@@ -187,4 +214,36 @@ impl NetClient {
 
 fn unexpected(resp: &Response) -> NetError {
     NetError::Server(format!("unexpected response: {resp:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A peer that reads one frame and closes: a pipelined burst larger
+    /// than the socket buffers returns an error within seconds, its
+    /// collector joined, instead of waiting on acks that never come.
+    #[test]
+    fn pipelined_burst_to_a_dead_peer_fails_promptly() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            wire::read_frame(&mut conn, u64::MAX).unwrap().len()
+        });
+        let frames = vec![vec![5u8; 2048]; 4096];
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client = NetClient::connect(addr).unwrap();
+            let _ = done_tx.send(client.ingest_pipelined(&frames));
+        });
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("ingest_pipelined must return once the peer is gone");
+        assert!(result.is_err(), "{result:?}");
+        assert_eq!(peer.join().unwrap(), 2048);
+    }
 }

@@ -56,17 +56,13 @@ use vcps_sim::{
 
 use crate::limits::TokenBucket;
 use crate::wire::{
-    self, AckSummary, Cursor, REQ_FINISH_PERIOD, REQ_OD_QUERY, REQ_PAIR_QUERY, REQ_PING,
-    REQ_SHUTDOWN, RESP_OK,
+    self, AckSummary, Cursor, IO_BUFFER_BYTES, REQ_FINISH_PERIOD, REQ_OD_QUERY, REQ_PAIR_QUERY,
+    REQ_PING, REQ_SHUTDOWN, RESP_OK,
 };
 use crate::{ConnectionLimits, NetError};
 
 /// How often blocked reads wake to check the shutdown flag.
 const IDLE_TICK: Duration = Duration::from_millis(100);
-
-/// Capacity of each connection's read buffer and of its response
-/// buffer. A frame or response at least this large bypasses the buffer.
-const IO_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Everything needed to stand up a daemon.
 #[derive(Debug)]

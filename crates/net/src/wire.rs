@@ -49,15 +49,35 @@ pub const RESP_ERROR: u8 = 36;
 /// Response: request succeeded with nothing to report.
 pub const RESP_OK: u8 = 37;
 
-/// Writes one length-delimited frame.
+/// Capacity of every buffered socket half: the daemon's read and
+/// response buffers per connection, and the send and ack buffers of
+/// [`NetClient::ingest_pipelined`](crate::NetClient::ingest_pipelined).
+/// A frame at least this large bypasses the buffer.
+pub(crate) const IO_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Writes one length-delimited frame: the prefix and the payload
+/// together, in one vectored write where `w` takes it all.
 ///
 /// # Errors
 ///
 /// Propagates transport failures; [`NetError::FrameTooLarge`] if the
 /// payload itself exceeds the u32 prefix space.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
-    w.write_all(&frame_prefix(payload.len())?)?;
-    w.write_all(payload)?;
+    let prefix = frame_prefix(payload.len())?;
+    write_all_vectored(w, &mut [IoSlice::new(&prefix), IoSlice::new(payload)])
+}
+
+/// Writes every byte of `slices`, in as few vectored writes as `w`
+/// accepts.
+fn write_all_vectored(w: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> Result<(), NetError> {
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
+            Ok(0) => return Err(NetError::Io(io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     Ok(())
 }
 
@@ -497,16 +517,7 @@ impl MatrixFrame {
             .chain(self.chunks.iter().map(Vec::as_slice))
             .map(IoSlice::new)
             .collect();
-        let mut unwritten = &mut slices[..];
-        while !unwritten.is_empty() {
-            match w.write_vectored(unwritten) {
-                Ok(0) => return Err(NetError::Io(io::ErrorKind::WriteZero.into())),
-                Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
+        write_all_vectored(w, &mut slices)
     }
 }
 
