@@ -24,7 +24,8 @@
 //!   routed sequential path and the speedup column reads ≈ 1.0 by design.
 //! * `BENCH_wal.json` — durability cost (DESIGN.md §17): one period's
 //!   sequenced uploads into a sharded server with the write-ahead log
-//!   off, on (append + fsync per record), and on with periodic
+//!   off, on (a write per record, each requesting its fsync from the
+//!   WAL's syncer), and on with periodic
 //!   checkpoints. The slowdown columns price what crash recovery costs
 //!   per upload; fsync latency dominates, so absolute rates are
 //!   filesystem-dependent.
@@ -679,10 +680,12 @@ fn bench_shard(samples: usize) -> String {
 /// Write-ahead-logged vs plain ingestion (DESIGN.md §17/§18). Every
 /// mode drives the same sequential `receive_sequenced` loop into a
 /// 4-shard server, so the only variable is the durability work:
-/// nothing, append+fsync per record, per-record fsync plus a
-/// checkpoint every 64 records, or group commit (append buffered,
-/// one fsync every N records plus a final `flush_wal` inside the
-/// timed region so every mode ends equally durable). Modes are
+/// nothing, one WAL write per record, the same plus a checkpoint every
+/// 64 records, or group commit (one write every N records). Each write
+/// requests its fsync from the WAL's syncer thread, which folds the
+/// requests that arrive while it syncs into its next fsync, and every
+/// durable mode ends with a `flush_wal` inside the timed region so
+/// every mode ends equally durable. Modes are
 /// sampled round-robin with per-mode minima so filesystem slow
 /// windows (journal flushes, dirty-page writeback) hit every row
 /// equally instead of whichever mode ran during them.

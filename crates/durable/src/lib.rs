@@ -18,6 +18,8 @@
 //!   instead of desynchronizing the rest of the scan. The magic's last
 //!   byte is the on-disk format version; a file of another version is
 //!   refused as [`DurabilityError::UnsupportedVersion`], never read.
+//!   Its fsyncs run on one syncer thread per writer, off the appender's
+//!   path; a [`Watermark`] says which records are on stable storage.
 //!   [`WalWriter::seal`] closes the live file as a numbered segment and
 //!   starts a fresh one.
 //! * [`read_wal`] scans a log tolerantly: a torn write, truncated
@@ -71,6 +73,9 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 pub use segments::{ChainScan, Janitor, SegmentedLog, LIVE_SEGMENT};
 
@@ -93,38 +98,38 @@ const CHECKPOINT_HEADER: usize = 8 + 24;
 /// Read-ahead of the streaming WAL scanner.
 const SCAN_BUFFER: usize = 1 << 18;
 
-/// When a [`WalWriter`] flushes its append buffer (writes it to the
-/// file and fsyncs) — the group-commit knob (DESIGN.md §18).
+/// When a [`WalWriter`] writes its append buffer to the file and
+/// requests the write's fsync — the group-commit knob (DESIGN.md §18).
 ///
 /// Durability is a *prefix* property under every policy: records reach
-/// stable storage strictly in append order, so a crash loses at most
-/// the buffered tail past the last flush boundary — never a record in
-/// the middle. The trade is explicit: per-record flushing pays one
-/// fsync per record; grouped policies amortize that fsync over many
-/// records at the cost of a bounded, caller-chosen window of
-/// acknowledged-but-volatile appends.
+/// the file, and then stable storage, strictly in append order, so a
+/// crash loses at most the records past the [`Watermark`] — never a
+/// record in the middle. The policy only decides how many records one
+/// group write carries; the fsync itself always runs on the writer's
+/// syncer thread, which folds every request that arrives while it
+/// syncs into its next fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlushPolicy {
-    /// Flush and fsync after every appended record: maximum durability,
-    /// one fsync per record. The default, and the pre-group-commit
-    /// behavior of the durable server.
+    /// Write every record as it is appended and request its fsync. The
+    /// default. Records appended while an fsync runs share the next one.
     #[default]
     PerRecord,
-    /// Flush and fsync once this many records have accumulated in the
+    /// Write a group once this many records have accumulated in the
     /// buffer (group commit). Must be positive; `EveryRecords(1)` is
     /// equivalent to [`PerRecord`](FlushPolicy::PerRecord).
     EveryRecords(u64),
-    /// Flush and fsync once the buffer holds at least this many bytes
+    /// Write a group once the buffer holds at least this many bytes
     /// (headers included). Must be positive.
     EveryBytes(u64),
-    /// Flush only on an explicit [`WalWriter::sync`] — the caller owns
-    /// the boundary (e.g. once per period).
+    /// Write only on an explicit [`WalWriter::sync`] or
+    /// [`WalWriter::request_sync`] — the caller owns the boundary (e.g.
+    /// once per period).
     Manual,
 }
 
 impl FlushPolicy {
     /// Whether the buffer state (`records` buffered records spanning
-    /// `bytes` bytes) makes a flush due under this policy.
+    /// `bytes` bytes) makes a group write due under this policy.
     fn due(self, records: u64, bytes: u64) -> bool {
         match self {
             FlushPolicy::PerRecord => true,
@@ -377,50 +382,284 @@ fn create_log_file(path: &Path) -> Result<File, DurabilityError> {
     Ok(file)
 }
 
-/// An append-only write-ahead log file with group commit.
-///
-/// Records are `u64 length ‖ u64 xxh64 ‖ payload`, big-endian,
-/// after an 8-byte magic prefix. [`append`](WalWriter::append) stages
-/// each record in a user-space buffer and flushes (file write + fsync)
-/// according to the writer's [`FlushPolicy`]; [`sync`](WalWriter::sync)
-/// forces an immediate flush. Records become durable strictly in
-/// append order, so the on-disk log is always a prefix of the appended
-/// sequence.
-///
-/// Dropping the writer deliberately does **not** flush: a process
-/// crash is exactly the event group commit trades against, and the
-/// drop path models it — only records covered by a completed flush
-/// survive. It must not be *silent*, though: a writer dropped with a
-/// non-empty buffer fires its [drop hook](WalWriter::set_drop_hook) so
-/// the owner can count the acknowledged-but-discarded records instead
-/// of discovering the gap at the next recovery.
-pub struct WalWriter {
+/// [`create_log_file`] with the magic prefix fsynced: the one record-free
+/// fsync a fresh segment makes inline rather than on the syncer.
+fn create_synced_log_file(path: &Path) -> Result<File, DurabilityError> {
+    let file = create_log_file(path)?;
+    file.sync_data().map_err(|e| io_err("fsync", path, &e))?;
+    Ok(file)
+}
+
+/// The live segment: the file a [`WalWriter`] appends to and its syncer
+/// fsyncs, with the path errors name.
+#[derive(Debug)]
+struct LiveFile {
     file: File,
     path: PathBuf,
+}
+
+/// What a writer, its syncer thread and every [`Watermark`] share.
+struct SyncState {
+    /// The live segment as the syncer fsyncs it; [`WalWriter::seal`]
+    /// swaps it.
+    live: Arc<LiveFile>,
+    /// One past the last record written to the file: the next fsync
+    /// covers every record below it.
+    requested: u64,
+    /// One past the last record on stable storage — the watermark.
+    durable: u64,
+    /// The first failed group write or fsync. Sticky: the watermark
+    /// stops, and every waiter and every later append or sync gets it.
+    failed: Option<DurabilityError>,
+    /// The writer is gone: the syncer exits once `requested` is durable.
+    closed: bool,
+    /// fdatasyncs completed.
+    fsyncs: u64,
+    /// Hears the duration of each completed fdatasync.
+    hook: Option<Arc<dyn Fn(Duration) + Send + Sync>>,
+}
+
+struct SyncShared {
+    state: Mutex<SyncState>,
+    /// Wakes the syncer: a sync was requested, or the writer closed.
+    requests: Condvar,
+    /// Wakes waiters: the watermark moved, a write or fsync failed, or
+    /// the writer closed.
+    progress: Condvar,
+    /// Stands in for `File::sync_data` in unit tests.
+    #[cfg(test)]
+    fake_fsync: Mutex<Option<FakeFsync>>,
+}
+
+#[cfg(test)]
+type FakeFsync = Box<dyn FnMut(&File) -> std::io::Result<()> + Send>;
+
+impl SyncShared {
+    fn new(live: Arc<LiveFile>, durable: u64) -> Arc<Self> {
+        Arc::new(Self {
+            state: Mutex::new(SyncState {
+                live,
+                requested: durable,
+                durable,
+                failed: None,
+                closed: false,
+                fsyncs: 0,
+                hook: None,
+            }),
+            requests: Condvar::new(),
+            progress: Condvar::new(),
+            #[cfg(test)]
+            fake_fsync: Mutex::new(None),
+        })
+    }
+
+    /// Every update under this lock stores one field (or a counter with
+    /// the watermark it counts), and no code under it can panic, so a
+    /// poisoned lock still guards a consistent state.
+    fn lock(&self) -> MutexGuard<'_, SyncState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn fdatasync(&self, file: &File) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(fake) = self
+            .fake_fsync
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_mut()
+        {
+            return fake(file);
+        }
+        file.sync_data()
+    }
+
+    /// The sticky failure, if there is one.
+    fn check(&self) -> Result<(), DurabilityError> {
+        self.lock().failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Records `error` as the sticky failure (unless an earlier one is
+    /// already recorded) and returns the one recorded.
+    fn fail(&self, error: DurabilityError) -> DurabilityError {
+        let error = self.lock().failed.get_or_insert(error).clone();
+        self.progress.notify_all();
+        error
+    }
+
+    /// Blocks until records below `upto` are durable (see
+    /// [`Watermark::wait`]).
+    fn wait(&self, upto: u64) -> Result<(), DurabilityError> {
+        let mut state = self.lock();
+        loop {
+            if state.durable >= upto {
+                return Ok(());
+            }
+            if let Some(e) = &state.failed {
+                return Err(e.clone());
+            }
+            if state.closed && state.durable >= state.requested {
+                return Err(DurabilityError::Io {
+                    op: "wait",
+                    path: state.live.path.clone(),
+                    detail: format!(
+                        "the writer closed with records {}..{upto} unwritten",
+                        state.durable
+                    ),
+                });
+            }
+            state = self
+                .progress
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The syncer thread: one fdatasync at a time, each covering every
+    /// record written before it began, until the writer closes and its
+    /// last request is durable, or a sync fails.
+    fn run(&self) {
+        let mut state = self.lock();
+        loop {
+            while state.requested <= state.durable && !state.closed && state.failed.is_none() {
+                state = self
+                    .requests
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if state.requested <= state.durable || state.failed.is_some() {
+                return;
+            }
+            let (upto, live, hook) = (state.requested, Arc::clone(&state.live), state.hook.clone());
+            drop(state);
+            let start = Instant::now();
+            let synced = self.fdatasync(&live.file);
+            if let (Ok(()), Some(hook)) = (&synced, &hook) {
+                hook(start.elapsed());
+            }
+            state = self.lock();
+            match synced {
+                Ok(()) => {
+                    state.durable = upto;
+                    state.fsyncs += 1;
+                }
+                // Never retried: after a failed fsync the kernel may
+                // already have dropped the dirty pages, so a second one
+                // could succeed for data that is gone.
+                Err(e) => state.failed = Some(io_err("fsync", &live.path, &e)),
+            }
+            self.progress.notify_all();
+        }
+    }
+}
+
+/// A cloneable handle on a log's durable watermark: how many records,
+/// numbered from the log's creation as a [`SegmentedLog`] numbers them,
+/// are on stable storage. Any thread may read it or wait on it without
+/// the [`WalWriter`] that owns the log.
+#[derive(Clone)]
+pub struct Watermark(Arc<SyncShared>);
+
+impl fmt::Debug for Watermark {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = self.0.lock();
+        f.debug_struct("Watermark")
+            .field("requested", &state.requested)
+            .field("durable", &state.durable)
+            .field("failed", &state.failed)
+            .finish()
+    }
+}
+
+impl Watermark {
+    /// Records below this number are on stable storage. It only grows,
+    /// and stops for good at a failed group write or fsync.
+    #[must_use]
+    pub fn durable(&self) -> u64 {
+        self.0.lock().durable
+    }
+
+    /// Records below this number have been written to the file and their
+    /// fsync requested, so the watermark reaches it unless a sync fails.
+    /// Records past it are still staged in the writer.
+    #[must_use]
+    pub fn requested(&self) -> u64 {
+        self.0.lock().requested
+    }
+
+    /// Blocks until records below `upto` are on stable storage. Waiting
+    /// past [`requested`](Self::requested) blocks until the writer writes
+    /// those records ([`WalWriter::request_sync`] does so at once).
+    ///
+    /// # Errors
+    ///
+    /// The writer's sticky failure once there is one and `upto` is not
+    /// yet durable: [`DurabilityError::Io`] with `op` `"fsync"` (or
+    /// `"append"` for a failed group write) naming the segment. A writer
+    /// dropped with records below `upto` still staged is an `Io` error
+    /// with `op` `"wait"`.
+    pub fn wait(&self, upto: u64) -> Result<(), DurabilityError> {
+        self.0.wait(upto)
+    }
+}
+
+/// An append-only write-ahead log file with group commit, whose fsyncs
+/// run on a syncer thread.
+///
+/// Records are `u64 length ‖ u64 xxh64 ‖ payload`, big-endian, after an
+/// 8-byte magic prefix. [`append`](WalWriter::append) stages each record
+/// in a user-space buffer. When the writer's [`FlushPolicy`] says a
+/// group is due, `append` writes the group to the file and requests its
+/// fsync, without waiting for it. The syncer thread (one per writer,
+/// started at the first group write and joined on drop) runs one
+/// `fdatasync` at a time; each covers everything written before it
+/// began, so requests that arrive while it runs share the next one. The
+/// [`Watermark`] says which records are on stable storage, and
+/// [`sync`](WalWriter::sync) writes the staged tail and waits for it.
+/// Records reach the file, and then stable storage, strictly in append
+/// order, so the on-disk log is always a prefix of the appended sequence.
+///
+/// A failed group write or fsync is sticky: the watermark stops there,
+/// and every waiter and every later `append` or `sync` gets the error.
+/// The fsync is never retried.
+///
+/// Dropping the writer deliberately does **not** write its staged
+/// records: a process crash is exactly the event group commit trades
+/// against, and the drop path models it — records already written to
+/// the file survive (the syncer finishes their fsync before it is
+/// joined), staged ones do not. It must not be *silent*, though: a
+/// writer dropped with a non-empty buffer fires its [drop
+/// hook](WalWriter::set_drop_hook) so the owner can count the discarded
+/// records instead of discovering the gap at the next recovery.
+pub struct WalWriter {
+    live: Arc<LiveFile>,
+    /// The number, from the log's creation, of the live file's first
+    /// record.
+    first: u64,
     len: u64,
     records: u64,
     policy: FlushPolicy,
     buf: Vec<u8>,
     buffered_records: u64,
     flushes: u64,
-    /// Bytes have reached the file since the last fsync (so the next
-    /// [`sync`](WalWriter::sync) must actually fsync).
-    dirty: bool,
+    sync: Arc<SyncShared>,
+    /// The syncer thread, started at the first group write.
+    syncer: Option<JoinHandle<()>>,
     /// Called from `Drop` with `(buffered_records, buffered_bytes)`
-    /// when the writer dies holding unflushed records.
+    /// when the writer dies holding staged records.
     drop_hook: Option<Box<dyn FnMut(u64, u64) + Send + Sync>>,
 }
 
 impl fmt::Debug for WalWriter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WalWriter")
-            .field("path", &self.path)
+            .field("path", &self.live.path)
+            .field("first", &self.first)
             .field("len", &self.len)
             .field("records", &self.records)
             .field("policy", &self.policy)
             .field("buffered_records", &self.buffered_records)
             .field("flushes", &self.flushes)
-            .field("dirty", &self.dirty)
+            .field("watermark", &self.watermark())
             .field("drop_hook", &self.drop_hook.is_some())
             .finish()
     }
@@ -434,15 +673,41 @@ impl Drop for WalWriter {
                 hook(records, bytes);
             }
         }
+        self.sync.lock().closed = true;
+        self.sync.requests.notify_one();
+        if let Some(syncer) = self.syncer.take() {
+            let _ = syncer.join();
+        }
+        self.sync.progress.notify_all();
     }
 }
 
 impl WalWriter {
+    /// A writer over an open log file of `len` bytes holding `records`
+    /// records, the first numbered `first`; all of them count as durable.
+    fn open(file: File, path: PathBuf, first: u64, len: u64, records: u64) -> Self {
+        let live = Arc::new(LiveFile { file, path });
+        Self {
+            sync: SyncShared::new(Arc::clone(&live), first + records),
+            live,
+            first,
+            len,
+            records,
+            policy: FlushPolicy::default(),
+            buf: Vec::new(),
+            buffered_records: 0,
+            flushes: 0,
+            syncer: None,
+            drop_hook: None,
+        }
+    }
+
     /// Creates (or truncates) a WAL file and writes the magic prefix.
     /// The writer starts under [`FlushPolicy::PerRecord`]; use
     /// [`with_flush_policy`](WalWriter::with_flush_policy) or
     /// [`set_flush_policy`](WalWriter::set_flush_policy) to opt into
-    /// group commit.
+    /// group commit. The prefix reaches stable storage with the first
+    /// group's fsync.
     ///
     /// # Errors
     ///
@@ -451,18 +716,14 @@ impl WalWriter {
     pub fn create(path: impl Into<PathBuf>) -> Result<Self, DurabilityError> {
         let path = path.into();
         let file = create_log_file(&path)?;
-        Ok(Self {
-            file,
-            path,
-            len: WAL_MAGIC.len() as u64,
-            records: 0,
-            policy: FlushPolicy::default(),
-            buf: Vec::new(),
-            buffered_records: 0,
-            flushes: 0,
-            dirty: true,
-            drop_hook: None,
-        })
+        Ok(Self::open(file, path, 0, WAL_MAGIC.len() as u64, 0))
+    }
+
+    /// A fresh segment of a [`SegmentedLog`] whose first record will be
+    /// numbered `first`, its magic prefix fsynced here.
+    fn create_segment(path: PathBuf, first: u64) -> Result<Self, DurabilityError> {
+        let file = create_synced_log_file(&path)?;
+        Ok(Self::open(file, path, first, WAL_MAGIC.len() as u64, 0))
     }
 
     /// Reopens an existing WAL for appending after a tolerant scan:
@@ -475,12 +736,18 @@ impl WalWriter {
     /// Returns [`DurabilityError::Io`] if the file cannot be opened,
     /// truncated, or seeked.
     pub fn resume(path: impl Into<PathBuf>, scan: &WalScan) -> Result<Self, DurabilityError> {
-        Self::resume_at(path.into(), scan.valid_len, scan.records.len() as u64)
+        Self::resume_at(path.into(), scan.valid_len, 0, scan.records.len() as u64)
     }
 
     /// [`resume`](Self::resume) from a scan's summary: `valid_len`
-    /// bytes holding `records` records stay, anything after goes.
-    fn resume_at(path: PathBuf, valid_len: u64, records: u64) -> Result<Self, DurabilityError> {
+    /// bytes holding `records` records, the first numbered `first`,
+    /// stay; anything after goes.
+    fn resume_at(
+        path: PathBuf,
+        valid_len: u64,
+        first: u64,
+        records: u64,
+    ) -> Result<Self, DurabilityError> {
         let mut file = OpenOptions::new()
             .write(true)
             .read(true)
@@ -490,18 +757,7 @@ impl WalWriter {
             .map_err(|e| io_err("truncate torn tail", &path, &e))?;
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("seek", &path, &e))?;
-        Ok(Self {
-            file,
-            path,
-            len: valid_len,
-            records,
-            policy: FlushPolicy::default(),
-            buf: Vec::new(),
-            buffered_records: 0,
-            flushes: 0,
-            dirty: true,
-            drop_hook: None,
-        })
+        Ok(Self::open(file, path, first, valid_len, records))
     }
 
     /// Sets the flush policy, builder-style.
@@ -511,8 +767,8 @@ impl WalWriter {
         self
     }
 
-    /// Sets the flush policy in place. Already-buffered records keep
-    /// waiting for the next flush trigger (or explicit
+    /// Sets the flush policy in place. Already-staged records keep
+    /// waiting for the next group write (or explicit
     /// [`sync`](WalWriter::sync)); tightening the policy only governs
     /// subsequent appends.
     pub fn set_flush_policy(&mut self, policy: FlushPolicy) {
@@ -527,31 +783,38 @@ impl WalWriter {
 
     /// Installs a hook invoked from `Drop` with
     /// `(buffered_records, buffered_bytes)` when the writer is dropped
-    /// while still holding unflushed records. Those records were
-    /// accepted by [`append`](WalWriter::append) but never reached
-    /// stable storage, so dropping them is silent data loss from the
-    /// caller's perspective; the hook is the owner's chance to account
-    /// for the discarded tail (e.g. bump an observability counter)
-    /// instead of discovering the gap at the next recovery. The hook
-    /// does not fire when the buffer is empty, and it cannot rescue the
-    /// records — call [`sync`](WalWriter::sync) before dropping to keep
-    /// them.
+    /// while still holding staged records. Those records were accepted
+    /// by [`append`](WalWriter::append) but never reached the file, so
+    /// dropping them is silent data loss from the caller's perspective;
+    /// the hook is the owner's chance to account for the discarded tail
+    /// (e.g. bump an observability counter) instead of discovering the
+    /// gap at the next recovery. The hook does not fire when the buffer
+    /// is empty, and it cannot rescue the records — call
+    /// [`sync`](WalWriter::sync) before dropping to keep them.
     pub fn set_drop_hook(&mut self, hook: impl FnMut(u64, u64) + Send + Sync + 'static) {
         self.drop_hook = Some(Box::new(hook));
     }
 
-    /// Appends one record to the group-commit buffer, flushing (file
-    /// write + fsync) if the writer's [`FlushPolicy`] says the batch is
-    /// due. Under [`FlushPolicy::PerRecord`] (the default) the record
-    /// is durable when this returns; under grouped policies it is
-    /// durable once a later flush covers it.
+    /// Installs a hook the syncer thread calls after each fdatasync it
+    /// completes, with that fdatasync's duration, before the watermark
+    /// moves past it — so whoever a sync wakes already sees it counted.
+    pub fn set_sync_hook(&mut self, hook: impl Fn(Duration) + Send + Sync + 'static) {
+        self.sync.lock().hook = Some(Arc::new(hook));
+    }
+
+    /// Stages one record. If the writer's [`FlushPolicy`] says a group is
+    /// due, the staged records are written to the file and their fsync
+    /// requested; this never waits for an fsync. The record is durable
+    /// once the [`Watermark`] passes it.
     ///
     /// # Errors
     ///
-    /// Returns [`DurabilityError::Io`] on a write or fsync failure (the
-    /// writer should be considered poisoned: the file may hold a torn
-    /// record, which the next tolerant scan will discard).
+    /// Returns the writer's sticky failure (see [`Watermark::wait`]) —
+    /// nothing is staged then — or a [`DurabilityError::Io`] for a group
+    /// write that fails here, which becomes that failure (the file may
+    /// hold a torn record, which the next tolerant scan will discard).
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DurabilityError> {
+        self.sync.check()?;
         self.buf.reserve(RECORD_HEADER + payload.len());
         self.buf
             .extend_from_slice(&(payload.len() as u64).to_be_bytes());
@@ -564,95 +827,130 @@ impl WalWriter {
             .policy
             .due(self.buffered_records, self.buf.len() as u64)
         {
-            self.sync()?;
+            self.write_group()?;
         }
         Ok(())
     }
 
-    /// Flushes the group-commit buffer and forces everything appended
-    /// so far to stable storage. A no-op (no fsync counted) when
-    /// nothing new reached the file since the last flush.
+    /// Writes the staged records to the file as one group and requests
+    /// their fsync, without waiting for it: a no-op when nothing is
+    /// staged.
     ///
     /// # Errors
     ///
-    /// Returns [`DurabilityError::Io`] if the write or fsync fails.
+    /// As [`append`](Self::append).
+    pub fn request_sync(&mut self) -> Result<(), DurabilityError> {
+        self.sync.check()?;
+        self.write_group()
+    }
+
+    /// Writes the staged records, requests their fsync and waits until
+    /// everything appended so far is on stable storage. Waits for no
+    /// fsync when everything appended is already durable.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sticky failure, or the error of the write or fsync
+    /// that fails now.
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
-        if !self.buf.is_empty() {
-            self.file
-                .write_all(&self.buf)
-                .map_err(|e| io_err("append", &self.path, &e))?;
-            self.buf.clear();
-            self.buffered_records = 0;
-            self.dirty = true;
+        self.request_sync()?;
+        self.sync.wait(self.first + self.records)
+    }
+
+    /// Writes the staged group and hands its fsync to the syncer,
+    /// starting the thread at the first group.
+    fn write_group(&mut self) -> Result<(), DurabilityError> {
+        if self.buf.is_empty() {
+            return Ok(());
         }
-        if self.dirty {
-            self.file
-                .sync_data()
-                .map_err(|e| io_err("fsync", &self.path, &e))?;
-            self.dirty = false;
-            self.flushes += 1;
+        let path = &self.live.path;
+        if let Err(e) = (&self.live.file).write_all(&self.buf) {
+            return Err(self.sync.fail(io_err("append", path, &e)));
         }
+        self.buf.clear();
+        self.buffered_records = 0;
+        self.flushes += 1;
+        if self.syncer.is_none() {
+            let sync = Arc::clone(&self.sync);
+            let syncer = std::thread::Builder::new()
+                .name("vcps-wal-syncer".into())
+                .spawn(move || sync.run())
+                .map_err(|e| self.sync.fail(io_err("start syncer", path, &e)))?;
+            self.syncer = Some(syncer);
+        }
+        self.sync.lock().requested = self.first + self.records;
+        self.sync.requests.notify_one();
         Ok(())
     }
 
     /// Closes this file as a sealed segment of a [`SegmentedLog`] and
-    /// continues in a fresh, empty file at the same path. `first` is
-    /// the number (counted from the log's creation) of this file's first
-    /// record; the sealed file is renamed to carry the range
-    /// `first..first + record_count()`.
+    /// continues in a fresh, empty file at the same path. The sealed
+    /// file is renamed to carry its record range, numbered from the
+    /// log's creation.
     ///
-    /// Everything appended is flushed first. The fresh file's magic is
-    /// fsynced and then the directory, so the rename and the new file
+    /// Everything appended is made durable first. The fresh file's magic
+    /// is fsynced and then the directory, so the rename and the new file
     /// are durable together: a crash leaves either the unsealed file, or
     /// the sealed segment with or without its empty successor — never a
     /// record outside the chain.
     ///
     /// # Errors
     ///
-    /// Returns [`DurabilityError::Io`] on a flush, rename, create or
+    /// Returns [`DurabilityError::Io`] on a write, rename, create or
     /// fsync failure. If the fresh file cannot be created the rename is
     /// undone, so later appends still land in the file the name covers.
-    pub fn seal(&mut self, first: u64) -> Result<(), DurabilityError> {
+    pub fn seal(&mut self) -> Result<(), DurabilityError> {
         self.sync()?;
-        let sealed = self
-            .path
-            .with_file_name(segments::sealed_name(first, first + self.records));
-        fs::rename(&self.path, &sealed).map_err(|e| io_err("seal", &sealed, &e))?;
-        let fresh = create_log_file(&self.path).and_then(|file| {
-            file.sync_data()
-                .map_err(|e| io_err("fsync", &self.path, &e))?;
-            Ok(file)
-        });
-        let file = match fresh {
+        let end = self.first + self.records;
+        let path = self.live.path.clone();
+        let sealed = path.with_file_name(segments::sealed_name(self.first, end));
+        fs::rename(&path, &sealed).map_err(|e| io_err("seal", &sealed, &e))?;
+        let file = match create_synced_log_file(&path) {
             Ok(file) => file,
             Err(e) => {
-                let _ = fs::rename(&sealed, &self.path);
+                let _ = fs::rename(&sealed, &path);
                 return Err(e);
             }
         };
-        self.file = file;
+        let live = Arc::new(LiveFile { file, path });
+        self.sync.lock().live = Arc::clone(&live);
+        self.live = live;
+        self.first = end;
         self.len = WAL_MAGIC.len() as u64;
         self.records = 0;
-        self.dirty = false;
-        sync_dir(parent_dir(&self.path))
+        sync_dir(parent_dir(&self.live.path))
     }
 
-    /// Records appended (including those found by a resume scan and
-    /// those still waiting in the group-commit buffer).
+    /// Records in this file (including those found by a resume scan and
+    /// those still staged in the group-commit buffer).
     #[must_use]
     pub fn record_count(&self) -> u64 {
         self.records
     }
 
-    /// Completed flushes (buffer write + fsync) so far — the metric
-    /// group commit exists to shrink.
+    /// Group writes so far: each wrote the staged records to the file
+    /// and requested their fsync.
     #[must_use]
     pub fn flushes(&self) -> u64 {
         self.flushes
     }
 
-    /// Records currently staged in the group-commit buffer — appended
-    /// and acknowledged, but not yet durable. A crash now loses exactly
+    /// fdatasyncs the syncer has completed — the metric group commit
+    /// exists to shrink. At most one per group write; fewer when
+    /// requests arrive while a sync runs and share the next one.
+    #[must_use]
+    pub fn fsyncs(&self) -> u64 {
+        self.sync.lock().fsyncs
+    }
+
+    /// This log's durable watermark, as a handle any thread may wait on.
+    #[must_use]
+    pub fn watermark(&self) -> Watermark {
+        Watermark(Arc::clone(&self.sync))
+    }
+
+    /// Records currently staged in the group-commit buffer — appended,
+    /// but not yet written to the file. A crash now loses at least
     /// these.
     #[must_use]
     pub fn buffered_records(&self) -> u64 {
@@ -666,7 +964,7 @@ impl WalWriter {
         self.buf.len() as u64
     }
 
-    /// Logical log length in bytes (magic prefix and buffered records
+    /// Logical log length in bytes (magic prefix and staged records
     /// included). After [`sync`](WalWriter::sync) this equals the file
     /// length on disk.
     #[must_use]
@@ -683,7 +981,17 @@ impl WalWriter {
     /// The log file's path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.live.path
+    }
+
+    /// Replaces every fdatasync the syncer runs from now on.
+    #[cfg(test)]
+    fn fake_fsync(&self, fsync: impl FnMut(&File) -> std::io::Result<()> + Send + 'static) {
+        *self
+            .sync
+            .fake_fsync
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(Box::new(fsync));
     }
 }
 
@@ -1487,6 +1795,106 @@ mod tests {
         resumed.append(b"after-crash").unwrap();
         resumed.sync().unwrap();
         assert_eq!(read_wal(&path).unwrap().records.len(), 7);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Group writes that arrive while an fsync runs share the next one,
+    /// and `append` never waits for an fsync.
+    #[test]
+    fn requests_during_a_sync_share_the_next_one() {
+        use std::sync::mpsc;
+
+        let dir = temp_dir("coalesce");
+        let path = dir.join("frames.wal");
+        let mut writer = WalWriter::create(&path).unwrap();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        writer.fake_fsync(move |file| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+            file.sync_data()
+        });
+        let mark = writer.watermark();
+        writer.append(b"a").unwrap();
+        entered_rx.recv().unwrap();
+        // The first fsync is running: three more group writes queue up.
+        for record in [b"b", b"c", b"d"] {
+            writer.append(record).unwrap();
+        }
+        assert_eq!(
+            (writer.flushes(), mark.requested(), mark.durable()),
+            (4, 4, 0)
+        );
+        release_tx.send(()).unwrap();
+        // The second fsync covers all three.
+        entered_rx.recv().unwrap();
+        assert_eq!(mark.durable(), 1);
+        release_tx.send(()).unwrap();
+        mark.wait(4).unwrap();
+        assert_eq!((writer.fsyncs(), writer.flushes()), (2, 4));
+        // Nothing new: a sync waits for no fsync.
+        writer.sync().unwrap();
+        assert_eq!(writer.fsyncs(), 2);
+        assert_eq!(read_wal(&path).unwrap().records.len(), 4);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed fdatasync is typed and sticky: `sync` and every waiter
+    /// get it, the watermark never passes the failed group, later
+    /// appends and syncs get the same error, the fsync is never retried,
+    /// and the file holds exactly what was written.
+    #[test]
+    fn failed_fsync_is_typed_sticky_and_never_retried() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let dir = temp_dir("fsync-fails");
+        let path = dir.join("frames.wal");
+        let mut writer = WalWriter::create(&path)
+            .unwrap()
+            .with_flush_policy(FlushPolicy::EveryRecords(2));
+        let mark = writer.watermark();
+        writer.append(b"one").unwrap();
+        writer.append(b"two").unwrap();
+        mark.wait(2).unwrap();
+        // Every fsync from here on fails.
+        let calls = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&calls);
+        writer.fake_fsync(move |_| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            Err(std::io::Error::other("injected fsync failure"))
+        });
+        let waiter = {
+            let mark = mark.clone();
+            std::thread::spawn(move || mark.wait(4))
+        };
+        writer.append(b"three").unwrap();
+        writer.append(b"four").unwrap();
+        let err = writer.sync().unwrap_err();
+        assert!(
+            matches!(&err, DurabilityError::Io { op: "fsync", path: p, detail }
+                if p == &path && detail.contains("injected")),
+            "{err}"
+        );
+        assert_eq!(waiter.join().unwrap(), Err(err.clone()));
+        assert_eq!(mark.wait(3), Err(err.clone()));
+        assert_eq!(writer.append(b"five"), Err(err.clone()));
+        assert_eq!(writer.request_sync(), Err(err.clone()));
+        assert_eq!(writer.sync(), Err(err.clone()));
+        assert_eq!((mark.durable(), mark.requested()), (2, 4));
+        assert_eq!(writer.fsyncs(), 1);
+        drop(writer);
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "a failed fsync is never retried"
+        );
+        let scan = read_wal(&path).unwrap();
+        let written: Vec<Vec<u8>> = [&b"one"[..], b"two", b"three", b"four"]
+            .iter()
+            .map(|r| r.to_vec())
+            .collect();
+        assert_eq!(scan.records, written);
+        assert_eq!(scan.tail_error, None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

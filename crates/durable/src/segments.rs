@@ -125,13 +125,13 @@ impl SegmentedLog {
         for segment in log.sealed() {
             remove_file(&segment.path)?;
         }
-        Self::fresh_live(dir, &log.live().path)
+        Self::fresh_live(dir, &log.live().path, 0)
     }
 
-    /// Creates an empty live segment, durable with its directory entry.
-    fn fresh_live(dir: &Path, live: &Path) -> Result<WalWriter, DurabilityError> {
-        let mut wal = WalWriter::create(live)?;
-        wal.sync()?;
+    /// Creates an empty live segment whose first record will be numbered
+    /// `first`, durable with its directory entry.
+    fn fresh_live(dir: &Path, live: &Path, first: u64) -> Result<WalWriter, DurabilityError> {
+        let wal = WalWriter::create_segment(live.to_path_buf(), first)?;
         sync_dir(dir)?;
         Ok(wal)
     }
@@ -260,9 +260,14 @@ impl SegmentedLog {
         let live = &self.live().path;
         let Some(named_end) = stop.end else {
             return if stop.path.exists() {
-                WalWriter::resume_at(stop.path.clone(), scan.stop_len, scan.end - stop.first)
+                WalWriter::resume_at(
+                    stop.path.clone(),
+                    scan.stop_len,
+                    stop.first,
+                    scan.end - stop.first,
+                )
             } else {
-                Self::fresh_live(&self.dir, &stop.path)
+                Self::fresh_live(&self.dir, &stop.path, scan.end)
             };
         };
         if scan.end != named_end {
@@ -276,7 +281,7 @@ impl SegmentedLog {
             let renamed = self.dir.join(sealed_name(stop.first, scan.end));
             fs::rename(&stop.path, &renamed).map_err(|e| io_err("rename", &renamed, &e))?;
         }
-        Self::fresh_live(&self.dir, live)
+        Self::fresh_live(&self.dir, live, scan.end)
     }
 }
 
@@ -444,12 +449,11 @@ mod tests {
         let mut wal = SegmentedLog::create(dir).unwrap();
         let mut n = 0u64;
         for _ in 0..periods {
-            let first = n;
             for _ in 0..per {
                 wal.append(&[n as u8; 3]).unwrap();
                 n += 1;
             }
-            wal.seal(first).unwrap();
+            wal.seal().unwrap();
         }
         for _ in 0..tail {
             wal.append(&[n as u8; 3]).unwrap();
@@ -506,6 +510,26 @@ mod tests {
         );
         let log = SegmentedLog::open(&dir).unwrap();
         assert_eq!((log.start(), log.live().first), (0, 6));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The watermark numbers records from the log's creation, across
+    /// seals and a resume, as the segment names do.
+    #[test]
+    fn watermark_counts_records_from_the_log_creation() {
+        let dir = temp_dir("watermark");
+        let wal = build(&dir, 2, 3, 2);
+        assert_eq!(wal.watermark().durable(), 8);
+        drop(wal);
+        let log = SegmentedLog::open(&dir).unwrap();
+        let (_, scan) = collect(&log, 6);
+        let mut wal = log.resume(&scan).unwrap();
+        let mark = wal.watermark();
+        assert_eq!((mark.requested(), mark.durable()), (8, 8));
+        wal.append(&[8; 3]).unwrap();
+        wal.seal().unwrap();
+        assert_eq!(mark.durable(), 9);
+        assert!(dir.join(sealed_name(6, 9)).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

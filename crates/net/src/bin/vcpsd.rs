@@ -4,8 +4,9 @@
 //! until a shutdown frame arrives: upload frames (tags 3–6) feed the
 //! sharded server through the zero-copy decode path, pair/O–D query
 //! frames answer from the same state, and `--wal-dir` makes the whole
-//! thing durable (recovering whatever the directory already holds, and
-//! flushing the WAL on orderly shutdown).
+//! thing durable (recovering whatever the directory already holds,
+//! acking each upload only once the WAL has fsynced it, and flushing the
+//! WAL on orderly shutdown).
 //!
 //! ```text
 //! cargo run --release -p vcps-net --bin vcpsd --
@@ -20,8 +21,10 @@
 //!   [--od-threads N]          O–D query workers (default 4)
 //!   [--wal-dir DIR]           durable mode: WAL + checkpoints here
 //!   [--checkpoint-every N]    (durable) checkpoint interval in frames
-//!   [--flush-every N]         (durable) group-commit every N records
-//!                             (default: fsync per record)
+//!   [--flush-every N]         (durable) write the WAL in groups of N
+//!                             records (default: each record as it is
+//!                             logged); an ack still waits until its
+//!                             record is fsynced
 //!   [--max-frame-bytes N]     frame cap, checked before allocation
 //!   [--max-frames-in-flight N] per-connection pipeline depth
 //!   [--max-bytes-per-sec N]   per-connection ingest budget

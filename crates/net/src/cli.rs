@@ -3,8 +3,8 @@
 //! Every argument must be one of the binary's flags, every value flag
 //! needs a value, and a value that does not parse is an error naming
 //! its flag — never a silent fallback to the default. (A daemon that
-//! read `--flush-every 64x` as "no flag" would fsync every record while
-//! its operator counted on group commit.) The binaries print the error
+//! read `--flush-every 64x` as "no flag" would write every record as its
+//! own group while its operator counted on group commit.) The binaries print the error
 //! and exit with status 2.
 
 use std::collections::BTreeMap;

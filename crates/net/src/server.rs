@@ -12,13 +12,34 @@
 //!
 //! Both halves are buffered with a fixed [`IO_BUFFER_BYTES`] capacity,
 //! so a pipelined burst costs a few large socket calls instead of two
-//! reads and two writes per frame. The data a connection holds in
-//! flight is therefore bounded by `max_frames_in_flight` frames plus
-//! one read buffer. The processor coalesces responses while frames are
-//! queued and flushes whenever the channel is empty, before it blocks
-//! waiting for the next frame: every response is on the wire before the
-//! processor waits, so buffering never holds an answer back from a peer
-//! that is waiting for it.
+//! reads and two writes per frame. The processor coalesces responses
+//! while frames are queued and flushes whenever the channel is empty,
+//! before it blocks waiting for the next frame: every response is on
+//! the wire before the processor waits, so buffering never holds an
+//! answer back from a peer that is waiting for it.
+//!
+//! ## An ack means durable
+//!
+//! On a durable backend the processor holds each upload's ack until the
+//! WAL's syncer has fsynced the record that upload logged, and keeps
+//! decoding and applying queued frames meanwhile: one group is fsynced
+//! while the next is built. Responses leave in request order from one
+//! FIFO of held responses. Between frames the processor writes the held
+//! responses that are already durable. When the channel is empty it
+//! first waits for a WAL sync already in flight and looks at the channel
+//! again (so a burst joins the running group instead of forcing a small
+//! one); then it writes the WAL's staged tail, waits for its fsync, and
+//! writes and flushes every held response. A request that is not an
+//! upload waits for the held acks before it is computed, so only acks
+//! (41-byte payloads) are ever held, and at most
+//! 2 × `max_frames_in_flight` of them: at that bound the processor waits
+//! for the oldest. The data a connection holds is therefore bounded by
+//! `max_frames_in_flight` frames, one read buffer, one write buffer and
+//! 2 × `max_frames_in_flight` acks. The backend lock is never held while
+//! waiting for an fsync. If a WAL write or fsync fails, every held
+//! request is answered with the durability error and later uploads are
+//! refused: nothing is acked past a failed sync. A volatile backend
+//! holds nothing.
 //!
 //! ## State
 //!
@@ -28,19 +49,21 @@
 //! take the write lock, pair/O–D queries the read lock. Cross-RSU
 //! frame interleavings commute (dedup state is per-RSU), so any
 //! serialization order the lock picks yields the same final state —
-//! the property the differential tests check bit-for-bit.
+//! the property the differential tests check bit-for-bit. Reads are not
+//! held: a query from any connection sees every applied upload,
+//! including those whose acks still wait for their fsync.
 //!
 //! ## Shutdown
 //!
 //! A shutdown frame flips the shared flag and pokes the listener with a
 //! loopback connect so `accept` wakes. The run loop then stops
 //! accepting, waits for live connections to drain (readers notice the
-//! flag at their next idle tick), and — the part that matters for
-//! durability — explicitly flushes the WAL, so a group-commit tail
-//! buffered under a lazy [`FlushPolicy`](vcps_sim::FlushPolicy) is
-//! never dropped on the floor (`wal.dropped_buffered_records` counts
+//! flag at their next idle tick; each processor sends its held acks
+//! first), and explicitly flushes the WAL, so no frame logged before
+//! the exit is left staged (`wal.dropped_buffered_records` counts
 //! exactly the drops this flush prevents).
 
+use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -52,6 +75,7 @@ use vcps_core::Scheme;
 use vcps_obs::Obs;
 use vcps_sim::{
     DurableOptions, DurableServer, PeriodUpload, SequencedUploadRef, ShardedServer, SimError,
+    Watermark,
 };
 
 use crate::limits::TokenBucket;
@@ -118,6 +142,14 @@ impl Backend {
         match self {
             Backend::Volatile(s) => s,
             Backend::Durable(d) => d.server(),
+        }
+    }
+
+    /// Frames logged to the WAL so far (none when volatile).
+    fn logged(&self) -> u64 {
+        match self {
+            Backend::Volatile(_) => 0,
+            Backend::Durable(d) => d.records_logged(),
         }
     }
 }
@@ -423,10 +455,8 @@ fn read_exact_budgeted(
 /// Processor-side loop: decode, dispatch, respond. A malformed
 /// *payload* (bad inner tag, bad upload) gets an error response and the
 /// connection lives on — the framing layer is still in sync. A framing
-/// error is terminal: best-effort error frame, then teardown.
-///
-/// Responses collect in `out` while more frames are queued and are
-/// flushed whenever the channel is empty, before blocking on it.
+/// error is terminal: the held responses, then a best-effort error
+/// frame, then teardown.
 ///
 /// A failed write is never retried: each attempt against a peer that
 /// has stopped reading blocks for the whole write timeout. The
@@ -438,37 +468,7 @@ fn process_frames(
     mut out: BufWriter<TcpStream>,
     shared: &Arc<Shared>,
 ) {
-    let written = loop {
-        let item = match rx.try_recv() {
-            Ok(item) => item,
-            Err(mpsc::TryRecvError::Empty) => {
-                if out.flush().is_err() {
-                    break false;
-                }
-                match rx.recv() {
-                    Ok(item) => item,
-                    Err(mpsc::RecvError) => break true,
-                }
-            }
-            Err(mpsc::TryRecvError::Disconnected) => break true,
-        };
-        match item {
-            Ok(frame) => {
-                let reply = handle_frame(&frame, shared);
-                shared
-                    .obs
-                    .add("net.bytes.out", reply.payload_len() as u64 + 4);
-                if reply.write(&mut out).is_err() {
-                    break false;
-                }
-            }
-            Err(e) => {
-                let error = wire::encode_error_response(&e.to_string());
-                break wire::write_frame(&mut out, &error).is_ok();
-            }
-        }
-    };
-    let written = written && out.flush().is_ok();
+    let written = serve_frames(rx, &mut out, shared).is_ok() && out.flush().is_ok();
     // `into_parts` hands back the socket without the flush that
     // dropping a `BufWriter` would retry.
     let (stream, _unwritten) = out.into_parts();
@@ -476,6 +476,177 @@ fn process_frames(
         shared.obs.inc("net.write.err");
         let _ = stream.shutdown(Shutdown::Both);
     }
+}
+
+/// Answers the connection's frames in request order until its reader
+/// stops, holding each upload's ack until the WAL has made the upload
+/// durable ([`Held`]). Responses collect in `out` while frames are
+/// queued. When the channel runs dry the processor first joins a WAL
+/// sync already in flight and looks again, so a burst's acks ride the
+/// running group instead of forcing a small one; then it makes every
+/// held response durable, writes it and flushes, before blocking on the
+/// channel. Returns the first failed socket write.
+fn serve_frames(
+    rx: &mpsc::Receiver<Result<Vec<u8>, NetError>>,
+    out: &mut BufWriter<TcpStream>,
+    shared: &Shared,
+) -> Result<(), NetError> {
+    let mut held = Held::new(shared);
+    let mut joined = false;
+    loop {
+        held.release(out, shared)?;
+        let item = match rx.try_recv() {
+            Ok(item) => item,
+            Err(mpsc::TryRecvError::Empty) => {
+                if !joined && held.join_in_flight() {
+                    joined = true;
+                    continue;
+                }
+                held.drain(out, shared)?;
+                out.flush()?;
+                match rx.recv() {
+                    Ok(item) => item,
+                    Err(mpsc::RecvError) => return Ok(()),
+                }
+            }
+            Err(mpsc::TryRecvError::Disconnected) => return held.drain(out, shared),
+        };
+        joined = false;
+        match item {
+            Ok(frame) if matches!(frame.first(), Some(3..=6)) => {
+                let (reply, upto) = handle_upload(&frame, shared);
+                held.push(upto, reply, out, shared)?;
+            }
+            Ok(frame) => {
+                held.drain(out, shared)?;
+                send(&handle_frame(&frame, shared), out, shared)?;
+            }
+            Err(e) => {
+                held.drain(out, shared)?;
+                let error = wire::encode_error_response(&e.to_string());
+                return wire::write_frame(out, &error);
+            }
+        }
+    }
+}
+
+/// The responses a processor has computed but not yet sent, in request
+/// order (DESIGN.md §19). An upload's ack waits here until the WAL's
+/// durable watermark covers the record that upload logged, and every
+/// response behind it waits with it. A request that is not an upload
+/// waits for the held acks before it is computed, so only acks are
+/// ever held; a volatile backend holds nothing.
+struct Held {
+    /// The durable backend's watermark (`None`: volatile).
+    mark: Option<Watermark>,
+    /// Each response with the count of log records that must be durable
+    /// before it may go.
+    queue: VecDeque<(u64, Reply)>,
+    /// At this many held responses the processor waits for the oldest:
+    /// twice the channel depth, room for one group to sync while the
+    /// next is built.
+    bound: usize,
+}
+
+impl Held {
+    fn new(shared: &Shared) -> Self {
+        let mark = match &*shared.backend.read().expect("backend poisoned") {
+            Backend::Volatile(_) => None,
+            Backend::Durable(d) => Some(d.watermark()),
+        };
+        Self {
+            mark,
+            queue: VecDeque::new(),
+            bound: 2 * shared.limits.max_frames_in_flight.max(1),
+        }
+    }
+
+    /// Queues `reply`, which may go once `upto` log records are durable,
+    /// and writes whatever may already go. At the bound it waits for the
+    /// oldest response first.
+    fn push(
+        &mut self,
+        upto: u64,
+        reply: Reply,
+        out: &mut impl Write,
+        shared: &Shared,
+    ) -> Result<(), NetError> {
+        self.queue.push_back((upto, reply));
+        self.release(out, shared)?;
+        match self.queue.front() {
+            Some(&(oldest, _)) if self.queue.len() >= self.bound => {
+                self.settle(oldest, out, shared)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Writes, in order, the held responses the watermark covers.
+    fn release(&mut self, out: &mut impl Write, shared: &Shared) -> Result<(), NetError> {
+        let durable = self.mark.as_ref().map_or(u64::MAX, Watermark::durable);
+        while let Some((_, reply)) = self.queue.pop_front_if(|(upto, _)| *upto <= durable) {
+            send(&reply, out, shared)?;
+        }
+        Ok(())
+    }
+
+    /// If a WAL sync is in flight while responses are held, waits for it
+    /// to end and returns `true`.
+    fn join_in_flight(&self) -> bool {
+        let Some(mark) = self.mark.as_ref().filter(|_| !self.queue.is_empty()) else {
+            return false;
+        };
+        let in_flight = mark.requested();
+        if in_flight <= mark.durable() {
+            return false;
+        }
+        // A failure is answered by the `drain` that follows.
+        let _ = mark.wait(in_flight);
+        true
+    }
+
+    /// Sends every held response.
+    fn drain(&mut self, out: &mut impl Write, shared: &Shared) -> Result<(), NetError> {
+        match self.queue.back() {
+            Some(&(upto, _)) => self.settle(upto, out, shared),
+            None => Ok(()),
+        }
+    }
+
+    /// Waits until `upto` log records are durable — writing the WAL's
+    /// staged tail and requesting its sync first, if they are not all
+    /// written — and writes every response that may then go. The backend
+    /// lock is taken only to write the tail, never to wait. If the log
+    /// has failed, every held response it does not cover is answered
+    /// with the failure instead: nothing is acked past a failed sync.
+    fn settle(&mut self, upto: u64, out: &mut impl Write, shared: &Shared) -> Result<(), NetError> {
+        let Some(mark) = self.mark.clone() else {
+            return Ok(());
+        };
+        let mut durable = Ok(());
+        if mark.requested() < upto {
+            if let Backend::Durable(d) = &mut *shared.backend.write().expect("backend poisoned") {
+                durable = d.request_flush();
+            }
+        }
+        let durable = durable.and_then(|()| Ok(mark.wait(upto)?));
+        self.release(out, shared)?;
+        if let Err(e) = durable {
+            let error = error_reply(&NetError::from(e), shared);
+            for _ in self.queue.drain(..) {
+                send(&error, out, shared)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Writes one response, counting its bytes.
+fn send(reply: &Reply, out: &mut impl Write, shared: &Shared) -> Result<(), NetError> {
+    shared
+        .obs
+        .add("net.bytes.out", reply.payload_len() as u64 + 4);
+    reply.write(out)
 }
 
 /// The response to one frame.
@@ -503,29 +674,41 @@ impl Reply {
     }
 }
 
-/// Dispatches one well-framed payload and builds its response.
-fn handle_frame(payload: &[u8], shared: &Arc<Shared>) -> Reply {
-    match dispatch(payload, shared) {
-        Ok(reply) => reply,
-        Err(e) => {
-            shared.obs.inc("net.frames.err");
-            Reply::Payload(wire::encode_error_response(&e.to_string()))
-        }
+/// Ingests one upload frame (tags 3–6) and builds its ack, with the
+/// count of log records that must be durable before the ack may go:
+/// those up to and including the frame's own record (none on a volatile
+/// backend, or for an error).
+fn handle_upload(payload: &[u8], shared: &Shared) -> (Reply, u64) {
+    let ingested = {
+        let mut backend = shared.backend.write().expect("backend poisoned");
+        ingest(&mut backend, payload[0], payload).map(|outcomes| (outcomes, backend.logged()))
+    };
+    match ingested {
+        Ok((outcomes, upto)) => (
+            Reply::Payload(AckSummary::from_outcomes(&outcomes).encode()),
+            upto,
+        ),
+        Err(e) => (error_reply(&e, shared), 0),
     }
 }
 
-fn dispatch(payload: &[u8], shared: &Arc<Shared>) -> Result<Reply, NetError> {
+/// Dispatches one well-framed payload that is not an upload and builds
+/// its response.
+fn handle_frame(payload: &[u8], shared: &Shared) -> Reply {
+    dispatch(payload, shared).unwrap_or_else(|e| error_reply(&e, shared))
+}
+
+/// The error response for `e`, counted in `net.frames.err`.
+fn error_reply(e: &NetError, shared: &Shared) -> Reply {
+    shared.obs.inc("net.frames.err");
+    Reply::Payload(wire::encode_error_response(&e.to_string()))
+}
+
+fn dispatch(payload: &[u8], shared: &Shared) -> Result<Reply, NetError> {
     let tag = *payload
         .first()
         .ok_or(NetError::Malformed("empty payload"))?;
     let response = match tag {
-        3..=6 => {
-            let outcomes = {
-                let mut backend = shared.backend.write().expect("backend poisoned");
-                ingest(&mut backend, tag, payload)?
-            };
-            AckSummary::from_outcomes(&outcomes).encode()
-        }
         REQ_PAIR_QUERY => {
             let mut cur = Cursor::new(&payload[1..]);
             let (a, b) = (cur.u64()?, cur.u64()?);

@@ -143,8 +143,10 @@ fn durable_daemon_flushes_on_shutdown_and_recovers() {
     let obs = Obs::enabled();
     let mut config = DaemonConfig::new(scheme());
     config.wal_dir = Some(dir.clone());
-    // Manual flushing: nothing reaches disk until the shutdown path
-    // flushes explicitly — the exact behavior under test.
+    // Manual flushing: no append writes a group on its own, so frames
+    // reach the file only when a processor that runs out of work makes
+    // its held acks durable, or when the shutdown path flushes
+    // explicitly. The shutdown flush must leave nothing staged.
     config.durable_options = DurableOptions::log_only().with_flush(FlushPolicy::Manual);
     config.obs = obs.clone();
     let daemon = Daemon::bind("127.0.0.1:0", config).unwrap();

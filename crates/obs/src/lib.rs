@@ -14,8 +14,8 @@
 //!   parallel workers record without contention.
 //! * [`Obs::phase`] opens a [`PhaseTimer`] for one of the pipeline
 //!   [`Phase`]s (encode, receive, decode, O–D matrix, retry, WAL append,
-//!   WAL recovery); dropping it records a `phase.<name>.ns` histogram and
-//!   a `phase.<name>.calls` counter.
+//!   WAL sync, WAL recovery); dropping it records a `phase.<name>.ns`
+//!   histogram and a `phase.<name>.calls` counter.
 //!
 //! [`Obs::snapshot`] freezes the registry into a [`RegistrySnapshot`]
 //! whose [`merge`](RegistrySnapshot::merge) is associative and
@@ -71,8 +71,13 @@ pub enum Phase {
     OdMatrix,
     /// Upload retry/backoff handling.
     Retry,
-    /// Write-ahead-log append + fsync on the durable ingest path.
+    /// Write-ahead-log append on the durable ingest path: staging the
+    /// record, and writing its group to the file when one is due.
     WalAppend,
+    /// One WAL fdatasync, timed on the log's syncer thread. The durable
+    /// server records only its histogram: `wal.fsync` already counts
+    /// the calls.
+    WalSync,
     /// Crash recovery: checkpoint load + WAL tail replay.
     WalRecover,
 }
@@ -88,6 +93,7 @@ impl Phase {
             Phase::OdMatrix => "phase.od_matrix.ns",
             Phase::Retry => "phase.retry.ns",
             Phase::WalAppend => "phase.wal_append.ns",
+            Phase::WalSync => "phase.wal_sync.ns",
             Phase::WalRecover => "phase.wal_recover.ns",
         }
     }
@@ -102,6 +108,7 @@ impl Phase {
             Phase::OdMatrix => "phase.od_matrix.calls",
             Phase::Retry => "phase.retry.calls",
             Phase::WalAppend => "phase.wal_append.calls",
+            Phase::WalSync => "phase.wal_sync.calls",
             Phase::WalRecover => "phase.wal_recover.calls",
         }
     }

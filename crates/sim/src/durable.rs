@@ -6,9 +6,12 @@
 //! # Recovery model
 //!
 //! Every wire frame that reaches ingestion is appended to the WAL
-//! *before* it is applied (fsynced per record by default, or batched
-//! under a group-commit [`FlushPolicy`] — see DESIGN.md §18) — any
-//! outcome, not just `Fresh`:
+//! *before* it is applied — any outcome, not just `Fresh`. The append
+//! writes the frame to the file at once by default, or in groups under
+//! a group-commit [`FlushPolicy`], and the WAL's syncer thread fsyncs
+//! what was written off the request path (DESIGN.md §18): a frame is
+//! durable once the log's [`Watermark`] passes it, which
+//! [`DurableServer::flush_wal`] waits for. Logging every frame means that
 //! replaying the full arrival stream through the very same
 //! [`ShardedServer::receive_sequenced_ref`] /
 //! [`ShardedServer::receive_batch_wire`] paths reproduces dedup and
@@ -52,6 +55,7 @@ use std::path::{Path, PathBuf};
 use vcps_core::CoreError;
 use vcps_durable::{
     Checkpoint, CheckpointStore, DurabilityError, FlushPolicy, Janitor, SegmentedLog, WalWriter,
+    Watermark,
 };
 use vcps_obs::{Obs, Phase};
 
@@ -73,12 +77,13 @@ pub struct DurableOptions {
     /// records (`None`: log-only, recovery replays from the start).
     /// Must be positive when set.
     pub checkpoint_interval: Option<u64>,
-    /// When WAL appends are flushed to stable storage (group commit,
-    /// DESIGN.md §18). The default, [`FlushPolicy::PerRecord`], keeps
-    /// the original acknowledge-after-fsync semantics; grouped policies
-    /// trade a bounded window of acknowledged-but-volatile frames for
-    /// an order-of-magnitude fsync reduction. Thresholded policies must
-    /// be positive.
+    /// When WAL appends are written to the file and their fsync
+    /// requested (group commit, DESIGN.md §18). The default,
+    /// [`FlushPolicy::PerRecord`], writes every frame as it is logged;
+    /// grouped policies write fewer, larger groups, and frames staged
+    /// for a later group are not yet in the file. Under every policy a
+    /// frame is durable only once the log's [`Watermark`] passes it.
+    /// Thresholded policies must be positive.
     pub flush: FlushPolicy,
 }
 
@@ -163,15 +168,25 @@ pub struct DurableServer {
 }
 
 impl DurableServer {
-    /// Arms the WAL writer's drop hook: a writer dropped while still
-    /// holding group-commit records has silently discarded
-    /// acknowledged-but-unflushed frames, which must show up in the
-    /// deployment's counters rather than only at the next recovery.
-    fn install_drop_accounting(wal: &mut WalWriter, obs: &Obs) {
-        let obs = obs.clone();
+    /// Arms the WAL writer's hooks. The drop hook: a writer dropped while
+    /// still staging group-commit records has silently discarded logged
+    /// frames, which must show up in the deployment's counters rather
+    /// than only at the next recovery. The sync hook, on the syncer
+    /// thread: `wal.fsync` counts the fdatasyncs it completes, and
+    /// [`Phase::WalSync`] times each.
+    fn install_hooks(wal: &mut WalWriter, obs: &Obs) {
+        let dropped = obs.clone();
         wal.set_drop_hook(move |records, bytes| {
-            obs.add("wal.dropped_buffered_records", records);
-            obs.add("wal.dropped_buffered_bytes", bytes);
+            dropped.add("wal.dropped_buffered_records", records);
+            dropped.add("wal.dropped_buffered_bytes", bytes);
+        });
+        let synced = obs.clone();
+        wal.set_sync_hook(move |elapsed| {
+            synced.inc("wal.fsync");
+            synced.observe(
+                Phase::WalSync.ns_metric(),
+                u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+            );
         });
     }
 
@@ -210,7 +225,7 @@ impl DurableServer {
         let store = CheckpointStore::open(dir.join(CHECKPOINT_DIR))?;
         store.clear()?;
         let mut wal = SegmentedLog::create(dir)?.with_flush_policy(options.flush);
-        Self::install_drop_accounting(&mut wal, obs);
+        Self::install_hooks(&mut wal, obs);
         let inner = ShardedServer::new(scheme, history_alpha, shard_count)?.with_obs(obs.clone());
         Ok(Self {
             inner,
@@ -301,7 +316,7 @@ impl DurableServer {
         };
         store.retire_newer_than(start)?;
         let mut wal = log.resume(&scan)?.with_flush_policy(options.flush);
-        Self::install_drop_accounting(&mut wal, obs);
+        Self::install_hooks(&mut wal, obs);
         let replayed = scan.end - start;
         inner.set_obs(obs.clone());
         obs.inc("wal.recover");
@@ -380,19 +395,16 @@ impl DurableServer {
     }
 
     /// Appends one frame to the WAL — the write-ahead step, always
-    /// before the in-memory apply. Whether the append is fsynced here
-    /// (per-record) or batched into a later group commit is the
-    /// [`FlushPolicy`]'s call; `wal.fsync` counts the flushes that
-    /// actually happened.
+    /// before the in-memory apply. Whether the append writes a group to
+    /// the file now or stages the frame for a later one is the
+    /// [`FlushPolicy`]'s call; the fsync runs on the syncer either way.
     fn log_frame(&mut self, frame: &[u8]) -> Result<(), SimError> {
         let obs = self.inner.obs().clone();
         let _timer = obs.phase(Phase::WalAppend);
-        let flushes_before = self.wal.flushes();
         self.wal.append(frame)?;
         self.records_logged += 1;
         obs.inc("wal.append");
         obs.add("wal.append.bytes", frame.len() as u64);
-        obs.add("wal.fsync", self.wal.flushes() - flushes_before);
         Ok(())
     }
 
@@ -406,28 +418,50 @@ impl DurableServer {
         Ok(())
     }
 
-    /// Flushes any group-commit-buffered WAL records to stable storage
-    /// — the explicit flush boundary for [`FlushPolicy::Manual`] (and
-    /// an early boundary for the thresholded policies). Every frame
-    /// acknowledged before this call is durable once it returns.
+    /// Writes the staged WAL records and waits until every logged frame
+    /// is on stable storage — the explicit boundary for
+    /// [`FlushPolicy::Manual`] (and an early one for the thresholded
+    /// policies). Every frame logged before this call is durable once it
+    /// returns.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Durability`] if the write or fsync fails.
+    /// Returns [`SimError::Durability`] if the write or fsync fails, or
+    /// an earlier one did (a failure is sticky).
     pub fn flush_wal(&mut self) -> Result<(), SimError> {
-        let flushes_before = self.wal.flushes();
         self.wal.sync()?;
-        self.inner
-            .obs()
-            .add("wal.fsync", self.wal.flushes() - flushes_before);
         Ok(())
+    }
+
+    /// Writes the staged WAL records and requests their fsync without
+    /// waiting for it — what a server does when it runs out of queued
+    /// work, so the records its held answers wait on reach stable
+    /// storage. [`watermark`](Self::watermark) says when they have.
+    ///
+    /// # Errors
+    ///
+    /// As [`flush_wal`](Self::flush_wal), for the write.
+    pub fn request_flush(&mut self) -> Result<(), SimError> {
+        self.wal.request_sync()?;
+        Ok(())
+    }
+
+    /// The WAL's durable watermark: frames numbered below its
+    /// [`durable`](Watermark::durable) count, counted as
+    /// [`records_logged`](Self::records_logged) counts them, are on stable
+    /// storage. The handle may be waited on from any thread, without this
+    /// server.
+    #[must_use]
+    pub fn watermark(&self) -> Watermark {
+        self.wal.watermark()
     }
 
     /// Publishes a whole-deployment checkpoint covering everything
     /// logged so far, unconditionally, then queues a retention pass.
-    /// The WAL is flushed first so the checkpoint never claims records
-    /// the log does not durably hold (recovery trusts a checkpoint only
-    /// as far as the surviving log reaches).
+    /// The WAL is flushed first (written and its fsync waited for) so
+    /// the checkpoint never claims records the log does not durably hold
+    /// (recovery trusts a checkpoint only as far as the surviving log
+    /// reaches).
     ///
     /// # Errors
     ///
@@ -453,11 +487,18 @@ impl DurableServer {
     /// [`ShardedServer::receive_sequenced`], write-ahead logged (one
     /// WAL record per upload: its [`SequencedUpload::encode`] bytes).
     ///
+    /// When this returns the frame is logged and applied; it is durable
+    /// once the [`watermark`](Self::watermark) reaches
+    /// [`records_logged`](Self::records_logged), under every
+    /// [`FlushPolicy`]. Nothing here waits for an fsync unless a
+    /// checkpoint is due.
+    ///
     /// # Errors
     ///
-    /// Returns [`SimError::Durability`] if the append, fsync, or a due
-    /// checkpoint fails — in which case the frame was **not** applied
-    /// (log first, apply second).
+    /// Returns [`SimError::Durability`] if the append or a due
+    /// checkpoint fails, or the log failed earlier — in which case the
+    /// frame was **not** applied (log first, apply second), except when
+    /// only the checkpoint failed.
     pub fn receive_sequenced(
         &mut self,
         sequenced: SequencedUpload,
@@ -472,7 +513,8 @@ impl DurableServer {
     /// tag-5 twin of [`receive_batch_wire`](Self::receive_batch_wire).
     /// The raw wire bytes are validated once (zero-copy), logged
     /// verbatim as one WAL record, and applied straight from the buffer
-    /// — no owned decode, no re-encode.
+    /// — no owned decode, no re-encode. Durable as
+    /// [`receive_sequenced`](Self::receive_sequenced) says.
     ///
     /// # Errors
     ///
@@ -492,7 +534,8 @@ impl DurableServer {
     /// raw wire bytes are validated once (zero-copy), logged verbatim
     /// as a single WAL record — no re-encode, the log *is* the wire —
     /// and applied straight from the buffer; replay re-ingests it
-    /// through the same batch path.
+    /// through the same batch path. Durable as
+    /// [`receive_sequenced`](Self::receive_sequenced) says.
     ///
     /// # Errors
     ///
@@ -527,9 +570,7 @@ impl DurableServer {
         self.log_frame(&[TAG_ROLLOVER])?;
         let sizes = self.inner.finish_period()?;
         self.publish_checkpoint()?;
-        // The live segment holds the newest `record_count` records.
-        self.wal
-            .seal(self.records_logged - self.wal.record_count())?;
+        self.wal.seal()?;
         self.inner.obs().inc("wal.seal");
         self.janitor.request(self.last_checkpoint);
         Ok(sizes)
@@ -684,6 +725,38 @@ mod tests {
             .contains_key("wal.dropped_buffered_records"));
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();
+    }
+
+    /// `wal.fsync` counts the fdatasyncs the syncer completes: exactly
+    /// the writer's count, never more than its group writes, each timed
+    /// in the `phase.wal_sync.ns` histogram. After a flush the watermark
+    /// covers every logged frame.
+    #[test]
+    fn wal_fsync_counts_the_syncers_fdatasyncs() {
+        let dir = temp_dir("fsync-count");
+        let obs = Obs::enabled();
+        let mut durable =
+            DurableServer::create(scheme(), 1.0, 2, &dir, DurableOptions::log_only(), &obs)
+                .unwrap();
+        for r in 1..=20u64 {
+            durable
+                .receive_sequenced(sequenced(r, 0, &[r as usize]))
+                .unwrap();
+        }
+        durable.flush_wal().unwrap();
+        assert_eq!(durable.watermark().durable(), 20);
+        durable.finish_period().unwrap();
+        assert_eq!(durable.watermark().durable(), durable.records_logged());
+        let (fsyncs, writes) = (durable.wal.fsyncs(), durable.wal.flushes());
+        assert_eq!(writes, 21, "one group write per record by default");
+        assert!(
+            (1..=writes).contains(&fsyncs),
+            "{fsyncs} fsyncs, {writes} writes"
+        );
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters["wal.fsync"], fsyncs);
+        assert_eq!(snap.histograms["phase.wal_sync.ns"].count, fsyncs);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -621,8 +621,13 @@ impl SequencedSink for crate::ShardedServer {
 }
 
 impl SequencedSink for DurableServer {
+    /// Logs and applies the frame, then waits until the WAL holds it
+    /// durably: the verdict is the ack a retrying RSU stops on, and an
+    /// ack means durable here as it does from `vcpsd` (DESIGN.md §18).
     fn ingest_wire(&mut self, frame: &[u8]) -> Result<ReceiveOutcome, SimError> {
-        self.receive_sequenced_wire(frame)
+        let outcome = self.receive_sequenced_wire(frame)?;
+        self.flush_wal()?;
+        Ok(outcome)
     }
 
     fn sink_obs(&self) -> &vcps_obs::Obs {

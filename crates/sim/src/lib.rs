@@ -93,5 +93,5 @@ pub use rsu::SimRsu;
 pub use runner::{PairOutcome, PairRunner};
 pub use server::{CentralServer, OdAxis, OdMatrix, ReceiveOutcome};
 pub use shard::{shard_for, ShardedServer};
-pub use vcps_durable::FlushPolicy;
+pub use vcps_durable::{FlushPolicy, Watermark};
 pub use vehicle::SimVehicle;
