@@ -6,7 +6,8 @@
 //! frames answer from the same state, and `--wal-dir` makes the whole
 //! thing durable (recovering whatever the directory already holds,
 //! acking each upload only once the WAL has fsynced it, and flushing the
-//! WAL on orderly shutdown).
+//! WAL on orderly shutdown). Each connection is served by one thread;
+//! the frames it has not read yet wait in the kernel's socket buffer.
 //!
 //! ```text
 //! cargo run --release -p vcps-net --bin vcpsd --
@@ -26,8 +27,9 @@
 //!                             logged); an ack still waits until its
 //!                             record is fsynced
 //!   [--max-frame-bytes N]     frame cap, checked before allocation
-//!   [--max-frames-in-flight N] per-connection pipeline depth
-//!   [--max-bytes-per-sec N]   per-connection ingest budget
+//!   [--max-bytes-per-sec N]   per-connection ingest budget; a
+//!                             connection over it sleeps, answering
+//!                             nothing meanwhile
 //!   [--read-timeout-ms N]     slow-loris progress window (default 10000)
 //!   [--max-connections N]     concurrent connection budget
 //!   [--obs]                   print an observability snapshot at exit
@@ -54,7 +56,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--checkpoint-every",
     "--flush-every",
     "--max-frame-bytes",
-    "--max-frames-in-flight",
     "--max-bytes-per-sec",
     "--read-timeout-ms",
     "--max-connections",
@@ -80,7 +81,6 @@ fn config(args: &Args) -> Result<DaemonConfig, String> {
     }
     config.limits = ConnectionLimits {
         max_frame_bytes: args.parsed_or("--max-frame-bytes", 64 << 20)?,
-        max_frames_in_flight: args.parsed_or("--max-frames-in-flight", 64)?,
         max_bytes_per_sec: args.parsed("--max-bytes-per-sec")?,
         read_timeout: Duration::from_millis(args.parsed_or("--read-timeout-ms", 10_000)?),
         max_connections: args.parsed_or("--max-connections", 64)?,

@@ -58,9 +58,10 @@ impl NetClient {
     }
 
     /// Sends every frame without waiting, collecting acks concurrently
-    /// on a reader thread — the pipelined replay path. The daemon's
-    /// `max_frames_in_flight` budget bounds how far ahead the sends can
-    /// run; beyond it this call is flow-controlled by TCP itself.
+    /// on a reader thread — the pipelined replay path. The daemon reads
+    /// a connection's frames only as it serves them, so how far ahead
+    /// the sends can run is bounded by the socket buffers: beyond them
+    /// this call is flow-controlled by TCP itself.
     ///
     /// Both halves are buffered like the daemon's, at the same 64 KiB
     /// (DESIGN.md §19): the frames go out in chunks of up to 64 KiB, one

@@ -1,12 +1,15 @@
 //! Per-connection DoS budgets.
 //!
 //! Every limit here bounds a resource a single remote peer could
-//! otherwise spend on the daemon's behalf: heap (frame size), queue
-//! memory and lock pressure (frames in flight), CPU and WAL bandwidth
-//! (bytes per second), and parked reader threads (read timeout on a
-//! started frame). The limits compose with the protocol's own caps —
-//! `MAX_UPLOAD_BITS` and `MAX_BATCH_FRAMES` still bound what a frame
-//! that *fits* may claim once decoded.
+//! otherwise spend on the daemon's behalf: heap (frame size), CPU and
+//! WAL bandwidth (bytes per second), parked connection threads (read
+//! timeout on a started frame, write timeout on a response) and threads
+//! overall (connections). A connection queues nothing of its own: the
+//! frames it has not read yet wait in the kernel's socket buffer, and
+//! it holds one read buffer, one write buffer and a bounded number of
+//! acks (DESIGN.md §19). The limits compose with the protocol's own
+//! caps — `MAX_UPLOAD_BITS` and `MAX_BATCH_FRAMES` still bound what a
+//! frame that *fits* may claim once decoded.
 
 use std::time::Duration;
 
@@ -19,15 +22,11 @@ pub struct ConnectionLimits {
     /// buffer is allocated. A prefix over this answers with an error
     /// frame and closes the connection.
     pub max_frame_bytes: u64,
-    /// How many read-but-unprocessed frames one connection may queue.
-    /// The reader thread blocks once the queue is full, which stops
-    /// draining the socket and lets ordinary TCP flow control push back
-    /// on the peer.
-    pub max_frames_in_flight: usize,
     /// Sustained ingest budget in bytes per second (token bucket,
     /// burst = one second's allowance). `None` disables throttling.
-    /// Excess traffic is *delayed*, not rejected — the reader sleeps
-    /// until the bucket refills.
+    /// Excess traffic is *delayed*, not rejected — the connection's
+    /// thread sleeps until the bucket refills, answering nothing
+    /// meanwhile.
     pub max_bytes_per_sec: Option<u64>,
     /// Once a frame has started arriving, every subsequent read must
     /// make progress within this window or the connection is dropped —
@@ -46,7 +45,6 @@ impl Default for ConnectionLimits {
             // Generous for batch frames (2^16 uploads of modest arrays)
             // while keeping a hostile prefix's allocation bounded.
             max_frame_bytes: 64 << 20,
-            max_frames_in_flight: 64,
             max_bytes_per_sec: None,
             read_timeout: Duration::from_secs(10),
             max_connections: 64,
@@ -57,7 +55,7 @@ impl Default for ConnectionLimits {
 impl ConnectionLimits {
     /// Refuses the values that would break every connection: under a
     /// zero byte rate the token bucket's wait for the first frame is
-    /// infinite (`Duration::from_secs_f64` panics the reader on it), and
+    /// infinite (`Duration::from_secs_f64` panics the connection on it), and
     /// the OS rejects a zero socket timeout, which would leave writes
     /// unbounded.
     pub(crate) fn validate(&self) -> Result<(), NetError> {
@@ -126,7 +124,6 @@ mod tests {
     fn defaults_are_finite_and_positive() {
         let l = ConnectionLimits::default();
         assert!(l.max_frame_bytes > 0);
-        assert!(l.max_frames_in_flight > 0);
         assert!(l.max_connections > 0);
         assert!(l.read_timeout > Duration::ZERO);
     }

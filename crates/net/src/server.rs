@@ -3,43 +3,52 @@
 //! ## Threading model
 //!
 //! One listener thread runs the accept loop. Each accepted connection
-//! gets a *reader* thread (framing, DoS budgets) and a *processor*
-//! thread (decode, server mutation, responses), joined by a bounded
-//! channel of `max_frames_in_flight` frames. When the processor falls
-//! behind, the channel fills, the reader blocks, the socket stops being
-//! drained, and ordinary TCP flow control pushes back on the peer — the
-//! frames-in-flight budget *is* the backpressure mechanism.
+//! is served by one thread that owns both halves of its socket: it
+//! frames, budgets, decodes, applies and answers the connection's
+//! requests in order. Frames are parsed in place out of the
+//! connection's read buffer of [`IO_BUFFER_BYTES`]: a frame the buffer
+//! holds whole is handled as a slice of it, a frame that straddles the
+//! buffer's end is completed after the bytes it has move to the front,
+//! and a frame larger than the buffer grows it to exactly that frame
+//! until the frame is consumed. A frame that fits costs no allocation.
+//! The kernel's socket receive buffer is the queue: while the thread
+//! works, the peer's next frames wait there, and once it is full
+//! ordinary TCP flow control pushes back on the peer.
 //!
-//! Both halves are buffered with a fixed [`IO_BUFFER_BYTES`] capacity,
-//! so a pipelined burst costs a few large socket calls instead of two
-//! reads and two writes per frame. The processor coalesces responses
-//! while frames are queued and flushes whenever the channel is empty,
-//! before it blocks waiting for the next frame: every response is on
-//! the wire before the processor waits, so buffering never holds an
-//! answer back from a peer that is waiting for it.
+//! Responses collect in a write buffer of the same capacity, so a
+//! pipelined burst costs a few large socket calls instead of two reads
+//! and two writes per frame. They are flushed whenever the connection
+//! is *idle* — no whole frame is buffered and one non-blocking read of
+//! the socket finds nothing — before the thread blocks waiting for the
+//! next frame: every response is on the wire before the connection
+//! waits, so buffering never holds an answer back from a peer that is
+//! waiting for it. An optional token bucket throttles a connection by
+//! sleeping its one thread, so while it sleeps the connection neither
+//! reads nor answers.
 //!
 //! ## An ack means durable
 //!
-//! On a durable backend the processor holds each upload's ack until the
-//! WAL's syncer has fsynced the record that upload logged, and keeps
-//! decoding and applying queued frames meanwhile: one group is fsynced
-//! while the next is built. Responses leave in request order from one
-//! FIFO of held responses. Between frames the processor writes the held
-//! responses that are already durable. When the channel is empty it
-//! first waits for a WAL sync already in flight and looks at the channel
-//! again (so a burst joins the running group instead of forcing a small
-//! one); then it writes the WAL's staged tail, waits for its fsync, and
-//! writes and flushes every held response. A request that is not an
-//! upload waits for the held acks before it is computed, so only acks
-//! (41-byte payloads) are ever held, and at most
-//! 2 × `max_frames_in_flight` of them: at that bound the processor waits
-//! for the oldest. The data a connection holds is therefore bounded by
-//! `max_frames_in_flight` frames, one read buffer, one write buffer and
-//! 2 × `max_frames_in_flight` acks. The backend lock is never held while
-//! waiting for an fsync. If a WAL write or fsync fails, every held
-//! request is answered with the durability error and later uploads are
-//! refused: nothing is acked past a failed sync. A volatile backend
-//! holds nothing.
+//! On a durable backend the connection holds each upload's ack until
+//! the WAL's syncer has fsynced the record that upload logged, and keeps
+//! decoding and applying the frames that follow meanwhile: groups are
+//! fsynced while the next ones are built. Responses leave in request
+//! order from one FIFO of held responses. Between frames the connection
+//! writes the held responses that are already durable. When it is idle
+//! it first waits, once, for a WAL sync already in flight and looks at
+//! the socket again (so a burst joins the running group instead of
+//! forcing a small one); then it writes the WAL's staged tail, waits for
+//! its fsync, writes and flushes every held response, and blocks on the
+//! socket. A request that is not an upload waits for the held acks
+//! before it is computed, so only acks (41-byte payloads) are ever held,
+//! and at most [`HELD_ACKS`] of them — one write buffer of ack frames:
+//! at that bound the connection waits for the oldest. The data a
+//! connection holds is therefore one read buffer (or one frame of up to
+//! `max_frame_bytes` while it is read), one write buffer and
+//! [`HELD_ACKS`] acks. The backend lock is never held while waiting for
+//! an fsync. If a WAL write or fsync fails, every held request is
+//! answered with the durability error and later uploads are refused:
+//! nothing is acked past a failed sync. A volatile backend holds
+//! nothing.
 //!
 //! ## State
 //!
@@ -57,18 +66,19 @@
 //!
 //! A shutdown frame flips the shared flag and pokes the listener with a
 //! loopback connect so `accept` wakes. The run loop then stops
-//! accepting, waits for live connections to drain (readers notice the
-//! flag at their next idle tick; each processor sends its held acks
-//! first), and explicitly flushes the WAL, so no frame logged before
-//! the exit is left staged (`wal.dropped_buffered_records` counts
-//! exactly the drops this flush prevents).
+//! accepting, waits for live connections to drain (each notices the
+//! flag at its next idle tick, after sending its held acks), and
+//! explicitly flushes the WAL, so no frame logged before the exit is
+//! left staged (`wal.dropped_buffered_records` counts exactly the drops
+//! this flush prevents). While it runs, the accept loop joins the
+//! threads of connections that have ended, so their stacks are released.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufWriter, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use vcps_core::Scheme;
@@ -87,6 +97,14 @@ use crate::{ConnectionLimits, NetError};
 
 /// How often blocked reads wake to check the shutdown flag.
 const IDLE_TICK: Duration = Duration::from_millis(100);
+
+/// The most acks a connection holds while they wait for their fsync:
+/// one write buffer of ack frames (a 4-byte prefix and a 41-byte
+/// payload each), 1,456. At the bound the connection waits for the
+/// oldest. It is many groups deep, so the groups written while one
+/// fsync runs share the next instead of each waiting for its own
+/// (DESIGN.md §19).
+const HELD_ACKS: usize = IO_BUFFER_BYTES / (4 + 41);
 
 /// Everything needed to stand up a daemon.
 #[derive(Debug)]
@@ -266,7 +284,7 @@ impl Daemon {
     /// Accept-loop I/O failures and WAL flush failures at shutdown.
     pub fn run(self) -> Result<(), NetError> {
         let Self { listener, shared } = self;
-        let mut workers = Vec::new();
+        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in listener.incoming() {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -288,13 +306,15 @@ impl Daemon {
                 );
                 continue;
             }
-            shared.live_conns.fetch_add(1, Ordering::SeqCst);
-            shared.obs.inc("net.conn.accepted");
-            let shared = Arc::clone(&shared);
+            let slot = Slot::take(&shared);
+            // Join the threads of connections that have ended, so their
+            // stacks are released now rather than at shutdown.
+            for ended in workers.extract_if(.., |worker| worker.is_finished()) {
+                let _ = ended.join();
+            }
             workers.push(std::thread::spawn(move || {
-                serve_connection(stream, &shared);
-                shared.live_conns.fetch_sub(1, Ordering::SeqCst);
-                shared.obs.inc("net.conn.closed");
+                serve_connection(stream, &slot.0);
+                drop(slot); // also dropped, and the slot freed, if the thread panics
             }));
         }
         drop(listener);
@@ -321,231 +341,295 @@ impl Daemon {
     }
 }
 
-/// Reader-side loop: framing + budgets. Frames flow to the processor
-/// through the bounded channel; the terminal error (if any) follows
-/// them so the processor can report it before tearing down.
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(IDLE_TICK));
-    let _ = stream.set_write_timeout(Some(shared.limits.read_timeout));
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (tx, rx) =
-        mpsc::sync_channel::<Result<Vec<u8>, NetError>>(shared.limits.max_frames_in_flight.max(1));
-    let processor = {
-        let shared = Arc::clone(shared);
-        let out = BufWriter::with_capacity(IO_BUFFER_BYTES, write_half);
-        std::thread::spawn(move || process_frames(&rx, out, &shared))
-    };
+/// A connection's place in the `max_connections` budget. Dropping it
+/// frees the place and counts the close, so a connection thread that
+/// panics frees its place as it unwinds.
+struct Slot(Arc<Shared>);
 
-    let mut reader = BufReader::with_capacity(IO_BUFFER_BYTES, stream);
-    let mut bucket = shared.limits.max_bytes_per_sec.map(TokenBucket::new);
-    loop {
-        match read_frame_budgeted(&mut reader, shared) {
-            Ok(Some(frame)) => {
-                shared.obs.inc("net.frames.in");
-                shared.obs.add("net.bytes.in", frame.len() as u64 + 4);
-                if let Some(bucket) = bucket.as_mut() {
-                    let slept = bucket.take(frame.len() as u64 + 4);
-                    if slept > Duration::ZERO {
-                        shared.obs.inc("net.throttle.sleeps");
-                        shared
-                            .obs
-                            .add("net.throttle.slept_ms", slept.as_millis() as u64);
-                    }
-                }
-                if tx.send(Ok(frame)).is_err() {
-                    break; // processor gone (write failure): stop reading
-                }
-            }
-            Ok(None) => break, // clean EOF or shutdown while idle
-            Err(e) => {
-                shared.obs.inc("net.frames.err");
-                let _ = tx.send(Err(e));
-                break;
-            }
-        }
+impl Slot {
+    fn take(shared: &Arc<Shared>) -> Self {
+        shared.live_conns.fetch_add(1, Ordering::SeqCst);
+        shared.obs.inc("net.conn.accepted");
+        Self(Arc::clone(shared))
     }
-    drop(tx);
-    let _ = processor.join();
 }
 
-/// Reads one frame under the connection's budgets.
-///
-/// Returns `Ok(None)` on a clean close (EOF between frames) or when
-/// shutdown is flagged while the connection is idle. Idle time between
-/// frames is unlimited; once the first prefix byte arrives, every
-/// subsequent read must progress within `read_timeout` (the slow-loris
-/// guard), including the payload. Bytes already buffered count as
-/// progress, so only a stall on the socket itself can time out.
-fn read_frame_budgeted(
-    stream: &mut impl Read,
-    shared: &Shared,
-) -> Result<Option<Vec<u8>>, NetError> {
-    let mut prefix = [0u8; 4];
-    if !read_exact_budgeted(stream, &mut prefix, shared, true)? {
-        return Ok(None);
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.live_conns.fetch_sub(1, Ordering::SeqCst);
+        self.0.obs.inc("net.conn.closed");
     }
-    let len = u64::from(u32::from_be_bytes(prefix));
-    if len == 0 {
-        return Err(NetError::Malformed("zero-length frame"));
-    }
-    if len > shared.limits.max_frame_bytes {
-        return Err(NetError::FrameTooLarge {
-            claimed: len,
-            limit: shared.limits.max_frame_bytes,
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
-    if !read_exact_budgeted(stream, &mut payload, shared, false)? {
-        return Err(NetError::UnexpectedEof);
-    }
-    Ok(Some(payload))
 }
 
-/// `read_exact` over a socket whose read timeout is the short
-/// [`IDLE_TICK`]: ticks while empty-and-idle are allowed (checking the
-/// shutdown flag), ticks after the first byte count against the
-/// connection's `read_timeout`.
-///
-/// Returns `Ok(false)` for a clean stop before the first byte (EOF or
-/// shutdown) — only possible when `idle_ok`.
-fn read_exact_budgeted(
-    stream: &mut impl Read,
-    buf: &mut [u8],
-    shared: &Shared,
-    idle_ok: bool,
-) -> Result<bool, NetError> {
-    let mut filled = 0usize;
-    let mut last_progress = Instant::now();
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && idle_ok {
-                    return Ok(false);
-                }
-                return Err(NetError::UnexpectedEof);
-            }
-            Ok(n) => {
-                filled += n;
-                last_progress = Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if filled == 0 && idle_ok {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return Ok(false);
-                    }
-                    last_progress = Instant::now();
-                } else if last_progress.elapsed() >= shared.limits.read_timeout {
-                    return Err(NetError::Timeout);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-    Ok(true)
-}
-
-/// Processor-side loop: decode, dispatch, respond. A malformed
-/// *payload* (bad inner tag, bad upload) gets an error response and the
-/// connection lives on — the framing layer is still in sync. A framing
-/// error is terminal: the held responses, then a best-effort error
-/// frame, then teardown.
+/// Serves one connection on the calling thread until its peer closes
+/// it, a framing error or a failed write ends it, or shutdown is flagged
+/// while it is idle.
 ///
 /// A failed write is never retried: each attempt against a peer that
 /// has stopped reading blocks for the whole write timeout. The
-/// processor instead discards what is still buffered and shuts the
-/// socket down, which also wakes a reader that is idle on it, so the
-/// connection ends at its first failed write.
-fn process_frames(
-    rx: &mpsc::Receiver<Result<Vec<u8>, NetError>>,
-    mut out: BufWriter<TcpStream>,
-    shared: &Arc<Shared>,
-) {
-    let written = serve_frames(rx, &mut out, shared).is_ok() && out.flush().is_ok();
+/// connection instead discards what is still buffered and closes, so it
+/// ends at its first failed write.
+fn serve_connection(stream: TcpStream, shared: &Shared) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(IDLE_TICK));
+    let _ = stream.set_write_timeout(Some(shared.limits.read_timeout));
+    let mut input = FrameReader::new(&stream, shared.limits.max_frame_bytes);
+    let mut out = BufWriter::with_capacity(IO_BUFFER_BYTES, &stream);
+    let written = serve_frames(&mut input, &mut out, shared).is_ok() && out.flush().is_ok();
     // `into_parts` hands back the socket without the flush that
     // dropping a `BufWriter` would retry.
-    let (stream, _unwritten) = out.into_parts();
+    let _unwritten = out.into_parts();
     if !written {
         shared.obs.inc("net.write.err");
-        let _ = stream.shutdown(Shutdown::Both);
     }
 }
 
-/// Answers the connection's frames in request order until its reader
-/// stops, holding each upload's ack until the WAL has made the upload
-/// durable ([`Held`]). Responses collect in `out` while frames are
-/// queued. When the channel runs dry the processor first joins a WAL
-/// sync already in flight and looks again, so a burst's acks ride the
-/// running group instead of forcing a small one; then it makes every
-/// held response durable, writes it and flushes, before blocking on the
-/// channel. Returns the first failed socket write.
+/// Answers the connection's frames in request order until the stream
+/// ends, holding each upload's ack until the WAL has made the upload
+/// durable ([`Held`]). Responses collect in `out` while frames keep
+/// arriving. When the connection is idle ([`FrameReader::ready`]) it
+/// first joins a WAL sync already in flight and looks again, so a
+/// burst's acks ride the running group instead of forcing a small one;
+/// then it makes every held response durable, writes it and flushes,
+/// before it blocks on the socket. A malformed *payload* (bad inner
+/// tag, bad upload) gets an error response and the connection lives on
+/// — the framing is still in sync. A framing error is terminal: the
+/// held responses, then a best-effort error frame. Returns the first
+/// failed socket write.
 fn serve_frames(
-    rx: &mpsc::Receiver<Result<Vec<u8>, NetError>>,
-    out: &mut BufWriter<TcpStream>,
+    input: &mut FrameReader<'_>,
+    out: &mut impl Write,
     shared: &Shared,
 ) -> Result<(), NetError> {
     let mut held = Held::new(shared);
+    let mut bucket = shared.limits.max_bytes_per_sec.map(TokenBucket::new);
     let mut joined = false;
     loop {
         held.release(out, shared)?;
-        let item = match rx.try_recv() {
-            Ok(item) => item,
-            Err(mpsc::TryRecvError::Empty) => {
-                if !joined && held.join_in_flight() {
-                    joined = true;
-                    continue;
-                }
-                held.drain(out, shared)?;
-                out.flush()?;
-                match rx.recv() {
-                    Ok(item) => item,
-                    Err(mpsc::RecvError) => return Ok(()),
-                }
+        if !input.ready() {
+            if !joined && held.join_in_flight() {
+                joined = true;
+                continue;
             }
-            Err(mpsc::TryRecvError::Disconnected) => return held.drain(out, shared),
-        };
+            held.drain(out, shared)?;
+            out.flush()?;
+        }
         joined = false;
-        match item {
-            Ok(frame) if matches!(frame.first(), Some(3..=6)) => {
-                let (reply, upto) = handle_upload(&frame, shared);
-                held.push(upto, reply, out, shared)?;
-            }
-            Ok(frame) => {
-                held.drain(out, shared)?;
-                send(&handle_frame(&frame, shared), out, shared)?;
-            }
+        let frame = match input.next_frame(shared) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return held.drain(out, shared), // clean EOF or shutdown while idle
             Err(e) => {
+                shared.obs.inc("net.frames.err");
                 held.drain(out, shared)?;
-                let error = wire::encode_error_response(&e.to_string());
-                return wire::write_frame(out, &error);
+                return wire::write_frame(out, &wire::encode_error_response(&e.to_string()));
             }
+        };
+        let frame_bytes = frame.len() as u64 + 4;
+        shared.obs.inc("net.frames.in");
+        shared.obs.add("net.bytes.in", frame_bytes);
+        if let Some(bucket) = bucket.as_mut() {
+            let slept = bucket.take(frame_bytes);
+            if slept > Duration::ZERO {
+                shared.obs.inc("net.throttle.sleeps");
+                shared
+                    .obs
+                    .add("net.throttle.slept_ms", slept.as_millis() as u64);
+            }
+        }
+        if matches!(frame.first(), Some(3..=6)) {
+            let (reply, upto) = handle_upload(frame, shared);
+            held.push(upto, reply, out, shared)?;
+        } else {
+            held.drain(out, shared)?;
+            send(&handle_frame(frame, shared), out, shared)?;
         }
     }
 }
 
-/// The responses a processor has computed but not yet sent, in request
+/// A connection's read side: frames are parsed in place out of one
+/// buffer of [`IO_BUFFER_BYTES`], which a larger frame grows to exactly
+/// its own size until it is consumed.
+struct FrameReader<'a> {
+    stream: &'a TcpStream,
+    max_frame_bytes: u64,
+    buf: Vec<u8>,
+    /// The buffered bytes not yet consumed are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    /// The length of the frame last handed out, consumed by the next
+    /// call.
+    lent: usize,
+    /// An error a non-blocking read met, for the next read to report.
+    failed: Option<io::Error>,
+}
+
+impl<'a> FrameReader<'a> {
+    fn new(stream: &'a TcpStream, max_frame_bytes: u64) -> Self {
+        Self {
+            stream,
+            max_frame_bytes,
+            buf: vec![0; IO_BUFFER_BYTES],
+            start: 0,
+            end: 0,
+            lent: 0,
+            failed: None,
+        }
+    }
+
+    /// Whether the next frame, or the error that ends the stream, can be
+    /// had without waiting: a whole frame or an invalid length prefix is
+    /// buffered, or one non-blocking read of the socket returns anything
+    /// but `WouldBlock`. What that read returns is buffered: bytes, an
+    /// error for the next read to report, or the end of the stream,
+    /// which the next read sees again.
+    fn ready(&mut self) -> bool {
+        self.start += std::mem::take(&mut self.lent);
+        match self.frame_size() {
+            Some(Ok(size)) if self.end - self.start < size => {}
+            Some(_) => return true,
+            None => {}
+        }
+        self.make_room();
+        let mut stream = self.stream;
+        let read = stream
+            .set_nonblocking(true)
+            .and_then(|()| stream.read(&mut self.buf[self.end..]));
+        // The response writes share the socket's file description, so
+        // blocking mode is restored before anything else touches it.
+        match stream.set_nonblocking(false).and(read) {
+            Ok(n) => {
+                self.end += n;
+                true
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
+            Err(e) => {
+                self.failed = Some(e);
+                true
+            }
+        }
+    }
+
+    /// Reads the next frame under the connection's budgets and returns
+    /// its payload, a slice of the buffer that the next call consumes.
+    ///
+    /// Returns `Ok(None)` on a clean close (EOF between frames) or when
+    /// shutdown is flagged while the connection is idle.
+    fn next_frame(&mut self, shared: &Shared) -> Result<Option<&[u8]>, NetError> {
+        self.start += std::mem::take(&mut self.lent);
+        if !self.fill(4, shared)? {
+            return Ok(None);
+        }
+        let size = self.frame_size().expect("the prefix is buffered")?;
+        if !self.fill(size, shared)? {
+            return Err(NetError::UnexpectedEof);
+        }
+        self.lent = size;
+        Ok(Some(&self.buf[self.start + 4..self.start + size]))
+    }
+
+    /// The size of the frame the buffered bytes begin, prefix included,
+    /// once its length prefix is buffered. The prefix is checked here,
+    /// before the buffer can grow for it: a zero length is malformed,
+    /// and one over `max_frame_bytes` is refused.
+    fn frame_size(&self) -> Option<Result<usize, NetError>> {
+        let prefix = self.buf[self.start..self.end].first_chunk::<4>()?;
+        let len = u64::from(u32::from_be_bytes(*prefix));
+        let too_large = NetError::FrameTooLarge {
+            claimed: len,
+            limit: self.max_frame_bytes,
+        };
+        Some(match len {
+            0 => Err(NetError::Malformed("zero-length frame")),
+            _ if len > self.max_frame_bytes => Err(too_large),
+            _ => usize::try_from(4 + len).map_err(|_| too_large),
+        })
+    }
+
+    /// Makes room after the buffered bytes for the rest of the frame
+    /// they begin. An empty buffer starts over, at its own size again
+    /// after a larger frame; bytes that would not fit move to the front,
+    /// and the buffer grows to exactly a frame larger than itself.
+    fn make_room(&mut self) {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+            if self.buf.len() > IO_BUFFER_BYTES {
+                self.buf.truncate(IO_BUFFER_BYTES);
+                self.buf.shrink_to_fit();
+            }
+            return;
+        }
+        let size = match self.frame_size() {
+            Some(Ok(size)) => size,
+            _ => 4,
+        };
+        if self.start + size > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            if size > self.buf.len() {
+                self.buf.resize(size, 0);
+            }
+        }
+    }
+
+    /// Reads until `want` bytes are buffered, `want` reaching no further
+    /// than the end of the frame the buffered bytes begin.
+    ///
+    /// Idle time before a frame's first byte is unlimited: each
+    /// [`IDLE_TICK`] just checks the shutdown flag. Once a byte of the
+    /// frame is buffered, every read must progress within
+    /// `read_timeout` (the slow-loris guard). Buffered bytes count as
+    /// progress, so only a stall on the socket itself can time out.
+    ///
+    /// Returns `Ok(false)` for a clean stop before a frame's first byte:
+    /// EOF, or shutdown flagged.
+    fn fill(&mut self, want: usize, shared: &Shared) -> Result<bool, NetError> {
+        let mut stream = self.stream;
+        let mut last_progress = Instant::now();
+        while self.end - self.start < want {
+            if let Some(e) = self.failed.take() {
+                return Err(NetError::Io(e));
+            }
+            self.make_room();
+            let idle = self.start == self.end;
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(0) if idle => return Ok(false),
+                Ok(0) => return Err(NetError::UnexpectedEof),
+                Ok(n) => {
+                    self.end += n;
+                    last_progress = Instant::now();
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if idle {
+                        if shared.shutdown.load(Ordering::SeqCst) {
+                            return Ok(false);
+                        }
+                    } else if last_progress.elapsed() >= shared.limits.read_timeout {
+                        return Err(NetError::Timeout);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// The responses a connection has computed but not yet sent, in request
 /// order (DESIGN.md §19). An upload's ack waits here until the WAL's
 /// durable watermark covers the record that upload logged, and every
 /// response behind it waits with it. A request that is not an upload
 /// waits for the held acks before it is computed, so only acks are
-/// ever held; a volatile backend holds nothing.
+/// ever held, at most [`HELD_ACKS`]; a volatile backend holds nothing.
 struct Held {
     /// The durable backend's watermark (`None`: volatile).
     mark: Option<Watermark>,
     /// Each response with the count of log records that must be durable
     /// before it may go.
     queue: VecDeque<(u64, Reply)>,
-    /// At this many held responses the processor waits for the oldest:
-    /// twice the channel depth, room for one group to sync while the
-    /// next is built.
-    bound: usize,
 }
 
 impl Held {
@@ -557,13 +641,12 @@ impl Held {
         Self {
             mark,
             queue: VecDeque::new(),
-            bound: 2 * shared.limits.max_frames_in_flight.max(1),
         }
     }
 
     /// Queues `reply`, which may go once `upto` log records are durable,
-    /// and writes whatever may already go. At the bound it waits for the
-    /// oldest response first.
+    /// and writes whatever may already go. At [`HELD_ACKS`] it waits for
+    /// the oldest response first.
     fn push(
         &mut self,
         upto: u64,
@@ -574,9 +657,7 @@ impl Held {
         self.queue.push_back((upto, reply));
         self.release(out, shared)?;
         match self.queue.front() {
-            Some(&(oldest, _)) if self.queue.len() >= self.bound => {
-                self.settle(oldest, out, shared)
-            }
+            Some(&(oldest, _)) if self.queue.len() >= HELD_ACKS => self.settle(oldest, out, shared),
             _ => Ok(()),
         }
     }
@@ -771,6 +852,8 @@ fn dispatch(payload: &[u8], shared: &Shared) -> Result<Reply, NetError> {
                 "frame not addressed to the server (vehicle/storage tag)",
             ))
         }
+        #[cfg(test)]
+        tests::REQ_PANIC => panic!("a test request panics its connection"),
         other => return Err(NetError::UnknownTag(other)),
     };
     Ok(Reply::Payload(response))
@@ -807,4 +890,66 @@ fn ingest(
 
 fn sim_err(e: SimError) -> NetError {
     NetError::from(e)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetClient;
+
+    /// A request tag that panics the connection serving it, outside any
+    /// lock; it exists only in this crate's unit tests.
+    pub(super) const REQ_PANIC: u8 = 250;
+
+    #[test]
+    fn held_bound_is_one_write_buffer_of_acks() {
+        let ack_frame = 4 + AckSummary::default().encode().len();
+        assert_eq!(HELD_ACKS, 1_456);
+        assert!(HELD_ACKS * ack_frame <= IO_BUFFER_BYTES);
+        assert!((HELD_ACKS + 1) * ack_frame > IO_BUFFER_BYTES);
+    }
+
+    /// One thread owns both halves of a connection's socket, so a panic
+    /// in it closes the socket as it unwinds, and the slot guard frees
+    /// the connection's place in the budget.
+    #[test]
+    fn a_panicking_connection_closes_its_socket_and_frees_its_slot() {
+        let obs = Obs::enabled();
+        let mut config = DaemonConfig::new(Scheme::variable(2, 3.0, 41).unwrap());
+        config.limits.max_connections = 1;
+        config.obs = obs.clone();
+        let daemon = Daemon::bind("127.0.0.1:0", config).unwrap();
+        let addr = daemon.local_addr();
+        let handle = daemon.spawn();
+
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let started = Instant::now();
+        wire::write_frame(&mut raw, &[REQ_PANIC]).unwrap();
+        match raw.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!(
+                "expected EOF or a reset, got {other:?} after {:?}",
+                started.elapsed()
+            ),
+        }
+        let closed = |obs: &Obs| obs.snapshot().counters.get("net.conn.closed").copied();
+        // The slot is freed as the thread finishes unwinding, just after
+        // the socket closes.
+        while closed(&obs).is_none() {
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "the panicking connection never freed its slot"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(closed(&obs), Some(1));
+        let mut client = NetClient::connect(addr).unwrap();
+        client
+            .ping()
+            .expect("the freed slot must serve a new connection");
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
 }

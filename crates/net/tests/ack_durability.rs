@@ -2,8 +2,8 @@
 //! until the WAL has fsynced the record it logged, so killing the
 //! daemon once every ack is read must leave every acked `(rsu, seq)` in
 //! the log — under the default per-record policy, under `--flush-every
-//! 64` with a burst that is not a multiple of the group, and across two
-//! connections.
+//! 64` with a burst that is not a multiple of the group, past the most
+//! acks a connection holds, and across two connections.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -90,10 +90,10 @@ fn spawn_vcpsd(dir: &Path, wal: &Path, extra: &[&str]) -> (Vcpsd, String) {
 }
 
 /// Pipelines `frames` over one raw connection — every frame in one
-/// write — then reads one ack per frame, and returns how many of them
-/// acknowledged a fresh upload.
+/// write, on its own thread — while it reads one ack per frame, and
+/// returns how many of them acknowledged a fresh upload.
 fn pipeline(addr: &str, frames: &[Vec<u8>]) -> u64 {
-    let mut stream = TcpStream::connect(addr).unwrap();
+    let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
@@ -101,17 +101,21 @@ fn pipeline(addr: &str, frames: &[Vec<u8>]) -> u64 {
     for frame in frames {
         write_frame(&mut burst, frame).unwrap();
     }
-    stream.write_all(&burst).unwrap();
-    let mut acks = BufReader::new(stream);
-    frames
-        .iter()
-        .map(
-            |_| match Response::decode(&read_frame(&mut acks, 1 << 20).unwrap()) {
-                Ok(Response::Ack(ack)) => ack.fresh,
-                other => panic!("expected an ack, got {other:?}"),
-            },
-        )
-        .sum()
+    std::thread::scope(|scope| {
+        // Reading while the burst is written keeps a burst whose acks
+        // outgrow the socket buffers from stalling the daemon.
+        scope.spawn(|| (&stream).write_all(&burst).unwrap());
+        let mut acks = BufReader::new(&stream);
+        frames
+            .iter()
+            .map(
+                |_| match Response::decode(&read_frame(&mut acks, 1 << 20).unwrap()) {
+                    Ok(Response::Ack(ack)) => ack.fresh,
+                    other => panic!("expected an ack, got {other:?}"),
+                },
+            )
+            .sum()
+    })
 }
 
 /// Sends `uploads` frames over `connections` connections (frame `j` on
@@ -175,6 +179,14 @@ fn grouped_acks_survive_sigkill_at_100_uploads() {
 #[test]
 fn grouped_acks_survive_sigkill_at_1000_uploads() {
     acked_uploads_survive_sigkill("grouped-1000", &["--flush-every", "64"], 1000, 1);
+}
+
+/// 5,000 uploads on one connection, more than the 1,456 acks a
+/// connection holds: a slow fsync makes it wait for the oldest held ack
+/// at that bound before the kill.
+#[test]
+fn grouped_acks_survive_sigkill_past_the_held_bound() {
+    acked_uploads_survive_sigkill("grouped-5000", &["--flush-every", "64"], 5000, 1);
 }
 
 #[test]

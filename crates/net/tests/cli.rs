@@ -45,6 +45,13 @@ fn vcpsd_refuses_an_unparsable_value_and_an_unknown_flag() {
     assert_refused(&out, 2, "--shards");
     let out = run(vcpsd, &["--addr", "127.0.0.1:0", "--shard", "4"]);
     assert_refused(&out, 2, "--shard");
+    // There is no pipeline-depth knob: a connection queues no frames of
+    // its own.
+    let out = run(
+        vcpsd,
+        &["--addr", "127.0.0.1:0", "--max-frames-in-flight", "64"],
+    );
+    assert_refused(&out, 2, "--max-frames-in-flight");
 }
 
 #[test]

@@ -9,13 +9,14 @@ use std::time::{Duration, Instant};
 
 use vcps_core::{RsuId, Scheme};
 use vcps_net::wire::{
-    encode_od_query, encode_pair_query, estimate_bits, read_frame, write_frame, Response,
+    encode_matrix_response, encode_od_query, encode_pair_query, estimate_bits, read_frame,
+    write_frame, Response,
 };
 use vcps_net::{
     AckSummary, ConnectionLimits, Daemon, DaemonConfig, DaemonHandle, NetClient, NetError,
 };
 use vcps_obs::Obs;
-use vcps_sim::{PeriodUpload, SequencedUpload, SequencedUploadRef, ShardedServer};
+use vcps_sim::{BatchUpload, PeriodUpload, SequencedUpload, SequencedUploadRef, ShardedServer};
 
 fn scheme() -> Scheme {
     Scheme::variable(2, 3.0, 23).unwrap()
@@ -95,8 +96,8 @@ fn framed(payloads: &[&[u8]]) -> Vec<u8> {
     bytes
 }
 
-fn expect_ack(raw: &mut TcpStream) -> AckSummary {
-    match Response::decode(&read_frame(raw, 1 << 20).unwrap()).unwrap() {
+fn expect_ack(mut raw: impl Read) -> AckSummary {
+    match Response::decode(&read_frame(&mut raw, 1 << 20).unwrap()).unwrap() {
         Response::Ack(ack) => ack,
         other => panic!("expected ack, got {other:?}"),
     }
@@ -138,7 +139,7 @@ fn stall_after_a_buffered_partial_prefix_acks_first_then_drops() {
     let started = Instant::now();
     raw.write_all(&bytes).unwrap();
     // The ack must not wait behind the stalled frame: it is flushed
-    // as soon as the processor runs out of queued frames.
+    // as soon as the connection runs out of whole frames.
     assert_eq!(expect_ack(&mut raw).fresh, 1);
     assert!(
         started.elapsed() < read_timeout,
@@ -199,8 +200,8 @@ fn peer_that_never_reads_is_dropped_at_the_first_failed_write() {
         ..tight_limits()
     });
     // Pipeline duplicate uploads and never read: the acks fill the
-    // socket buffers until the daemon's writes block, its channel and
-    // receive window fill, and a write here makes no progress at all.
+    // socket buffers until the daemon's writes block, its receive
+    // window fills, and a write here makes no progress at all.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_write_timeout(Some(Duration::from_millis(200)))
         .unwrap();
@@ -227,34 +228,32 @@ fn peer_that_never_reads_is_dropped_at_the_first_failed_write() {
 #[test]
 fn peer_that_stops_reading_and_writing_frees_its_slot() {
     let read_timeout = Duration::from_millis(1_000);
-    // 128 RSUs make every O–D answer about 0.5 MB, so the answers to a
-    // full channel's worth of queries overflow any socket buffering.
-    let limits = ConnectionLimits {
+    // 128 RSUs make every O–D answer about 0.5 MB, so the answers to
+    // 257 queries overflow any socket buffering.
+    let (addr, handle, obs) = spawn_observed(ConnectionLimits {
         read_timeout,
-        max_frames_in_flight: 256,
         ..tight_limits()
-    };
-    let in_flight = limits.max_frames_in_flight;
-    let (addr, handle, obs) = spawn_observed(limits);
+    });
     let mut client = NetClient::connect(addr).unwrap();
     client
         .ingest_pipelined((1..=128u64).map(|rsu| upload_frame(rsu, 0)))
         .unwrap();
     drop(client);
     counter_reached(&obs, "net.conn.closed", 1);
-    // No more queries than the channel holds plus the one being
-    // answered: the reader hands every one over and then waits, idle,
-    // on a socket that will never deliver another byte.
+    // Every query arrives in one segment, and the peer then neither
+    // reads nor writes: the connection's thread blocks in the first
+    // answer's write, with the rest of the queries still buffered, and
+    // only the write timeout can end it.
     let query = encode_od_query(0);
     let mut raw = TcpStream::connect(addr).unwrap();
-    raw.write_all(&framed(&vec![query.as_slice(); in_flight + 1]))
+    raw.write_all(&framed(&vec![query.as_slice(); 257]))
         .unwrap();
     let failed_at = counter_reached(&obs, "net.write.err", 1);
     let closed_at = counter_reached(&obs, "net.conn.closed", 2);
     let held = closed_at.saturating_duration_since(failed_at);
     assert!(
         held < read_timeout / 2,
-        "idle reader outlived the failed write by {held:?}"
+        "connection outlived the failed write by {held:?}"
     );
     drop(raw);
     assert_alive(addr);
@@ -285,6 +284,107 @@ fn pipelined_uploads_then_a_query_answer_in_order() {
         Response::Estimate(e) => assert_eq!(estimate_bits(&e), estimate_bits(&expected)),
         other => panic!("expected the estimate after every ack, got {other:?}"),
     }
+    shutdown(addr, handle);
+}
+
+/// A dense sequenced upload of `m` bits from `rsu`: every third bit
+/// set, so it travels as `m / 8` bytes of words.
+fn dense_upload(rsu: u64, m: usize) -> SequencedUpload {
+    let bits = vcps_core::BitArray::from_indices(m, (0..m).step_by(3)).unwrap();
+    SequencedUpload {
+        seq: 0,
+        upload: PeriodUpload {
+            rsu: RsuId(rsu),
+            counter: bits.count_ones() as u64,
+            bits,
+        },
+    }
+}
+
+/// Upload `j` of a run whose frames differ in length from their
+/// prefix on (50–530 bytes), so a frame completed from the wrong bytes
+/// cannot pass for the right one: 8 RSUs, each at a newer sequence in
+/// turn.
+fn varied_upload(j: u64) -> Vec<u8> {
+    let ones = (0..=j % 61).map(|i| ((i * 67 + j) % 4096) as usize);
+    let bits = vcps_core::BitArray::from_indices(4096, ones).unwrap();
+    SequencedUpload {
+        seq: 1 + j / 8,
+        upload: PeriodUpload {
+            rsu: RsuId(100 + j % 8),
+            counter: bits.count_ones() as u64,
+            bits,
+        },
+    }
+    .encode()
+    .to_vec()
+}
+
+/// Frames that reach the daemon in pieces: a tag-6 batch larger than
+/// the connection's read buffer, written in three pieces with pauses
+/// below the read timeout; a pipelined run of tag-5 uploads written one
+/// byte per write; and a 0.3 MB run of tag-5 uploads of varied lengths
+/// in one write, so frames straddle the read buffer's end. Every frame
+/// is acked in order, and the daemon's O–D answer is byte-identical to
+/// that of an in-process server fed the same frames.
+#[test]
+fn frames_arriving_in_pieces_ack_in_order_and_match_in_process() {
+    let read_timeout = Duration::from_millis(1_000);
+    let (addr, handle) = spawn_daemon(ConnectionLimits {
+        max_frame_bytes: 1 << 20,
+        read_timeout,
+        ..tight_limits()
+    });
+    let mut reference = ShardedServer::new(scheme(), 1.0, 4).unwrap();
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let batch = BatchUpload::new((1..=4).map(|rsu| dense_upload(rsu, 1 << 18)).collect())
+        .unwrap()
+        .encode();
+    assert!(batch.len() >= 100_000, "batch is {} bytes", batch.len());
+    let bytes = framed(&[&batch]);
+    for piece in bytes.chunks(bytes.len().div_ceil(3)) {
+        raw.write_all(piece).unwrap();
+        std::thread::sleep(read_timeout / 4);
+    }
+    let expected = AckSummary::from_outcomes(&reference.receive_batch_wire(&batch).unwrap());
+    assert_eq!(expected.fresh, 4);
+    assert_eq!(expect_ack(&mut raw), expected, "batch ack");
+
+    // Every RSU's upload twice in a row: fresh, then duplicate.
+    let uploads: Vec<Vec<u8>> = (5..=12u64)
+        .flat_map(|rsu| [upload_frame(rsu, 0), upload_frame(rsu, 0)])
+        .collect();
+    let payloads: Vec<&[u8]> = uploads.iter().map(Vec::as_slice).collect();
+    for byte in framed(&payloads) {
+        raw.write_all(&[byte]).unwrap();
+    }
+    for (i, upload) in uploads.iter().enumerate() {
+        let view = SequencedUploadRef::decode_ref(upload).unwrap();
+        let expected = AckSummary::from_outcomes(&[reference.receive_sequenced_ref(&view)]);
+        assert_eq!(expect_ack(&mut raw), expected, "ack {i} out of order");
+    }
+
+    let run: Vec<Vec<u8>> = (0..1_000).map(varied_upload).collect();
+    let payloads: Vec<&[u8]> = run.iter().map(Vec::as_slice).collect();
+    let bytes = framed(&payloads);
+    assert!(bytes.len() > 4 * (64 << 10), "run is {} bytes", bytes.len());
+    std::thread::scope(|scope| {
+        let mut writer = &raw;
+        scope.spawn(move || writer.write_all(&bytes).unwrap());
+        for (i, upload) in run.iter().enumerate() {
+            let view = SequencedUploadRef::decode_ref(upload).unwrap();
+            let expected = AckSummary::from_outcomes(&[reference.receive_sequenced_ref(&view)]);
+            assert_eq!(expect_ack(&mut &raw), expected, "run ack {i}");
+        }
+    });
+
+    write_frame(&mut raw, &encode_od_query(1)).unwrap();
+    let answer = read_frame(&mut raw, 1 << 24).unwrap();
+    let expected = encode_matrix_response(&reference.od_matrix_threads(1).unwrap());
+    assert!(answer == expected, "the O–D answers differ");
     shutdown(addr, handle);
 }
 

@@ -186,12 +186,24 @@ impl SharedRsu {
     /// Returns [`SimError::Core`] for out-of-range indices (malformed
     /// reports are dropped without counting, like [`SimRsu::receive`]).
     pub fn receive(&self, report: &BitReport) -> Result<(), SimError> {
+        self.set_bit(report)?;
+        self.count(1);
+        Ok(())
+    }
+
+    /// Sets a report's bit without counting its passage; the caller
+    /// counts accepted reports with [`count`](Self::count).
+    fn set_bit(&self, report: &BitReport) -> Result<(), SimError> {
         self.inner
             .bits
             .try_set(report.index as usize)
             .map_err(CoreError::from)?;
-        self.inner.counter.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Counts `passages` accepted reports in one atomic add.
+    fn count(&self, passages: u64) {
+        self.inner.counter.fetch_add(passages, Ordering::Relaxed);
     }
 
     /// Snapshot upload for the server.
@@ -343,7 +355,9 @@ pub fn try_ingest_parallel(
 /// [`map_chunks`]: every in-range report is recorded, and each chunk
 /// returns its reject count and its first rejected report's error.
 /// Chunks come back in input order, so the first error among them is
-/// the earliest rejected report's.
+/// the earliest rejected report's. A chunk sets its reports' bits one
+/// by one but counts its accepted reports in one add, so the executors
+/// do not contend on the shared counter once per report.
 fn ingest_chunks(
     rsu: &SharedRsu,
     reports: &[BitReport],
@@ -359,12 +373,14 @@ fn ingest_chunks(
     map_chunks(reports.len(), chunk, threads, |range| {
         let mut rejected = 0usize;
         let mut first_error = None;
+        let len = range.len();
         for report in &reports[range] {
-            if let Err(e) = rsu.receive(report) {
+            if let Err(e) = rsu.set_bit(report) {
                 rejected += 1;
                 first_error.get_or_insert(e);
             }
         }
+        rsu.count((len - rejected) as u64);
         (rejected, first_error)
     })
     .into_iter()
