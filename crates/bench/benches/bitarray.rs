@@ -1,4 +1,5 @@
-//! Substrate micro-benchmarks: BitArray set / count / OR / unfold.
+//! Substrate micro-benchmarks: BitArray set / count / OR / unfold, and
+//! the O(1) cached zero fraction vs a full popcount rescan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -58,11 +59,26 @@ fn bench_unfold(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_zero_count(c: &mut Criterion) {
+    let mut group = c.benchmark_group("zero_count/cached_vs_rescan");
+    let sketch = vcps_bench::filled_sketch(1, 1 << 20, 0.4);
+    let bits = sketch.bits();
+    group.bench_function("cached", |b| b.iter(|| black_box(bits.zero_fraction())));
+    group.bench_function("rescan", |b| {
+        b.iter(|| {
+            let ones: u32 = bits.as_words().iter().map(|w| w.count_ones()).sum();
+            black_box(1.0 - f64::from(ones) / bits.len() as f64)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_set,
     bench_count_zeros,
     bench_or,
-    bench_unfold
+    bench_unfold,
+    bench_zero_count
 );
 criterion_main!(benches);

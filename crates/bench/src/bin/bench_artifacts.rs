@@ -1,8 +1,7 @@
-//! Regenerates the repo's machine-readable benchmark artifacts:
+//! Regenerates the repo's machine-readable benchmark artifacts. Each
+//! file's `workload` object records the host it ran on (`nproc` and the
+//! `target-cpu` the workspace builds for).
 //!
-//! * `BENCH_ingest.json` — lock-free vs mutex report ingestion across
-//!   thread counts (the headline claim: the atomic path wins at ≥ 4
-//!   threads and scales, while the mutex path inverts under contention).
 //! * `BENCH_decode.json` — server-side upload decode cost vs array size,
 //!   plus the O(1) cached zero-count vs a full popcount rescan.
 //! * `BENCH_odmatrix.json` — adaptive kernel selection vs the
@@ -10,18 +9,18 @@
 //!   `od_matrix` pipeline vs the per-pair clone-and-rescan baseline
 //!   across RSU counts, load factors, and thread counts (DESIGN.md §13),
 //!   and the daemon's O–D answer on the 529-RSU `metro_day` city, step
-//!   by step, with the host's core count and `target-cpu`.
+//!   by step.
 //! * `BENCH_obs.json` — observability overhead (DESIGN.md §14): the
-//!   per-call cost of a disabled vs enabled counter increment, and the
-//!   end-to-end ingest / od_matrix cost with observability off vs on.
-//!   The disabled path is the budgeted one: it must stay within a few
-//!   percent of the uninstrumented baseline.
+//!   per-call cost of a disabled vs enabled counter increment and of a
+//!   disabled phase timer, and the end-to-end od_matrix cost with
+//!   observability off vs on. The disabled path is the budgeted one.
 //! * `BENCH_shard.json` — sharded vs monolithic batch ingestion
-//!   (DESIGN.md §15): one period's sequenced uploads into a monolithic
-//!   `CentralServer` loop vs `ShardedServer::receive_parallel_threads`
-//!   at 1, 2, 4, and 8 shards. Worker count is capped at the available
-//!   cores, so on a single-core box every shard count degenerates to the
-//!   routed sequential path and the speedup column reads ≈ 1.0 by design.
+//!   (DESIGN.md §15) on the path `vcpsd` runs: one period's batch frame,
+//!   encoded once, into a monolithic `CentralServer` (the borrowed
+//!   frames through `receive_sequenced_ref`) vs
+//!   `ShardedServer::receive_batch_wire` at 1, 2, 4, and 8 shards. Both
+//!   sides validate the frame inside the timed region and ingest on one
+//!   thread, so the speedup column prices routing, ≈ 1.0 by design.
 //! * `BENCH_wal.json` — durability cost (DESIGN.md §17): one period's
 //!   sequenced uploads into a sharded server with the write-ahead log
 //!   off, on (a write per record, each requesting its fsync from the
@@ -32,11 +31,13 @@
 //! * `BENCH_metro.json` — metropolis-scale continuous estimation
 //!   (DESIGN.md §20): a 1024-RSU gravity-model grid streamed through
 //!   the sharded batch-ingest path for two diurnal periods with a
-//!   sliding O–D window. Rows compare ingest at 1 vs 4 shards and the
-//!   all-pairs O–D matrix at 1 vs all threads (on a single-core box
-//!   the thread rows degenerate to ≈ 1.0, as for `BENCH_shard.json`);
-//!   scalars report per-period estimation accuracy against exact
-//!   per-vehicle ground truth and the process peak RSS.
+//!   sliding O–D window. Rows compare ingest at 1 vs 4 shards, the
+//!   engine's exchange phase (vehicles answer in parallel, each RSU
+//!   records on the calling thread) and the all-pairs O–D matrix, each
+//!   at 1 vs all threads (on a single-core box the thread rows
+//!   degenerate to ≈ 1.0); scalars report per-period estimation
+//!   accuracy against exact per-vehicle ground truth and the process
+//!   peak RSS.
 //!
 //! Timing is hand-rolled (median of repeated wall-clock samples) so the
 //! artifacts do not depend on any benchmark framework; the JSON is
@@ -44,45 +45,36 @@
 //!
 //! Usage:
 //!   cargo run --release -p vcps-bench --bin bench_artifacts
-//!     [--out DIR] (default .) [--reports N] (default 200000)
-//!     [--samples K] (default 5)
+//!     [--out DIR] (default .) [--samples K] (default 5)
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use vcps_bench::od_answer::{metro_day_server, time_answer};
-use vcps_bench::{
-    ingest_mutex_parallel, ingest_workload, od_server, pairwise_dense_baseline, peak_rss_bytes,
-    shard_ingest_workload,
-};
+use vcps_bench::{od_server, pairwise_dense_baseline, peak_rss_bytes, shard_ingest_workload};
 use vcps_bitarray::{
     combined_zero_count, combined_zero_count_adaptive, select_pair_kernel, UnfoldOperand,
 };
 use vcps_core::{RsuId, Scheme};
-use vcps_sim::concurrent::{
-    default_threads, ingest_parallel, ingest_parallel_obs, MutexRsu, SharedRsu,
-};
+use vcps_obs::{Obs, Phase};
+use vcps_sim::concurrent::default_threads;
 use vcps_sim::engine::PeriodSettings;
-use vcps_sim::pki::TrustedAuthority;
 use vcps_sim::{
     build_metro, run_periods, score_accuracy, AccuracyScore, BatchUpload, BatchUploadRef,
     CentralServer, MetroConfig, PeriodUpload, RunConfig, Sharded, ShardedServer,
 };
 
-const ARRAY_BITS: usize = 1 << 20;
-
-const USAGE: &str = "usage: bench_artifacts [--out DIR] [--reports N] [--samples N]";
+const USAGE: &str = "usage: bench_artifacts [--out DIR] [--samples N]";
 
 /// Strict flag parser: every argument must be a known flag followed by a
 /// value, so typos fail loudly instead of silently running with defaults.
-fn parse_args(args: &[String]) -> Result<(String, u64, usize), String> {
+fn parse_args(args: &[String]) -> Result<(String, usize), String> {
     let mut out = ".".to_string();
-    let mut reports: u64 = 200_000;
     let mut samples: usize = 5;
     let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
-        if !matches!(flag, "--out" | "--reports" | "--samples") {
+        if !matches!(flag, "--out" | "--samples") {
             return Err(format!("unknown flag {flag:?}"));
         }
         let value = args
@@ -90,11 +82,6 @@ fn parse_args(args: &[String]) -> Result<(String, u64, usize), String> {
             .ok_or_else(|| format!("{flag} requires a value"))?;
         match flag {
             "--out" => out = value.clone(),
-            "--reports" => {
-                reports = value
-                    .parse()
-                    .map_err(|_| format!("--reports expects a positive integer, got {value:?}"))?;
-            }
             "--samples" => {
                 samples = value
                     .parse()
@@ -104,10 +91,7 @@ fn parse_args(args: &[String]) -> Result<(String, u64, usize), String> {
         }
         i += 2;
     }
-    if reports == 0 {
-        return Err("--reports must be at least 1".to_string());
-    }
-    Ok((out, reports, samples))
+    Ok((out, samples))
 }
 
 /// Median wall-clock nanoseconds of `samples` runs of `f`.
@@ -146,50 +130,6 @@ fn interleaved_min_ns(rounds: usize, modes: &mut [Box<dyn FnMut() -> u128 + '_>]
         }
     }
     mins
-}
-
-fn bench_ingest(reports: u64, samples: usize) -> String {
-    let ca = TrustedAuthority::new(1);
-    let batch = ingest_workload(reports, ARRAY_BITS as u64);
-    let mut thread_counts = vec![1usize, 2, 4];
-    let n = default_threads();
-    if !thread_counts.contains(&n) {
-        thread_counts.push(n);
-    }
-
-    let mut rows = String::new();
-    for &threads in &thread_counts {
-        let atomic_ns = median_ns(samples, || {
-            let rsu = SharedRsu::new(RsuId(1), ARRAY_BITS, &ca).expect("valid size");
-            assert_eq!(ingest_parallel(&rsu, &batch, threads), 0);
-        });
-        let mutex_ns = median_ns(samples, || {
-            let rsu = MutexRsu::new(RsuId(1), ARRAY_BITS, &ca).expect("valid size");
-            ingest_mutex_parallel(&rsu, &batch, threads);
-        });
-        let rate = |ns: u128| reports as f64 * 1e3 / ns as f64; // Mreports/s
-        let _ = write!(
-            rows,
-            "{}    {{\"threads\": {threads}, \
-             \"atomic_ns\": {atomic_ns}, \"mutex_ns\": {mutex_ns}, \
-             \"atomic_mreports_per_s\": {:.3}, \"mutex_mreports_per_s\": {:.3}, \
-             \"speedup_atomic_over_mutex\": {:.3}}}",
-            if rows.is_empty() { "" } else { ",\n" },
-            rate(atomic_ns),
-            rate(mutex_ns),
-            mutex_ns as f64 / atomic_ns as f64,
-        );
-        println!(
-            "ingest  threads={threads:<3} atomic {:>8.2} Mreports/s   mutex {:>8.2} Mreports/s   speedup {:.2}x",
-            rate(atomic_ns),
-            rate(mutex_ns),
-            mutex_ns as f64 / atomic_ns as f64
-        );
-    }
-    format!(
-        "{{\n  \"workload\": {{\"reports\": {reports}, \"array_bits\": {ARRAY_BITS}, \
-         \"samples\": {samples}}},\n  \"results\": [\n{rows}\n  ]\n}}\n"
-    )
 }
 
 fn bench_decode(samples: usize) -> String {
@@ -307,8 +247,9 @@ fn bench_decode(samples: usize) -> String {
         wire.len(),
     );
     format!(
-        "{{\n  \"samples\": {samples},\n  \"results\": [\n{rows}\n  ],\n  \
-         \"batch\": {batch_row}\n}}\n"
+        "{{\n  \"workload\": {{\"samples\": {samples}, {}}},\n  \"results\": [\n{rows}\n  ],\n  \
+         \"batch\": {batch_row}\n}}\n",
+        host(),
     )
 }
 
@@ -502,22 +443,32 @@ fn target_cpu() -> &'static str {
         .map_or("default", |v| v.split('"').next().unwrap_or(v).trim())
 }
 
+/// The host fields every artifact's `workload` records.
+fn host() -> String {
+    format!(
+        "\"nproc\": {}, \"target_cpu\": \"{}\"",
+        default_threads(),
+        target_cpu()
+    )
+}
+
 fn bench_odmatrix(samples: usize) -> String {
     let kernel_rows = bench_odmatrix_kernels(samples);
     let od_rows = bench_odmatrix_pipeline(samples);
     let metro = bench_metro_answer(samples);
     format!(
-        "{{\n  \"workload\": {{\"array_bits\": {}, \"samples\": {samples}}},\n  \
+        "{{\n  \"workload\": {{\"array_bits\": {}, \"samples\": {samples}, {}}},\n  \
          \"kernel\": [\n{kernel_rows}\n  ],\n  \"od_matrix\": [\n{od_rows}\n  ],\n  \
          \"metro_answer\": {metro}\n}}\n",
         1usize << 18,
+        host(),
     )
 }
 
 /// Per-call cost of `obs.add` on the given handle, in nanoseconds
 /// (median over `samples`, many calls per sample so sub-nanosecond
 /// dispatch is measurable).
-fn obs_call_ns(samples: usize, obs: &vcps_obs::Obs) -> f64 {
+fn obs_call_ns(samples: usize, obs: &Obs) -> f64 {
     let reps = 1_000_000u32;
     let ns = median_ns(samples, || {
         for i in 0..reps {
@@ -528,43 +479,35 @@ fn obs_call_ns(samples: usize, obs: &vcps_obs::Obs) -> f64 {
     ns as f64 / f64::from(reps)
 }
 
-/// Observability overhead: no-op dispatch cost plus end-to-end ratios
-/// with the handle disabled and enabled. "disabled_ratio" is the number
-/// the ≤ 2% budget applies to; "enabled_ratio" is informational (the
-/// enabled path pays for real atomics and is allowed to cost more).
-fn bench_obs(reports: u64, samples: usize) -> String {
-    use vcps_obs::Obs;
+/// Per-call cost of a disabled phase timer: an `obs.phase(..)` guard
+/// made and dropped, timed like [`obs_call_ns`].
+fn phase_disabled_ns(samples: usize, obs: &Obs) -> f64 {
+    let reps = 1_000_000u32;
+    let ns = median_ns(samples, || {
+        for _ in 0..reps {
+            drop(std::hint::black_box(obs).phase(Phase::Decode));
+        }
+    });
+    ns as f64 / f64::from(reps)
+}
 
+/// Observability overhead: the disabled handle's per-call costs (the
+/// budgeted ones) and the enabled counter's, plus the end-to-end
+/// od_matrix ratio with the handle enabled (informational: the enabled
+/// path pays for real atomics and is allowed to cost more).
+fn bench_obs(samples: usize) -> String {
     let disabled = Obs::disabled();
     let enabled = Obs::enabled();
     let noop_ns = obs_call_ns(samples, &disabled);
     let enabled_ns = obs_call_ns(samples, &enabled);
-    println!("obs     counter add     disabled {noop_ns:>8.3} ns/call   enabled {enabled_ns:>8.3} ns/call");
-
-    // End-to-end ingest: uninstrumented baseline vs the obs wrapper with
-    // a disabled handle (budgeted) and an enabled one (informational).
-    let ca = TrustedAuthority::new(1);
-    let batch = ingest_workload(reports, ARRAY_BITS as u64);
-    let threads = default_threads().min(4);
-    let base_ns = median_ns(samples, || {
-        let rsu = SharedRsu::new(RsuId(1), ARRAY_BITS, &ca).expect("valid size");
-        assert_eq!(ingest_parallel(&rsu, &batch, threads), 0);
-    });
-    let off_ns = median_ns(samples, || {
-        let rsu = SharedRsu::new(RsuId(1), ARRAY_BITS, &ca).expect("valid size");
-        assert_eq!(ingest_parallel_obs(&rsu, &batch, threads, &disabled), 0);
-    });
-    let on_ns = median_ns(samples, || {
-        let rsu = SharedRsu::new(RsuId(1), ARRAY_BITS, &ca).expect("valid size");
-        assert_eq!(ingest_parallel_obs(&rsu, &batch, threads, &enabled), 0);
-    });
-    let ingest_off_ratio = off_ns as f64 / base_ns as f64;
-    let ingest_on_ratio = on_ns as f64 / base_ns as f64;
+    let phase_ns = phase_disabled_ns(samples, &disabled);
     println!(
-        "obs     ingest          baseline {base_ns:>11} ns   obs-off ratio {ingest_off_ratio:.4}   obs-on ratio {ingest_on_ratio:.4}"
+        "obs     counter add     disabled {noop_ns:>8.3} ns/call   enabled {enabled_ns:>8.3} ns/call   \
+         disabled phase {phase_ns:>8.3} ns/call"
     );
 
     // End-to-end od_matrix: same server state, obs off vs on.
+    let threads = default_threads().min(4);
     let (plain_server, ids) = od_server(16, 1 << 17, 0.05, 42);
     let mut obs_server = plain_server.clone();
     obs_server.set_obs(enabled.clone());
@@ -582,65 +525,59 @@ fn bench_obs(reports: u64, samples: usize) -> String {
     );
 
     format!(
-        "{{\n  \"workload\": {{\"reports\": {reports}, \"array_bits\": {ARRAY_BITS}, \
-         \"threads\": {threads}, \"samples\": {samples}}},\n  \
-         \"counter_add\": {{\"disabled_ns\": {noop_ns:.4}, \"enabled_ns\": {enabled_ns:.4}}},\n  \
-         \"ingest\": {{\"baseline_ns\": {base_ns}, \"obs_disabled_ns\": {off_ns}, \
-         \"obs_enabled_ns\": {on_ns}, \"disabled_ratio\": {ingest_off_ratio:.4}, \
-         \"enabled_ratio\": {ingest_on_ratio:.4}}},\n  \
+        "{{\n  \"workload\": {{\"threads\": {threads}, \"samples\": {samples}, {}}},\n  \
+         \"counter_add\": {{\"disabled_ns\": {noop_ns:.4}, \"enabled_ns\": {enabled_ns:.4}, \
+         \"phase_disabled_ns\": {phase_ns:.4}}},\n  \
          \"od_matrix\": {{\"baseline_ns\": {od_base_ns}, \"obs_enabled_ns\": {od_on_ns}, \
-         \"enabled_ratio\": {od_on_ratio:.4}}}\n}}\n"
+         \"enabled_ratio\": {od_on_ratio:.4}}}\n}}\n",
+        host(),
     )
 }
 
-/// Sharded vs monolithic batch ingestion (DESIGN.md §15). Each timed
-/// sample clones one pre-built batch (untimed) and ingests it into a
-/// fresh server, so the timed region is pure ingestion — upload routing,
-/// dedup/sequence bookkeeping, and decode-cache refresh — on both sides
-/// of the comparison. All five modes (monolithic plus each shard count)
-/// are sampled round-robin with per-mode minima: the shard-smoke gate
-/// compares rows against each other, and back-to-back block sampling
-/// once let a slow window land entirely on the 4-shard block, reading
-/// as a spurious loss to 2 shards.
+/// Sharded vs monolithic batch ingestion (DESIGN.md §15), on the path
+/// `vcpsd` runs. One period's batch frame is encoded once, outside the
+/// timing; each timed sample validates it and ingests it into a fresh
+/// server built just before the clock starts — the monolith through
+/// `receive_sequenced_ref` over the borrowed frames, each shard count
+/// through `receive_batch_wire`. All five modes are sampled round-robin
+/// with per-mode minima: the shard-smoke gate compares rows against each
+/// other, and back-to-back block sampling once let a slow window land
+/// entirely on the 4-shard block, reading as a spurious loss to 2
+/// shards.
 fn bench_shard(samples: usize) -> String {
     const SHARD_RSUS: usize = 256;
     const SHARD_BITS: usize = 1 << 18;
     const SHARD_FILL: f64 = 0.01;
     const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
     let scheme = Scheme::variable(2, 3.0, 1).expect("valid scheme");
-    let master = shard_ingest_workload(SHARD_RSUS, SHARD_BITS, SHARD_FILL, 1)
+    let frames = shard_ingest_workload(SHARD_RSUS, SHARD_BITS, SHARD_FILL, 1)
         .pop()
         .expect("one copy");
+    let wire = BatchUpload::new(frames).expect("distinct keys").encode();
     let rounds = samples.max(15);
 
     let mut modes: Vec<Box<dyn FnMut() -> u128 + '_>> = Vec::new();
-    modes.push(Box::new({
-        let scheme = scheme.clone();
-        let master = master.clone();
-        move || {
-            let frames = master.clone();
-            let start = Instant::now();
-            let mut server = CentralServer::new(scheme.clone(), 1.0).expect("valid alpha");
-            for frame in frames {
-                server.receive_sequenced(frame);
-            }
-            assert_eq!(server.upload_count(), SHARD_RSUS);
-            start.elapsed().as_nanos()
+    modes.push(Box::new(|| {
+        let mut server = CentralServer::new(scheme.clone(), 1.0).expect("valid alpha");
+        let start = Instant::now();
+        let batch = BatchUploadRef::decode_ref(&wire).expect("valid batch");
+        for frame in batch.frames() {
+            server.receive_sequenced_ref(&frame);
         }
+        let ns = start.elapsed().as_nanos();
+        assert_eq!(server.upload_count(), SHARD_RSUS);
+        ns
     }));
     for &shards in &SHARD_COUNTS {
-        modes.push(Box::new({
-            let scheme = scheme.clone();
-            let master = master.clone();
-            move || {
-                let frames = master.clone();
-                let start = Instant::now();
-                let mut server =
-                    ShardedServer::new(scheme.clone(), 1.0, shards).expect("valid shard count");
-                let outcomes = server.receive_parallel_threads(frames, default_threads());
-                assert_eq!(outcomes.len(), SHARD_RSUS);
-                start.elapsed().as_nanos()
-            }
+        let (scheme, wire) = (&scheme, &wire);
+        modes.push(Box::new(move || {
+            let mut server =
+                ShardedServer::new(scheme.clone(), 1.0, shards).expect("valid shard count");
+            let start = Instant::now();
+            let outcomes = server.receive_batch_wire(wire).expect("valid batch");
+            let ns = start.elapsed().as_nanos();
+            assert_eq!(outcomes.len(), SHARD_RSUS);
+            ns
         }));
     }
     let mins = interleaved_min_ns(rounds, &mut modes);
@@ -671,9 +608,10 @@ fn bench_shard(samples: usize) -> String {
     }
     format!(
         "{{\n  \"workload\": {{\"rsus\": {SHARD_RSUS}, \"array_bits\": {SHARD_BITS}, \
-         \"fill\": {SHARD_FILL}, \"samples\": {samples}, \"cores\": {}}},\n  \
+         \"fill\": {SHARD_FILL}, \"wire_bytes\": {}, \"samples\": {samples}, {}}},\n  \
          \"monolithic_ns\": {mono_ns},\n  \"results\": [\n{rows}\n  ]\n}}\n",
-        default_threads(),
+        wire.len(),
+        host(),
     )
 }
 
@@ -817,8 +755,9 @@ fn bench_wal(samples: usize) -> String {
         "{{\n  \"workload\": {{\"rsus\": {WAL_RSUS}, \"array_bits\": {WAL_BITS}, \
          \"fill\": {WAL_FILL}, \"shards\": {WAL_SHARDS}, \
          \"checkpoint_every\": {CHECKPOINT_EVERY}, \
-         \"group_commit\": [1, 16, 64, 256], \"samples\": {samples}}},\n  \
-         \"results\": [\n{rows}\n  ]\n}}\n"
+         \"group_commit\": [1, 16, 64, 256], \"samples\": {samples}, {}}},\n  \
+         \"results\": [\n{rows}\n  ]\n}}\n",
+        host(),
     )
 }
 
@@ -826,9 +765,11 @@ fn bench_wal(samples: usize) -> String {
 /// gravity-model grid, two diurnal periods, sliding O–D window, all
 /// uploads through the sharded batch-ingest path. Every mode closure
 /// executes a complete metro run (departures → encode → ingest → O–D
-/// matrix) but returns only the driver's internal clock for its hot
-/// region, so the interleaved-minimum sampler prices ingest and O–D
-/// latency without the untimed simulation work around them. Accuracy
+/// matrix) but returns only the time of its hot region — the driver's
+/// clock for ingest and O–D, the `phase.encode.ns` histogram of an
+/// enabled `Obs` for the exchange phase — so the interleaved-minimum
+/// sampler prices each without the untimed simulation work around it.
+/// Accuracy
 /// is scored per period against exact per-vehicle ground truth: period
 /// 0's arrays are sized from exact seeded history while period 1's
 /// come from the EWMA forecast of the off-peak period, so the gap
@@ -858,7 +799,7 @@ fn bench_metro(samples: usize) -> String {
     };
     let threads = default_threads();
 
-    let run = |shards: usize, threads: usize| {
+    let run = |shards: usize, threads: usize, obs: Obs| {
         run_periods(
             &scheme,
             (&workload.net, &link_times),
@@ -868,6 +809,7 @@ fn bench_metro(samples: usize) -> String {
             METRO_PERIODS, // window: hold every period for per-period scoring
             &RunConfig {
                 threads,
+                obs,
                 ..RunConfig::new(Sharded(shards))
             },
         )
@@ -876,8 +818,9 @@ fn bench_metro(samples: usize) -> String {
 
     // One reference run supplies the accuracy scalars; the window holds
     // one O–D matrix per period, oldest first.
-    let reference = run(4, threads);
+    let reference = run(4, threads, Obs::disabled());
     let uploads = reference.uploads_delivered;
+    let exchanges: usize = reference.exchanges_per_period.iter().sum();
     let mut accuracy_rows = String::new();
     for (period, matrix) in reference.window.iter().enumerate() {
         let AccuracyScore {
@@ -901,22 +844,27 @@ fn bench_metro(samples: usize) -> String {
     }
 
     let rounds = samples.div_ceil(2).max(2);
-    let mode_specs: [(&str, usize, usize, bool); 4] = [
-        ("ingest_shards_1", 1, threads, true),
-        ("ingest_shards_4", 4, threads, true),
-        ("od_threads_1", 4, 1, false),
-        ("od_threads_all", 4, threads, false),
+    let mode_specs = [
+        ("ingest_shards_1", 1, threads, Timed::Ingest),
+        ("ingest_shards_4", 4, threads, Timed::Ingest),
+        ("exchange_threads_1", 4, 1, Timed::Exchange),
+        ("exchange_threads_all", 4, threads, Timed::Exchange),
+        ("od_threads_1", 4, 1, Timed::Od),
+        ("od_threads_all", 4, threads, Timed::Od),
     ];
     let mut modes: Vec<Box<dyn FnMut() -> u128 + '_>> = mode_specs
         .iter()
-        .map(|&(_, shards, threads, ingest)| {
+        .map(|&(_, shards, threads, timed)| {
             let run = &run;
-            Box::new(move || {
-                let outcome = run(shards, threads);
-                if ingest {
-                    outcome.ingest_ns
-                } else {
-                    outcome.od_ns
+            Box::new(move || match timed {
+                Timed::Ingest => run(shards, threads, Obs::disabled()).ingest_ns,
+                Timed::Od => run(shards, threads, Obs::disabled()).od_ns,
+                // The exchange phase is the engine's `Encode` phase; only
+                // these modes record, so the other rows run obs-free.
+                Timed::Exchange => {
+                    let obs = Obs::enabled();
+                    run(shards, threads, obs.clone());
+                    u128::from(obs.snapshot().histograms[Phase::Encode.ns_metric()].sum)
                 }
             }) as Box<dyn FnMut() -> u128 + '_>
         })
@@ -926,18 +874,14 @@ fn bench_metro(samples: usize) -> String {
 
     let pairs_total = METRO_PERIODS * nodes * (nodes - 1) / 2;
     let mut rows = String::new();
-    for (i, &(mode, shards, mode_threads, ingest)) in mode_specs.iter().enumerate() {
+    for (i, &(mode, shards, mode_threads, timed)) in mode_specs.iter().enumerate() {
         let ns = mins[i];
-        let rate = if ingest {
-            uploads as f64 * 1e9 / ns as f64
-        } else {
-            pairs_total as f64 * 1e9 / ns as f64
+        let (count, unit) = match timed {
+            Timed::Ingest => (uploads, "uploads_per_s"),
+            Timed::Exchange => (exchanges, "exchanges_per_s"),
+            Timed::Od => (pairs_total, "pairs_per_s"),
         };
-        let unit = if ingest {
-            "uploads_per_s"
-        } else {
-            "pairs_per_s"
-        };
+        let rate = count as f64 * 1e9 / ns as f64;
         if i > 0 {
             rows.push_str(",\n");
         }
@@ -946,7 +890,7 @@ fn bench_metro(samples: usize) -> String {
             "    {{\"mode\": \"{mode}\", \"shards\": {shards}, \"threads\": {mode_threads}, \
              \"ns\": {ns}, \"{unit}\": {rate:.0}}}",
         );
-        println!("metro   {mode:<16} {ns:>12} ns   {rate:>12.0} {unit}");
+        println!("metro   {mode:<20} {ns:>12} ns   {rate:>12.0} {unit}");
     }
 
     let uploads_per_sec = uploads as f64 * 1e9 / mins[1] as f64;
@@ -955,19 +899,31 @@ fn bench_metro(samples: usize) -> String {
         "{{\n  \"workload\": {{\"rsus\": {METRO_RSUS}, \"layout\": \"grid\", \
          \"periods\": {METRO_PERIODS}, \"trips\": {METRO_TRIPS}, \
          \"vehicles\": {}, \"window\": {METRO_PERIODS}, \"uploads\": {uploads}, \
-         \"truth_floor\": {TRUTH_FLOOR}, \"scheme_s\": 2, \"load_factor\": 3.0, \
-         \"samples\": {samples}, \"rounds\": {rounds}}},\n  \
+         \"exchanges\": {exchanges}, \"truth_floor\": {TRUTH_FLOOR}, \"scheme_s\": 2, \
+         \"load_factor\": 3.0, \"samples\": {samples}, \"rounds\": {rounds}, {}}},\n  \
          \"accuracy\": [\n{accuracy_rows}\n  ],\n  \
          \"results\": [\n{rows}\n  ],\n  \
          \"uploads_per_sec\": {uploads_per_sec:.0},\n  \
          \"peak_rss_bytes\": {rss}\n}}\n",
         workload.total_vehicles(),
+        host(),
     )
+}
+
+/// What a `bench_metro` mode times.
+#[derive(Clone, Copy)]
+enum Timed {
+    /// Upload ingest, from the run's own clock.
+    Ingest,
+    /// The exchange phase: every vehicle answers, every RSU records.
+    Exchange,
+    /// The all-pairs O–D matrix, from the run's own clock.
+    Od,
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let (out, reports, samples) = match parse_args(&args) {
+    let (out, samples) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("error: {msg}\n{USAGE}");
@@ -975,21 +931,18 @@ fn main() {
         }
     };
 
-    let ingest = bench_ingest(reports, samples);
     let decode = bench_decode(samples);
     let odmatrix = bench_odmatrix(samples);
-    let obs = bench_obs(reports, samples);
+    let obs = bench_obs(samples);
     let shard = bench_shard(samples);
     let wal = bench_wal(samples);
     let metro = bench_metro(samples);
-    let ingest_path = format!("{out}/BENCH_ingest.json");
     let decode_path = format!("{out}/BENCH_decode.json");
     let odmatrix_path = format!("{out}/BENCH_odmatrix.json");
     let obs_path = format!("{out}/BENCH_obs.json");
     let shard_path = format!("{out}/BENCH_shard.json");
     let wal_path = format!("{out}/BENCH_wal.json");
     let metro_path = format!("{out}/BENCH_metro.json");
-    std::fs::write(&ingest_path, ingest).expect("write BENCH_ingest.json");
     std::fs::write(&decode_path, decode).expect("write BENCH_decode.json");
     std::fs::write(&odmatrix_path, odmatrix).expect("write BENCH_odmatrix.json");
     std::fs::write(&obs_path, obs).expect("write BENCH_obs.json");
@@ -997,7 +950,7 @@ fn main() {
     std::fs::write(&wal_path, wal).expect("write BENCH_wal.json");
     std::fs::write(&metro_path, metro).expect("write BENCH_metro.json");
     println!(
-        "wrote {ingest_path}, {decode_path}, {odmatrix_path}, {obs_path}, {shard_path}, \
-         {wal_path}, and {metro_path}"
+        "wrote {decode_path}, {odmatrix_path}, {obs_path}, {shard_path}, {wal_path}, \
+         and {metro_path}"
     );
 }

@@ -3,9 +3,12 @@
 //! The actual benchmarks live in `benches/` (Criterion harnesses, one per
 //! paper artifact or ablation — see DESIGN.md §3/§6):
 //!
-//! * `bitarray` — substrate micro-benchmarks (set/count/or/unfold).
+//! * `bitarray` — substrate micro-benchmarks (set/count/or/unfold), and
+//!   the O(1) cached zero fraction vs a full popcount rescan.
 //! * `encoding` — vehicle-side and RSU-side O(1) costs (paper §IV-E).
 //! * `decoding` — server decode vs `m_y`, the O(m_y) claim (§IV-E).
+//! * `odmatrix` — adaptive pair kernels vs the dense scan, and the
+//!   all-pairs O–D pipeline vs the per-pair baseline (DESIGN.md §13).
 //! * `unfold_ablation` — streaming combined zero count vs materializing
 //!   the unfolded array (DESIGN.md ablation 1).
 //! * `analysis` — closed-form privacy (Eq. 40) vs direct summation
@@ -28,8 +31,7 @@ use vcps_core::{
     estimate_from_counts_or_clamp, first_plays_x, Estimate, PairCounts, RsuSketch, Scheme,
 };
 use vcps_hash::RsuId;
-use vcps_sim::concurrent::MutexRsu;
-use vcps_sim::{BitReport, CentralServer, MacAddress, PeriodUpload, SequencedUpload};
+use vcps_sim::{CentralServer, PeriodUpload, SequencedUpload};
 
 pub mod od_answer;
 
@@ -52,51 +54,6 @@ pub fn filled_sketch(id: u64, m: usize, fill: f64) -> RsuSketch {
         sketch.record(idx).expect("in range");
     }
     sketch
-}
-
-/// Builds a deterministic batch of `n` in-range reports for an `m`-bit
-/// array — the shared workload of the ingestion benches and the
-/// `bench_artifacts` binary.
-#[must_use]
-pub fn ingest_workload(n: u64, m: u64) -> Vec<BitReport> {
-    (0..n)
-        .map(|i| BitReport {
-            mac: MacAddress([2, 0, (i >> 16) as u8, (i >> 8) as u8, i as u8, 1]),
-            index: i.wrapping_mul(2_654_435_761) % m,
-        })
-        .collect()
-}
-
-/// Ingests `reports` into a [`MutexRsu`] from `threads` scoped workers —
-/// the contended-lock baseline the lock-free path is measured against.
-/// Chunking mirrors [`vcps_sim::concurrent::ingest_parallel`] so the two
-/// paths differ only in their synchronization.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, a report is out of range, or a worker
-/// panics.
-pub fn ingest_mutex_parallel(rsu: &MutexRsu, reports: &[BitReport], threads: usize) {
-    assert!(threads > 0, "need at least one thread");
-    if reports.is_empty() {
-        return;
-    }
-    let chunk = reports.len().div_ceil(threads * 8).max(64);
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(reports.len().div_ceil(chunk)) {
-            scope.spawn(|| loop {
-                let start = cursor.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                if start >= reports.len() {
-                    break;
-                }
-                let end = (start + chunk).min(reports.len());
-                for report in &reports[start..end] {
-                    rsu.receive(report).expect("in-range report");
-                }
-            });
-        }
-    });
 }
 
 /// Builds `copies` identical batches of `rsus` sequenced period uploads
@@ -542,22 +499,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ingest_workload_is_in_range() {
-        let batch = ingest_workload(1_000, 256);
-        assert_eq!(batch.len(), 1_000);
-        assert!(batch.iter().all(|r| r.index < 256));
-    }
-
-    #[test]
-    fn mutex_parallel_ingests_every_report() {
-        let ca = vcps_sim::pki::TrustedAuthority::new(2);
-        let rsu = MutexRsu::new(RsuId(3), 256, &ca).unwrap();
-        let batch = ingest_workload(2_000, 256);
-        ingest_mutex_parallel(&rsu, &batch, 4);
-        assert_eq!(rsu.upload().counter, 2_000);
-    }
-
-    #[test]
     fn filled_sketch_hits_target_fill() {
         let s = filled_sketch(1, 1 << 12, 0.25);
         let ones = s.bits().count_ones() as f64 / (1 << 12) as f64;
@@ -582,9 +523,12 @@ mod tests {
             mono.receive_sequenced(frame);
         }
         let mut sharded = vcps_sim::ShardedServer::new(scheme, 1.0, 4).unwrap();
-        let outcomes = sharded
-            .receive_parallel_threads(pool[1].clone(), vcps_sim::concurrent::default_threads());
-        assert_eq!(outcomes.len(), 8);
+        for frame in pool[1].clone() {
+            assert_eq!(
+                sharded.receive_sequenced(frame),
+                vcps_sim::ReceiveOutcome::Fresh
+            );
+        }
         assert_eq!(sharded.upload_count(), mono.upload_count());
         for i in 1..=8u64 {
             assert_eq!(sharded.upload(RsuId(i)), mono.upload(RsuId(i)));

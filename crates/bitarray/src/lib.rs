@@ -13,10 +13,6 @@
 //!
 //! * [`BitArray`] — a fixed-length bit vector backed by `u64` words with
 //!   an O(1) cached ones-count, set-bit iteration, and bitwise OR/AND.
-//! * [`AtomicBitArray`] — the lock-free concurrent counterpart: threads
-//!   set bits with a single `fetch_or`, and because bit-setting is
-//!   commutative and idempotent the result is bit-identical to any
-//!   sequential ingestion order.
 //! * [`Pow2`] — a validated power-of-two length (paper §IV-A requires
 //!   `m = 2^k` so that any two array lengths divide each other).
 //! * [`unfold`](BitArray::unfold) — the paper's unfolding operation.
@@ -52,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod atomic;
 mod bit_array;
 mod error;
 mod kernels;
@@ -60,7 +55,6 @@ mod ops;
 mod pow2;
 mod sparse;
 
-pub use atomic::AtomicBitArray;
 pub use bit_array::{BitArray, Ones};
 pub use error::BitArrayError;
 pub use kernels::{

@@ -263,72 +263,3 @@ proptest! {
         prop_assert_eq!(bits, BitArray::new(len));
     }
 }
-
-// Equivalence of the lock-free AtomicBitArray with the sequential
-// BitArray: same final bits under any partition of the writes across any
-// number of threads, and matching previous-bit return values when applied
-// sequentially.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn atomic_matches_sequential_under_threads(
-        len in 1usize..2_000,
-        xs in prop::collection::vec(any::<u32>(), 0..400),
-        threads in 1usize..9,
-    ) {
-        use vcps_bitarray::AtomicBitArray;
-
-        let indices: Vec<usize> = xs.iter().map(|&v| v as usize % len).collect();
-        let sequential =
-            BitArray::from_indices(len, indices.iter().copied()).unwrap();
-
-        let atomic = AtomicBitArray::new(len);
-        let chunk = indices.len().div_ceil(threads).max(1);
-        std::thread::scope(|scope| {
-            for part in indices.chunks(chunk) {
-                let atomic = &atomic;
-                scope.spawn(move || {
-                    for &i in part {
-                        atomic.set(i);
-                    }
-                });
-            }
-        });
-
-        prop_assert_eq!(atomic.count_ones(), sequential.count_ones());
-        prop_assert_eq!(atomic.snapshot(), sequential);
-    }
-
-    #[test]
-    fn atomic_set_reports_previous_bit_like_bit_array(
-        len in 1usize..500,
-        xs in prop::collection::vec(any::<u32>(), 0..200),
-    ) {
-        use vcps_bitarray::AtomicBitArray;
-
-        let atomic = AtomicBitArray::new(len);
-        let mut model = BitArray::new(len);
-        for &raw in &xs {
-            let i = raw as usize % len;
-            let was_set = model.get(i);
-            model.set(i);
-            prop_assert_eq!(atomic.set(i), was_set);
-        }
-        prop_assert_eq!(AtomicBitArray::from(&model).snapshot(), atomic.snapshot());
-    }
-
-    #[test]
-    fn atomic_round_trip_preserves_bit_array(
-        len in 1usize..1_500,
-        xs in prop::collection::vec(any::<u32>(), 0..300),
-    ) {
-        use vcps_bitarray::AtomicBitArray;
-
-        let bits =
-            BitArray::from_indices(len, xs.iter().map(|&v| v as usize % len)).unwrap();
-        let atomic = AtomicBitArray::from(bits.clone());
-        prop_assert_eq!(atomic.zero_fraction(), bits.zero_fraction());
-        prop_assert_eq!(BitArray::from(atomic), bits);
-    }
-}

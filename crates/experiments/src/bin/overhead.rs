@@ -11,10 +11,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use vcps_core::{estimator, RsuId, RsuSketch, Scheme, VehicleIdentity};
-use vcps_experiments::{default_threads, text_table};
-use vcps_sim::concurrent::{ingest_parallel, SharedRsu};
-use vcps_sim::pki::TrustedAuthority;
-use vcps_sim::{BitReport, MacAddress};
+use vcps_experiments::text_table;
 
 fn time_per_op<F: FnMut()>(iters: u64, mut f: F) -> f64 {
     let start = Instant::now();
@@ -83,36 +80,5 @@ fn main() {
         ]);
     }
     println!("{}", text_table(&["m_y", "decode time", "per bit"], &rows));
-    println!("(a flat ns/bit column confirms the O(m_y) claim)\n");
-
-    // Extension beyond the paper: a busy RSU ingests reports from many
-    // vehicles at once. Lock-free ingestion (vcps_sim::concurrent)
-    // across worker threads, reported as throughput.
-    println!("parallel report ingestion (lock-free SharedRsu):\n");
-    let m = 1usize << 20;
-    let ca = TrustedAuthority::new(1);
-    let reports: Vec<BitReport> = (0..500_000u64)
-        .map(|v| BitReport {
-            mac: MacAddress([2, 0, 0, (v >> 8) as u8, v as u8, 1]),
-            index: v.wrapping_mul(2_654_435_761) % m as u64,
-        })
-        .collect();
-    let mut rows = Vec::new();
-    let mut threads_list = vec![1usize, 2, 4];
-    if !threads_list.contains(&default_threads()) {
-        threads_list.push(default_threads());
-    }
-    for threads in threads_list {
-        let start = Instant::now();
-        let rsu = SharedRsu::new(RsuId(9), m, &ca).expect("valid size");
-        let rejected = ingest_parallel(&rsu, &reports, threads);
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(rejected, 0);
-        rows.push(vec![
-            format!("{threads}"),
-            format!("{:.1} Mreports/s", reports.len() as f64 / elapsed / 1e6),
-        ]);
-    }
-    println!("{}", text_table(&["threads", "throughput"], &rows));
-    println!("(BENCH_ingest.json holds the rigorous mutex-vs-atomic numbers)");
+    println!("(a flat ns/bit column confirms the O(m_y) claim)");
 }

@@ -2,8 +2,8 @@
 //! fixed-bucket histograms over lock-free [`AtomicU64`] cells.
 //!
 //! Recording never blocks recording: every cell is a plain atomic, so
-//! `SharedRsu`-style parallel workers update the same counter without
-//! contention beyond the cache line itself. The name → cell map is
+//! parallel workers (the O–D pair driver's, say) update the same counter
+//! without contention beyond the cache line itself. The name → cell map is
 //! behind an [`RwLock`], but the write lock is taken only the first time
 //! a name is seen; steady-state recording is a read lock plus one atomic
 //! RMW. Hot loops can hoist even the map lookup by holding a

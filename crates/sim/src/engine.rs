@@ -35,14 +35,14 @@ use vcps_hash::splitmix64;
 use vcps_obs::{Obs, Phase};
 use vcps_roadnet::{RoadNetwork, VehicleTrip};
 
-use crate::concurrent::{self, SharedRsu};
+use crate::concurrent;
 use crate::durable::{DurableOptions, DurableServer, RecoveryReport};
 use crate::faults::{self, FaultPlan, RetryPolicy, SequencedSink, ServerCrash};
 use crate::metrics::FaultMetrics;
 use crate::metro::SlidingWindow;
 use crate::pki::TrustedAuthority;
 use crate::protocol::{BatchUpload, BitReport, PeriodUpload, Query, SequencedUpload};
-use crate::{CentralServer, OdMatrix, ShardedServer, SimError, SimVehicle};
+use crate::{CentralServer, OdMatrix, ShardedServer, SimError, SimRsu, SimVehicle};
 
 pub use backend::Backend;
 use backend::{Live, Periods};
@@ -531,12 +531,12 @@ impl<'a, B: Backend> Drive<'a, B> {
         } = *self.config;
         let (scheme, seed) = (self.scheme, self.seed);
         let authority = TrustedAuthority::new(seed ^ 0x0CA0_17E5 ^ p);
-        let rsus = sizes
+        let mut rsus = sizes
             .iter()
             .enumerate()
-            .map(|(node, &m)| SharedRsu::new(RsuId(node as u64), m, &authority))
+            .map(|(node, &m)| SimRsu::new(RsuId(node as u64), m, &authority))
             .collect::<Result<Vec<_>, _>>()?;
-        let queries: Vec<Query> = rsus.iter().map(SharedRsu::query).collect();
+        let queries: Vec<Query> = rsus.iter().map(SimRsu::query).collect();
         let m_o = sizes.iter().copied().max().unwrap_or(0);
 
         let mut rng = StdRng::seed_from_u64(seed ^ (p << 32));
@@ -558,32 +558,32 @@ impl<'a, B: Backend> Drive<'a, B> {
             vehicle.answer(&queries[node], scheme, &authority, m_o)
         };
 
-        let (exchanges, mut metrics) = match faults {
-            None => {
-                let _encode = obs.phase(Phase::Encode);
-                drive_arrivals(
-                    trips,
-                    &arrivals,
-                    threads,
-                    make_vehicle,
-                    |v, node, _, _, _| rsus[node].receive(&answer(v, node)?),
-                )?
-            }
+        let encode = obs.phase(Phase::Encode);
+        let chunks = match faults {
+            None => drive_arrivals(
+                trips,
+                &arrivals,
+                threads,
+                make_vehicle,
+                |v, node, _, _, out| {
+                    out.reports.push((node, answer(v, node)?));
+                    Ok(())
+                },
+            )?,
             Some((plan, _)) => {
                 let channel = plan.report_channel(p);
                 let lost_windows = plan.lost_windows(self.net.node_count());
-                let _encode = obs.phase(Phase::Encode);
                 drive_arrivals(
                     trips,
                     &arrivals,
                     threads,
                     make_vehicle,
-                    |v, node, time, key, local| {
+                    |v, node, time, key, out| {
                         let tx = channel.transmit(&answer(v, node)?.encode(), key);
-                        tx.record(&mut local.report_link);
+                        tx.record(&mut out.faults.report_link);
                         for copy in &tx.delivered {
                             let Ok(report) = BitReport::decode(copy) else {
-                                local.reports_undecodable += 1;
+                                out.faults.reports_undecodable += 1;
                                 continue;
                             };
                             let crashed = lost_windows[node]
@@ -593,9 +593,9 @@ impl<'a, B: Backend> Drive<'a, B> {
                                 // The RSU ingested this report but lost it
                                 // with the state window destroyed by the
                                 // crash.
-                                local.reports_lost_to_crash += 1;
-                            } else if rsus[node].receive(&report).is_err() {
-                                local.reports_rejected += 1;
+                                out.faults.reports_lost_to_crash += 1;
+                            } else {
+                                out.reports.push((node, report));
                             }
                         }
                         Ok(())
@@ -603,6 +603,24 @@ impl<'a, B: Backend> Drive<'a, B> {
                 )?
             }
         };
+        // Each RSU has one writer: the reports land here, chunk by chunk
+        // in vehicle order. Setting a bit and counting a passage commute,
+        // so the uploads do not depend on how the vehicles were split.
+        let mut exchanges = 0usize;
+        let mut metrics = FaultMetrics::new();
+        for chunk in chunks {
+            exchanges += chunk.exchanges;
+            metrics.merge(&chunk.faults);
+            for (node, report) in &chunk.reports {
+                if let Err(e) = rsus[*node].receive(report) {
+                    if faults.is_none() {
+                        return Err(e);
+                    }
+                    metrics.reports_rejected += 1;
+                }
+            }
+        }
+        drop(encode);
         obs.add("engine.exchanges", exchanges as u64);
 
         let ingest_started = Instant::now();
@@ -646,23 +664,33 @@ impl<'a, B: Backend> Drive<'a, B> {
     }
 }
 
+/// What one chunk of vehicles did in the exchange phase: its exchange
+/// count, its fault counters, and every report that reached an RSU, with
+/// the RSU's node, in vehicle order.
+#[derive(Debug, Default)]
+struct ChunkOutcome {
+    exchanges: usize,
+    faults: FaultMetrics,
+    reports: Vec<(usize, BitReport)>,
+}
+
 /// Runs every query/answer exchange of one period: vehicles are split
 /// across `threads` workers, each walking its own arrivals in time order
 /// — exactly the order the sequential engine advances the vehicle's MAC
-/// generator — and handing each stop's `(node, time, key)` to `visit`.
-/// `key` names the (vehicle, stop) pair, so fault decisions keyed on it
-/// do not depend on the schedule; per-worker fault counters merge
-/// commutatively. Returns the exchange count and the merged counters.
+/// generator — and handing each stop's `(node, time, key)` to `visit`,
+/// which pushes the reports that reach the RSU. `key` names the
+/// (vehicle, stop) pair, so fault decisions keyed on it do not depend on
+/// the schedule. Returns the chunks in vehicle order; no RSU is touched.
 fn drive_arrivals<M, V>(
     trips: &[VehicleTrip],
     arrivals: &[Arrival],
     threads: usize,
     make_vehicle: M,
     visit: V,
-) -> Result<(usize, FaultMetrics), SimError>
+) -> Result<Vec<ChunkOutcome>, SimError>
 where
     M: Fn(&VehicleTrip) -> SimVehicle + Sync,
-    V: Fn(&mut SimVehicle, usize, f64, u64, &mut FaultMetrics) -> Result<(), SimError> + Sync,
+    V: Fn(&mut SimVehicle, usize, f64, u64, &mut ChunkOutcome) -> Result<(), SimError> + Sync,
 {
     let mut stops: Vec<Vec<(usize, f64)>> = vec![Vec::new(); trips.len()];
     for arrival in arrivals {
@@ -673,9 +701,8 @@ where
         1 => trips.len(),
         executors => trips.len().div_ceil(executors * 4),
     };
-    let outcomes = concurrent::map_chunks(trips.len(), chunk, threads, |vehicles| {
-        let mut exchanges = 0usize;
-        let mut local = FaultMetrics::new();
+    concurrent::map_chunks(trips.len(), chunk, threads, |vehicles| {
+        let mut out = ChunkOutcome::default();
         for v in vehicles {
             let mut vehicle = make_vehicle(&trips[v]);
             let key = splitmix64(trips[v].id);
@@ -685,21 +712,15 @@ where
                     node,
                     time,
                     key.wrapping_add(i as u64),
-                    &mut local,
+                    &mut out,
                 )?;
             }
-            exchanges += stops[v].len();
+            out.exchanges += stops[v].len();
         }
-        Ok::<_, SimError>((exchanges, local))
-    });
-    let mut exchanges = 0usize;
-    let mut faults = FaultMetrics::new();
-    for outcome in outcomes {
-        let (n, local) = outcome?;
-        exchanges += n;
-        faults.merge(&local);
-    }
-    Ok((exchanges, faults))
+        Ok(out)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The backend seam: how the period step reaches each server shape.
@@ -1218,7 +1239,7 @@ mod tests {
                 mode: CrashMode::Checkpoint { interval: 20.0 },
             });
         let mut runs = Vec::new();
-        for threads in [1usize, 1, 4] {
+        for threads in [1usize, 1, 2, 4] {
             let config = RunConfig {
                 threads,
                 ..faulty(plan.clone(), Monolith)
@@ -1227,6 +1248,12 @@ mod tests {
         }
         let base = &runs[0];
         assert!(base.faults.report_link.dropped > 0, "plan actually injects");
+        // Bit flips that still decode can name an index past the array:
+        // the RSU rejects them, counted on the thread that applies them.
+        assert!(
+            base.faults.reports_rejected > 0,
+            "RSUs reject flipped reports"
+        );
         for other in &runs[1..] {
             assert_eq!(other.exchanges, base.exchanges);
             assert_eq!(other.faults, base.faults, "metrics are byte-identical");

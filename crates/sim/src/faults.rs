@@ -26,7 +26,7 @@
 //! ingestion is commutative, "lose the state in the window `[w0, w1)`" is
 //! exactly equivalent to "never ingest reports timestamped in `[w0, w1)`"
 //! — the engine applies the window filter so crash handling composes with
-//! lock-free parallel ingestion; [`RsuCheckpoint`] is the serialized
+//! vehicles answering in parallel; [`RsuCheckpoint`] is the serialized
 //! state an RSU would persist and restore, round-tripped through
 //! [`vcps_bitarray::BitArray::to_bytes`] (tested equivalent below).
 //!

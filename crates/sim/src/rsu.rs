@@ -29,10 +29,9 @@ impl SimRsu {
         })
     }
 
-    /// Reassembles an RSU from an existing sketch and certificate — the
-    /// inverse of [`crate::concurrent::SharedRsu::into_rsu`]'s
-    /// decomposition, used to hand period state back after lock-free
-    /// ingestion.
+    /// Reassembles an RSU from an existing sketch and certificate — how
+    /// [`crate::faults::RsuCheckpoint`] restores a crashed RSU's
+    /// persisted state.
     #[must_use]
     pub fn from_parts(sketch: RsuSketch, certificate: Certificate) -> Self {
         Self {

@@ -3,11 +3,11 @@ use vcps_core::{RsuId, Scheme, VehicleIdentity};
 use vcps_hash::splitmix64;
 use vcps_obs::{Obs, Phase};
 
-use crate::concurrent::{self, SharedRsu};
+use crate::concurrent;
 use crate::pki::TrustedAuthority;
 use crate::protocol::{BatchUpload, BitReport, PeriodUpload, SequencedUpload};
 use crate::synthetic::SyntheticPair;
-use crate::{CentralServer, ShardedServer, SimError, SimVehicle};
+use crate::{CentralServer, ShardedServer, SimError, SimRsu, SimVehicle};
 
 /// Runs the complete protocol for one two-RSU measurement period:
 /// queries, certificate checks, bit reports, wire-encoded uploads, and
@@ -81,12 +81,13 @@ impl PairRunner {
         self
     }
 
-    /// Uses `threads` workers for report generation and ingestion.
+    /// Uses `threads` workers for report generation; each RSU then
+    /// ingests its reports on the calling thread.
     ///
     /// The result is bit-identical to the sequential run: each vehicle's
     /// MAC stream is keyed by its global passage index (not by execution
-    /// order), and ingestion is commutative bit-setting plus a commutative
-    /// counter (see [`crate::concurrent`]). The default is 1 because the
+    /// order), and the reports come back in input order (see
+    /// [`crate::concurrent`]). The default is 1 because the
     /// experiment harness already parallelizes *across* trials; switch
     /// this on for single large runs.
     ///
@@ -166,8 +167,8 @@ impl PairRunner {
         let m_b = self.scheme.array_size_for(avg_b)?;
         let m_o = m_a.max(m_b);
 
-        let rsu_a = SharedRsu::new(self.rsu_a, m_a, &self.authority)?;
-        let rsu_b = SharedRsu::new(self.rsu_b, m_b, &self.authority)?;
+        let mut rsu_a = SimRsu::new(self.rsu_a, m_a, &self.authority)?;
+        let mut rsu_b = SimRsu::new(self.rsu_b, m_b, &self.authority)?;
         let query_a = rsu_a.query();
         let query_b = rsu_b.query();
 
@@ -194,8 +195,12 @@ impl PairRunner {
         }
         {
             let _receive = self.obs.phase(Phase::Receive);
-            concurrent::try_ingest_parallel(&rsu_a, &reports_a, self.threads)?;
-            concurrent::try_ingest_parallel(&rsu_b, &reports_b, self.threads)?;
+            for report in &reports_a {
+                rsu_a.receive(report)?;
+            }
+            for report in &reports_b {
+                rsu_b.receive(report)?;
+            }
         }
 
         let uploads: Vec<PeriodUpload> = [&rsu_a, &rsu_b].map(|rsu| rsu.upload()).into();

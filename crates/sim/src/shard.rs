@@ -52,9 +52,7 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// server would.
 ///
 /// * **Writes** ([`receive`], [`receive_sequenced`],
-///   [`receive_batch_wire`], [`receive_parallel_threads`]) route each
-///   upload to the owning shard; the parallel form runs one worker per
-///   shard over disjoint `&mut` shards, lock-free.
+///   [`receive_batch_wire`]) route each upload to the owning shard.
 /// * **Reads** ([`estimate`], [`estimate_or_degraded`],
 ///   [`od_matrix_threads`]) borrow the owning shards' uploads and decode
 ///   caches through the monolith's own decode rows.
@@ -62,7 +60,6 @@ pub fn shard_for(rsu: RsuId, shard_count: usize) -> usize {
 /// [`receive`]: ShardedServer::receive
 /// [`receive_sequenced`]: ShardedServer::receive_sequenced
 /// [`receive_batch_wire`]: ShardedServer::receive_batch_wire
-/// [`receive_parallel_threads`]: ShardedServer::receive_parallel_threads
 /// [`estimate`]: ShardedServer::estimate
 /// [`estimate_or_degraded`]: ShardedServer::estimate_or_degraded
 /// [`od_matrix_threads`]: ShardedServer::od_matrix_threads
@@ -284,55 +281,6 @@ impl ShardedServer {
         Ok(self.receive_batch_ref(&batch))
     }
 
-    /// Ingests a whole period's uploads with up to `threads` workers
-    /// over the shards: uploads are bucketed by owning shard (preserving
-    /// their relative order, so per-RSU sequencing semantics are
-    /// untouched), each shard drains its bucket over exclusive `&mut`
-    /// state, and the outcomes are scattered back to input order.
-    ///
-    /// Equivalent to calling [`receive_sequenced`] for each upload in
-    /// input order — dedup state is per-RSU and same-RSU uploads share a
-    /// shard, so only commutative cross-RSU interleavings change. The
-    /// effective worker count is `threads.min(shard_count)`; outcomes are
-    /// identical at every thread count — the cap only changes how shard
-    /// buckets are grouped onto workers.
-    ///
-    /// [`receive_sequenced`]: ShardedServer::receive_sequenced
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a shard worker panics.
-    pub fn receive_parallel_threads(
-        &mut self,
-        uploads: Vec<SequencedUpload>,
-        threads: usize,
-    ) -> Vec<ReceiveOutcome> {
-        let n = uploads.len();
-        let mut buckets: Vec<Vec<(usize, SequencedUpload)>> = vec![Vec::new(); self.shards.len()];
-        for (index, sequenced) in uploads.into_iter().enumerate() {
-            let shard = shard_for(sequenced.upload.rsu, self.shards.len());
-            buckets[shard].push((index, sequenced));
-        }
-        let per_shard = crate::concurrent::for_each_slot_mut_threads(
-            &mut self.shards,
-            buckets,
-            threads,
-            |shard: &mut CentralServer, bucket: Vec<(usize, SequencedUpload)>| {
-                bucket
-                    .into_iter()
-                    .map(|(index, sequenced)| (index, shard.receive_sequenced(sequenced)))
-                    .collect::<Vec<_>>()
-            },
-        );
-        let mut outcomes = vec![ReceiveOutcome::Stale; n];
-        let mut order: Vec<(usize, ReceiveOutcome)> = per_shard.into_iter().flatten().collect();
-        order.sort_unstable_by_key(|&(index, _)| index);
-        for (index, outcome) in order {
-            outcomes[index] = self.note_receive(outcome);
-        }
-        outcomes
-    }
-
     /// Records one routed receive: fires the same registry counter the
     /// monolith fires, plus `shard.routed`.
     fn note_receive(&self, outcome: ReceiveOutcome) -> ReceiveOutcome {
@@ -547,32 +495,6 @@ mod tests {
                 mono.od_matrix_threads(2).unwrap(),
                 sharded.od_matrix_threads(2).unwrap()
             );
-        }
-    }
-
-    #[test]
-    fn receive_parallel_matches_sequential_routing() {
-        let sequenced: Vec<SequencedUpload> = (0..40u64)
-            .map(|r| SequencedUpload {
-                seq: 0,
-                upload: upload(r % 20, 64, &[(r % 60) as usize], r % 20 + 1),
-            })
-            .collect();
-        for shards in [1, 2, 4, 8] {
-            let (_, mut seq_srv) = servers(shards);
-            let seq_outcomes: Vec<ReceiveOutcome> = sequenced
-                .iter()
-                .cloned()
-                .map(|s| seq_srv.receive_sequenced(s))
-                .collect();
-            let (_, mut par_srv) = servers(shards);
-            let par_outcomes = par_srv
-                .receive_parallel_threads(sequenced.clone(), crate::concurrent::default_threads());
-            assert_eq!(par_outcomes, seq_outcomes, "{shards} shards");
-            assert_eq!(par_srv.upload_count(), seq_srv.upload_count());
-            for r in 0..20u64 {
-                assert_eq!(par_srv.upload(RsuId(r)), seq_srv.upload(RsuId(r)));
-            }
         }
     }
 

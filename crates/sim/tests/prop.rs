@@ -513,62 +513,4 @@ proptest! {
             prop_assert_eq!(&parallel, &sequential, "threads = {}", threads);
         }
     }
-
-    #[test]
-    fn receive_parallel_threads_matches_sequential_ingestion(
-        specs in prop::collection::vec(
-            (
-                1u64..64,            // RSU id
-                0u64..4,             // sequence number
-                2u32..9,             // len = 2^k
-                prop::collection::vec(any::<u32>(), 0..24),
-                1u64..5_000,         // period counter
-            ),
-            0..24,
-        ),
-        shards in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        use vcps_sim::ShardedServer;
-
-        let batch: Vec<SequencedUpload> = specs
-            .iter()
-            .map(|(rsu, seq, k, ones, counter)| {
-                let len = 1usize << k;
-                let bits = vcps_bitarray::BitArray::from_indices(
-                    len,
-                    ones.iter().map(|&v| v as usize % len),
-                )
-                .unwrap();
-                SequencedUpload {
-                    seq: *seq,
-                    upload: PeriodUpload { rsu: RsuId(*rsu), counter: *counter, bits },
-                }
-            })
-            .collect();
-
-        let scheme = Scheme::variable(2, 3.0, seed).unwrap();
-        let mut reference = ShardedServer::new(scheme.clone(), 0.5, shards).unwrap();
-        let expected: Vec<_> = batch
-            .iter()
-            .map(|frame| reference.receive_sequenced(frame.clone()))
-            .collect();
-
-        for threads in [1usize, 2, 4, 8] {
-            let mut server = ShardedServer::new(scheme.clone(), 0.5, shards).unwrap();
-            let outcomes = server.receive_parallel_threads(batch.clone(), threads);
-            // Same per-frame outcomes in input order, and same final
-            // per-RSU state (the dedup winner is order-defined within
-            // an RSU, and the parallel form never reorders within one).
-            prop_assert_eq!(&outcomes, &expected, "threads = {}", threads);
-            prop_assert_eq!(server.upload_count(), reference.upload_count());
-            for (rsu, ..) in &specs {
-                prop_assert_eq!(
-                    server.upload(RsuId(*rsu)),
-                    reference.upload(RsuId(*rsu)),
-                    "rsu {} at {} threads", rsu, threads
-                );
-            }
-        }
-    }
 }

@@ -144,9 +144,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Direct ingestion differential: random uploads (with duplicate,
-    /// conflicting, and stale re-sends) through `receive_parallel_threads` at
-    /// every shard × worker count must reproduce the monolith's
-    /// estimates, O–D matrix, and counters bit for bit.
+    /// conflicting, and stale re-sends) through `receive_sequenced`, in
+    /// input order, at every shard count, decoded at every worker count,
+    /// must reproduce the monolith's estimates, O–D matrix, and counters
+    /// bit for bit.
     #[test]
     fn sharded_ingestion_is_bit_identical_to_monolith(
         rsus in 3u64..12,
@@ -166,7 +167,9 @@ proptest! {
                 for r in 1..=rsus {
                     server.seed_history(RsuId(r), (splitmix64(r) % 1_000 + 10) as f64);
                 }
-                server.receive_parallel_threads(frames.clone(), threads);
+                for frame in &frames {
+                    server.receive_sequenced(frame.clone());
+                }
                 // Mirror the monolith's instrumented work exactly —
                 // ingest then one all-pairs decode — before snapshotting,
                 // so the counter comparison is apples to apples.
