@@ -23,11 +23,12 @@
 //!   thread, so the speedup column prices routing, ≈ 1.0 by design.
 //! * `BENCH_wal.json` — durability cost (DESIGN.md §17): one period's
 //!   sequenced uploads into a sharded server with the write-ahead log
-//!   off, on (a write per record, each requesting its fsync from the
-//!   WAL's syncer), and on with periodic
-//!   checkpoints. The slowdown columns price what crash recovery costs
-//!   per upload; fsync latency dominates, so absolute rates are
-//!   filesystem-dependent.
+//!   off, on (a group per record, each written and fsynced on the
+//!   WAL's log threads), on with periodic checkpoints, and under group
+//!   commit. The slowdown columns price what crash recovery costs per
+//!   upload; fsync latency dominates, so absolute rates are
+//!   filesystem-dependent. `fsyncs_per_record` counts what group
+//!   commit saves.
 //! * `BENCH_metro.json` — metropolis-scale continuous estimation
 //!   (DESIGN.md §20): a 1024-RSU gravity-model grid streamed through
 //!   the sharded batch-ingest path for two diurnal periods with a
@@ -47,6 +48,7 @@
 //!   cargo run --release -p vcps-bench --bin bench_artifacts
 //!     [--out DIR] (default .) [--samples K] (default 5)
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -321,10 +323,11 @@ fn bench_odmatrix_pipeline(samples: usize) -> String {
         thread_counts.push(n);
     }
     let mut rows = String::new();
-    // 8 RSUs sits under the sequential-fallback threshold (the parallel
-    // and sequential rows must tie), 24 straddles it by load, and 256 is
-    // the pool's headline scaling case (32 640 pairs; the CI bench-smoke
-    // gate asserts its threads>1 rows never lose to threads==1).
+    // 8 RSUs sits under the sequential-fallback threshold (its threads>1
+    // rows run inline, `executors` 1), 24 straddles it by load, and 256
+    // is the pool's headline scaling case (32 640 pairs; the CI
+    // bench-smoke gate asserts that rows on more than one executor never
+    // lose to threads==1).
     for &rsus in &[8usize, 24, 256] {
         for &load in &[0.0005f64, 0.005, 0.3] {
             let (server, ids) = od_server(rsus, 1 << 17, load, 42);
@@ -365,6 +368,10 @@ fn bench_odmatrix_pipeline(samples: usize) -> String {
                 }
             }
             for (t, &threads) in thread_counts.iter().enumerate() {
+                // The executors the decode ran on: 1 where the cost
+                // model runs the triangle inline, so bench-smoke's
+                // thread-scaling bound skips the row.
+                let executors = server.od_executors(threads);
                 // Minimum, not median: the decode is deterministic
                 // CPU-bound work, so the fastest observation is the
                 // closest to its true cost — medians still carry bursty
@@ -376,12 +383,12 @@ fn bench_odmatrix_pipeline(samples: usize) -> String {
                 let _ = write!(
                     rows,
                     "{}    {{\"rsus\": {rsus}, \"load_factor\": {load}, \"threads\": {threads}, \
-                     \"pairwise_ns\": {pairwise_ns}, \"od_matrix_ns\": {od_ns}, \
-                     \"speedup_vs_pairwise\": {speedup:.3}}}",
+                     \"executors\": {executors}, \"pairwise_ns\": {pairwise_ns}, \
+                     \"od_matrix_ns\": {od_ns}, \"speedup_vs_pairwise\": {speedup:.3}}}",
                     if rows.is_empty() { "" } else { ",\n" },
                 );
                 println!(
-                    "odmatrix rsus={rsus:<3} load={load:<6} threads={threads:<3} pairwise {pairwise_ns:>11} ns   od_matrix {od_ns:>11} ns   speedup {speedup:.2}x"
+                    "odmatrix rsus={rsus:<3} load={load:<6} threads={threads:<3} executors={executors:<2} pairwise {pairwise_ns:>11} ns   od_matrix {od_ns:>11} ns   speedup {speedup:.2}x"
                 );
             }
         }
@@ -618,12 +625,17 @@ fn bench_shard(samples: usize) -> String {
 /// Write-ahead-logged vs plain ingestion (DESIGN.md §17/§18). Every
 /// mode drives the same sequential `receive_sequenced` loop into a
 /// 4-shard server, so the only variable is the durability work:
-/// nothing, one WAL write per record, the same plus a checkpoint every
-/// 64 records, or group commit (one write every N records). Each write
-/// requests its fsync from the WAL's syncer thread, which folds the
-/// requests that arrive while it syncs into its next fsync, and every
-/// durable mode ends with a `flush_wal` inside the timed region so
-/// every mode ends equally durable. Modes are
+/// nothing, one WAL group per record, the same plus a checkpoint every
+/// 64 records, or group commit (one group every N records). Each group
+/// goes to the WAL's log writer thread, which writes it and hands its
+/// fsync to the syncer thread, which folds the groups written while it
+/// syncs into its next fsync, and every durable mode ends with a
+/// `flush_wal` inside the timed region so every mode ends equally
+/// durable. Each row records `fsyncs_per_record`, the most
+/// fdatasyncs a sample of the mode made per record logged: what group
+/// commit amortizes, where the wall clock of a latency-bound run can no
+/// longer show it (the per-record mode's groups share fsyncs too, so
+/// its time need not exceed group commit's). Modes are
 /// sampled round-robin with per-mode minima so filesystem slow
 /// windows (journal flushes, dirty-page writeback) hit every row
 /// equally instead of whichever mode ran during them.
@@ -670,6 +682,9 @@ fn bench_wal(samples: usize) -> String {
     }
 
     let rounds = samples.max(5);
+    // The most fdatasyncs any sample of each durable mode made (from
+    // `WalWriter::fsyncs`, read after the closing `flush_wal`).
+    let fsyncs: Vec<Cell<u64>> = vec![Cell::new(0); durable_modes.len()];
     let mut modes: Vec<Box<dyn FnMut() -> u128 + '_>> = Vec::new();
     // Server construction happens before the clock starts on every
     // mode: `DurableServer::create` truncates the log, rewrites the
@@ -690,7 +705,7 @@ fn bench_wal(samples: usize) -> String {
             start.elapsed().as_nanos()
         }
     }));
-    for (label, options) in &durable_modes {
+    for ((label, options), most_fsyncs) in durable_modes.iter().zip(&fsyncs) {
         // One directory per mode; `create` truncates the log on every
         // sample, so the timed region stays free of cross-sample state.
         let mode_dir = dir.join(label);
@@ -716,8 +731,10 @@ fn bench_wal(samples: usize) -> String {
                     server.receive_sequenced(frame).expect("logged ingest");
                 }
                 server.flush_wal().expect("flush buffered tail");
+                let elapsed = start.elapsed().as_nanos();
                 assert_eq!(server.server().upload_count(), WAL_RSUS);
-                start.elapsed().as_nanos()
+                most_fsyncs.set(most_fsyncs.get().max(server.wal_fsyncs()));
+                elapsed
             }
         }));
     }
@@ -733,20 +750,23 @@ fn bench_wal(samples: usize) -> String {
 
     let mut rows = format!(
         "    {{\"mode\": \"off\", \"ns\": {off_ns}, \
-         \"uploads_per_s\": {:.0}, \"slowdown_vs_off\": 1.000}}",
+         \"uploads_per_s\": {:.0}, \"slowdown_vs_off\": 1.000, \
+         \"fsyncs_per_record\": 0.0000}}",
         rate(off_ns)
     );
     for (i, (mode, _)) in durable_modes.iter().enumerate() {
         let wal_ns = mins[i + 1];
         let slowdown = wal_ns as f64 / off_ns as f64;
+        let per_record = fsyncs[i].get() as f64 / WAL_RSUS as f64;
         let _ = write!(
             rows,
             ",\n    {{\"mode\": \"{mode}\", \"ns\": {wal_ns}, \
-             \"uploads_per_s\": {:.0}, \"slowdown_vs_off\": {slowdown:.3}}}",
+             \"uploads_per_s\": {:.0}, \"slowdown_vs_off\": {slowdown:.3}, \
+             \"fsyncs_per_record\": {per_record:.4}}}",
             rate(wal_ns),
         );
         println!(
-            "wal     {mode:<15} {wal_ns:>11} ns   {:>10.0} uploads/s   slowdown {slowdown:.2}x",
+            "wal     {mode:<15} {wal_ns:>11} ns   {:>10.0} uploads/s   slowdown {slowdown:.2}x   fsyncs/record {per_record:.4}",
             rate(wal_ns)
         );
     }

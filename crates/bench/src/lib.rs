@@ -535,6 +535,25 @@ mod tests {
         }
     }
 
+    /// `BENCH_odmatrix.json`'s 8-RSU triangles, built as the bench
+    /// builds them: the cost model decodes them inline at every load and
+    /// thread count, so their threads > 1 rows time the sequential path,
+    /// and bench-smoke's thread-scaling bound (which applies only to rows
+    /// on more than one executor) skips them.
+    #[test]
+    fn bench_small_triangles_decode_inline() {
+        for load in [0.0005, 0.005, 0.3] {
+            let (server, _) = od_server(8, 1 << 17, load, 42);
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    server.od_executors(threads),
+                    1,
+                    "8 RSUs at load {load}, {threads} threads"
+                );
+            }
+        }
+    }
+
     #[test]
     fn pairwise_baseline_matches_od_matrix() {
         let (server, ids) = od_server(6, 1 << 10, 0.2, 11);

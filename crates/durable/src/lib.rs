@@ -18,8 +18,10 @@
 //!   instead of desynchronizing the rest of the scan. The magic's last
 //!   byte is the on-disk format version; a file of another version is
 //!   refused as [`DurabilityError::UnsupportedVersion`], never read.
-//!   Its fsyncs run on one syncer thread per writer, off the appender's
-//!   path; a [`Watermark`] says which records are on stable storage.
+//!   `append` only stages a record: a log writer thread checksums and
+//!   writes each due group, and a syncer thread fsyncs what was
+//!   written, both off the appender's path; a [`Watermark`] says which
+//!   records are on stable storage.
 //!   [`WalWriter::seal`] closes the live file as a numbered segment and
 //!   starts a fresh one.
 //! * [`read_wal`] scans a log tolerantly: a torn write, truncated
@@ -73,6 +75,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -98,30 +101,31 @@ const CHECKPOINT_HEADER: usize = 8 + 24;
 /// Read-ahead of the streaming WAL scanner.
 const SCAN_BUFFER: usize = 1 << 18;
 
-/// When a [`WalWriter`] writes its append buffer to the file and
-/// requests the write's fsync — the group-commit knob (DESIGN.md §18).
+/// When a [`WalWriter`] hands its staged records to its log writer
+/// thread as a group, to be written and fsynced — the group-commit knob
+/// (DESIGN.md §18).
 ///
 /// Durability is a *prefix* property under every policy: records reach
 /// the file, and then stable storage, strictly in append order, so a
 /// crash loses at most the records past the [`Watermark`] — never a
 /// record in the middle. The policy only decides how many records one
-/// group write carries; the fsync itself always runs on the writer's
-/// syncer thread, which folds every request that arrives while it
-/// syncs into its next fsync.
+/// group carries; the write and the fsync always run on the writer's
+/// log threads, and the syncer folds every group written while it syncs
+/// into its next fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlushPolicy {
-    /// Write every record as it is appended and request its fsync. The
-    /// default. Records appended while an fsync runs share the next one.
+    /// Hand every record over as it is appended. The default. Records
+    /// written while an fsync runs share the next one.
     #[default]
     PerRecord,
-    /// Write a group once this many records have accumulated in the
+    /// Hand a group over once this many records have accumulated in the
     /// buffer (group commit). Must be positive; `EveryRecords(1)` is
     /// equivalent to [`PerRecord`](FlushPolicy::PerRecord).
     EveryRecords(u64),
-    /// Write a group once the buffer holds at least this many bytes
+    /// Hand a group over once the buffer holds at least this many bytes
     /// (headers included). Must be positive.
     EveryBytes(u64),
-    /// Write only on an explicit [`WalWriter::sync`] or
+    /// Hand over only on an explicit [`WalWriter::sync`] or
     /// [`WalWriter::request_sync`] — the caller owns the boundary (e.g.
     /// once per period).
     Manual,
@@ -129,7 +133,7 @@ pub enum FlushPolicy {
 
 impl FlushPolicy {
     /// Whether the buffer state (`records` buffered records spanning
-    /// `bytes` bytes) makes a group write due under this policy.
+    /// `bytes` bytes) makes a group due under this policy.
     fn due(self, records: u64, bytes: u64) -> bool {
         match self {
             FlushPolicy::PerRecord => true,
@@ -390,46 +394,87 @@ fn create_synced_log_file(path: &Path) -> Result<File, DurabilityError> {
     Ok(file)
 }
 
-/// The live segment: the file a [`WalWriter`] appends to and its syncer
-/// fsyncs, with the path errors name.
+/// The live segment: the file a [`WalWriter`]'s log writer appends to and
+/// its syncer fsyncs, with the path errors name.
 #[derive(Debug)]
 struct LiveFile {
     file: File,
     path: PathBuf,
 }
 
-/// What a writer, its syncer thread and every [`Watermark`] share.
+/// Bytes of handed-over groups that may wait for the log writer: a
+/// hand-off that would pass it waits until the writer has taken the
+/// groups before it (a single larger group still goes alone). A group
+/// buffer whose capacity grew past twice this — it held a group larger
+/// than the bound — is freed after its write, not kept for reuse.
+const HANDOFF_BYTES: usize = 1 << 18;
+
+/// A hook that a log thread calls with the duration of each write or
+/// fdatasync it completes.
+type StageHook = Arc<dyn Fn(Duration) + Send + Sync>;
+
+/// What a writer, its two log threads and every [`Watermark`] share.
 struct SyncState {
-    /// The live segment as the syncer fsyncs it; [`WalWriter::seal`]
-    /// swaps it.
+    /// The live segment as the log threads write and fsync it;
+    /// [`WalWriter::seal`] swaps it.
     live: Arc<LiveFile>,
+    /// The groups handed to the log writer that it has not yet taken:
+    /// whole staged records in append order, their checksum slots still
+    /// empty.
+    handed: Vec<u8>,
+    /// An empty buffer the log writer gave back after a write, for the
+    /// next hand-off to stage in: staging and writing take turns with
+    /// two buffers.
+    spare: Vec<u8>,
+    /// One past the last record handed to the log writer: the watermark
+    /// reaches it unless a write or fsync fails.
+    requested: u64,
     /// One past the last record written to the file: the next fsync
     /// covers every record below it.
-    requested: u64,
-    /// One past the last record on stable storage — the watermark.
-    durable: u64,
-    /// The first failed group write or fsync. Sticky: the watermark
-    /// stops, and every waiter and every later append or sync gets it.
+    written: u64,
+    /// The first failed group write or fsync, or a log thread's panic.
+    /// Sticky: the watermark stops, and every waiter and every later
+    /// append or sync gets it.
     failed: Option<DurabilityError>,
-    /// The writer is gone: the syncer exits once `requested` is durable.
+    /// The writer is gone: the log threads exit once every handed group
+    /// is written and durable.
     closed: bool,
+    /// A hand-off waits for the log writer to take the handed groups.
+    room_wanted: bool,
     /// fdatasyncs completed.
     fsyncs: u64,
+    /// Hears the duration of each group write.
+    write_hook: Option<StageHook>,
     /// Hears the duration of each completed fdatasync.
-    hook: Option<Arc<dyn Fn(Duration) + Send + Sync>>,
+    sync_hook: Option<StageHook>,
 }
 
 struct SyncShared {
     state: Mutex<SyncState>,
-    /// Wakes the syncer: a sync was requested, or the writer closed.
-    requests: Condvar,
-    /// Wakes waiters: the watermark moved, a write or fsync failed, or
-    /// the writer closed.
+    /// One past the last record on stable storage — the watermark. It is
+    /// stored only under the state lock, so a waiter that reads it there
+    /// misses no wake-up, and read anywhere without the lock.
+    durable: AtomicU64,
+    /// Wakes the log writer: a group was handed over, the writer closed,
+    /// or the log failed.
+    handoffs: Condvar,
+    /// Wakes the syncer: a group was written, the writer closed, or the
+    /// log failed.
+    writes: Condvar,
+    /// Wakes waiters: the watermark moved, the log writer took the
+    /// handed groups a hand-off waits on, the log failed, or the writer
+    /// closed.
     progress: Condvar,
+    /// Stands in for the log writer's `write_all` in unit tests.
+    #[cfg(test)]
+    fake_write: Mutex<Option<FakeWrite>>,
     /// Stands in for `File::sync_data` in unit tests.
     #[cfg(test)]
     fake_fsync: Mutex<Option<FakeFsync>>,
 }
+
+#[cfg(test)]
+type FakeWrite = Box<dyn FnMut(&File, &[u8]) -> std::io::Result<()> + Send>;
 
 #[cfg(test)]
 type FakeFsync = Box<dyn FnMut(&File) -> std::io::Result<()> + Send>;
@@ -439,25 +484,52 @@ impl SyncShared {
         Arc::new(Self {
             state: Mutex::new(SyncState {
                 live,
+                handed: Vec::new(),
+                spare: Vec::new(),
                 requested: durable,
-                durable,
+                written: durable,
                 failed: None,
                 closed: false,
+                room_wanted: false,
                 fsyncs: 0,
-                hook: None,
+                write_hook: None,
+                sync_hook: None,
             }),
-            requests: Condvar::new(),
+            durable: AtomicU64::new(durable),
+            handoffs: Condvar::new(),
+            writes: Condvar::new(),
             progress: Condvar::new(),
+            #[cfg(test)]
+            fake_write: Mutex::new(None),
             #[cfg(test)]
             fake_fsync: Mutex::new(None),
         })
     }
 
     /// Every update under this lock stores one field (or a counter with
-    /// the watermark it counts), and no code under it can panic, so a
-    /// poisoned lock still guards a consistent state.
+    /// the watermark it counts, or swaps a buffer), and no code under it
+    /// can panic, so a poisoned lock still guards a consistent state.
     fn lock(&self) -> MutexGuard<'_, SyncState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The durable watermark.
+    fn durable(&self) -> u64 {
+        self.durable.load(Ordering::Acquire)
+    }
+
+    fn write(&self, file: &File, group: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(fake) = self
+            .fake_write
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_mut()
+        {
+            return fake(file, group);
+        }
+        let mut file = file;
+        file.write_all(group)
     }
 
     fn fdatasync(&self, file: &File) -> std::io::Result<()> {
@@ -481,7 +553,15 @@ impl SyncShared {
     /// Records `error` as the sticky failure (unless an earlier one is
     /// already recorded) and returns the one recorded.
     fn fail(&self, error: DurabilityError) -> DurabilityError {
-        let error = self.lock().failed.get_or_insert(error).clone();
+        self.fail_locked(&mut self.lock(), error)
+    }
+
+    /// [`fail`](Self::fail) under the lock: also wakes every thread that
+    /// waits on the log, so none waits for a stage that has stopped.
+    fn fail_locked(&self, state: &mut SyncState, error: DurabilityError) -> DurabilityError {
+        let error = state.failed.get_or_insert(error).clone();
+        self.handoffs.notify_all();
+        self.writes.notify_all();
         self.progress.notify_all();
         error
     }
@@ -489,22 +569,23 @@ impl SyncShared {
     /// Blocks until records below `upto` are durable (see
     /// [`Watermark::wait`]).
     fn wait(&self, upto: u64) -> Result<(), DurabilityError> {
+        if self.durable() >= upto {
+            return Ok(());
+        }
         let mut state = self.lock();
         loop {
-            if state.durable >= upto {
+            let durable = self.durable();
+            if durable >= upto {
                 return Ok(());
             }
             if let Some(e) = &state.failed {
                 return Err(e.clone());
             }
-            if state.closed && state.durable >= state.requested {
+            if state.closed && durable >= state.requested {
                 return Err(DurabilityError::Io {
                     op: "wait",
                     path: state.live.path.clone(),
-                    detail: format!(
-                        "the writer closed with records {}..{upto} unwritten",
-                        state.durable
-                    ),
+                    detail: format!("the writer closed with records {durable}..{upto} unwritten"),
                 });
             }
             state = self
@@ -514,22 +595,86 @@ impl SyncShared {
         }
     }
 
-    /// The syncer thread: one fdatasync at a time, each covering every
-    /// record written before it began, until the writer closes and its
-    /// last request is durable, or a sync fails.
-    fn run(&self) {
+    /// The log writer thread. It takes every group handed over since its
+    /// last write, fills in each record's XXH64, writes them to the file
+    /// in one write and hands their fsync to the syncer, never waiting
+    /// for one, until the writer closes and every handed group is
+    /// written, or the log fails.
+    fn write_loop(&self) {
+        let _failsafe = FailOnPanic {
+            log: self,
+            op: "append",
+        };
         let mut state = self.lock();
         loop {
-            while state.requested <= state.durable && !state.closed && state.failed.is_none() {
+            while state.handed.is_empty() && !state.closed && state.failed.is_none() {
                 state = self
-                    .requests
+                    .handoffs
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            if state.requested <= state.durable || state.failed.is_some() {
+            if state.handed.is_empty() || state.failed.is_some() {
                 return;
             }
-            let (upto, live, hook) = (state.requested, Arc::clone(&state.live), state.hook.clone());
+            let mut group = std::mem::take(&mut state.handed);
+            let upto = state.requested;
+            let (live, hook) = (Arc::clone(&state.live), state.write_hook.clone());
+            if std::mem::take(&mut state.room_wanted) {
+                self.progress.notify_all();
+            }
+            drop(state);
+            let start = Instant::now();
+            fill_checksums(&mut group);
+            let wrote = self.write(&live.file, &group);
+            if let (Ok(()), Some(hook)) = (&wrote, &hook) {
+                hook(start.elapsed());
+            }
+            group.clear();
+            state = self.lock();
+            if state.spare.capacity() == 0 && group.capacity() <= 2 * HANDOFF_BYTES {
+                state.spare = group;
+            }
+            match wrote {
+                Ok(()) => {
+                    state.written = upto;
+                    self.writes.notify_one();
+                }
+                // The file may now end in a torn record, which the next
+                // tolerant scan discards; nothing after it is written.
+                Err(e) => {
+                    self.fail_locked(&mut state, io_err("append", &live.path, &e));
+                }
+            }
+        }
+    }
+
+    /// The syncer thread: one fdatasync at a time, each covering every
+    /// record written before it began, until the writer closes and every
+    /// handed group is written and durable, or the log fails.
+    fn sync_loop(&self) {
+        let _failsafe = FailOnPanic {
+            log: self,
+            op: "fsync",
+        };
+        let mut state = self.lock();
+        loop {
+            while state.written <= self.durable()
+                && state.failed.is_none()
+                && !(state.closed && state.requested <= state.written)
+            {
+                state = self
+                    .writes
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if state.written <= self.durable() || state.failed.is_some() {
+                return;
+            }
+            let (upto, live, hook) = (
+                state.written,
+                Arc::clone(&state.live),
+                state.sync_hook.clone(),
+            );
             drop(state);
             let start = Instant::now();
             let synced = self.fdatasync(&live.file);
@@ -539,16 +684,55 @@ impl SyncShared {
             state = self.lock();
             match synced {
                 Ok(()) => {
-                    state.durable = upto;
                     state.fsyncs += 1;
+                    self.durable.store(upto, Ordering::Release);
+                    self.progress.notify_all();
                 }
                 // Never retried: after a failed fsync the kernel may
                 // already have dropped the dirty pages, so a second one
                 // could succeed for data that is gone.
-                Err(e) => state.failed = Some(io_err("fsync", &live.path, &e)),
+                Err(e) => {
+                    self.fail_locked(&mut state, io_err("fsync", &live.path, &e));
+                }
             }
-            self.progress.notify_all();
         }
+    }
+}
+
+/// Fails the log when the log thread that holds it unwinds, so that no
+/// waiter and no hand-off blocks on a thread that is gone. `op` names
+/// the thread's stage in the error.
+struct FailOnPanic<'a> {
+    log: &'a SyncShared,
+    op: &'static str,
+}
+
+impl Drop for FailOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut state = self.log.lock();
+            let path = state.live.path.clone();
+            let error = DurabilityError::Io {
+                op: self.op,
+                path,
+                detail: "the log thread panicked".to_string(),
+            };
+            self.log.fail_locked(&mut state, error);
+        }
+    }
+}
+
+/// Fills in the XXH64 slot of each record of `group`, a run of whole
+/// staged records (`u64 length ‖ 8-byte slot ‖ payload`).
+fn fill_checksums(group: &mut [u8]) {
+    let mut rest = group;
+    while let Some((header, tail)) =
+        std::mem::take(&mut rest).split_first_chunk_mut::<RECORD_HEADER>()
+    {
+        let len = u64::from_be_bytes(header[..8].try_into().expect("8-byte slice"));
+        let (payload, next) = tail.split_at_mut(usize::try_from(len).expect("a staged length"));
+        header[8..].copy_from_slice(&xxh64(payload).to_be_bytes());
+        rest = next;
     }
 }
 
@@ -564,7 +748,8 @@ impl fmt::Debug for Watermark {
         let state = self.0.lock();
         f.debug_struct("Watermark")
             .field("requested", &state.requested)
-            .field("durable", &state.durable)
+            .field("written", &state.written)
+            .field("durable", &self.0.durable())
             .field("failed", &state.failed)
             .finish()
     }
@@ -572,61 +757,72 @@ impl fmt::Debug for Watermark {
 
 impl Watermark {
     /// Records below this number are on stable storage. It only grows,
-    /// and stops for good at a failed group write or fsync.
+    /// and stops for good at a failed group write or fsync. Reading it
+    /// takes no lock.
     #[must_use]
     pub fn durable(&self) -> u64 {
-        self.0.lock().durable
+        self.0.durable()
     }
 
-    /// Records below this number have been written to the file and their
-    /// fsync requested, so the watermark reaches it unless a sync fails.
-    /// Records past it are still staged in the writer.
+    /// Records below this number have been handed to the log writer,
+    /// which writes them and requests their fsync, so the watermark
+    /// reaches it unless a write or fsync fails. Records past it are
+    /// still staged in the writer.
     #[must_use]
     pub fn requested(&self) -> u64 {
         self.0.lock().requested
     }
 
     /// Blocks until records below `upto` are on stable storage. Waiting
-    /// past [`requested`](Self::requested) blocks until the writer writes
-    /// those records ([`WalWriter::request_sync`] does so at once).
+    /// past [`requested`](Self::requested) blocks until the writer hands
+    /// those records over ([`WalWriter::request_sync`] does so at once).
     ///
     /// # Errors
     ///
     /// The writer's sticky failure once there is one and `upto` is not
     /// yet durable: [`DurabilityError::Io`] with `op` `"fsync"` (or
-    /// `"append"` for a failed group write) naming the segment. A writer
-    /// dropped with records below `upto` still staged is an `Io` error
-    /// with `op` `"wait"`.
+    /// `"append"` for a failed group write, with either op for a log
+    /// thread that panicked) naming the segment. A writer dropped with
+    /// records below `upto` still staged is an `Io` error with `op`
+    /// `"wait"`.
     pub fn wait(&self, upto: u64) -> Result<(), DurabilityError> {
         self.0.wait(upto)
     }
 }
 
-/// An append-only write-ahead log file with group commit, whose fsyncs
-/// run on a syncer thread.
+/// An append-only write-ahead log file with group commit, whose checksums,
+/// writes and fsyncs run on two log threads.
 ///
 /// Records are `u64 length ‖ u64 xxh64 ‖ payload`, big-endian, after an
-/// 8-byte magic prefix. [`append`](WalWriter::append) stages each record
-/// in a user-space buffer. When the writer's [`FlushPolicy`] says a
-/// group is due, `append` writes the group to the file and requests its
-/// fsync, without waiting for it. The syncer thread (one per writer,
-/// started at the first group write and joined on drop) runs one
+/// 8-byte magic prefix. [`append`](WalWriter::append) only stages each
+/// record in a user-space buffer: its length, an empty checksum slot and
+/// its payload. When the writer's [`FlushPolicy`] says a group is due,
+/// `append` hands the group to the *log writer* thread and returns; it
+/// does no log I/O and never waits for an fsync. The log writer fills in
+/// each record's XXH64 and writes the group to the file — every group
+/// handed over while it was busy in one write — and hands its fsync to
+/// the *syncer* thread, never waiting behind one. The syncer runs one
 /// `fdatasync` at a time; each covers everything written before it
-/// began, so requests that arrive while it runs share the next one. The
-/// [`Watermark`] says which records are on stable storage, and
-/// [`sync`](WalWriter::sync) writes the staged tail and waits for it.
-/// Records reach the file, and then stable storage, strictly in append
-/// order, so the on-disk log is always a prefix of the appended sequence.
+/// began, so the groups written while it runs share the next one. Both
+/// threads start at the first hand-off and are joined on drop. The
+/// groups waiting for the log writer are bounded: a hand-off that finds
+/// 256 KiB already waiting waits for the writer to take them, and the
+/// writer reuses its buffers. The [`Watermark`] says which records are
+/// on stable storage, and [`sync`](WalWriter::sync) hands over the
+/// staged tail and waits for it. Records reach the file, and then stable
+/// storage, strictly in append order, so the on-disk log is always a
+/// prefix of the appended sequence.
 ///
-/// A failed group write or fsync is sticky: the watermark stops there,
-/// and every waiter and every later `append` or `sync` gets the error.
-/// The fsync is never retried.
+/// A failed group write or fsync is sticky, and so is a panic on either
+/// log thread: the watermark stops there, and every waiter and every
+/// later `append` or `sync` gets the error. Neither is ever retried, and
+/// no group handed over after it is written.
 ///
-/// Dropping the writer deliberately does **not** write its staged
+/// Dropping the writer deliberately does **not** hand over its staged
 /// records: a process crash is exactly the event group commit trades
-/// against, and the drop path models it — records already written to
-/// the file survive (the syncer finishes their fsync before it is
-/// joined), staged ones do not. It must not be *silent*, though: a
+/// against, and the drop path models it — records already handed to the
+/// log writer survive (the log threads write and fsync them before they
+/// are joined), staged ones do not. It must not be *silent*, though: a
 /// writer dropped with a non-empty buffer fires its [drop
 /// hook](WalWriter::set_drop_hook) so the owner can count the discarded
 /// records instead of discovering the gap at the next recovery.
@@ -642,8 +838,8 @@ pub struct WalWriter {
     buffered_records: u64,
     flushes: u64,
     sync: Arc<SyncShared>,
-    /// The syncer thread, started at the first group write.
-    syncer: Option<JoinHandle<()>>,
+    /// The log writer and the syncer, started at the first hand-off.
+    threads: Vec<JoinHandle<()>>,
     /// Called from `Drop` with `(buffered_records, buffered_bytes)`
     /// when the writer dies holding staged records.
     drop_hook: Option<Box<dyn FnMut(u64, u64) + Send + Sync>>,
@@ -674,9 +870,10 @@ impl Drop for WalWriter {
             }
         }
         self.sync.lock().closed = true;
-        self.sync.requests.notify_one();
-        if let Some(syncer) = self.syncer.take() {
-            let _ = syncer.join();
+        self.sync.handoffs.notify_all();
+        self.sync.writes.notify_all();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
         self.sync.progress.notify_all();
     }
@@ -697,7 +894,7 @@ impl WalWriter {
             buf: Vec::new(),
             buffered_records: 0,
             flushes: 0,
-            syncer: None,
+            threads: Vec::new(),
             drop_hook: None,
         }
     }
@@ -768,7 +965,7 @@ impl WalWriter {
     }
 
     /// Sets the flush policy in place. Already-staged records keep
-    /// waiting for the next group write (or explicit
+    /// waiting for the next hand-off (or explicit
     /// [`sync`](WalWriter::sync)); tightening the policy only governs
     /// subsequent appends.
     pub fn set_flush_policy(&mut self, policy: FlushPolicy) {
@@ -784,41 +981,56 @@ impl WalWriter {
     /// Installs a hook invoked from `Drop` with
     /// `(buffered_records, buffered_bytes)` when the writer is dropped
     /// while still holding staged records. Those records were accepted
-    /// by [`append`](WalWriter::append) but never reached the file, so
-    /// dropping them is silent data loss from the caller's perspective;
-    /// the hook is the owner's chance to account for the discarded tail
-    /// (e.g. bump an observability counter) instead of discovering the
-    /// gap at the next recovery. The hook does not fire when the buffer
-    /// is empty, and it cannot rescue the records — call
+    /// by [`append`](WalWriter::append) but never handed to the log
+    /// writer, so dropping them is silent data loss from the caller's
+    /// perspective; the hook is the owner's chance to account for the
+    /// discarded tail (e.g. bump an observability counter) instead of
+    /// discovering the gap at the next recovery. The hook does not fire
+    /// when the buffer is empty, and it cannot rescue the records — call
     /// [`sync`](WalWriter::sync) before dropping to keep them.
     pub fn set_drop_hook(&mut self, hook: impl FnMut(u64, u64) + Send + Sync + 'static) {
         self.drop_hook = Some(Box::new(hook));
+    }
+
+    /// Installs a hook the log writer thread calls after each group write
+    /// it completes (the checksums filled in and the bytes written to the
+    /// file), with that write's duration, before the syncer hears of it.
+    /// One write carries every group handed over while the previous one
+    /// ran, so there may be fewer writes than [`flushes`](Self::flushes).
+    pub fn set_write_hook(&mut self, hook: impl Fn(Duration) + Send + Sync + 'static) {
+        self.sync.lock().write_hook = Some(Arc::new(hook));
     }
 
     /// Installs a hook the syncer thread calls after each fdatasync it
     /// completes, with that fdatasync's duration, before the watermark
     /// moves past it — so whoever a sync wakes already sees it counted.
     pub fn set_sync_hook(&mut self, hook: impl Fn(Duration) + Send + Sync + 'static) {
-        self.sync.lock().hook = Some(Arc::new(hook));
+        self.sync.lock().sync_hook = Some(Arc::new(hook));
     }
 
-    /// Stages one record. If the writer's [`FlushPolicy`] says a group is
-    /// due, the staged records are written to the file and their fsync
-    /// requested; this never waits for an fsync. The record is durable
-    /// once the [`Watermark`] passes it.
+    /// Stages one record: its length, an empty checksum slot and the
+    /// payload, copied into the writer's buffer. If the writer's
+    /// [`FlushPolicy`] says a group is due, the staged records are handed
+    /// to the log writer, which checksums and writes them and requests
+    /// their fsync. `append` itself does no log I/O and never waits for
+    /// a write or an fsync; it waits only when 256 KiB of handed groups
+    /// are already waiting for the log writer. The record is durable once
+    /// the [`Watermark`] passes it.
     ///
     /// # Errors
     ///
     /// Returns the writer's sticky failure (see [`Watermark::wait`]) —
-    /// nothing is staged then — or a [`DurabilityError::Io`] for a group
-    /// write that fails here, which becomes that failure (the file may
-    /// hold a torn record, which the next tolerant scan will discard).
+    /// nothing is staged then. A group write that fails on the log
+    /// writer becomes that failure, so the next `append` returns it (the
+    /// file may hold a torn record, which the next tolerant scan will
+    /// discard).
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DurabilityError> {
         self.sync.check()?;
         self.buf.reserve(RECORD_HEADER + payload.len());
         self.buf
             .extend_from_slice(&(payload.len() as u64).to_be_bytes());
-        self.buf.extend_from_slice(&xxh64(payload).to_be_bytes());
+        // The checksum slot, which the log writer fills in.
+        self.buf.extend_from_slice(&[0; 8]);
         self.buf.extend_from_slice(payload);
         self.len += (RECORD_HEADER + payload.len()) as u64;
         self.records += 1;
@@ -827,26 +1039,26 @@ impl WalWriter {
             .policy
             .due(self.buffered_records, self.buf.len() as u64)
         {
-            self.write_group()?;
+            self.hand_off()?;
         }
         Ok(())
     }
 
-    /// Writes the staged records to the file as one group and requests
-    /// their fsync, without waiting for it: a no-op when nothing is
-    /// staged.
+    /// Hands the staged records to the log writer as one group, which
+    /// writes them and requests their fsync, without waiting for either:
+    /// a no-op when nothing is staged.
     ///
     /// # Errors
     ///
     /// As [`append`](Self::append).
     pub fn request_sync(&mut self) -> Result<(), DurabilityError> {
         self.sync.check()?;
-        self.write_group()
+        self.hand_off()
     }
 
-    /// Writes the staged records, requests their fsync and waits until
-    /// everything appended so far is on stable storage. Waits for no
-    /// fsync when everything appended is already durable.
+    /// Hands over the staged records and waits until everything appended
+    /// so far is on stable storage. Waits for no fsync when everything
+    /// appended is already durable.
     ///
     /// # Errors
     ///
@@ -857,29 +1069,67 @@ impl WalWriter {
         self.sync.wait(self.first + self.records)
     }
 
-    /// Writes the staged group and hands its fsync to the syncer,
-    /// starting the thread at the first group.
-    fn write_group(&mut self) -> Result<(), DurabilityError> {
+    /// Hands the staged group to the log writer, starting the log threads
+    /// at the first group. The staging buffer goes over whole, and
+    /// staging continues in the spare one the writer gave back, unless
+    /// groups are still waiting for the writer, which this one then
+    /// joins; past [`HANDOFF_BYTES`] of them it first waits for the
+    /// writer to take them.
+    fn hand_off(&mut self) -> Result<(), DurabilityError> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let path = &self.live.path;
-        if let Err(e) = (&self.live.file).write_all(&self.buf) {
-            return Err(self.sync.fail(io_err("append", path, &e)));
+        if self.threads.is_empty() {
+            self.start_threads()?;
         }
-        self.buf.clear();
+        let mut state = self.sync.lock();
+        while !state.handed.is_empty()
+            && state.handed.len() + self.buf.len() > HANDOFF_BYTES
+            && state.failed.is_none()
+        {
+            state.room_wanted = true;
+            state = self
+                .sync
+                .progress
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(e) = &state.failed {
+            return Err(e.clone());
+        }
+        if state.handed.is_empty() {
+            let spare = std::mem::take(&mut state.spare);
+            state.handed = std::mem::replace(&mut self.buf, spare);
+        } else {
+            state.handed.extend_from_slice(&self.buf);
+            self.buf.clear();
+        }
+        state.requested = self.first + self.records;
+        drop(state);
+        self.sync.handoffs.notify_one();
         self.buffered_records = 0;
         self.flushes += 1;
-        if self.syncer.is_none() {
-            let sync = Arc::clone(&self.sync);
-            let syncer = std::thread::Builder::new()
-                .name("vcps-wal-syncer".into())
-                .spawn(move || sync.run())
-                .map_err(|e| self.sync.fail(io_err("start syncer", path, &e)))?;
-            self.syncer = Some(syncer);
-        }
-        self.sync.lock().requested = self.first + self.records;
-        self.sync.requests.notify_one();
+        Ok(())
+    }
+
+    /// Starts the log writer and the syncer.
+    fn start_threads(&mut self) -> Result<(), DurabilityError> {
+        self.spawn("vcps-wal-writer", SyncShared::write_loop)?;
+        self.spawn("vcps-wal-syncer", SyncShared::sync_loop)
+    }
+
+    /// Starts one log thread running `stage`; failing to start it fails
+    /// the log.
+    fn spawn(&mut self, name: &str, stage: fn(&SyncShared)) -> Result<(), DurabilityError> {
+        let sync = Arc::clone(&self.sync);
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || stage(&sync))
+            .map_err(|e| {
+                self.sync
+                    .fail(io_err("start log thread", &self.live.path, &e))
+            })?;
+        self.threads.push(thread);
         Ok(())
     }
 
@@ -921,23 +1171,27 @@ impl WalWriter {
         sync_dir(parent_dir(&self.live.path))
     }
 
-    /// Records in this file (including those found by a resume scan and
-    /// those still staged in the group-commit buffer).
+    /// Records in this file (including those found by a resume scan,
+    /// those handed to the log writer and those still staged in the
+    /// group-commit buffer).
     #[must_use]
     pub fn record_count(&self) -> u64 {
         self.records
     }
 
-    /// Group writes so far: each wrote the staged records to the file
-    /// and requested their fsync.
+    /// Groups handed to the log writer so far: one at each point where
+    /// the [`FlushPolicy`] made a group due, and one for each
+    /// [`request_sync`](Self::request_sync) or [`sync`](Self::sync) that
+    /// found records staged. The log writer writes each group, several
+    /// at once when they were handed over while it was busy.
     #[must_use]
     pub fn flushes(&self) -> u64 {
         self.flushes
     }
 
     /// fdatasyncs the syncer has completed — the metric group commit
-    /// exists to shrink. At most one per group write; fewer when
-    /// requests arrive while a sync runs and share the next one.
+    /// exists to shrink. At most one per group handed over; fewer when
+    /// groups are written while a sync runs and share the next one.
     #[must_use]
     pub fn fsyncs(&self) -> u64 {
         self.sync.lock().fsyncs
@@ -950,7 +1204,7 @@ impl WalWriter {
     }
 
     /// Records currently staged in the group-commit buffer — appended,
-    /// but not yet written to the file. A crash now loses at least
+    /// but not yet handed to the log writer. A crash now loses at least
     /// these.
     #[must_use]
     pub fn buffered_records(&self) -> u64 {
@@ -982,6 +1236,24 @@ impl WalWriter {
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.live.path
+    }
+
+    /// Blocks until the log writer has written the records below `upto`.
+    #[cfg(test)]
+    fn wait_written(&self, upto: u64) {
+        while self.sync.lock().written < upto {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Replaces every group write the log writer makes from now on.
+    #[cfg(test)]
+    fn fake_write(&self, write: impl FnMut(&File, &[u8]) -> std::io::Result<()> + Send + 'static) {
+        *self
+            .sync
+            .fake_write
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(Box::new(write));
     }
 
     /// Replaces every fdatasync the syncer runs from now on.
@@ -1387,6 +1659,7 @@ fn remove_file(path: &Path) -> Result<(), DurabilityError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1672,21 +1945,25 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Per-record (default) policy: every append is flushed, so the
-    /// on-disk log always matches the logical log.
+    /// Per-record (default) policy: every append is handed over as its
+    /// own group, so once the watermark passes a record the on-disk log
+    /// matches the logical log.
     #[test]
     fn per_record_policy_flushes_every_append() {
         let dir = temp_dir("flush-per-record");
         let path = dir.join("frames.wal");
         let mut writer = WalWriter::create(&path).unwrap();
         assert_eq!(writer.flush_policy(), FlushPolicy::PerRecord);
+        let mark = writer.watermark();
         for i in 0u8..4 {
             writer.append(&[i; 9]).unwrap();
             assert_eq!(writer.buffered_records(), 0);
+            assert_eq!(mark.requested(), writer.record_count());
+            mark.wait(writer.record_count()).unwrap();
             assert_eq!(fs::metadata(&path).unwrap().len(), writer.len());
         }
         assert_eq!(writer.flushes(), 4);
-        // A redundant sync with nothing new is a no-op, not an fsync.
+        // A redundant sync with nothing new hands nothing over.
         writer.sync().unwrap();
         assert_eq!(writer.flushes(), 4);
         fs::remove_dir_all(&dir).unwrap();
@@ -1720,8 +1997,8 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// EveryRecords(n): one flush per n appends, and the on-disk log is
-    /// always the longest flushed prefix.
+    /// EveryRecords(n): one group per n appends, and once the watermark
+    /// passes the groups handed over, the on-disk log is exactly them.
     #[test]
     fn every_records_policy_groups_appends() {
         let dir = temp_dir("flush-every-records");
@@ -1729,11 +2006,14 @@ mod tests {
         let mut writer = WalWriter::create(&path)
             .unwrap()
             .with_flush_policy(FlushPolicy::EveryRecords(3));
+        let mark = writer.watermark();
         for i in 0u8..7 {
             writer.append(&[i; 5]).unwrap();
-            let on_disk = read_wal(&path).unwrap().records.len() as u64;
-            assert_eq!(on_disk, writer.record_count() - writer.buffered_records());
-            assert_eq!(on_disk, (u64::from(i) + 1) / 3 * 3);
+            let handed = writer.record_count() - writer.buffered_records();
+            assert_eq!(mark.requested(), handed);
+            assert_eq!(handed, (u64::from(i) + 1) / 3 * 3);
+            mark.wait(handed).unwrap();
+            assert_eq!(read_wal(&path).unwrap().records.len() as u64, handed);
         }
         assert_eq!(writer.flushes(), 2);
         assert_eq!(writer.buffered_records(), 1);
@@ -1798,12 +2078,10 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Group writes that arrive while an fsync runs share the next one,
-    /// and `append` never waits for an fsync.
+    /// Groups written while an fsync runs share the next one, and
+    /// `append` never waits for an fsync.
     #[test]
     fn requests_during_a_sync_share_the_next_one() {
-        use std::sync::mpsc;
-
         let dir = temp_dir("coalesce");
         let path = dir.join("frames.wal");
         let mut writer = WalWriter::create(&path).unwrap();
@@ -1817,7 +2095,8 @@ mod tests {
         let mark = writer.watermark();
         writer.append(b"a").unwrap();
         entered_rx.recv().unwrap();
-        // The first fsync is running: three more group writes queue up.
+        // The first fsync is running: three more groups are handed over
+        // and written.
         for record in [b"b", b"c", b"d"] {
             writer.append(record).unwrap();
         }
@@ -1825,6 +2104,7 @@ mod tests {
             (writer.flushes(), mark.requested(), mark.durable()),
             (4, 4, 0)
         );
+        writer.wait_written(4);
         release_tx.send(()).unwrap();
         // The second fsync covers all three.
         entered_rx.recv().unwrap();
@@ -1896,6 +2176,193 @@ mod tests {
         assert_eq!(scan.records, written);
         assert_eq!(scan.tail_error, None);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A gate for the log writer's writes: each write signals `entered`
+    /// and waits for a `release` (or for the release side to be dropped,
+    /// which lets every later write through), then writes for real.
+    fn gated_writes(writer: &WalWriter) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        writer.fake_write(move |mut file, group| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+            file.write_all(group)
+        });
+        (entered_rx, release_tx)
+    }
+
+    /// `append` only stages: while the log writer's write is held up,
+    /// appends that make groups due return at once, and the groups reach
+    /// the file only after the write is let go.
+    #[test]
+    fn append_leaves_the_log_io_to_the_log_writer() {
+        let dir = temp_dir("append-stages");
+        let path = dir.join("frames.wal");
+        let mut writer = WalWriter::create(&path)
+            .unwrap()
+            .with_flush_policy(FlushPolicy::EveryRecords(2));
+        let (entered, release) = gated_writes(&writer);
+        let mark = writer.watermark();
+        writer.append(b"one").unwrap();
+        writer.append(b"two").unwrap();
+        entered.recv().unwrap();
+        // The log writer is inside its first write; more groups go by.
+        for record in [&b"three"[..], b"four", b"five", b"six"] {
+            writer.append(record).unwrap();
+        }
+        assert_eq!(
+            (writer.flushes(), mark.requested(), mark.durable()),
+            (3, 6, 0)
+        );
+        assert_eq!(fs::metadata(&path).unwrap().len(), WAL_MAGIC.len() as u64);
+        drop(release);
+        mark.wait(6).unwrap();
+        assert_eq!(read_wal(&path).unwrap().records.len(), 6);
+        assert_eq!(fs::metadata(&path).unwrap().len(), writer.len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A writer dropped while its log writer holds handed-over groups it
+    /// has not written writes and fsyncs them before the log threads are
+    /// joined; only the staged record fires the drop hook.
+    #[test]
+    fn drop_writes_and_syncs_handed_groups_before_joining() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let dir = temp_dir("drop-handed");
+        let path = dir.join("frames.wal");
+        let mut writer = WalWriter::create(&path)
+            .unwrap()
+            .with_flush_policy(FlushPolicy::EveryRecords(2));
+        let dropped = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&dropped);
+        writer.set_drop_hook(move |records, _| {
+            counted.fetch_add(records, Ordering::SeqCst);
+        });
+        let (entered, release) = gated_writes(&writer);
+        let mark = writer.watermark();
+        let payloads: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i; 11]).collect();
+        writer.append(&payloads[0]).unwrap();
+        writer.append(&payloads[1]).unwrap();
+        entered.recv().unwrap();
+        for p in &payloads[2..] {
+            writer.append(p).unwrap();
+        }
+        assert_eq!((mark.requested(), writer.buffered_records()), (4, 1));
+        let dropper = std::thread::spawn(move || drop(writer));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            !dropper.is_finished(),
+            "the drop joins a log writer that holds unwritten groups"
+        );
+        drop(release);
+        dropper.join().unwrap();
+        assert_eq!(mark.durable(), 4);
+        assert_eq!(dropped.load(Ordering::SeqCst), 1);
+        let scan = read_wal(&path).unwrap();
+        assert_eq!(scan.records, payloads[..4].to_vec());
+        assert_eq!(scan.tail_error, None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed group write on the log writer is typed and sticky: every
+    /// waiter gets it, later appends, syncs and requests get it, the
+    /// write is never retried, and no group handed over after it is
+    /// written or becomes durable.
+    #[test]
+    fn failed_group_write_is_typed_sticky_and_never_retried() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let dir = temp_dir("write-fails");
+        let path = dir.join("frames.wal");
+        let mut writer = WalWriter::create(&path)
+            .unwrap()
+            .with_flush_policy(FlushPolicy::EveryRecords(2));
+        let mark = writer.watermark();
+        writer.append(b"one").unwrap();
+        writer.append(b"two").unwrap();
+        mark.wait(2).unwrap();
+        // Every write from here on waits for a release, then fails.
+        let calls = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&calls);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        writer.fake_write(move |_, _| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+            counted.fetch_add(1, Ordering::SeqCst);
+            Err(std::io::Error::other("injected write failure"))
+        });
+        let waiters: Vec<_> = [3, 6]
+            .into_iter()
+            .map(|upto| {
+                let mark = mark.clone();
+                std::thread::spawn(move || mark.wait(upto))
+            })
+            .collect();
+        writer.append(b"three").unwrap();
+        writer.append(b"four").unwrap();
+        entered_rx.recv().unwrap();
+        // Handed over while the failing write runs: never written.
+        writer.append(b"five").unwrap();
+        writer.append(b"six").unwrap();
+        release_tx.send(()).unwrap();
+        let err = writer.sync().unwrap_err();
+        assert!(
+            matches!(&err, DurabilityError::Io { op: "append", path: p, detail }
+                if p == &path && detail.contains("injected")),
+            "{err}"
+        );
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Err(err.clone()));
+        }
+        assert_eq!(writer.append(b"seven"), Err(err.clone()));
+        assert_eq!(writer.request_sync(), Err(err.clone()));
+        assert_eq!(writer.sync(), Err(err.clone()));
+        assert_eq!((mark.durable(), mark.requested()), (2, 6));
+        drop(writer);
+        assert_eq!(mark.durable(), 2, "nothing after the failure is durable");
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "a failed write is never retried"
+        );
+        let scan = read_wal(&path).unwrap();
+        assert_eq!(scan.records, vec![b"one".to_vec(), b"two".to_vec()]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A panic on either log thread fails the log with a typed error
+    /// instead of leaving a waiter blocked on a thread that is gone.
+    #[test]
+    fn a_panicking_log_thread_fails_the_log() {
+        for op in ["append", "fsync"] {
+            let dir = temp_dir(&format!("panic-{op}"));
+            let path = dir.join("frames.wal");
+            let mut writer = WalWriter::create(&path).unwrap();
+            if op == "append" {
+                writer.fake_write(|_, _| panic!("injected write panic"));
+            } else {
+                writer.fake_fsync(|_| panic!("injected fsync panic"));
+            }
+            let waiter = {
+                let mark = writer.watermark();
+                std::thread::spawn(move || mark.wait(1))
+            };
+            writer.append(b"one").unwrap();
+            let err = waiter.join().unwrap().unwrap_err();
+            assert!(
+                matches!(&err, DurabilityError::Io { op: o, path: p, detail }
+                    if *o == op && p == &path && detail.contains("panicked")),
+                "{err}"
+            );
+            assert_eq!(writer.append(b"two"), Err(err.clone()));
+            assert_eq!(writer.sync(), Err(err.clone()));
+            assert_eq!(writer.watermark().durable(), 0);
+            drop(writer);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

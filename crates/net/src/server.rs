@@ -30,15 +30,17 @@
 //!
 //! On a durable backend the connection holds each upload's ack until
 //! the WAL's syncer has fsynced the record that upload logged, and keeps
-//! decoding and applying the frames that follow meanwhile: groups are
-//! fsynced while the next ones are built. Responses leave in request
-//! order from one FIFO of held responses. Between frames the connection
-//! writes the held responses that are already durable. When it is idle
-//! it first waits, once, for a WAL sync already in flight and looks at
-//! the socket again (so a burst joins the running group instead of
-//! forcing a small one); then it writes the WAL's staged tail, waits for
-//! its fsync, writes and flushes every held response, and blocks on the
-//! socket. A request that is not an upload waits for the held acks
+//! decoding and applying the frames that follow meanwhile: logging a
+//! frame only stages it, and the WAL's log writer and syncer threads
+//! write and fsync the groups while the next ones are built. Responses
+//! leave in request order from one FIFO of held responses. Between
+//! frames the connection writes the held responses that are already
+//! durable (one atomic load of the watermark). When it is idle it first
+//! waits, once, for the records already handed to the log writer and
+//! looks at the socket again (so a burst joins the running group instead
+//! of forcing a small one); then it hands the WAL's staged tail over,
+//! waits for its fsync, writes and flushes every held response, and
+//! blocks on the socket. A request that is not an upload waits for the held acks
 //! before it is computed, so only acks (41-byte payloads) are ever held,
 //! and at most [`HELD_ACKS`] of them — one write buffer of ack frames:
 //! at that bound the connection waits for the oldest. The data a
@@ -671,8 +673,8 @@ impl Held {
         Ok(())
     }
 
-    /// If a WAL sync is in flight while responses are held, waits for it
-    /// to end and returns `true`.
+    /// If records handed to the WAL's log writer are not yet durable
+    /// while responses are held, waits for them and returns `true`.
     fn join_in_flight(&self) -> bool {
         let Some(mark) = self.mark.as_ref().filter(|_| !self.queue.is_empty()) else {
             return false;
@@ -694,11 +696,11 @@ impl Held {
         }
     }
 
-    /// Waits until `upto` log records are durable — writing the WAL's
-    /// staged tail and requesting its sync first, if they are not all
-    /// written — and writes every response that may then go. The backend
-    /// lock is taken only to write the tail, never to wait. If the log
-    /// has failed, every held response it does not cover is answered
+    /// Waits until `upto` log records are durable — handing the WAL's
+    /// staged tail to the log writer first, if they are not all handed
+    /// over — and writes every response that may then go. The backend
+    /// lock is taken only to hand the tail over, never to wait. If the
+    /// log has failed, every held response it does not cover is answered
     /// with the failure instead: nothing is acked past a failed sync.
     fn settle(&mut self, upto: u64, out: &mut impl Write, shared: &Shared) -> Result<(), NetError> {
         let Some(mark) = self.mark.clone() else {
@@ -732,6 +734,8 @@ fn send(reply: &Reply, out: &mut impl Write, shared: &Shared) -> Result<(), NetE
 
 /// The response to one frame.
 enum Reply {
+    /// An upload's ack, encoded straight into the write buffer.
+    Ack(AckSummary),
     /// A response payload, written as one frame.
     Payload(Vec<u8>),
     /// An O–D answer, written after its header chunk by chunk, never
@@ -742,6 +746,7 @@ enum Reply {
 impl Reply {
     fn payload_len(&self) -> usize {
         match self {
+            Reply::Ack(_) => wire::ACK_PAYLOAD_BYTES,
             Reply::Payload(payload) => payload.len(),
             Reply::Matrix(matrix) => matrix.payload_len(),
         }
@@ -749,6 +754,7 @@ impl Reply {
 
     fn write(&self, out: &mut impl Write) -> Result<(), NetError> {
         match self {
+            Reply::Ack(ack) => wire::write_frame(out, &ack.to_bytes()),
             Reply::Payload(payload) => wire::write_frame(out, payload),
             Reply::Matrix(matrix) => matrix.write(out),
         }
@@ -762,13 +768,10 @@ impl Reply {
 fn handle_upload(payload: &[u8], shared: &Shared) -> (Reply, u64) {
     let ingested = {
         let mut backend = shared.backend.write().expect("backend poisoned");
-        ingest(&mut backend, payload[0], payload).map(|outcomes| (outcomes, backend.logged()))
+        ingest(&mut backend, payload[0], payload).map(|ack| (ack, backend.logged()))
     };
     match ingested {
-        Ok((outcomes, upto)) => (
-            Reply::Payload(AckSummary::from_outcomes(&outcomes).encode()),
-            upto,
-        ),
+        Ok((ack, upto)) => (Reply::Ack(ack), upto),
         Err(e) => (error_reply(&e, shared), 0),
     }
 }
@@ -859,33 +862,36 @@ fn dispatch(payload: &[u8], shared: &Shared) -> Result<Reply, NetError> {
     Ok(Reply::Payload(response))
 }
 
-/// Routes an upload frame (tags 3–6) into the backend. Sequenced and
-/// batch frames go in as wire bytes, through the zero-copy views.
-fn ingest(
-    backend: &mut Backend,
-    tag: u8,
-    payload: &[u8],
-) -> Result<Vec<vcps_sim::ReceiveOutcome>, NetError> {
-    let outcomes = match (backend, tag) {
+/// Routes an upload frame (tags 3–6) into the backend and tallies its
+/// ack. Sequenced and batch frames go in as wire bytes, through the
+/// zero-copy views; a single frame's ack is tallied without a vector.
+fn ingest(backend: &mut Backend, tag: u8, payload: &[u8]) -> Result<AckSummary, NetError> {
+    let ack = match (backend, tag) {
         (Backend::Volatile(s), 3 | 4) => {
             // Bare uploads have no borrowed ingest entry point; they are
             // the legacy single-frame path and always materialize.
-            vec![s.receive(PeriodUpload::decode(payload).map_err(sim_err)?)]
+            AckSummary::from_outcomes(&[s.receive(PeriodUpload::decode(payload).map_err(sim_err)?)])
         }
         (Backend::Volatile(s), 5) => {
             let view = SequencedUploadRef::decode_ref(payload).map_err(sim_err)?;
-            vec![s.receive_sequenced_ref(&view)]
+            AckSummary::from_outcomes(&[s.receive_sequenced_ref(&view)])
         }
-        (Backend::Volatile(s), _) => s.receive_batch_wire(payload).map_err(sim_err)?,
+        (Backend::Volatile(s), _) => {
+            AckSummary::from_outcomes(&s.receive_batch_wire(payload).map_err(sim_err)?)
+        }
         (Backend::Durable(_), 3 | 4) => {
             return Err(NetError::Malformed(
                 "durable mode requires sequenced uploads (tags 5 or 6)",
             ));
         }
-        (Backend::Durable(d), 5) => vec![d.receive_sequenced_wire(payload).map_err(sim_err)?],
-        (Backend::Durable(d), _) => d.receive_batch_wire(payload).map_err(sim_err)?,
+        (Backend::Durable(d), 5) => {
+            AckSummary::from_outcomes(&[d.receive_sequenced_wire(payload).map_err(sim_err)?])
+        }
+        (Backend::Durable(d), _) => {
+            AckSummary::from_outcomes(&d.receive_batch_wire(payload).map_err(sim_err)?)
+        }
     };
-    Ok(outcomes)
+    Ok(ack)
 }
 
 fn sim_err(e: SimError) -> NetError {
@@ -904,6 +910,7 @@ mod tests {
     #[test]
     fn held_bound_is_one_write_buffer_of_acks() {
         let ack_frame = 4 + AckSummary::default().encode().len();
+        assert_eq!(ack_frame, 4 + wire::ACK_PAYLOAD_BYTES);
         assert_eq!(HELD_ACKS, 1_456);
         assert!(HELD_ACKS * ack_frame <= IO_BUFFER_BYTES);
         assert!((HELD_ACKS + 1) * ack_frame > IO_BUFFER_BYTES);

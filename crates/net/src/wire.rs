@@ -180,6 +180,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Bytes of an ack payload ([`AckSummary::to_bytes`]): the tag and
+/// five `u64` counts.
+pub const ACK_PAYLOAD_BYTES: usize = 1 + 8 * 5;
+
 /// Aggregated ingest outcomes for one upload frame (response tag 32).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AckSummary {
@@ -214,21 +218,28 @@ impl AckSummary {
         ack
     }
 
-    /// Encodes as a response payload.
+    /// The response payload, on the stack: the tag and the five counts.
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(1 + 8 * 5);
-        buf.push(RESP_ACK);
-        for v in [
+    pub fn to_bytes(&self) -> [u8; ACK_PAYLOAD_BYTES] {
+        let mut bytes = [0u8; ACK_PAYLOAD_BYTES];
+        bytes[0] = RESP_ACK;
+        let counts = [
             self.frames,
             self.fresh,
             self.duplicate,
             self.conflicting,
             self.stale,
-        ] {
-            buf.extend_from_slice(&v.to_be_bytes());
+        ];
+        for (slot, v) in bytes[1..].chunks_exact_mut(8).zip(counts) {
+            slot.copy_from_slice(&v.to_be_bytes());
         }
-        buf
+        bytes
+    }
+
+    /// Encodes as a response payload.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        self.to_bytes().to_vec()
     }
 
     fn decode_body(cur: &mut Cursor<'_>) -> Result<Self, NetError> {

@@ -72,8 +72,14 @@ pub enum Phase {
     /// Upload retry/backoff handling.
     Retry,
     /// Write-ahead-log append on the durable ingest path: staging the
-    /// record, and writing its group to the file when one is due.
+    /// record, and handing its group to the log writer when one is due.
+    /// The write itself is [`WalWrite`](Phase::WalWrite).
     WalAppend,
+    /// One WAL group write — the records' checksums and the write to
+    /// the file — timed on the log's writer thread. The durable server
+    /// records only its histogram: `wal.write` already counts the
+    /// writes.
+    WalWrite,
     /// One WAL fdatasync, timed on the log's syncer thread. The durable
     /// server records only its histogram: `wal.fsync` already counts
     /// the calls.
@@ -93,6 +99,7 @@ impl Phase {
             Phase::OdMatrix => "phase.od_matrix.ns",
             Phase::Retry => "phase.retry.ns",
             Phase::WalAppend => "phase.wal_append.ns",
+            Phase::WalWrite => "phase.wal_write.ns",
             Phase::WalSync => "phase.wal_sync.ns",
             Phase::WalRecover => "phase.wal_recover.ns",
         }
@@ -108,6 +115,7 @@ impl Phase {
             Phase::OdMatrix => "phase.od_matrix.calls",
             Phase::Retry => "phase.retry.calls",
             Phase::WalAppend => "phase.wal_append.calls",
+            Phase::WalWrite => "phase.wal_write.calls",
             Phase::WalSync => "phase.wal_sync.calls",
             Phase::WalRecover => "phase.wal_recover.calls",
         }

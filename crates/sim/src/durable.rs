@@ -7,10 +7,11 @@
 //!
 //! Every wire frame that reaches ingestion is appended to the WAL
 //! *before* it is applied — any outcome, not just `Fresh`. The append
-//! writes the frame to the file at once by default, or in groups under
-//! a group-commit [`FlushPolicy`], and the WAL's syncer thread fsyncs
-//! what was written off the request path (DESIGN.md §18): a frame is
-//! durable once the log's [`Watermark`] passes it, which
+//! only stages the frame; it is handed to the WAL's log writer thread
+//! at once by default, or in groups under a group-commit
+//! [`FlushPolicy`], and the log writer and the syncer thread write and
+//! fsync it off the request path (DESIGN.md §18): a frame is durable
+//! once the log's [`Watermark`] passes it, which
 //! [`DurableServer::flush_wal`] waits for. Logging every frame means that
 //! replaying the full arrival stream through the very same
 //! [`ShardedServer::receive_sequenced_ref`] /
@@ -77,13 +78,13 @@ pub struct DurableOptions {
     /// records (`None`: log-only, recovery replays from the start).
     /// Must be positive when set.
     pub checkpoint_interval: Option<u64>,
-    /// When WAL appends are written to the file and their fsync
-    /// requested (group commit, DESIGN.md §18). The default,
-    /// [`FlushPolicy::PerRecord`], writes every frame as it is logged;
-    /// grouped policies write fewer, larger groups, and frames staged
-    /// for a later group are not yet in the file. Under every policy a
-    /// frame is durable only once the log's [`Watermark`] passes it.
-    /// Thresholded policies must be positive.
+    /// When WAL appends are handed to the log writer to be written and
+    /// fsynced (group commit, DESIGN.md §18). The default,
+    /// [`FlushPolicy::PerRecord`], hands every frame over as it is
+    /// logged; grouped policies hand over fewer, larger groups, and
+    /// frames staged for a later group are not yet on their way to the
+    /// file. Under every policy a frame is durable only once the log's
+    /// [`Watermark`] passes it. Thresholded policies must be positive.
     pub flush: FlushPolicy,
 }
 
@@ -171,14 +172,26 @@ impl DurableServer {
     /// Arms the WAL writer's hooks. The drop hook: a writer dropped while
     /// still staging group-commit records has silently discarded logged
     /// frames, which must show up in the deployment's counters rather
-    /// than only at the next recovery. The sync hook, on the syncer
-    /// thread: `wal.fsync` counts the fdatasyncs it completes, and
-    /// [`Phase::WalSync`] times each.
+    /// than only at the next recovery. The write hook, on the log writer
+    /// thread: `wal.write` counts the group writes it completes
+    /// (checksums and the write to the file), and [`Phase::WalWrite`]
+    /// times each. The sync hook, on the syncer thread: `wal.fsync`
+    /// counts the fdatasyncs it completes, and [`Phase::WalSync`] times
+    /// each. Both hooks run before the watermark passes what they
+    /// count, so a caller that waited for it sees them counted.
     fn install_hooks(wal: &mut WalWriter, obs: &Obs) {
         let dropped = obs.clone();
         wal.set_drop_hook(move |records, bytes| {
             dropped.add("wal.dropped_buffered_records", records);
             dropped.add("wal.dropped_buffered_bytes", bytes);
+        });
+        let written = obs.clone();
+        wal.set_write_hook(move |elapsed| {
+            written.inc("wal.write");
+            written.observe(
+                Phase::WalWrite.ns_metric(),
+                u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+            );
         });
         let synced = obs.clone();
         wal.set_sync_hook(move |elapsed| {
@@ -395,9 +408,11 @@ impl DurableServer {
     }
 
     /// Appends one frame to the WAL — the write-ahead step, always
-    /// before the in-memory apply. Whether the append writes a group to
-    /// the file now or stages the frame for a later one is the
-    /// [`FlushPolicy`]'s call; the fsync runs on the syncer either way.
+    /// before the in-memory apply. The append only stages the frame;
+    /// whether it also hands a group to the log writer now is the
+    /// [`FlushPolicy`]'s call. [`Phase::WalAppend`] times the staging
+    /// and the hand-off; the write and the fsync run on the log's
+    /// threads either way.
     fn log_frame(&mut self, frame: &[u8]) -> Result<(), SimError> {
         let obs = self.inner.obs().clone();
         let _timer = obs.phase(Phase::WalAppend);
@@ -418,29 +433,30 @@ impl DurableServer {
         Ok(())
     }
 
-    /// Writes the staged WAL records and waits until every logged frame
-    /// is on stable storage — the explicit boundary for
+    /// Hands the staged WAL records to the log writer and waits until
+    /// every logged frame is on stable storage — the explicit boundary for
     /// [`FlushPolicy::Manual`] (and an early one for the thresholded
     /// policies). Every frame logged before this call is durable once it
     /// returns.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Durability`] if the write or fsync fails, or
+    /// Returns [`SimError::Durability`] if a write or fsync fails, or
     /// an earlier one did (a failure is sticky).
     pub fn flush_wal(&mut self) -> Result<(), SimError> {
         self.wal.sync()?;
         Ok(())
     }
 
-    /// Writes the staged WAL records and requests their fsync without
-    /// waiting for it — what a server does when it runs out of queued
-    /// work, so the records its held answers wait on reach stable
-    /// storage. [`watermark`](Self::watermark) says when they have.
+    /// Hands the staged WAL records to the log writer, which writes them
+    /// and requests their fsync, without waiting for either — what a
+    /// server does when it runs out of queued work, so the records its
+    /// held answers wait on reach stable storage.
+    /// [`watermark`](Self::watermark) says when they have.
     ///
     /// # Errors
     ///
-    /// As [`flush_wal`](Self::flush_wal), for the write.
+    /// The log's sticky failure, if a write or fsync failed earlier.
     pub fn request_flush(&mut self) -> Result<(), SimError> {
         self.wal.request_sync()?;
         Ok(())
@@ -487,18 +503,19 @@ impl DurableServer {
     /// [`ShardedServer::receive_sequenced`], write-ahead logged (one
     /// WAL record per upload: its [`SequencedUpload::encode`] bytes).
     ///
-    /// When this returns the frame is logged and applied; it is durable
-    /// once the [`watermark`](Self::watermark) reaches
+    /// When this returns the frame is staged in the log and applied; it
+    /// may not be in the file yet. It is durable once the
+    /// [`watermark`](Self::watermark) reaches
     /// [`records_logged`](Self::records_logged), under every
-    /// [`FlushPolicy`]. Nothing here waits for an fsync unless a
-    /// checkpoint is due.
+    /// [`FlushPolicy`]. Nothing here writes the log or waits for an
+    /// fsync unless a checkpoint is due.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Durability`] if the append or a due
-    /// checkpoint fails, or the log failed earlier — in which case the
-    /// frame was **not** applied (log first, apply second), except when
-    /// only the checkpoint failed.
+    /// Returns [`SimError::Durability`] if a due checkpoint fails, or
+    /// the log failed earlier (a group write or fsync on its threads) —
+    /// in which case the frame was **not** applied (log first, apply
+    /// second), except when only the checkpoint failed.
     pub fn receive_sequenced(
         &mut self,
         sequenced: SequencedUpload,
@@ -620,6 +637,13 @@ impl DurableServer {
         self.wal.path()
     }
 
+    /// fdatasyncs the WAL's syncer has completed
+    /// ([`WalWriter::fsyncs`]).
+    #[must_use]
+    pub fn wal_fsyncs(&self) -> u64 {
+        self.wal.fsyncs()
+    }
+
     /// The checkpoint directory.
     #[must_use]
     pub fn checkpoint_dir(&self) -> PathBuf {
@@ -728,8 +752,10 @@ mod tests {
     }
 
     /// `wal.fsync` counts the fdatasyncs the syncer completes: exactly
-    /// the writer's count, never more than its group writes, each timed
-    /// in the `phase.wal_sync.ns` histogram. After a flush the watermark
+    /// the writer's count, never more than its groups, each timed in the
+    /// `phase.wal_sync.ns` histogram. `wal.write` counts the log writer's
+    /// writes, each timed in `phase.wal_write.ns`: at least one per
+    /// fsync, and at most one per group. After a flush the watermark
     /// covers every logged frame.
     #[test]
     fn wal_fsync_counts_the_syncers_fdatasyncs() {
@@ -748,14 +774,20 @@ mod tests {
         durable.finish_period().unwrap();
         assert_eq!(durable.watermark().durable(), durable.records_logged());
         let (fsyncs, writes) = (durable.wal.fsyncs(), durable.wal.flushes());
-        assert_eq!(writes, 21, "one group write per record by default");
+        assert_eq!(writes, 21, "one group per record by default");
         assert!(
             (1..=writes).contains(&fsyncs),
-            "{fsyncs} fsyncs, {writes} writes"
+            "{fsyncs} fsyncs, {writes} groups"
         );
         let snap = obs.snapshot();
         assert_eq!(snap.counters["wal.fsync"], fsyncs);
         assert_eq!(snap.histograms["phase.wal_sync.ns"].count, fsyncs);
+        let group_writes = snap.counters["wal.write"];
+        assert!(
+            (fsyncs..=writes).contains(&group_writes),
+            "{group_writes} writes, {fsyncs} fsyncs, {writes} groups"
+        );
+        assert_eq!(snap.histograms["phase.wal_write.ns"].count, group_writes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -904,7 +936,9 @@ mod tests {
         let expected = reference.receive_batch_wire(&wire).unwrap();
         assert_eq!(durable.receive_batch_wire(&wire).unwrap(), expected);
         assert_eq!(durable.records_logged(), 1, "one record per batch");
-        // The log holds the wire bytes verbatim — no re-encode drift.
+        // The log holds the wire bytes verbatim — no re-encode drift —
+        // once the watermark passes them.
+        durable.watermark().wait(1).unwrap();
         let logged = read_wal(durable.wal_path()).unwrap();
         assert_eq!(logged.records, vec![wire.to_vec()]);
         // A malformed wire is rejected without logging anything.
@@ -973,7 +1007,9 @@ mod tests {
         }
         assert_eq!(durable.records_logged(), frames.len() as u64);
 
-        // The log holds the wire bytes verbatim.
+        // The log holds the wire bytes verbatim, once the watermark
+        // passes them.
+        durable.watermark().wait(durable.records_logged()).unwrap();
         let logged = read_wal(durable.wal_path()).unwrap();
         assert_eq!(logged.records, wires);
         drop(durable);

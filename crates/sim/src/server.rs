@@ -1127,17 +1127,33 @@ impl CentralServer {
         F: Fn(&[PairEstimate]) -> U + Sync,
     {
         let _timer = self.obs.phase(Phase::OdMatrix);
-        let rows: Vec<DecodeRow<'_>> = self
-            .uploads
+        let rows = self.od_rows();
+        let chunks = od_chunks(&rows, None, &self.obs, threads, sink)?;
+        Ok((rows.iter().map(DecodeRow::axis).collect(), chunks))
+    }
+
+    /// The executors an all-pairs decode requested at `threads` runs on:
+    /// 1 when the cost model judges the triangle too small to repay a
+    /// pool dispatch (it then runs inline on the caller), otherwise
+    /// `threads` capped at the host's cores.
+    #[must_use]
+    pub fn od_executors(&self, threads: usize) -> usize {
+        let rows = self.od_rows();
+        let pairs = rows.len() * rows.len().saturating_sub(1) / 2;
+        crate::concurrent::capped_executors(od_effective_threads(threads, &rows, pairs))
+    }
+
+    /// One decode row per RSU the server knows about — current uploads
+    /// and volume history alike — in ascending id order.
+    fn od_rows(&self) -> Vec<DecodeRow<'_>> {
+        self.uploads
             .keys()
             .copied()
             .chain(self.history.iter().map(|(rsu, _)| rsu))
             .collect::<BTreeSet<_>>()
             .into_iter()
             .map(|rsu| self.decode_row(rsu))
-            .collect();
-        let chunks = od_chunks(&rows, None, &self.obs, threads, sink)?;
-        Ok((rows.iter().map(DecodeRow::axis).collect(), chunks))
+            .collect()
     }
 
     /// Ends the period: folds every upload's counter into the volume
