@@ -909,8 +909,7 @@ mod tests {
 
     #[test]
     fn held_bound_is_one_write_buffer_of_acks() {
-        let ack_frame = 4 + AckSummary::default().encode().len();
-        assert_eq!(ack_frame, 4 + wire::ACK_PAYLOAD_BYTES);
+        let ack_frame = 4 + AckSummary::default().to_bytes().len();
         assert_eq!(HELD_ACKS, 1_456);
         assert!(HELD_ACKS * ack_frame <= IO_BUFFER_BYTES);
         assert!((HELD_ACKS + 1) * ack_frame > IO_BUFFER_BYTES);

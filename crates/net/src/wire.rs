@@ -236,12 +236,6 @@ impl AckSummary {
         bytes
     }
 
-    /// Encodes as a response payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        self.to_bytes().to_vec()
-    }
-
     fn decode_body(cur: &mut Cursor<'_>) -> Result<Self, NetError> {
         Ok(Self {
             frames: cur.u64()?,
@@ -815,7 +809,7 @@ mod tests {
         let mut ack = AckSummary::from_outcomes(&[O::Fresh, O::Fresh, O::Duplicate, O::Stale]);
         assert_eq!(ack.frames, 4);
         assert_eq!(ack.fresh, 2);
-        match Response::decode(&ack.encode()).unwrap() {
+        match Response::decode(&ack.to_bytes()).unwrap() {
             Response::Ack(got) => assert_eq!(got, ack),
             other => panic!("unexpected {other:?}"),
         }
