@@ -805,9 +805,9 @@ impl Watermark {
 /// `fdatasync` at a time; each covers everything written before it
 /// began, so the groups written while it runs share the next one. Both
 /// threads start at the first hand-off and are joined on drop. The
-/// groups waiting for the log writer are bounded: a hand-off that finds
-/// 256 KiB already waiting waits for the writer to take them, and the
-/// writer reuses its buffers. The [`Watermark`] says which records are
+/// groups waiting for the log writer are bounded: a hand-off that would
+/// put more than 256 KiB in front of it waits for the writer to take the
+/// groups already there, and the writer reuses its buffers. The [`Watermark`] says which records are
 /// on stable storage, and [`sync`](WalWriter::sync) hands over the
 /// staged tail and waits for it. Records reach the file, and then stable
 /// storage, strictly in append order, so the on-disk log is always a
@@ -1013,9 +1013,10 @@ impl WalWriter {
     /// [`FlushPolicy`] says a group is due, the staged records are handed
     /// to the log writer, which checksums and writes them and requests
     /// their fsync. `append` itself does no log I/O and never waits for
-    /// a write or an fsync; it waits only when 256 KiB of handed groups
-    /// are already waiting for the log writer. The record is durable once
-    /// the [`Watermark`] passes it.
+    /// an fsync; it waits for the log writer only when its group would
+    /// put more than 256 KiB in front of it, until the writer takes the
+    /// groups already there. The record is durable once the
+    /// [`Watermark`] passes it.
     ///
     /// # Errors
     ///
